@@ -59,6 +59,11 @@ for _byte in range(256):
     for _slot in range(4):
         _BYTE_TO_SIGNS[_byte, _slot] = _SIGN_OF_CODE[(_byte >> (2 * _slot)) & 0b11]
 del _byte, _slot
+# The same table with each row as one 4-byte item: gathering one item
+# per packed byte moves the same bytes as gathering rows of four int8,
+# several times faster.  Viewed back as int8 the result is the row's
+# four signs in memory order, whatever the byte order of the machine.
+_BYTE_TO_QUAD = _BYTE_TO_SIGNS.view(np.uint32).reshape(256)
 
 
 def ternarize(gradient: np.ndarray, delta: float) -> np.ndarray:
@@ -146,7 +151,7 @@ def unpack_signs(packed: np.ndarray, length: int) -> np.ndarray:
         )
     # Single table lookup decodes all four slots of every byte at once;
     # the length-trim is a view, so this allocates exactly one array.
-    return _BYTE_TO_SIGNS[packed].reshape(-1)[:length]
+    return _BYTE_TO_QUAD[packed].view(np.int8).reshape(-1)[:length]
 
 
 def encode_gradient(gradient: np.ndarray, delta: float) -> Tuple[np.ndarray, int]:
@@ -202,9 +207,7 @@ def decode_round(packed: np.ndarray, length: int) -> np.ndarray:
     # One table lookup decodes all four slots of every byte of every
     # row; the length-trim is a view, so exactly one float64 matrix is
     # allocated.
-    return (
-        _BYTE_TO_SIGNS[packed].reshape(rows, -1)[:, :length].astype(np.float64)
-    )
+    return _BYTE_TO_QUAD[packed].view(np.int8)[:, :length].astype(np.float64)
 
 
 def packed_size_bytes(num_elements: int) -> int:

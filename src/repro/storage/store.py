@@ -217,7 +217,22 @@ class GradientStore:
         raise NotImplementedError
 
 
-class FullGradientStore(GradientStore):
+class _FreshMutexOnCopy:
+    """``copy.deepcopy``/``pickle`` support for the in-memory stores: a
+    ``threading.Lock`` can be neither copied nor pickled, so the state
+    travels without ``_mutex`` and the copy gets a new one."""
+
+    def __getstate__(self) -> Dict:
+        state = self.__dict__.copy()
+        del state["_mutex"]
+        return state
+
+    def __setstate__(self, state: Dict) -> None:
+        self.__dict__.update(state)
+        self._mutex = threading.Lock()
+
+
+class FullGradientStore(_FreshMutexOnCopy, GradientStore):
     """Float32 full-gradient store — the FedRecover/FedEraser baseline."""
 
     supports_bulk_round = True
@@ -308,7 +323,7 @@ class FullGradientStore(GradientStore):
             return len(rounds)
 
 
-class SignGradientStore(GradientStore):
+class SignGradientStore(_FreshMutexOnCopy, GradientStore):
     """The paper's store: δ-thresholded direction, 2 bits per element.
 
     Parameters

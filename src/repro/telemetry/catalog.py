@@ -396,6 +396,10 @@ _ALL_SPECS = [
         "Snapshot nodes currently held across all replay-forest roots.",
     ),
     _spec(
+        "recovery_forest_bytes", GAUGE, "bytes", "repro.unlearning.recovery",
+        "Bytes of the distinct arrays the replay forest holds (a shared array counts once); bounded by max_bytes.",
+    ),
+    _spec(
         "recovery_forest_hit_depth", HISTOGRAM, "rounds",
         "repro.unlearning.recovery",
         "Prefix depth (rounds past the backtrack round) of each forest hit.",
@@ -403,7 +407,7 @@ _ALL_SPECS = [
     _spec(
         "recovery_forest_node_evictions_total", COUNTER, "entries",
         "repro.unlearning.recovery",
-        "Forest snapshot nodes evicted by the node-budget LRU.",
+        "Forest snapshot nodes evicted by the byte-budget LRU.",
     ),
     # ----------------------------------------------------------- unlearning.forest
     _spec(

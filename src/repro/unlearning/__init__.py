@@ -39,7 +39,6 @@ from repro.unlearning.forest import BranchOutcome, FusedReplayStats, fused_unlea
 from repro.unlearning.lbfgs import LbfgsBuffer, lbfgs_hessian_dense
 from repro.unlearning.recovery import (
     ReplayForest,
-    ReplayPrefixCache,
     SignRecoveryUnlearner,
 )
 from repro.unlearning.service import (
@@ -66,7 +65,6 @@ __all__ = [
     "MERGE_MODES",
     "NegatedPseudoGradientUnlearner",
     "ReplayForest",
-    "ReplayPrefixCache",
     "RetrainUnlearner",
     "ServiceBusyError",
     "SignRecoveryUnlearner",

@@ -23,6 +23,8 @@ estimated-vs-stored gradient drift ``‖g̃ − g‖₂``
 
 from __future__ import annotations
 
+from typing import Tuple
+
 import numpy as np
 
 from repro.telemetry.core import current_telemetry
@@ -68,6 +70,8 @@ class GradientEstimator:
     One estimator exists per remaining client during recovery; the
     recovery loop feeds it vector pairs (seeding from pre-``F`` history,
     refreshing from recovery rounds) and asks for clipped estimates.
+    :meth:`state` / :meth:`from_state` are how snapshots, forest
+    restores and fused forks carry it around without copying a pair.
     """
 
     def __init__(self, buffer_size: int = 2, clip_threshold: float = 1.0):
@@ -80,13 +84,43 @@ class GradientEstimator:
         self.pairs_rejected = 0
 
     def seed_pair(self, delta_w: np.ndarray, delta_g: np.ndarray) -> bool:
-        """Add a vector pair; tracks accept/reject statistics."""
-        accepted = self.buffer.add_pair(delta_w, delta_g)
+        """Add a copy of a vector pair; tracks accept/reject statistics."""
+        return self._count(self.buffer.add_pair(delta_w, delta_g))
+
+    def refresh_pair(self, displacement: np.ndarray, delta_g: np.ndarray) -> bool:
+        """:meth:`seed_pair` for the replay's refresh step: adopted, not
+        copied — one frozen ``w̄_t − w_t`` serves the round's cohort."""
+        return self._count(self.buffer.adopt_pair(displacement, delta_g))
+
+    def _count(self, accepted: bool) -> bool:
         if accepted:
             self.pairs_accepted += 1
         else:
             self.pairs_rejected += 1
         return accepted
+
+    def state(self) -> Tuple:
+        """``(pairs, estimates_made, pairs_accepted, pairs_rejected)`` —
+        what a replay snapshot keeps; the (frozen) pairs by reference."""
+        return (
+            self.buffer.pairs(),
+            self.estimates_made,
+            self.pairs_accepted,
+            self.pairs_rejected,
+        )
+
+    @classmethod
+    def from_state(
+        cls, state: Tuple, buffer_size: int, clip_threshold: float
+    ) -> "GradientEstimator":
+        """An estimator equal to the one :meth:`state` came from."""
+        pairs, made, accepted, rejected = state
+        est = cls(buffer_size=buffer_size, clip_threshold=clip_threshold)
+        est.buffer.adopt_pairs(pairs)
+        est.estimates_made = int(made)
+        est.pairs_accepted = int(accepted)
+        est.pairs_rejected = int(rejected)
+        return est
 
     def estimate(
         self,

@@ -126,7 +126,6 @@ class _ExecNode:
         "missing_checkpoints",
         "displacement_norms",
         "snapshots",
-        "pairs_cache",
         "resume",
         "store_forget",
     )
@@ -143,7 +142,6 @@ class _ExecNode:
         self.missing_checkpoints = 0
         self.displacement_norms: List[float] = []
         self.snapshots: Dict[int, _ReplaySnapshot] = {}
-        self.pairs_cache: Dict[int, List] = {}
         self.resume = 0
         self.store_forget: FrozenSet[int] = frozenset()
 
@@ -159,18 +157,12 @@ def _cumulative(record: TrainingRecord, forget_round: int) -> List[FrozenSet[int
 
 
 def _copy_estimators(unlearner: SignRecoveryUnlearner, estimators: Dict) -> Dict:
-    """Deep-copy a node's estimators for a forked sibling (pairs are
-    copied on both export and import, so nothing aliases)."""
-    states = {
-        cid: (
-            est.buffer.pairs(),
-            est.estimates_made,
-            est.pairs_accepted,
-            est.pairs_rejected,
-        )
-        for cid, est in estimators.items()
-    }
-    return unlearner._estimators_from_snapshot(states)
+    """A node's estimators for a forked sibling: separate buffers and
+    counters over the same frozen pair arrays, so neither side's later
+    refreshes reach the other."""
+    return unlearner._estimators_from_snapshot(
+        {cid: est.state() for cid, est in estimators.items()}
+    )
 
 
 def _node_snapshot(
@@ -184,7 +176,6 @@ def _node_snapshot(
         node.missing_entries,
         node.missing_checkpoints,
         node.displacement_norms,
-        pairs_cache=node.pairs_cache,
     )
 
 
@@ -324,9 +315,8 @@ def _run_group(
             node.skipped_rounds = int(progress["skipped_rounds"])
             node.missing_entries = int(progress["missing_entries"])
             node.missing_checkpoints = int(progress["missing_checkpoints"])
-            node.displacement_norms = [
-                float(n) for n in progress["displacement_norms"]
-            ]
+            norms, length = progress["displacement_norms"]
+            node.displacement_norms = norms[:length]
         node.recovered = arena.row(node.row)
         active.append(node)
 
@@ -457,7 +447,6 @@ def _run_group(
                     clone.missing_entries = node.missing_entries
                     clone.missing_checkpoints = node.missing_checkpoints
                     clone.displacement_norms = list(node.displacement_norms)
-                    clone.pairs_cache = dict(node.pairs_cache)
                     clone.resume = node.resume
                     children.append((clone, member_part))
                 for child, member_part in children:
@@ -549,7 +538,9 @@ def _run_group(
             step_rows: List[int] = []
             step_grads: List[np.ndarray] = []
             for k, (node, present) in enumerate(ready):
-                disp_vec = disp_block[k]
+                # A refresh adopts the displacement: give it its own row,
+                # not a view keeping the whole stacked block alive.
+                disp_vec = disp_block[k].copy() if refresh_now else disp_block[k]
                 with telemetry.span("recovery_round_seconds"):
                     estimates: List[np.ndarray] = []
                     weights: List[float] = []
@@ -562,12 +553,9 @@ def _run_group(
                         estimates.append(estimate)
                         weights.append(record.weight_of(cid))
                         if refresh_now:
-                            node.estimators[cid].seed_pair(
+                            node.estimators[cid].refresh_pair(
                                 disp_vec, estimate - stored
                             )
-                    if refresh_now:
-                        for cid, _ in present:
-                            node.pairs_cache.pop(cid, None)
                     displacement = float(np.linalg.norm(disp_vec))
                     node.displacement_norms.append(displacement)
                     step_rows.append(node.row)

@@ -28,17 +28,22 @@ with non-positive or negligible curvature are rejected at insertion,
 least-squares when singular — the same guards FedRecover needs in
 practice.
 
+Ownership: a pair is frozen (its arrays made read-only) once, when it
+is accepted, and shared by reference from then on — by every replay
+snapshot, forest node, restored estimator and forked sibling that holds
+it.  Nothing can write to a held pair, so sharing cannot change a
+result (``docs/REPLAY.md``).
+
 Telemetry: each Hessian-vector product is timed and counted
-(``lbfgs_hvp_seconds`` span, ``lbfgs_hvp_total``), and each
-:meth:`LbfgsBuffer.add_pair` records its timing plus the
-accepted/rejected pair counters and the resulting buffer occupancy —
-see ``docs/METRICS.md``.
+(``lbfgs_hvp_seconds`` span, ``lbfgs_hvp_total``), and each checked
+insertion (:meth:`LbfgsBuffer.add_pair` / :meth:`LbfgsBuffer.adopt_pair`)
+records its timing plus the accepted/rejected pair counters and the
+resulting buffer occupancy — see ``docs/METRICS.md``.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -53,6 +58,9 @@ __all__ = [
 
 _MIN_CURVATURE = 1e-12
 _MIN_NORM = 1e-12
+
+#: ``(Δw, Δg)`` pairs, oldest first; every array read-only.
+Pairs = Tuple[Tuple[np.ndarray, np.ndarray], ...]
 
 
 class LbfgsBuffer:
@@ -73,7 +81,9 @@ class LbfgsBuffer:
             raise ValueError("sigma_floor must be positive")
         self.buffer_size = buffer_size
         self.sigma_floor = sigma_floor
-        self._pairs: Deque[Tuple[np.ndarray, np.ndarray]] = deque(maxlen=buffer_size)
+        # Replaced, never mutated, on each accepted insertion: a holder
+        # of :meth:`pairs` never sees it change.
+        self._pairs: Pairs = ()
         # Cached compact form (ΔW, ΔG, σ, M, wing); rebuilt lazily after
         # any pair mutation.  The cached arrays are shared with callers
         # (compact_state, compact_hvp) and must be treated as read-only.
@@ -90,16 +100,26 @@ class LbfgsBuffer:
         return not self._pairs
 
     def add_pair(self, delta_w: np.ndarray, delta_g: np.ndarray) -> bool:
-        """Insert a vector pair; returns False if rejected.
+        """Insert a copy of a caller-owned vector pair; False if rejected.
 
+        The caller keeps its arrays and may go on writing to them.
         Rejection reasons: shape mismatch is an error; near-zero
         ``Δw`` or non-positive curvature ``ΔwᵀΔg`` are silently skipped
         (they would make BFGS indefinite).
         """
+        return self.adopt_pair(
+            np.array(delta_w, dtype=np.float64).ravel(),
+            np.array(delta_g, dtype=np.float64).ravel(),
+        )
+
+    def adopt_pair(self, delta_w: np.ndarray, delta_g: np.ndarray) -> bool:
+        """:meth:`add_pair` without the copy, for the replay machinery,
+        whose pairs are temporaries nobody else writes to.  Both must be
+        flat float64; an accepted pair is frozen in place (``delta_w``
+        may be frozen already — one displacement serves a round's whole
+        cohort).  Same checks, same telemetry."""
         telemetry = current_telemetry()
         with telemetry.span("lbfgs_buffer_update_seconds"):
-            delta_w = np.asarray(delta_w, dtype=np.float64).ravel()
-            delta_g = np.asarray(delta_g, dtype=np.float64).ravel()
             if delta_w.shape != delta_g.shape:
                 raise ValueError(
                     f"pair shape mismatch: {delta_w.shape} vs {delta_g.shape}"
@@ -109,7 +129,11 @@ class LbfgsBuffer:
                 and float(delta_w @ delta_g) > _MIN_CURVATURE
             )
             if accepted:
-                self._pairs.append((delta_w.copy(), delta_g.copy()))
+                delta_w.flags.writeable = False
+                delta_g.flags.writeable = False
+                self._pairs = (self._pairs + ((delta_w, delta_g),))[
+                    -self.buffer_size :
+                ]
                 self._form = None
         if telemetry.enabled:
             if accepted:
@@ -119,20 +143,26 @@ class LbfgsBuffer:
                 telemetry.inc("lbfgs_pairs_rejected_total")
         return accepted
 
-    def clear(self) -> None:
-        """Drop all pairs (used by the vector-pair refresh policy)."""
-        self._pairs.clear()
+    def adopt_pairs(self, pairs: Pairs) -> None:
+        """Hold exactly ``pairs`` — another buffer's :meth:`pairs`, by
+        reference (they passed the checks when first accepted)."""
+        self._pairs = pairs
         self._form = None
 
-    def pairs(self) -> list:
-        """Copies of the held ``(Δw, Δg)`` pairs, oldest first.
+    def clear(self) -> None:
+        """Drop all pairs (used by the vector-pair refresh policy)."""
+        self._pairs = ()
+        self._form = None
 
-        The serialization surface for recovery checkpoints: re-adding
-        these through :meth:`add_pair` in order reconstructs an
-        identical buffer (every held pair already passed the curvature
-        checks).
+    def pairs(self) -> Pairs:
+        """The held pairs — shared by reference, not copied, in a tuple
+        that never changes.
+
+        The serialization surface for recovery checkpoints and replay
+        snapshots: :meth:`adopt_pairs` on these reconstructs an
+        identical buffer without copying a byte.
         """
-        return [(dw.copy(), dg.copy()) for dw, dg in self._pairs]
+        return self._pairs
 
     # ------------------------------------------------------------------
     def _matrices(self) -> Tuple[np.ndarray, np.ndarray, float]:
@@ -153,8 +183,8 @@ class LbfgsBuffer:
         The middle matrix ``M`` and the wing ``[ΔG  σΔW]`` depend only
         on the held pairs, so within one recovery round (dozens of
         ``hvp`` calls against an unchanged buffer) they are built once
-        here instead of once per product.  Invalidated by
-        :meth:`add_pair` and :meth:`clear`.
+        here instead of once per product.  Invalidated by every pair
+        mutation.
         """
         form = self._form
         if form is None:

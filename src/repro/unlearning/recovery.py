@@ -82,6 +82,7 @@ from __future__ import annotations
 import os
 import threading
 import weakref
+from collections import OrderedDict
 from typing import (
     Callable,
     Dict,
@@ -119,7 +120,7 @@ from repro.unlearning.estimator import GradientEstimator
 from repro.utils.logging import get_logger
 from repro.utils.serialization import load_state, save_state_atomic
 
-__all__ = ["ReplayForest", "ReplayPrefixCache", "SignRecoveryUnlearner"]
+__all__ = ["ReplayForest", "SignRecoveryUnlearner"]
 
 _log = get_logger("unlearning.recovery")
 
@@ -127,14 +128,16 @@ _CHECKPOINT = "recovery.npz"
 
 
 class _ReplaySnapshot:
-    """Committed replay state at the *start* of one round.
+    """Committed replay state at the *start* of one round — immutable.
 
-    ``params`` is an owned copy of the recovered vector; ``estimators``
-    maps client id to ``(pairs, estimates_made, accepted, rejected)``
-    with the L-BFGS vector pairs copied out of the live buffers;
-    ``progress`` holds the stats counters accumulated so far, so a
-    resumed run's final ``UnlearnResult.stats`` is byte-identical to a
-    cold one's.
+    ``params`` is a read-only copy of the recovered vector;
+    ``estimators`` maps client id to
+    :meth:`~repro.unlearning.estimator.GradientEstimator.state`, whose
+    L-BFGS pairs are the live buffers' own frozen arrays, shared by
+    reference; ``progress`` holds the stats counters accumulated so far,
+    so a resumed run's final ``UnlearnResult.stats`` is byte-identical
+    to a cold one's.  Its ``"displacement_norms"`` is ``(norms, n)``:
+    the first ``n`` entries of the storing run's append-only list.
     """
 
     __slots__ = ("params", "estimators", "progress")
@@ -144,23 +147,33 @@ class _ReplaySnapshot:
         self.estimators = estimators
         self.progress = progress
 
+    def arrays(self):
+        """Every array the snapshot keeps alive (shared ones repeat)."""
+        yield self.params
+        for state in self.estimators.values():
+            for pair in state[0]:
+                yield from pair
+
 
 class _ForestNode:
     """One shared snapshot in the forest: committed start-of-round state
     keyed (within its root) by ``(round, effective forget set)``."""
 
-    __slots__ = ("snapshot", "last_used")
+    __slots__ = ("snapshot", "round", "effective")
 
-    def __init__(self, snapshot: _ReplaySnapshot):
+    def __init__(self, snapshot: _ReplaySnapshot, round, effective):
         self.snapshot = snapshot
-        self.last_used = 0
+        self.round = round
+        self.effective = effective
 
 
 class _ForestRoot:
     """All trajectories sharing one ``(record, hyperparameters,
     backtrack round)`` anchor.  ``cum[i]`` caches the union of
     participants over rounds ``[F, F+i)`` — the basis for the
-    effective-forget-set keying below."""
+    effective-forget-set keying below.  ``nodes[t]`` maps effective set
+    to node for round ``t``; ``deepest`` is the highest round that ever
+    held one."""
 
     __slots__ = (
         "record_ref",
@@ -168,16 +181,16 @@ class _ForestRoot:
         "forget_round",
         "cum",
         "nodes",
-        "last_used",
+        "deepest",
     )
 
-    def __init__(self, record_ref, base_key, forget_round, cum):
+    def __init__(self, record_ref, base_key, forget_round):
         self.record_ref = record_ref
         self.base_key = base_key
         self.forget_round = forget_round
-        self.cum: List[FrozenSet[int]] = cum
-        self.nodes: Dict[Tuple[int, FrozenSet[int]], _ForestNode] = {}
-        self.last_used = 0
+        self.cum: List[FrozenSet[int]] = [frozenset()]
+        self.nodes: Dict[int, Dict[FrozenSet[int], _ForestNode]] = {}
+        self.deepest = forget_round
 
 
 class ReplayForest:
@@ -208,33 +221,49 @@ class ReplayForest:
     effective-set match proves they never participated in ``[F, t)``,
     so their seeded state equals their cold state).
 
+    Snapshots are immutable and handed out by reference: a restore
+    shares the node's read-only arrays with every other holder and
+    copies only what it is about to write.
+
     The record is held by weak reference: the forest never keeps a
-    superseded history alive.  Eviction is two-level LRU: whole roots
-    beyond ``max_entries`` (``__len__`` counts roots) and individual
-    snapshot nodes beyond ``max_nodes`` across all roots.  Evicting a
-    node only deepens a future request's replay — restored state is
-    always copied out, so eviction can never corrupt a sibling branch.
+    superseded history alive, and a root whose record is gone gives its
+    bytes back at the next lookup or store.  Eviction is two-level LRU:
+    whole roots beyond ``max_entries`` (``__len__`` counts roots) and
+    individual snapshot nodes while the forest holds more than
+    ``max_bytes`` — ``nbytes`` counts every distinct array once, however
+    many nodes share it — except the most recently used node, which
+    always stays, so a replay's progress is salvageable under any
+    budget.  Evicting a node only deepens a future request's replay.
 
     Counters ``hits``/``misses``/``evictions``/``rounds_saved`` mirror
-    the ``recovery_cache_*`` telemetry; ``node_evictions`` and the node
-    count feed the ``recovery_forest_*`` family (see
+    the ``recovery_cache_*`` telemetry; ``node_evictions``, the node
+    count and ``nbytes`` feed the ``recovery_forest_*`` family (see
     ``docs/METRICS.md``).
     """
 
-    def __init__(self, max_entries: int = 8, max_nodes: int = 4096):
+    def __init__(self, max_entries: int = 8, max_bytes: int = 128 * 1024 * 1024):
         if max_entries < 1:
             raise ValueError("max_entries must be >= 1")
-        if max_nodes < 1:
-            raise ValueError("max_nodes must be >= 1")
+        if max_bytes < 1:
+            raise ValueError("max_bytes must be >= 1")
         self.max_entries = max_entries
-        self.max_nodes = max_nodes
+        self.max_bytes = max_bytes
+        # Least recently used first, like ``_lru``.
         self._roots: List[_ForestRoot] = []
+        # Every node -> its root, least recently used first.  (Not a
+        # pointer on the node: a dying forest must not need the cycle
+        # collector to give its bytes back.)
+        self._lru: "OrderedDict[_ForestNode, _ForestRoot]" = OrderedDict()
+        # id -> [object, holders] for each params array, pairs tuple and
+        # pair array the nodes hold; a shared one is counted once.
+        self._held: Dict[int, List] = {}
+        #: Bytes of the distinct arrays held by all nodes.
+        self.nbytes = 0
         # Snapshot-isolated erasures replay (and salvage) concurrently;
         # the forest is their shared rendezvous, so its public surface
         # is serialized by one reentrant lock.  Sections are short
-        # (state copies, no replay work), so contention is negligible.
+        # (bookkeeping, no replay work), so contention is negligible.
         self._lock = threading.RLock()
-        self._tick = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -248,8 +277,18 @@ class ReplayForest:
     @property
     def node_count(self) -> int:
         """Snapshot nodes currently held across all roots."""
+        return len(self._lru)
+
+    def recount_nbytes(self) -> int:
+        """Recompute :attr:`nbytes` from the nodes actually held — the
+        accounting oracle, like the stores' ``recount_nbytes``."""
         with self._lock:
-            return sum(len(root.nodes) for root in self._roots)
+            sizes = {
+                id(array): array.nbytes
+                for node in self._lru
+                for array in node.snapshot.arrays()
+            }
+            return sum(sizes.values())
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -266,16 +305,6 @@ class ReplayForest:
         return getattr(record, "forest_anchor", record)
 
     @staticmethod
-    def _cumulative(record, forget_round: int) -> List[FrozenSet[int]]:
-        cum: List[FrozenSet[int]] = []
-        seen: set = set()
-        for t in range(forget_round, record.num_rounds):
-            cum.append(frozenset(seen))
-            seen |= set(record.ledger.participants_at(t))
-        cum.append(frozenset(seen))
-        return cum
-
-    @staticmethod
     def _extend_cum(root: _ForestRoot, record) -> None:
         """Grow ``root.cum`` through ``record.num_rounds``.
 
@@ -285,43 +314,82 @@ class ReplayForest:
         cached participant unions from the passed record's ledger.
         Participation of past rounds is append-only — events only ever
         land on the current round — so extension never rewrites an
-        existing entry.
+        existing entry.  A round that brings nobody new repeats the
+        previous entry itself, not a copy of it.
         """
         F = root.forget_round
         want = record.num_rounds - F + 1
         while len(root.cum) < want:
             t = F + len(root.cum) - 1
-            root.cum.append(
-                root.cum[-1] | frozenset(record.ledger.participants_at(t))
-            )
+            seen = root.cum[-1]
+            joined = frozenset(record.ledger.participants_at(t)) - seen
+            root.cum.append(seen | joined if joined else seen)
 
-    def effective_set(
-        self, record, forget_round: int, forget: FrozenSet[int], t: int
-    ) -> FrozenSet[int]:
-        """``S ∩ P[F..t)`` — the node key a request for ``S`` occupies
-        at round ``t`` (exposed for the fused executor and tests)."""
-        with self._lock:
-            root = self._find_root(record, None, forget_round, any_base=True)
-            if root is not None:
-                self._extend_cum(root, record)
-                cum = root.cum
-            else:
-                cum = self._cumulative(record, forget_round)
-            return frozenset(forget) & cum[t - forget_round]
-
-    def _find_root(
-        self, record, base_key, forget_round: int, any_base: bool = False
-    ) -> Optional[_ForestRoot]:
+    def _find_root(self, record, base_key, forget_round: int) -> Optional[_ForestRoot]:
+        """The root for this anchor, marked most recently used.  Roots
+        whose record has been garbage-collected can never match again —
+        they are dropped, and their bytes released, on the way."""
+        for root in [r for r in self._roots if r.record_ref() is None]:
+            self._drop_root(root)
         anchor = self._anchor(record)
         for root in self._roots:
-            if root.record_ref() is not anchor:
-                continue
-            if root.forget_round != forget_round:
-                continue
-            if any_base or root.base_key == base_key:
+            if (
+                root.record_ref() is anchor
+                and root.forget_round == forget_round
+                and root.base_key == base_key
+            ):
+                self._roots.remove(root)
+                self._roots.append(root)
                 return root
         return None
 
+    # ------------------------------------------------------------------
+    # byte accounting
+    # ------------------------------------------------------------------
+    def _count(self, obj, delta: int) -> bool:
+        """Add (+1) or remove (-1) one holder of ``obj``; True when it
+        thereby became held, or stopped being held."""
+        entry = self._held.get(id(obj))
+        if entry is None:
+            self._held[id(obj)] = [obj, 1]
+            return True
+        entry[1] += delta
+        if entry[1]:
+            return False
+        del self._held[id(obj)]
+        return True
+
+    def _count_array(self, array: np.ndarray, delta: int) -> None:
+        if self._count(array, delta):
+            self.nbytes += delta * array.nbytes
+
+    def _count_states(self, states, delta: int) -> None:
+        """One node's hold on each of ``states``' pairs tuples.  A
+        replay's snapshots share the tuples between refreshes, so most
+        cost one probe; a tuple's arrays are visited only when its
+        first holder arrives or its last one leaves."""
+        for state in states:
+            if self._count(state[0], delta):
+                for pair in state[0]:
+                    for array in pair:
+                        self._count_array(array, delta)
+
+    def _drop_node(self, node: _ForestNode) -> None:
+        root = self._lru.pop(node)
+        level = root.nodes[node.round]
+        del level[node.effective]
+        if not level:
+            del root.nodes[node.round]
+        self._count_array(node.snapshot.params, -1)
+        self._count_states(node.snapshot.estimators.values(), -1)
+
+    def _drop_root(self, root: _ForestRoot) -> None:
+        self._roots.remove(root)
+        for level in list(root.nodes.values()):
+            for node in list(level.values()):
+                self._drop_node(node)
+
+    # ------------------------------------------------------------------
     def lookup(
         self,
         record,
@@ -335,37 +403,35 @@ class ReplayForest:
         hyperparameters, and backtrack round (the refresh cadence and
         estimator seeding are anchored at the backtrack round, so a
         different anchor is a different trajectory) whose key equals
-        ``(t, forget ∩ P[F..t))``.  Returns None — and counts a miss —
+        ``(t, forget ∩ P[F..t))`` — the one key the request can occupy
+        at round ``t``, probed round by round from the deepest stored
+        round within the requesting view's watermark down to the
+        backtrack round.  Returns None — and counts a miss —
         when no node deeper than the backtrack round matches.
+        The snapshot returned shares the node's (read-only) arrays.
         """
         telemetry = current_telemetry()
         forget = frozenset(forget)
         with self._lock:
             root = self._find_root(record, base_key, forget_round)
-            best: Optional[Tuple[int, _ForestNode]] = None
+            node: Optional[_ForestNode] = None
             if root is not None:
                 self._extend_cum(root, record)
-                for (t, effective), node in root.nodes.items():
-                    if t <= forget_round:
-                        continue
-                    if t > record.num_rounds:
-                        # Node from a deeper view of the same live
-                        # history — beyond this request's watermark.
-                        continue
-                    if best is not None and t <= best[0]:
-                        continue
-                    if forget & root.cum[t - forget_round] == effective:
-                        best = (t, node)
-            if best is None:
+                for t in range(
+                    min(record.num_rounds, root.deepest), forget_round, -1
+                ):
+                    level = root.nodes.get(t)
+                    if level is not None:
+                        node = level.get(forget & root.cum[t - forget_round])
+                        if node is not None:
+                            break
+            if node is None:
                 self.misses += 1
                 if telemetry.enabled:
                     telemetry.inc("recovery_cache_misses_total")
                 return None
-            resume, node = best
-            self._tick += 1
-            root.last_used = self._tick
-            node.last_used = self._tick
-            saved = resume - forget_round
+            self._lru.move_to_end(node)
+            saved = node.round - forget_round
             self.hits += 1
             self.rounds_saved += saved
             if telemetry.enabled:
@@ -373,19 +439,15 @@ class ReplayForest:
                 telemetry.inc("recovery_cache_rounds_saved_total", saved)
                 telemetry.observe("recovery_forest_hit_depth", saved)
             snapshot = node.snapshot
-            restored = _ReplaySnapshot(
-                params=np.array(snapshot.params, dtype=np.float64),
+            return node.round, _ReplaySnapshot(
+                params=snapshot.params,
                 estimators={
                     cid: state
                     for cid, state in snapshot.estimators.items()
                     if cid not in forget
                 },
-                progress=dict(snapshot.progress),
+                progress=snapshot.progress,
             )
-            restored.progress["displacement_norms"] = list(
-                snapshot.progress["displacement_norms"]
-            )
-            return resume, restored
 
     def store(
         self,
@@ -402,79 +464,61 @@ class ReplayForest:
         and absorbs estimator entries for clients it lacked (coverage
         only ever grows); new nodes join the shared tree, so a later
         request matches them regardless of which forget set committed
-        them.  Whole roots beyond ``max_entries`` and nodes beyond
-        ``max_nodes`` are evicted LRU.
+        them.  Whole roots beyond ``max_entries`` are evicted LRU; then
+        nodes are, oldest first, until ``nbytes`` fits ``max_bytes`` —
+        rounds are committed in ascending order, so the replay's
+        deepest round is the newest node and the one that always stays.
         """
         if not snapshots:
             return
         telemetry = current_telemetry()
         with self._lock:
-            self._tick += 1
             forget = frozenset(forget)
             root = self._find_root(record, base_key, forget_round)
             if root is None:
                 root = _ForestRoot(
-                    weakref.ref(self._anchor(record)),
-                    base_key,
-                    forget_round,
-                    self._cumulative(record, forget_round),
+                    weakref.ref(self._anchor(record)), base_key, forget_round
                 )
-                root.last_used = self._tick
                 self._roots.append(root)
-                # Roots whose record has been garbage-collected can never
-                # match again — purge them before counting the cap.
-                self._roots = [
-                    r for r in self._roots if r.record_ref() is not None
-                ]
                 while len(self._roots) > self.max_entries:
-                    victim = min(self._roots, key=lambda r: r.last_used)
-                    self._roots.remove(victim)
+                    self._drop_root(self._roots[0])
                     self.evictions += 1
                     if telemetry.enabled:
                         telemetry.inc("recovery_cache_evictions_total")
-            root.last_used = self._tick
             self._extend_cum(root, record)
-            for t, snap in snapshots.items():
-                key = (t, forget & root.cum[t - forget_round])
-                node = root.nodes.get(key)
+            for t in sorted(snapshots):
+                snap = snapshots[t]
+                effective = forget & root.cum[t - forget_round]
+                level = root.nodes.setdefault(t, {})
+                node = level.get(effective)
                 if node is None:
-                    node = _ForestNode(snap)
-                    root.nodes[key] = node
+                    node = level[effective] = _ForestNode(snap, t, effective)
+                    root.deepest = max(root.deepest, t)
+                    self._count_array(snap.params, +1)
+                    self._count_states(snap.estimators.values(), +1)
                 else:
                     # Keep the established snapshot (byte-identical state by
                     # the effective-set argument) but widen its estimator
                     # coverage with clients this replay tracked and the
                     # stored one had forgotten.
-                    for cid, state in snap.estimators.items():
-                        node.snapshot.estimators.setdefault(cid, state)
-                node.last_used = self._tick
-            while self._node_count_locked() > self.max_nodes:
-                victim_root = None
-                victim_key = None
-                victim_tick = None
-                for r in self._roots:
-                    for k, n in r.nodes.items():
-                        if victim_tick is None or n.last_used < victim_tick:
-                            victim_root, victim_key, victim_tick = (
-                                r, k, n.last_used,
-                            )
-                del victim_root.nodes[victim_key]
+                    covered = node.snapshot.estimators
+                    added = [
+                        covered.setdefault(cid, state)
+                        for cid, state in snap.estimators.items()
+                        if cid not in covered
+                    ]
+                    self._count_states(added, +1)
+                self._lru[node] = root
+                self._lru.move_to_end(node)
+            while self.nbytes > self.max_bytes and len(self._lru) > 1:
+                self._drop_node(next(iter(self._lru)))
                 self.node_evictions += 1
                 if telemetry.enabled:
                     telemetry.inc("recovery_forest_node_evictions_total")
             if telemetry.enabled:
                 telemetry.set_gauge("recovery_cache_entries", len(self._roots))
-                telemetry.set_gauge(
-                    "recovery_forest_nodes", self._node_count_locked()
-                )
-
-    def _node_count_locked(self) -> int:
-        return sum(len(root.nodes) for root in self._roots)
-
-
-#: Historical name from the line-cache era (PR 5) — the forest is a
-#: strict generalization, so the old name keeps working everywhere.
-ReplayPrefixCache = ReplayForest
+                telemetry.set_gauge("recovery_forest_nodes", len(self._lru))
+                telemetry.set_gauge("recovery_forest_bytes", self.nbytes)
 
 
 class SignRecoveryUnlearner(UnlearningMethod):
@@ -505,7 +549,7 @@ class SignRecoveryUnlearner(UnlearningMethod):
         :func:`repro.parallel.policy.default_execution`.  Every backend
         recovers bitwise-identical parameters.
     prefix_cache:
-        Optional :class:`ReplayPrefixCache` shared across requests.
+        Optional :class:`ReplayForest` shared across requests.
         When set, :meth:`unlearn` resumes from the deepest reusable
         cached snapshot (unless a crash checkpoint takes precedence)
         and commits this replay's per-round snapshots back.  The
@@ -552,7 +596,7 @@ class SignRecoveryUnlearner(UnlearningMethod):
         checkpoint_every: int = 5,
         backend: Optional[str] = None,
         workers: Optional[int] = None,
-        prefix_cache: Optional[ReplayPrefixCache] = None,
+        prefix_cache: Optional[ReplayForest] = None,
         cancel_check: Optional[Callable[[], None]] = None,
         prefetch_depth: Optional[int] = None,
         decode_cache: Optional[RoundDecodeCache] = None,
@@ -680,7 +724,7 @@ class SignRecoveryUnlearner(UnlearningMethod):
             estimates.append(result.estimate)
             weights.append(record.weight_of(cid))
             if refresh_now:
-                estimators[cid].seed_pair(
+                estimators[cid].refresh_pair(
                     displacement_vec, result.estimate - stored
                 )
         if telemetry.enabled:
@@ -748,42 +792,24 @@ class SignRecoveryUnlearner(UnlearningMethod):
         missing_entries: int,
         missing_checkpoints: int,
         displacement_norms: List[float],
-        pairs_cache: Optional[Dict[int, List]] = None,
     ) -> _ReplaySnapshot:
-        """Snapshot the committed replay state.
+        """Snapshot the committed replay state: one copy of the
+        parameter vector, everything else by reference.
 
-        ``pairs_cache`` amortizes the expensive part across rounds: a
-        client's L-BFGS pairs change only on refresh rounds, so between
-        refreshes every snapshot shares the same copied-out pairs list
-        (the caller invalidates refreshed clients).  The lists are
-        never mutated after creation — ``pairs()`` returns copies and
-        restores copy again — so sharing is safe.
+        ``displacement_norms`` must be the run's own append-only list —
+        the snapshot records its current length, not its contents.
         """
-
-        def pairs_of(cid: int, est: GradientEstimator) -> List:
-            if pairs_cache is None:
-                return est.buffer.pairs()
-            if cid not in pairs_cache:
-                pairs_cache[cid] = est.buffer.pairs()
-            return pairs_cache[cid]
-
+        params = recovered.copy()
+        params.flags.writeable = False
         return _ReplaySnapshot(
-            params=recovered.copy(),
-            estimators={
-                cid: (
-                    pairs_of(cid, est),
-                    est.estimates_made,
-                    est.pairs_accepted,
-                    est.pairs_rejected,
-                )
-                for cid, est in estimators.items()
-            },
+            params=params,
+            estimators={cid: est.state() for cid, est in estimators.items()},
             progress={
                 "rounds_replayed": rounds_replayed,
                 "skipped_rounds": skipped_rounds,
                 "missing_entries": missing_entries,
                 "missing_checkpoints": missing_checkpoints,
-                "displacement_norms": list(displacement_norms),
+                "displacement_norms": (displacement_norms, len(displacement_norms)),
                 # Snapshots restore transparently: a cache hit is not a
                 # crash resume, and stats must match a cold run's.
                 "resumed_from": None,
@@ -793,20 +819,12 @@ class SignRecoveryUnlearner(UnlearningMethod):
     def _estimators_from_snapshot(
         self, states: Dict[int, Tuple]
     ) -> Dict[int, GradientEstimator]:
-        estimators: Dict[int, GradientEstimator] = {}
-        for cid, (pairs, made, accepted, rejected) in states.items():
-            est = GradientEstimator(
-                buffer_size=self.buffer_size, clip_threshold=self.clip_threshold
+        return {
+            cid: GradientEstimator.from_state(
+                state, self.buffer_size, self.clip_threshold
             )
-            for dw, dg in pairs:
-                # Copies keep the cached snapshot immutable across
-                # however many requests restore from it.
-                est.buffer.add_pair(dw.copy(), dg.copy())
-            est.estimates_made = int(made)
-            est.pairs_accepted = int(accepted)
-            est.pairs_rejected = int(rejected)
-            estimators[cid] = est
-        return estimators
+            for cid, state in states.items()
+        }
 
     def _save_checkpoint(
         self,
@@ -915,7 +933,8 @@ class SignRecoveryUnlearner(UnlearningMethod):
             )
             if hit is not None:
                 start_round, snapshot = hit
-                recovered = snapshot.params
+                # The one copy a restore makes: the vector it will step.
+                recovered = snapshot.params.copy()
                 estimators = self._estimators_from_snapshot(snapshot.estimators)
                 # A forest node stored by a *different* forget set may
                 # lack estimators for clients it had forgotten but this
@@ -928,7 +947,8 @@ class SignRecoveryUnlearner(UnlearningMethod):
                     estimators.update(
                         self._seed_estimators(record, missing, forget_round)
                     )
-                progress = snapshot.progress
+                norms, length = snapshot.progress["displacement_norms"]
+                progress = {**snapshot.progress, "displacement_norms": norms[:length]}
                 self.last_cached_prefix_rounds = start_round - forget_round
                 _log.info(
                     "prefix cache hit: resuming replay at round %d "
@@ -988,7 +1008,6 @@ class SignRecoveryUnlearner(UnlearningMethod):
                 commit(t)
 
         snapshots: Dict[int, _ReplaySnapshot] = {}
-        pairs_cache: Dict[int, List] = {}
 
         def snapshot_now() -> _ReplaySnapshot:
             return self._make_snapshot(
@@ -999,7 +1018,6 @@ class SignRecoveryUnlearner(UnlearningMethod):
                 missing_entries,
                 missing_checkpoints,
                 displacement_norms,
-                pairs_cache=pairs_cache,
             )
 
         executor: Optional[Executor] = None
@@ -1133,9 +1151,10 @@ class SignRecoveryUnlearner(UnlearningMethod):
                             estimates.append(estimate)
                             weights.append(record.weight_of(cid))
                             if refresh_now:
-                                # add_pair copies, so sharing disp_vec
-                                # across clients is safe.
-                                estimators[cid].seed_pair(
+                                # Adopted, not copied: disp_vec is frozen
+                                # by the first client that accepts it and
+                                # shared by the rest of the cohort.
+                                estimators[cid].refresh_pair(
                                     disp_vec, estimate - stored
                                 )
                     else:
@@ -1148,11 +1167,6 @@ class SignRecoveryUnlearner(UnlearningMethod):
                             record,
                             refresh_now,
                         )
-                    if refresh_now:
-                        # These clients' L-BFGS pairs just changed; the
-                        # next snapshot must copy them afresh.
-                        for cid, _ in present:
-                            pairs_cache.pop(cid, None)
                     displacement = float(np.linalg.norm(disp_vec))
                     displacement_norms.append(displacement)
                     # In-place Eq. 2 on the recovery trajectory; every

@@ -19,7 +19,7 @@ The service can be checkpointed to disk and resumed
 requests arrive long after training.
 
 Amortized serving: every service owns a
-:class:`~repro.unlearning.recovery.ReplayPrefixCache`, so successive
+:class:`~repro.unlearning.recovery.ReplayForest`, so successive
 requests reuse the replay prefix their forget sets share — each
 request's forget set is a superset of the previous one's (erased
 clients stay excluded), which is exactly the cache's reuse condition.
@@ -53,7 +53,7 @@ from repro.unlearning.merge import (
     conflict_projected_merge,
     negated_pseudo_gradient_tail,
 )
-from repro.unlearning.recovery import ReplayPrefixCache, SignRecoveryUnlearner
+from repro.unlearning.recovery import ReplayForest, SignRecoveryUnlearner
 from repro.utils.logging import get_logger
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an fl<->unlearning cycle)
@@ -217,7 +217,7 @@ class UnlearningService:
         default=None, repr=False, compare=False
     )
     _erased: List[int] = field(default_factory=list)
-    _prefix_cache: Optional[ReplayPrefixCache] = field(default=None, repr=False)
+    _prefix_cache: Optional[ReplayForest] = field(default=None, repr=False)
     _decode_cache: Optional[RoundDecodeCache] = field(
         default=None, repr=False, compare=False
     )
@@ -230,7 +230,7 @@ class UnlearningService:
 
     def __post_init__(self) -> None:
         if self._prefix_cache is None:
-            self._prefix_cache = ReplayPrefixCache(
+            self._prefix_cache = ReplayForest(
                 max_entries=self.cache_max_entries
             )
         if self.merge_mode not in MERGE_MODES:
@@ -273,7 +273,7 @@ class UnlearningService:
     # internals
     # ------------------------------------------------------------------
     @property
-    def prefix_cache(self) -> ReplayPrefixCache:
+    def prefix_cache(self) -> ReplayForest:
         """The replay prefix cache shared by this service's requests."""
         return self._prefix_cache
 

@@ -12,7 +12,7 @@ The contracts under test (``docs/REPLAY.md``):
   results **byte-identical** to K cold serial replays — across store
   backends, under an active fault plan, and with sibling branches
   forking mid-replay.
-- Node-budget LRU eviction only deepens later replays; it never
+- Byte-budget LRU eviction only deepens later replays; it never
   corrupts a sibling's results.
 - Daemon fusion (``fusion_width > 1``): one coalesced execution, one
   branch deadline-aborted, the other tickets still byte-identical.
@@ -207,16 +207,18 @@ class TestFusedByteIdentity:
 
 
 # ----------------------------------------------------------------------
-# node-budget eviction never corrupts siblings
+# byte-budget eviction never corrupts siblings
 # ----------------------------------------------------------------------
 class TestNodeEviction:
     def test_starved_forest_stays_byte_identical(self):
-        forest = ReplayForest(max_entries=8, max_nodes=3)
+        # One byte: every store evicts down to the node it touched last.
+        forest = ReplayForest(max_entries=8, max_bytes=1)
         record, model = build_record(3)
         unlearner = SignRecoveryUnlearner(clip_threshold=CLIP, prefix_cache=forest)
         outcomes, _ = fused_unlearn(unlearner, record, FUSED_SETS)
-        assert forest.node_count <= 3
+        assert forest.node_count == 1
         assert forest.node_evictions > 0
+        assert forest.recount_nbytes() == forest.nbytes
         for forget, outcome in zip(FUSED_SETS, outcomes):
             assert outcome.error is None
             assert_result_matches(outcome.result, cold_reference(3, set(forget)))

@@ -14,7 +14,7 @@ while the prefix cache amortizes the shared replay prefix
 identity must survive seeds, an active fault plan during training,
 persist/restore, and the dict vs mmap sign-store backends.
 
-:class:`ReplayPrefixCache` itself is unit-tested at the bottom:
+:class:`ReplayForest` itself is unit-tested at the bottom:
 hit/miss/rounds-saved accounting, subset reuse with the participation
 divergence bound, LRU eviction, and the no-reuse conditions.
 """
@@ -34,7 +34,7 @@ from repro.fl import (
 )
 from repro.nn import mlp
 from repro.storage import FullGradientStore, MmapSignGradientStore
-from repro.unlearning import ReplayPrefixCache, SignRecoveryUnlearner, UnlearningService
+from repro.unlearning import ReplayForest, SignRecoveryUnlearner, UnlearningService
 from repro.utils.rng import SeedSequenceTree
 
 NUM_ROUNDS = 12
@@ -274,7 +274,7 @@ class TestBatchValidation:
 
 
 # ----------------------------------------------------------------------
-# ReplayPrefixCache unit tests (driven through real replays)
+# ReplayForest line-cache unit tests (driven through real replays)
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def replay_setup():
@@ -291,18 +291,18 @@ def run(cache, record, model, forget_ids):
 class TestReplayPrefixCache:
     def test_rejects_bad_capacity(self):
         with pytest.raises(ValueError):
-            ReplayPrefixCache(max_entries=0)
+            ReplayForest(max_entries=0)
 
     def test_cold_run_is_a_miss_and_stores_one_entry(self, replay_setup):
         record, model = replay_setup
-        cache = ReplayPrefixCache()
+        cache = ReplayForest()
         _, cached = run(cache, record, model, {5})
         assert (cache.hits, cache.misses, len(cache)) == (0, 1, 1)
         assert cached == 0
 
     def test_superset_resumes_at_divergence_round(self, replay_setup):
         record, model = replay_setup
-        cache = ReplayPrefixCache()
+        cache = ReplayForest()
         cold, _ = run(cache, record, model, {5})
         superset, cached = run(cache, record, model, {5, 6})
         # Client 6 first participates at its join round: everything
@@ -321,7 +321,7 @@ class TestReplayPrefixCache:
 
     def test_identical_repeat_replays_zero_rounds(self, replay_setup):
         record, model = replay_setup
-        cache = ReplayPrefixCache()
+        cache = ReplayForest()
         cold, _ = run(cache, record, model, {5})
         again, cached = run(cache, record, model, {5})
         # The final snapshot covers the whole window: nothing replays.
@@ -331,7 +331,7 @@ class TestReplayPrefixCache:
 
     def test_different_backtrack_round_never_reuses(self, replay_setup):
         record, model = replay_setup
-        cache = ReplayPrefixCache()
+        cache = ReplayForest()
         run(cache, record, model, {5})
         # {6} alone backtracks to 6's join round — a different anchor,
         # hence a different trajectory: must miss.
@@ -342,7 +342,7 @@ class TestReplayPrefixCache:
 
     def test_different_hyperparameters_never_reuse(self, replay_setup):
         record, model = replay_setup
-        cache = ReplayPrefixCache()
+        cache = ReplayForest()
         run(cache, record, model, {5})
         other = SignRecoveryUnlearner(
             clip_threshold=CLIP, refresh_period=3, prefix_cache=cache
@@ -353,7 +353,7 @@ class TestReplayPrefixCache:
 
     def test_lru_eviction_at_capacity(self, replay_setup):
         record, model = replay_setup
-        cache = ReplayPrefixCache(max_entries=1)
+        cache = ReplayForest(max_entries=1)
         run(cache, record, model, {5})
         run(cache, record, model, {6})  # different anchor: new entry
         assert (len(cache), cache.evictions) == (1, 1)

@@ -137,6 +137,30 @@ class TestDecodeRound:
             )
             np.testing.assert_array_equal(decoded[i], decode_gradient(packed[i], length))
 
+    @pytest.mark.parametrize("length", [5, 101, 102, 103])
+    def test_matches_shift_and_mask_reference(self, length):
+        """Both decoders against the codec's definition — code point
+        ``(byte >> 2·slot) & 3`` — not against each other, on a 2-D
+        block whose length is not a multiple of 4, whose rows carry
+        spare trailing bytes and which is not contiguous in memory."""
+        rng = np.random.default_rng(length)
+        signs = rng.integers(-1, 2, size=(6, length)).astype(np.int8)
+        packed, _ = pack_signs_batch(signs)
+        wide = np.zeros((6, 2 * (packed.shape[1] + 2)), dtype=np.uint8)
+        wide[:, ::2][:, : packed.shape[1]] = packed
+        block = wide[:, ::2]  # strided view, two spare bytes per row
+        assert not block.flags.c_contiguous
+        codes = (block[:, :, None] >> (2 * np.arange(4))) & 0b11
+        reference = np.array([0, 1, -1, 0], dtype=np.int8)[codes].reshape(6, -1)
+        np.testing.assert_array_equal(reference[:, :length], signs)
+        decoded = decode_round(block, length)
+        assert decoded.dtype == np.float64 and decoded.shape == (6, length)
+        assert decoded.tobytes() == signs.astype(np.float64).tobytes()
+        for i in range(6):
+            row = unpack_signs(block[i], length)
+            assert row.dtype == np.int8
+            assert row.tobytes() == signs[i].tobytes()
+
     def test_empty_cohort(self):
         """A round with zero clients decodes to an empty (0, d) matrix."""
         packed = np.empty((0, packed_size_bytes(7)), dtype=np.uint8)

@@ -1,5 +1,8 @@
 """Tests for gradient/model stores and their byte accounting."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -58,6 +61,36 @@ class TestGradientStoreInterface:
         store.put(0, 0, -np.ones(8))
         value = store.get(0, 0)
         assert (value <= 0).all()
+
+
+class TestCopyAndPickle:
+    """The in-memory stores carry a ``threading.Lock``; since the live
+    path added it, ``copy.deepcopy(record)`` died with ``TypeError:
+    cannot pickle '_thread.lock'``."""
+
+    @pytest.mark.parametrize(
+        "clone", [copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))],
+        ids=["deepcopy", "pickle"],
+    )
+    def test_round_trip_equals_and_is_independent(self, store, rng, clone):
+        store.put_round(0, {1: rng.normal(size=9), 2: rng.normal(size=9)})
+        store.put(1, 2, rng.normal(size=9))
+        twin = clone(store)
+
+        def contents(s):
+            return [(key, np.asarray(v[0] if isinstance(v, tuple) else v).tobytes())
+                    for key, v in s.items()]
+
+        assert contents(twin) == contents(store)
+        assert twin.nbytes() == store.nbytes() == twin.recount_nbytes()
+        assert twin.get_round(0).keys() == store.get_round(0).keys()
+        # Its own lock and its own records: writes do not cross over.
+        assert twin._mutex is not store._mutex
+        twin.put(2, 1, rng.normal(size=9))
+        assert twin.drop_client(2) == 2
+        assert not store.has(2, 1) and store.has(1, 2)
+        assert twin.nbytes() == twin.recount_nbytes()
+        assert store.nbytes() == store.recount_nbytes()
 
 
 class TestFullGradientStore:
