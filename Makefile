@@ -9,7 +9,9 @@ install:
 test:
 	pytest tests/
 
-# Sweep the fault-injection scenarios over several seeds.
+# Sweep the fault-injection scenarios over several seeds; with
+# CHAOS_SEEDS set, the forest-retirement liveness machine
+# (tests/test_replay_cow.py) also runs at its large step budget.
 chaos:
 	CHAOS_SEEDS=7,21,99 pytest tests/ -m chaos
 

@@ -27,7 +27,12 @@ from repro.datasets import make_synthetic_mnist, partition_iid
 from repro.fl import FederatedSimulation, ParticipationSchedule, VehicleClient
 from repro.nn import mlp
 from repro.storage import SignGradientStore
-from repro.unlearning import SignRecoveryUnlearner, UnlearningService
+from repro.unlearning import (
+    ReplayForest,
+    SignRecoveryUnlearner,
+    UnlearningService,
+    fused_unlearn,
+)
 from repro.utils.rng import SeedSequenceTree
 
 NUM_CLIENTS = 40
@@ -113,23 +118,27 @@ def test_fused_forest_speedup_grows_with_batch(benchmark, save_result):
             assert outcome.params.tobytes() == cold.params.tobytes()
             assert outcome.result.stats == cold.stats
 
-        # Warm repeat on a fresh service sharing the forest: every
-        # request resumes at full depth (hit depth == its replay span).
-        warm_service = UnlearningService(
-            record=service.record,
-            model=model,
-            clip_threshold=CLIP,
-            _prefix_cache=service.prefix_cache,
+        # Warm repeat through the raw executor on a forest of its own:
+        # every request resumes at full depth (hit depth == its replay
+        # span).  (Not on the service's forest: each commit retires what
+        # no request forgetting at least the erased set can resume from,
+        # and a verbatim repeat of the batch forgets less than that.)
+        warm_unlearner = SignRecoveryUnlearner(
+            clip_threshold=CLIP, prefix_cache=ReplayForest()
         )
+        sets = [frozenset(batch[: k + 1]) for k in range(batch_size)]
+        fused_unlearn(warm_unlearner, record, sets)
 
         def warm_pass():
-            return warm_service.handle_erasure_batch_fused(batch)
+            return fused_unlearn(warm_unlearner, record, sets)
 
         if batch_size == max(BATCH_SIZES):
-            warm_report = benchmark.pedantic(warm_pass, rounds=1, iterations=1)
+            warm_outcomes, warm_stats = benchmark.pedantic(
+                warm_pass, rounds=1, iterations=1
+            )
         else:
-            warm_report = warm_pass()
-        assert warm_report.stats.executed_node_rounds == 0
+            warm_outcomes, warm_stats = warm_pass()
+        assert warm_stats.executed_node_rounds == 0
 
         stats = report.stats
         speedup = cold_seconds / max(fused_seconds, 1e-9)
@@ -148,7 +157,7 @@ def test_fused_forest_speedup_grows_with_batch(benchmark, save_result):
                 "fusion_width": stats.peak_branches,
                 "forest_nodes": service.prefix_cache.node_count,
                 "warm_hit_depth_rounds": [
-                    o.cached_prefix_rounds for o in warm_report.outcomes
+                    o.cached_prefix_rounds for o in warm_outcomes
                 ],
             }
         )

@@ -569,7 +569,7 @@ class ModelCheckpointStore:
 
     def put(self, round_index: int, params: np.ndarray) -> None:
         """Record global model parameters at the *start* of ``round_index``."""
-        stored = np.asarray(params, dtype=np.float32).copy()
+        stored = np.array(params, dtype=np.float32)  # one owned copy
         previous = self._checkpoints.get(round_index)
         if previous is not None:
             self._nbytes -= previous.nbytes

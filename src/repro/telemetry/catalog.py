@@ -409,6 +409,13 @@ _ALL_SPECS = [
         "repro.unlearning.recovery",
         "Forest snapshot nodes evicted by the byte-budget LRU.",
     ),
+    _spec(
+        "recovery_forest_nodes_retired_total", COUNTER, "entries",
+        "repro.unlearning.recovery",
+        "Forest snapshot nodes dropped at a commit because no later "
+        "request, which forgets at least the erased set, can resume from "
+        "them.",
+    ),
     # ----------------------------------------------------------- unlearning.forest
     _spec(
         "recovery_forest_forks_total", COUNTER, "events",

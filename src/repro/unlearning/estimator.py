@@ -88,8 +88,9 @@ class GradientEstimator:
         return self._count(self.buffer.add_pair(delta_w, delta_g))
 
     def refresh_pair(self, displacement: np.ndarray, delta_g: np.ndarray) -> bool:
-        """:meth:`seed_pair` for the replay's refresh step: adopted, not
-        copied — one frozen ``w̄_t − w_t`` serves the round's cohort."""
+        """:meth:`seed_pair` for the replay's own temporaries (seeding
+        and the refresh step): adopted, not copied — one frozen ``Δw``
+        serves a whole cohort."""
         return self._count(self.buffer.adopt_pair(displacement, delta_g))
 
     def _count(self, accepted: bool) -> bool:

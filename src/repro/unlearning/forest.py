@@ -10,8 +10,8 @@ by the effective-forget-set argument (``docs/REPLAY.md``), request
 through ``S_m ∩ P[F..t)`` — and the node **forks** at the first round
 ``t`` where its members partition by ``S_m ∩ P_t`` (the
 fork-at-divergence rule).  Until then, every shared round is decoded,
-estimated, snapshotted, and stepped **once** instead of once per
-request.
+estimated and stepped — and, where it brings in a new participant,
+snapshotted — **once** instead of once per request.
 
 Branch fusion: live branch parameters live in a stacked
 :class:`~repro.nn.arena.BranchArena` ``(K, d)`` matrix.  Per round, the
@@ -146,16 +146,6 @@ class _ExecNode:
         self.store_forget: FrozenSet[int] = frozenset()
 
 
-def _cumulative(record: TrainingRecord, forget_round: int) -> List[FrozenSet[int]]:
-    cum: List[FrozenSet[int]] = []
-    seen: set = set()
-    for t in range(forget_round, record.num_rounds):
-        cum.append(frozenset(seen))
-        seen |= set(record.ledger.participants_at(t))
-    cum.append(frozenset(seen))
-    return cum
-
-
 def _copy_estimators(unlearner: SignRecoveryUnlearner, estimators: Dict) -> Dict:
     """A node's estimators for a forked sibling: separate buffers and
     counters over the same frozen pair arrays, so neither side's later
@@ -253,7 +243,6 @@ def _run_group(
     num_rounds = record.num_rounds
     telemetry = current_telemetry()
     replay_window = max(1, num_rounds - forget_round)
-    cum = _cumulative(record, forget_round)
 
     # ------------------------------------------------------------- resume
     resumes: Dict[int, int] = {}
@@ -272,6 +261,12 @@ def _run_group(
             restored[i] = hit[1]
         stats.member_rounds += num_rounds - resumes[i]
 
+    # P[F..F+i), from the forest; without one every request starts at F.
+    cum = (
+        forest.participant_unions(record, base_key, forget_round)
+        if forest is not None
+        else [frozenset()]
+    )
     # Requests sharing (resume round, effective set) have byte-identical
     # state there — they start in one node.
     buckets: Dict[Tuple[int, FrozenSet[int]], List[int]] = {}
@@ -407,6 +402,10 @@ def _run_group(
                         node.members.remove(m)
                         stats.aborted += 1
                 if not node.members:
+                    if forest is not None and t > node.resume:
+                        # Nothing of round t has run: its start is the
+                        # deepest state the members' retries can resume.
+                        node.snapshots[t] = _node_snapshot(unlearner, node)
                     retire(node)
                     live.remove(node)
                 else:
@@ -414,11 +413,14 @@ def _run_group(
             if not live:
                 continue
 
-            # Committed start-of-round state — one snapshot per node, shared
-            # by every member.
-            if forest is not None:
+            # Committed start-of-round state, where someone new takes part
+            # (the only rounds a node can fork, or a later request leave
+            # it) — one snapshot per node, shared by every member.
+            step = t - forget_round
+            if forest is not None and cum[step + 1] is not cum[step]:
                 for node in live:
-                    node.snapshots[t] = _node_snapshot(unlearner, node)
+                    if t > node.resume:
+                        node.snapshots[t] = _node_snapshot(unlearner, node)
 
             # Fork at divergence: members whose forget sets intersect this
             # round's participants differently stop sharing here.

@@ -51,10 +51,11 @@ shape and timing via ``recovery_parallel_*``.
 
 Amortized serving: successive erasure requests replay overlapping
 windows — forgetting ``{a}`` then ``{a, b}`` repeats every round up to
-``b``'s first appearance.  A :class:`ReplayForest` snapshots each
-replayed round's committed state (parameters, L-BFGS buffers, progress
-counters — replay is RNG-free, so no generator state exists to key)
-into a shared tree keyed by the **effective forget set**
+``b``'s first appearance.  A :class:`ReplayForest` keeps the committed
+state (parameters, L-BFGS buffers, progress counters — replay is
+RNG-free, so no generator state exists to key) at the start of every
+round that brings in a new participant, and at the end,
+in a shared tree keyed by the **effective forget set**
 ``S ∩ P[F..t)``: the trajectory at round ``t`` depends on the forget
 set only through the forgotten clients that participated since the
 backtrack round, so arbitrary overlapping requests — supersets,
@@ -83,6 +84,7 @@ import os
 import threading
 import weakref
 from collections import OrderedDict
+from operator import is_, itemgetter
 from typing import (
     Callable,
     Dict,
@@ -157,14 +159,17 @@ class _ReplaySnapshot:
 
 class _ForestNode:
     """One shared snapshot in the forest: committed start-of-round state
-    keyed (within its root) by ``(round, effective forget set)``."""
+    keyed (within its root) by ``(round, effective forget set)``.
+    ``columns`` are the pairs tuples of its estimator entries, grouped
+    as it took them on — the unit the byte accounting counts."""
 
-    __slots__ = ("snapshot", "round", "effective")
+    __slots__ = ("snapshot", "round", "effective", "columns")
 
     def __init__(self, snapshot: _ReplaySnapshot, round, effective):
         self.snapshot = snapshot
         self.round = round
         self.effective = effective
+        self.columns: List[Tuple] = []
 
 
 class _ForestRoot:
@@ -172,17 +177,9 @@ class _ForestRoot:
     backtrack round)`` anchor.  ``cum[i]`` caches the union of
     participants over rounds ``[F, F+i)`` — the basis for the
     effective-forget-set keying below.  ``nodes[t]`` maps effective set
-    to node for round ``t``; ``deepest`` is the highest round that ever
-    held one."""
+    to node for the rounds ``t`` that hold one."""
 
-    __slots__ = (
-        "record_ref",
-        "base_key",
-        "forget_round",
-        "cum",
-        "nodes",
-        "deepest",
-    )
+    __slots__ = ("record_ref", "base_key", "forget_round", "cum", "nodes")
 
     def __init__(self, record_ref, base_key, forget_round):
         self.record_ref = record_ref
@@ -190,7 +187,6 @@ class _ForestRoot:
         self.forget_round = forget_round
         self.cum: List[FrozenSet[int]] = [frozenset()]
         self.nodes: Dict[int, Dict[FrozenSet[int], _ForestNode]] = {}
-        self.deepest = forget_round
 
 
 class ReplayForest:
@@ -225,6 +221,14 @@ class ReplayForest:
     shares the node's read-only arrays with every other holder and
     copies only what it is about to write.
 
+    ``S' ∩ P[F..t)`` only changes at a round that brings in someone
+    new, so the deepest node a request can match is at such a
+    *divergence round* or at a trajectory's tip (end state, watermark,
+    abort point): the replay loops snapshot exactly those
+    (:meth:`participant_unions`).  A caller whose forget sets only grow
+    — the service — says so after each commit with :meth:`retire`,
+    which drops what no later request can resume from.
+
     The record is held by weak reference: the forest never keeps a
     superseded history alive, and a root whose record is gone gives its
     bytes back at the next lookup or store.  Eviction is two-level LRU:
@@ -236,9 +240,9 @@ class ReplayForest:
     budget.  Evicting a node only deepens a future request's replay.
 
     Counters ``hits``/``misses``/``evictions``/``rounds_saved`` mirror
-    the ``recovery_cache_*`` telemetry; ``node_evictions``, the node
-    count and ``nbytes`` feed the ``recovery_forest_*`` family (see
-    ``docs/METRICS.md``).
+    the ``recovery_cache_*`` telemetry; ``node_evictions``,
+    ``nodes_retired``, the node count and ``nbytes`` feed the
+    ``recovery_forest_*`` family (see ``docs/METRICS.md``).
     """
 
     def __init__(self, max_entries: int = 8, max_bytes: int = 128 * 1024 * 1024):
@@ -254,8 +258,8 @@ class ReplayForest:
         # pointer on the node: a dying forest must not need the cycle
         # collector to give its bytes back.)
         self._lru: "OrderedDict[_ForestNode, _ForestRoot]" = OrderedDict()
-        # id -> [object, holders] for each params array, pairs tuple and
-        # pair array the nodes hold; a shared one is counted once.
+        # id -> [object, holders] for each params array, column, pairs
+        # tuple and pair array the nodes hold; a shared one is counted once.
         self._held: Dict[int, List] = {}
         #: Bytes of the distinct arrays held by all nodes.
         self.nbytes = 0
@@ -269,6 +273,7 @@ class ReplayForest:
         self.evictions = 0
         self.rounds_saved = 0
         self.node_evictions = 0
+        self.nodes_retired = 0
 
     def __len__(self) -> int:
         with self._lock:
@@ -343,6 +348,33 @@ class ReplayForest:
                 return root
         return None
 
+    def _root(self, record, base_key, forget_round: int) -> _ForestRoot:
+        """:meth:`_find_root`, or a new root (whole roots beyond
+        ``max_entries`` go, LRU); ``cum`` covers ``record`` either way."""
+        root = self._find_root(record, base_key, forget_round)
+        if root is None:
+            root = _ForestRoot(
+                weakref.ref(self._anchor(record)), base_key, forget_round
+            )
+            self._roots.append(root)
+            while len(self._roots) > self.max_entries:
+                self._drop_root(self._roots[0])
+                self.evictions += 1
+                current_telemetry().inc("recovery_cache_evictions_total")
+        self._extend_cum(root, record)
+        return root
+
+    def participant_unions(
+        self, record, base_key: Tuple, forget_round: int
+    ) -> List[FrozenSet[int]]:
+        """``P[F..F+i)`` for ``i = 0 … record.num_rounds − F`` — this
+        anchor's root's own list, to read.  Entries ``i`` and ``i + 1``
+        are the *same object* when round ``F + i`` brought nobody new:
+        no request stops matching a trajectory there, so its start is
+        not worth a snapshot."""
+        with self._lock:
+            return self._root(record, base_key, forget_round).cum
+
     # ------------------------------------------------------------------
     # byte accounting
     # ------------------------------------------------------------------
@@ -363,16 +395,17 @@ class ReplayForest:
         if self._count(array, delta):
             self.nbytes += delta * array.nbytes
 
-    def _count_states(self, states, delta: int) -> None:
-        """One node's hold on each of ``states``' pairs tuples.  A
-        replay's snapshots share the tuples between refreshes, so most
-        cost one probe; a tuple's arrays are visited only when its
-        first holder arrives or its last one leaves."""
-        for state in states:
-            if self._count(state[0], delta):
-                for pair in state[0]:
-                    for array in pair:
-                        self._count_array(array, delta)
+    def _count_column(self, column: Tuple, delta: int) -> None:
+        """One node's hold on a column of pairs tuples.  A replay's
+        snapshots share one column between refreshes, so a node mostly
+        costs one probe; a column's tuples, and a tuple's arrays, are
+        visited only when the first holder arrives or the last leaves."""
+        if self._count(column, delta):
+            for pairs in column:
+                if self._count(pairs, delta):
+                    for pair in pairs:
+                        for array in pair:
+                            self._count_array(array, delta)
 
     def _drop_node(self, node: _ForestNode) -> None:
         root = self._lru.pop(node)
@@ -381,7 +414,8 @@ class ReplayForest:
         if not level:
             del root.nodes[node.round]
         self._count_array(node.snapshot.params, -1)
-        self._count_states(node.snapshot.estimators.values(), -1)
+        for column in node.columns:
+            self._count_column(column, -1)
 
     def _drop_root(self, root: _ForestRoot) -> None:
         self._roots.remove(root)
@@ -404,8 +438,8 @@ class ReplayForest:
         estimator seeding are anchored at the backtrack round, so a
         different anchor is a different trajectory) whose key equals
         ``(t, forget ∩ P[F..t))`` — the one key the request can occupy
-        at round ``t``, probed round by round from the deepest stored
-        round within the requesting view's watermark down to the
+        at round ``t``, probed at each round that holds a node, from
+        the deepest within the requesting view's watermark down to the
         backtrack round.  Returns None — and counts a miss —
         when no node deeper than the backtrack round matches.
         The snapshot returned shares the node's (read-only) arrays.
@@ -417,12 +451,9 @@ class ReplayForest:
             node: Optional[_ForestNode] = None
             if root is not None:
                 self._extend_cum(root, record)
-                for t in range(
-                    min(record.num_rounds, root.deepest), forget_round, -1
-                ):
-                    level = root.nodes.get(t)
-                    if level is not None:
-                        node = level.get(forget & root.cum[t - forget_round])
+                for t in sorted(root.nodes, reverse=True):
+                    if forget_round < t <= record.num_rounds:
+                        node = root.nodes[t].get(forget & root.cum[t - forget_round])
                         if node is not None:
                             break
             if node is None:
@@ -457,7 +488,7 @@ class ReplayForest:
         forget_round: int,
         snapshots: Dict[int, _ReplaySnapshot],
     ) -> None:
-        """Commit one replay's per-round snapshots into the forest.
+        """Commit one replay's snapshots into the forest.
 
         Each snapshot at round ``t`` lands on the node keyed by
         ``(t, forget ∩ P[F..t))``.  An existing node keeps its snapshot
@@ -474,18 +505,8 @@ class ReplayForest:
         telemetry = current_telemetry()
         with self._lock:
             forget = frozenset(forget)
-            root = self._find_root(record, base_key, forget_round)
-            if root is None:
-                root = _ForestRoot(
-                    weakref.ref(self._anchor(record)), base_key, forget_round
-                )
-                self._roots.append(root)
-                while len(self._roots) > self.max_entries:
-                    self._drop_root(self._roots[0])
-                    self.evictions += 1
-                    if telemetry.enabled:
-                        telemetry.inc("recovery_cache_evictions_total")
-            self._extend_cum(root, record)
+            root = self._root(record, base_key, forget_round)
+            last: Tuple = ()
             for t in sorted(snapshots):
                 snap = snapshots[t]
                 effective = forget & root.cum[t - forget_round]
@@ -493,9 +514,8 @@ class ReplayForest:
                 node = level.get(effective)
                 if node is None:
                     node = level[effective] = _ForestNode(snap, t, effective)
-                    root.deepest = max(root.deepest, t)
                     self._count_array(snap.params, +1)
-                    self._count_states(snap.estimators.values(), +1)
+                    added = snap.estimators.values()
                 else:
                     # Keep the established snapshot (byte-identical state by
                     # the effective-set argument) but widen its estimator
@@ -507,7 +527,13 @@ class ReplayForest:
                         for cid, state in snap.estimators.items()
                         if cid not in covered
                     ]
-                    self._count_states(added, +1)
+                column = tuple(map(itemgetter(0), added))  # the pairs tuples
+                if len(column) == len(last) and all(map(is_, column, last)):
+                    column = last  # no refresh since the previous snapshot
+                if column:
+                    node.columns.append(column)
+                    self._count_column(column, +1)
+                    last = column
                 self._lru[node] = root
                 self._lru.move_to_end(node)
             while self.nbytes > self.max_bytes and len(self._lru) > 1:
@@ -515,10 +541,58 @@ class ReplayForest:
                 self.node_evictions += 1
                 if telemetry.enabled:
                     telemetry.inc("recovery_forest_node_evictions_total")
-            if telemetry.enabled:
-                telemetry.set_gauge("recovery_cache_entries", len(self._roots))
-                telemetry.set_gauge("recovery_forest_nodes", len(self._lru))
-                telemetry.set_gauge("recovery_forest_bytes", self.nbytes)
+            self._export_gauges(telemetry)
+
+    def _export_gauges(self, telemetry) -> None:
+        telemetry.set_gauge("recovery_cache_entries", len(self._roots))
+        telemetry.set_gauge("recovery_forest_nodes", len(self._lru))
+        telemetry.set_gauge("recovery_forest_bytes", self.nbytes)
+
+    def retire(self, record, erased) -> int:
+        """Drop what no request ``S' ⊇ erased`` over ``record`` can
+        resume from — every later request, for a caller whose forget
+        sets only grow (the service, after each commit); returns the
+        number of nodes dropped.  Hit depth is unchanged for every such
+        ``S'`` (``docs/REPLAY.md``, "Retirement").
+
+        ``S'`` backtracks no later than the erased clients' earliest
+        join, so a root anchored later is dead.  Elsewhere it can only
+        match a node ``(t, eff)`` with ``erased ∩ P[F..t) ⊆ eff``; and
+        where two such nodes carry the same not-yet-erased clients
+        (``eff − erased``) and nobody not yet erased joins ``P`` between
+        their rounds, whatever matches the shallower matches the deeper
+        — so the deepest of each such group stays.
+        """
+        erased = frozenset(erased)
+        if not erased:
+            return 0
+        with self._lock:
+            before = len(self._lru)
+            anchor = self._anchor(record)
+            earliest = min(record.ledger.join_round(cid) for cid in erased)
+            for root in [r for r in self._roots if r.record_ref() is anchor]:
+                if root.forget_round > earliest:
+                    self._drop_root(root)
+                    continue
+                deepest = set()
+                for t in sorted(root.nodes, reverse=True):
+                    seen = root.cum[t - root.forget_round]
+                    gone = erased & seen
+                    # P[F..t) − erased only grows with t: its size names it.
+                    alive = len(seen) - len(gone)
+                    for node in list(root.nodes[t].values()):
+                        group = (alive, node.effective - erased)
+                        if gone <= node.effective and group not in deepest:
+                            deepest.add(group)
+                        else:
+                            self._drop_node(node)
+            retired = before - len(self._lru)
+            self.nodes_retired += retired
+            telemetry = current_telemetry()
+            if retired:
+                telemetry.inc("recovery_forest_nodes_retired_total", retired)
+            self._export_gauges(telemetry)
+            return retired
 
 
 class SignRecoveryUnlearner(UnlearningMethod):
@@ -552,7 +626,8 @@ class SignRecoveryUnlearner(UnlearningMethod):
         Optional :class:`ReplayForest` shared across requests.
         When set, :meth:`unlearn` resumes from the deepest reusable
         cached snapshot (unless a crash checkpoint takes precedence)
-        and commits this replay's per-round snapshots back.  The
+        and commits this replay's snapshots back — one per round that
+        brings in a new participant, plus the final state.  The
         rounds skipped this way are reported via
         ``last_cached_prefix_rounds``, *not* in the result stats —
         cached and cold runs return byte-identical results.
@@ -561,9 +636,9 @@ class SignRecoveryUnlearner(UnlearningMethod):
         cooperative cancellation checkpoint.  Raising from it (e.g. a
         :class:`~repro.serving.requests.DeadlineExceededError` from the
         serving daemon) aborts the replay at a committed round
-        boundary: the rounds already replayed are salvaged into the
-        prefix cache (they are exactly the snapshots a completed run
-        would have committed), so an aborted request wastes nothing
+        boundary: the rounds already replayed, up to the one the
+        abort landed on, are salvaged into the prefix cache (committed
+        start-of-round states), so an aborted request wastes nothing
         and the next request over the same forget set resumes them —
         recovering parameters byte-identical to an uninterrupted cold
         replay.
@@ -645,6 +720,9 @@ class SignRecoveryUnlearner(UnlearningMethod):
         damaged record are treated as absent.
         """
         estimators: Dict[int, GradientEstimator] = {}
+        # ``w_j − w_a`` is the same for every client anchored at ``a``:
+        # computed once, frozen, shared by their buffers.
+        displacements: Dict[Tuple[int, int], np.ndarray] = {}
         for cid in remaining:
             est = GradientEstimator(
                 buffer_size=self.buffer_size, clip_threshold=self.clip_threshold
@@ -671,9 +749,13 @@ class SignRecoveryUnlearner(UnlearningMethod):
                 ][-self.buffer_size :]
                 for j in pre_rounds:
                     try:
-                        est.seed_pair(
-                            record.params_at(j) - w_anchor,
-                            record.gradients.get(j, cid) - g_anchor,
+                        delta_w = displacements.get((j, anchor))
+                        if delta_w is None:
+                            delta_w = record.params_at(j) - w_anchor
+                            delta_w.flags.writeable = False
+                            displacements[(j, anchor)] = delta_w
+                        est.refresh_pair(
+                            delta_w, record.gradients.get(j, cid) - g_anchor
                         )
                     except Exception:
                         continue
@@ -1008,6 +1090,16 @@ class SignRecoveryUnlearner(UnlearningMethod):
                 commit(t)
 
         snapshots: Dict[int, _ReplaySnapshot] = {}
+        # Rounds up to here are the forest's already; past it, the ones
+        # worth a snapshot bring in someone new (see ReplayForest).
+        held_round = forget_round + self.last_cached_prefix_rounds
+        cum = (
+            self.prefix_cache.participant_unions(
+                record, self._cache_base_key(record), forget_round
+            )
+            if self.prefix_cache is not None
+            else None
+        )
 
         def snapshot_now() -> _ReplaySnapshot:
             return self._make_snapshot(
@@ -1065,13 +1157,22 @@ class SignRecoveryUnlearner(UnlearningMethod):
                         executor=self.prefetch_executor,
                     )
             for t in range(start_round, record.num_rounds):
+                unheld = cum is not None and t > held_round
                 if self.cancel_check is not None:
                     # Cooperative cancellation checkpoint: only between
                     # rounds, so an abort always lands on committed state.
-                    self.cancel_check()
-                if self.prefix_cache is not None:
-                    # Committed state at the *start* of round t — the
-                    # resume point a later superset request restores.
+                    try:
+                        self.cancel_check()
+                    except Exception:
+                        # Nothing of round t has run: its start is the
+                        # deepest state the retry can resume from.
+                        if unheld:
+                            snapshots[t] = snapshot_now()
+                        raise
+                if unheld and cum[t - forget_round + 1] is not cum[t - forget_round]:
+                    # Committed state at the *start* of round t — where
+                    # a request that forgets this round's newcomers
+                    # differently stops sharing this trajectory.
                     snapshots[t] = snapshot_now()
                 with telemetry.span("recovery_round_seconds"):
                     participants = [

@@ -22,7 +22,9 @@ Amortized serving: every service owns a
 :class:`~repro.unlearning.recovery.ReplayForest`, so successive
 requests reuse the replay prefix their forget sets share — each
 request's forget set is a superset of the previous one's (erased
-clients stay excluded), which is exactly the cache's reuse condition.
+clients stay excluded), which is exactly the cache's reuse condition,
+and what lets every commit retire the snapshots no later request can
+resume from (:meth:`~repro.unlearning.recovery.ReplayForest.retire`).
 :meth:`handle_erasure_batch` serves N queued requests in one call:
 all-upfront validation, then one merged replay plan in which request
 ``k`` replays only the rounds its own vehicle's history actually
@@ -380,6 +382,7 @@ class UnlearningService:
                 for cid in client_ids:
                     self._decode_cache.discard_client(self.record.gradients, cid)
             self._erased.extend(client_ids)
+            self._prefix_cache.retire(self.record, self._erased)
             self.record.metadata["erased_clients"] = sorted(self._erased)
         telemetry = current_telemetry()
         if telemetry.enabled:
@@ -559,6 +562,7 @@ class UnlearningService:
                         "service_snapshot_deferred_drops_total", len(ids)
                     )
                 self._erased.extend(ids)
+                self._prefix_cache.retire(self.record, self._erased)
                 self.record.metadata["erased_clients"] = sorted(self._erased)
                 self.record.metadata.setdefault("merge_commits", []).append(
                     {
@@ -848,6 +852,8 @@ class UnlearningService:
                     cached_prefix_rounds=branch.cached_prefix_rounds,
                 )
             committed = sum(1 for o in report.outcomes if o is not None)
+            if committed:
+                self._prefix_cache.retire(self.record, self._erased)
             if self.live_session is not None and committed:
                 # The gate froze training for the whole fused call, so
                 # the deepest committed counterfactual *is* the merge.

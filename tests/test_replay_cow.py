@@ -13,6 +13,10 @@ The contracts under test (``docs/REPLAY.md``, "Eviction and capacity"):
   node that is never evicted.
 - Lookup (one probe per round, deepest first) finds exactly what a scan
   over every node finds.
+- Retirement (``ReplayForest.retire`` after each commit) and sparse
+  snapshots (divergence rounds and tips only) lose no hit depth: a
+  forest run that way resumes every admissible next request at the same
+  round as an unretired twin fed a snapshot per round.
 - A request whose prefix was evicted still reproduces the cold digest,
   on every sign-store backend.
 - N snapshots, restores and forks of one replay allocate N parameter
@@ -21,6 +25,9 @@ The contracts under test (``docs/REPLAY.md``, "Eviction and capacity"):
 
 import gc
 import hashlib
+import itertools
+import os
+import random
 import tracemalloc
 
 import numpy as np
@@ -153,6 +160,42 @@ class TestFrozenSharing:
         assert len({id(dw) for dw, _ in newest}) < len(newest)  # Δw shared
         assert len({id(dg) for _, dg in newest}) == len(newest)  # Δg per client
 
+    def test_seeded_clients_share_one_frozen_displacement_per_pre_round(self):
+        record, _ = build_record(3)
+        unlearner = SignRecoveryUnlearner(clip_threshold=CLIP)
+        cohort = [0, 1, 2, 3, 4]  # all present at F=3: one anchor
+        seeded = unlearner._seed_estimators(record, cohort, 3)
+        # The reference: every client its own copy of every pair.  (At
+        # this seed client 0 rejects both of its pairs, the rest keep 2.)
+        w_anchor = record.params_at(3)
+        held = []
+        for cid in cohort:
+            copied = GradientEstimator(clip_threshold=CLIP)
+            for j in (1, 2):
+                copied.seed_pair(
+                    record.params_at(j) - w_anchor,
+                    record.gradients.get(j, cid) - record.gradients.get(3, cid),
+                )
+            assert seeded[cid].state()[1:] == copied.state()[1:]
+            ours, theirs = seeded[cid].buffer.pairs(), copied.buffer.pairs()
+            assert len(ours) == len(theirs)
+            for pair, reference in zip(ours, theirs):
+                for mine, expected in zip(pair, reference):
+                    assert mine.tobytes() == expected.tobytes()
+                    assert_frozen(mine)
+            held.extend(ours)
+        assert len(held) == 8 and sum(e.pairs_rejected for e in seeded.values()) == 2
+        # One Δw object per pre-round, however many clients hold it ...
+        assert len({id(dw) for dw, _ in held}) == len({dw.tobytes() for dw, _ in held}) == 2
+        assert len({id(dg) for _, dg in held}) == len(held)
+        # ... which a forest holding them counts once.
+        forest = ReplayForest()
+        params = record.params_at(3)
+        snapshot = unlearner._make_snapshot(params, seeded, 0, 0, 0, 0, [])
+        forest.store(FakeRecord([[0]] * 4), BASE_KEY, frozenset({99}), 0, {4: snapshot})
+        assert forest.nbytes == (1 + 2 + len(held)) * params.nbytes
+        assert forest.recount_nbytes() == forest.nbytes
+
     def test_mutating_one_restored_replay_cannot_change_a_sibling(self):
         record, model, forest, unlearner = self.replayed_forest()
         # Per node: the clients it covers now (a later store may widen
@@ -197,18 +240,23 @@ class TestFrozenSharing:
 # byte accounting under random traffic
 # ----------------------------------------------------------------------
 class FakeLedger:
-    def __init__(self, participants):
+    def __init__(self, participants, joins=None):
         self.participants = participants
+        self.joins = joins
 
     def participants_at(self, t):
         return self.participants[t]
 
+    def join_round(self, cid):
+        return self.joins[cid]
+
 
 class FakeRecord:
-    """What the forest reads of a record: its length and who took part."""
+    """What the forest reads of a record: its length, who took part and
+    (for retirement) when each client joined."""
 
-    def __init__(self, participants):
-        self.ledger = FakeLedger(participants)
+    def __init__(self, participants, joins=None):
+        self.ledger = FakeLedger(participants, joins)
         self.num_rounds = len(participants)
 
 
@@ -343,6 +391,145 @@ ForestMachine.TestCase.settings = settings(
 TestForestAccounting = ForestMachine.TestCase
 
 
+# ----------------------------------------------------------------------
+# retirement and sparse snapshots lose no hit depth
+# ----------------------------------------------------------------------
+#: ``make chaos`` (which sets CHAOS_SEEDS) runs the machine at length.
+CHAOS = "CHAOS_SEEDS" in os.environ
+ERASABLE = (0, 1, 2, 3, 4, 5)
+STAYER = 7  # never erased: a replay needs somebody left
+HISTORY = 12
+
+
+class RetirementMachine(RuleBasedStateMachine):
+    """The service's traffic — single, aborted-then-retried and fused
+    cumulative requests over a random join/dropout history — replayed
+    into two forests.  ``sparse`` is run the way the service runs one:
+    snapshots at divergence rounds and tips only, ``retire`` after every
+    commit.  ``dense`` gets a snapshot per round and never retires.  For
+    every admissible next request (forget set ⊇ erased set) both must
+    resume at the same round."""
+
+    @initialize(seed=st.integers(0, 2**32 - 1))
+    def build(self, seed):
+        rng = random.Random(seed)
+        joins = {c: rng.randrange(HISTORY - 2) for c in ERASABLE}
+        joins[STAYER] = 0
+        participants = [
+            [c for c in sorted(joins) if joins[c] <= t and rng.random() >= 0.25]
+            for t in range(HISTORY)
+        ]
+        self.record = FakeRecord(participants, joins)
+        self.joins = joins
+        self.erased = []
+        self.sparse = ReplayForest()
+        self.dense = ReplayForest()
+        self.pool = {}
+
+    def snapshot(self, forget, t):
+        # One pairs tuple per client per three rounds, one Δw per three.
+        estimators = {}
+        for cid in sorted(self.joins):
+            if cid not in forget:
+                key = (cid, t // 3)
+                if key not in self.pool:
+                    dw = self.pool.setdefault(t // 3, frozen(t // 3 + 1))
+                    self.pool[key] = ((dw, frozen(cid + 2)),)
+                estimators[cid] = (self.pool[key], t, 1, 0)
+        return _ReplaySnapshot(frozen(t), estimators, {})
+
+    def resume(self, forget):
+        """Look ``forget`` up in both forests; the round both resume at."""
+        start = min(self.joins[c] for c in forget)
+        hits = [
+            forest.lookup(self.record, BASE_KEY, forget, start)
+            for forest in (self.sparse, self.dense)
+        ]
+        rounds = [start if hit is None else hit[0] for hit in hits]
+        assert rounds[0] == rounds[1], (sorted(forget), rounds)
+        return start, rounds[0]
+
+    def replay(self, forget, start, resumed, ticks):
+        """Store what a replay of ``forget`` resumed at ``resumed`` and
+        aborted at its ``ticks``-th cancel poll (None: ran to the end)
+        leaves behind; True when it completed."""
+        end = HISTORY if ticks is None else min(HISTORY, resumed + ticks)
+        cum = self.sparse.participant_unions(self.record, BASE_KEY, start)
+        kept = {
+            t
+            for t in range(resumed + 1, end)
+            if cum[t - start + 1] is not cum[t - start]
+        }
+        if end > resumed or end == HISTORY:
+            kept.add(end)  # the tip: end state, or where the abort landed
+        for forest, rounds in ((self.sparse, kept), (self.dense, range(resumed + 1, end + 1))):
+            forest.store(
+                self.record, BASE_KEY, forget, start,
+                {t: self.snapshot(forget, t) for t in rounds},
+            )
+        return end == HISTORY
+
+    def commit(self, clients):
+        self.erased.extend(clients)
+        self.sparse.retire(self.record, self.erased)
+
+    @rule(data=st.data(), ticks=st.none() | st.integers(0, HISTORY))
+    def single(self, data, ticks):
+        left = [c for c in ERASABLE if c not in self.erased]
+        if not left:
+            return
+        cid = data.draw(st.sampled_from(left))
+        forget = frozenset(self.erased) | {cid}
+        start, resumed = self.resume(forget)
+        if self.replay(forget, start, resumed, ticks):
+            self.commit([cid])
+
+    @rule(data=st.data(), ticks=st.integers(0, HISTORY))
+    def fused(self, data, ticks):
+        left = [c for c in ERASABLE if c not in self.erased]
+        if len(left) < 2:
+            return
+        members = data.draw(
+            st.lists(st.sampled_from(left), min_size=2, max_size=4, unique=True)
+        )
+        aborting = data.draw(st.none() | st.integers(0, len(members) - 1))
+        sets = list(
+            itertools.accumulate(
+                ([c] for c in members), frozenset.union, initial=frozenset(self.erased)
+            )
+        )[1:]
+        # One fused call: every member looks up before anyone stores.
+        resumes = [self.resume(forget) for forget in sets]
+        done = [
+            self.replay(forget, start, resumed, ticks if k == aborting else None)
+            for k, (forget, (start, resumed)) in enumerate(zip(sets, resumes))
+        ]
+        # Members before the first abort commit; the rest are salvage.
+        committed = list(itertools.takewhile(lambda k: done[k], range(len(members))))
+        if committed:
+            self.commit([members[k] for k in committed])
+
+    @invariant()
+    def every_admissible_request_resumes_where_the_twin_does(self):
+        if not hasattr(self, "record"):
+            return
+        left = [c for c in ERASABLE if c not in self.erased]
+        for size in range(0 if self.erased else 1, len(left) + 1):
+            for extra in itertools.combinations(left, size):
+                self.resume(frozenset(self.erased) | set(extra))
+        for forest in (self.sparse, self.dense):
+            assert forest.recount_nbytes() == forest.nbytes
+        assert self.sparse.node_count <= self.dense.node_count
+
+
+RetirementMachine.TestCase.settings = settings(
+    max_examples=300 if CHAOS else 20,
+    stateful_step_count=40 if CHAOS else 12,
+    deadline=None,
+)
+TestRetirementKeepsHitDepth = pytest.mark.chaos(RetirementMachine.TestCase)
+
+
 class TestBudget:
     def test_rejects_bad_budget(self):
         with pytest.raises(ValueError):
@@ -383,8 +570,9 @@ class TestBudget:
 # an evicted prefix only costs rounds, on every backend
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("backend", ["dict", "mmap", "tiered"])
-# One byte keeps a single node; 150 kB keeps about two thirds of them.
-@pytest.mark.parametrize("max_bytes", [1, 150_000])
+# One byte keeps a single node; 70 kB keeps about two thirds of them
+# (one per round that brings in a new participant, plus each end state).
+@pytest.mark.parametrize("max_bytes", [1, 70_000])
 def test_evicted_prefix_still_reproduces_cold_digest(backend, max_bytes, tmp_path):
     directory = None if backend == "dict" else str(tmp_path / backend)
     record, model = build_record(3, backend=backend, directory=directory)

@@ -14,9 +14,17 @@ The contracts under test (``docs/REPLAY.md``):
   forking mid-replay.
 - Byte-budget LRU eviction only deepens later replays; it never
   corrupts a sibling's results.
+- An aborted replay salvages the round its abort landed on; the retry
+  resumes there.
+- Retirement at commit keeps the forest as small as what a later
+  request can still resume from — a chain of erasures holds a handful
+  of nodes, not one per replayed round — and drops roots no later
+  request can anchor at.
 - Daemon fusion (``fusion_width > 1``): one coalesced execution, one
   branch deadline-aborted, the other tickets still byte-identical.
 """
+
+import copy
 
 import numpy as np
 import pytest
@@ -226,6 +234,108 @@ class TestNodeEviction:
         for forget in FUSED_SETS:
             result = unlearner.unlearn(record, sorted(forget), model)
             assert_result_matches(result, cold_reference(3, set(forget)))
+
+
+# ----------------------------------------------------------------------
+# abort salvage: the retry resumes at the round the abort landed on
+# ----------------------------------------------------------------------
+def abort_at_tick(k):
+    """A ``cancel_check`` that raises on its (k+1)-th poll — when ``k``
+    rounds have been replayed."""
+    polls = {"n": 0}
+
+    def check():
+        polls["n"] += 1
+        if polls["n"] > k:
+            raise DeadlineExceededError("budget spent")
+
+    return check
+
+
+# F=3; 6 and 9 are rounds a late joiner first takes part in, the rest not.
+@pytest.mark.parametrize("k", [1, 3, 4, 8])
+class TestAbortSalvage:
+    def test_serial_retry_resumes_where_the_abort_landed(self, k):
+        record, model = build_record(3)
+        forest = ReplayForest()
+        aborting = SignRecoveryUnlearner(
+            clip_threshold=CLIP, prefix_cache=forest, cancel_check=abort_at_tick(k)
+        )
+        with pytest.raises(DeadlineExceededError):
+            aborting.unlearn(record, [5], model)
+        retry = SignRecoveryUnlearner(clip_threshold=CLIP, prefix_cache=forest)
+        result = retry.unlearn(record, [5], model)
+        assert retry.last_cached_prefix_rounds == k
+        assert_result_matches(result, cold_reference(3, {5}))
+
+    def test_fused_retry_resumes_where_the_abort_landed(self, k):
+        record, model = build_record(3)
+        unlearner = fresh_unlearner()
+        (aborted,), stats = fused_unlearn(
+            unlearner, record, [frozenset({5})], cancel_checks=[abort_at_tick(k)]
+        )
+        assert isinstance(aborted.error, DeadlineExceededError)
+        assert stats.aborted == 1
+        (retried,), _ = fused_unlearn(unlearner, record, [frozenset({5})])
+        assert retried.cached_prefix_rounds == k
+        assert_result_matches(retried.result, cold_reference(3, {5}))
+
+
+# ----------------------------------------------------------------------
+# retirement: the forest holds what a later request can resume from
+# ----------------------------------------------------------------------
+CHAIN_ROUNDS = 200
+CHAIN_JOINS = {2 + k: 10 * (k + 1) for k in range(19)}  # client -> join round
+
+
+class TestRetirement:
+    def test_chain_of_erasures_holds_a_handful_of_nodes(self):
+        # A long history with one late joiner every 10 rounds.
+        record, model = build_record(
+            5, num_rounds=CHAIN_ROUNDS, num_clients=21, joins=CHAIN_JOINS
+        )
+        pristine = copy.deepcopy(record)  # cold references replay unpurged
+        service = UnlearningService(record=record, model=model, clip_threshold=CLIP)
+        forest = service.prefix_cache
+        erased = []
+        for done, cid in enumerate(sorted(CHAIN_JOINS, key=CHAIN_JOINS.get), 1):
+            outcome = service.handle_erasure_request(cid)
+            erased.append(cid)
+            cold = SignRecoveryUnlearner(clip_threshold=CLIP).unlearn(
+                pristine, erased, model
+            )
+            assert_result_matches(outcome.result, cold)
+            # Everything up to this vehicle's join was shared with the
+            # previous request's trajectory.
+            assert outcome.cached_prefix_rounds == CHAIN_JOINS[cid] - CHAIN_JOINS[2]
+            assert forest.node_count <= (len(CHAIN_JOINS) - done) + 2
+            assert forest.recount_nbytes() == forest.nbytes
+        assert forest.node_evictions == 0
+        assert forest.nodes_retired > 0
+
+    def test_root_no_later_request_can_anchor_at_is_dropped(self):
+        service = build_service(3)
+        forest = service.prefix_cache
+        service.handle_erasure_request(6)  # anchors a root at F=6
+        assert [r.forget_round for r in forest._roots] == [JOINS[6]]
+        kept = forest.node_count
+        # Every later request forgets 5 too, so backtracks to F=3 at the
+        # latest: the commit that erases 5 strands the F=6 root.
+        outcome = service.handle_erasure_request(5)
+        assert [r.forget_round for r in forest._roots] == [JOINS[5]]
+        assert forest.nodes_retired >= kept
+        assert forest.recount_nbytes() == forest.nbytes
+        assert outcome.params.tobytes() == cold_reference(3, {5, 6}).params.tobytes()
+
+    def test_raw_forest_users_keep_every_snapshot_they_stored(self):
+        # No commit, no retire: incomparable sets keep sharing.
+        record, model = build_record(3)
+        unlearner = fresh_unlearner()
+        for forget in ([5, 6], [5, 7], [5]):
+            unlearner.unlearn(record, forget, model)
+        assert unlearner.prefix_cache.nodes_retired == 0
+        unlearner.unlearn(record, [5, 6], model)
+        assert unlearner.last_cached_prefix_rounds == NUM_ROUNDS - JOINS[5]
 
 
 # ----------------------------------------------------------------------

@@ -48,21 +48,29 @@ JOINS = {5: 3, 6: 6, 7: 9}
 CLIP = 5.0
 
 
-def build_record(seed, fault_plan=None, backend="dict", directory=None):
+def build_record(
+    seed,
+    fault_plan=None,
+    backend="dict",
+    directory=None,
+    num_rounds=NUM_ROUNDS,
+    num_clients=NUM_CLIENTS,
+    joins=JOINS,
+):
     """Train a tiny but real FL run and return (sign_record, model).
 
     Rebuilt identically from its seed, so every comparison baseline
     replays the same history.
     """
     tree = SeedSequenceTree(seed)
-    data = make_synthetic_mnist(200, tree.rng("data"), image_size=IMAGE)
-    shards = partition_iid(data, NUM_CLIENTS, tree.rng("part"))
+    data = make_synthetic_mnist(25 * num_clients, tree.rng("data"), image_size=IMAGE)
+    shards = partition_iid(data, num_clients, tree.rng("part"))
     clients = [
         VehicleClient(i, shards[i], tree.rng(f"c{i}"), batch_size=16)
-        for i in range(NUM_CLIENTS)
+        for i in range(num_clients)
     ]
     model = mlp(tree.rng("model"), FEATURES, 10, hidden=8)
-    schedule = ParticipationSchedule.with_events(range(NUM_CLIENTS), joins=JOINS)
+    schedule = ParticipationSchedule.with_events(range(num_clients), joins=joins)
     kwargs = {} if fault_plan is None else {"fault_plan": fault_plan}
     sim = FederatedSimulation(
         model,
@@ -72,7 +80,7 @@ def build_record(seed, fault_plan=None, backend="dict", directory=None):
         gradient_store=FullGradientStore(),
         **kwargs,
     )
-    record = sim.run(NUM_ROUNDS)
+    record = sim.run(num_rounds)
     sign = with_sign_store(record, delta=1e-6, backend=backend, directory=directory)
     return sign, model
 

@@ -255,6 +255,20 @@ class TestModelCheckpointStore:
         store.put(5, w)
         np.testing.assert_allclose(store.get(5), w, atol=1e-6)
 
+    def test_put_owns_its_copy(self, rng):
+        # One copy on the way in, whatever the input dtype: a float32
+        # input must not be aliased, a float64 one is cast once.
+        store = ModelCheckpointStore()
+        w32 = rng.normal(size=64).astype(np.float32)
+        store.put(0, w32)
+        store.put(1, w32.astype(np.float64))
+        assert not np.shares_memory(store._checkpoints[0], w32)
+        expected = store.get(0).copy()
+        w32[:] = 0.0
+        assert store.get(0).tobytes() == expected.tobytes()
+        assert store.get(1).tobytes() == expected.tobytes()
+        assert store.nbytes() == 2 * 64 * 4
+
     def test_missing_raises(self):
         with pytest.raises(KeyError):
             ModelCheckpointStore().get(3)
