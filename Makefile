@@ -15,8 +15,10 @@ test:
 chaos:
 	CHAOS_SEEDS=7,21,99 pytest tests/ -m chaos
 
+# The erasure ledger (BENCHMARK.json): four workloads, end-to-end and
+# per-layer metrics, results under bench/out/.
 bench:
-	pytest benchmarks/ --benchmark-only
+	python3 bench/run.py
 
 bench-smoke:
 	REPRO_SCALE=smoke pytest benchmarks/ --benchmark-only

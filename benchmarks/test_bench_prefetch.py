@@ -212,7 +212,8 @@ def test_prefetch_pipeline(benchmark, scale, save_result, tmp_path):
         checkpoints, daemon_store, ledger, dict(record.client_sizes),
         len(daemon_updates), LEARNING_RATE,
     )
-    cache_budget = 2 * len(daemon_updates) * cohort * dim * 8
+    # Decoded sign rows are int8: one byte per element.
+    cache_budget = 2 * len(daemon_updates) * cohort * dim
     service = UnlearningService(
         daemon_record, None, prefetch_depth=DEPTH,
         decode_cache_bytes=cache_budget,

@@ -91,7 +91,8 @@ def run_estimate(task: EstimateTask) -> EstimateResult:
     Bitwise-matches the serial path: ``stored + H̃·displacement`` with
     the same :func:`~repro.unlearning.lbfgs.compact_hvp` kernel (a zero
     vector for an empty buffer), then the same
-    :func:`~repro.unlearning.estimator.clip_elementwise`.
+    :func:`~repro.unlearning.estimator.clip_elementwise`.  An int8
+    ``stored`` row widens inside ``stored + hvp``, as in the serial path.
     """
     # Lazy imports: repro.unlearning.recovery imports this module, so a
     # top-level import here would close an import cycle.
@@ -99,7 +100,7 @@ def run_estimate(task: EstimateTask) -> EstimateResult:
     from repro.unlearning.lbfgs import compact_hvp
 
     start = time.perf_counter()
-    stored = np.asarray(task.stored, dtype=np.float64).ravel()
+    stored = np.asarray(task.stored).ravel()
     displacement = np.asarray(task.displacement, dtype=np.float64).ravel()
     if stored.shape != displacement.shape:
         raise ValueError(

@@ -23,8 +23,9 @@ The store is read-only over the training history (``put`` raises):
 history is immutable once training ends, and erasure removes clients
 *logically* via tombstones so the shards never need rewriting.  Every
 read — ``get``, ``get_round``, ``items`` — is bitwise identical to the
-dict store holding the same records, which is what keeps recovered
-parameters byte-identical across backends.
+dict store holding the same records (float64 from ``get``, int8 rows
+from ``get_round``), which is what keeps recovered parameters
+byte-identical across backends.
 
 Telemetry: ``storage_mmap_open_seconds`` spans the open path,
 ``storage_mmap_round_reads_total`` counts round blocks served, and the
@@ -46,6 +47,7 @@ from repro.storage.sign_codec import (
     decode_gradient,
     decode_round,
     packed_size_bytes,
+    unpack_signs,
 )
 from repro.storage.store import GradientStore, SignGradientStore
 from repro.telemetry.core import current_telemetry
@@ -307,8 +309,9 @@ class MmapSignGradientStore(GradientStore):
         ``(rows, row_bytes)`` view of the memmap handed straight to
         :func:`~repro.storage.sign_codec.decode_round`; tombstoned
         clients are filtered from the result.  Heterogeneous rounds fall
-        back to per-row decoding.  Bitwise identical to per-client
-        :meth:`get` either way.
+        back to per-row :func:`~repro.storage.sign_codec.unpack_signs`.
+        Rows are int8 either way, equal in value to the float64
+        per-client :meth:`get`.
         """
         if round_index not in self._rounds:
             return {}
@@ -337,7 +340,7 @@ class MmapSignGradientStore(GradientStore):
                     row = self._shards[shard][
                         row_off : row_off + packed_size_bytes(lengths[i])
                     ]
-                    out[cid] = decode_gradient(row, lengths[i])
+                    out[cid] = unpack_signs(row, lengths[i])
         if telemetry.enabled:
             telemetry.inc("storage_mmap_round_reads_total", 1)
             telemetry.inc(

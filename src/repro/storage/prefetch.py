@@ -106,6 +106,21 @@ def _freeze(decoded: Dict[int, np.ndarray]) -> Dict[int, np.ndarray]:
     return decoded
 
 
+def _held_bytes(decoded: Dict[int, np.ndarray]) -> int:
+    """Bytes of the distinct buffers ``decoded``'s arrays keep alive.
+
+    A bulk decode's rows are views of one block, which stays whole while
+    any row is held; summing row sizes would undercount it once
+    :meth:`RoundDecodeCache.discard_client` drops some of the rows.
+    """
+    owners: Dict[int, int] = {}
+    for vec in decoded.values():
+        while isinstance(vec.base, np.ndarray):
+            vec = vec.base
+        owners[id(vec)] = int(vec.nbytes)
+    return sum(owners.values())
+
+
 class _CacheEntry:
     __slots__ = ("value", "nbytes", "refs")
 
@@ -207,7 +222,7 @@ class RoundDecodeCache:
                 telemetry.inc("storage_prefetch_cache_misses_total")
             return None, False
         decoded = _freeze(decoded)
-        nbytes = sum(int(v.nbytes) for v in decoded.values())
+        nbytes = _held_bytes(decoded)
         with self._lock:
             self.misses += 1
             entry = self._entries.get(key)
@@ -262,7 +277,7 @@ class RoundDecodeCache:
                 if client_id not in entry.value:
                     continue
                 value = {c: v for c, v in entry.value.items() if c != client_id}
-                nbytes = sum(int(v.nbytes) for v in value.values())
+                nbytes = _held_bytes(value)
                 self._nbytes += nbytes - entry.nbytes
                 replacement = _CacheEntry(value, nbytes)
                 replacement.refs = entry.refs
@@ -291,7 +306,8 @@ class RoundDecodeCache:
     # ------------------------------------------------------------------
     @property
     def nbytes(self) -> int:
-        """Bytes of decoded payload currently cached."""
+        """Bytes of decoded buffers currently cached, each shared
+        block counted once."""
         with self._lock:
             return self._nbytes
 

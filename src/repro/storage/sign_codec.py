@@ -22,10 +22,13 @@ byte → 4-signs lookup table.
 
 :func:`decode_round` is the decode counterpart: a whole round's packed
 ``(num_clients, packed_size_bytes(d))`` block — a dict-store stack or a
-round-major memmap block — is LUT-decoded to float64 directions in one
-pass, with each row bitwise identical to a per-client
-``unpack_signs(...).astype(np.float64)``.  This is what the recovery
-replay's bulk read path consumes.
+round-major memmap block — is LUT-decoded to int8 directions in one
+pass, with each row equal to a per-client :func:`unpack_signs`.  This
+is what the recovery replay's bulk read path consumes: rows stay one
+byte per element through the stores' ``get_round``, the decode cache
+and the prefetch window, and widen to float64 only inside the Eq. 6
+add.  The per-record :func:`decode_gradient` (behind every store's
+``get``) returns float64.
 """
 
 from __future__ import annotations
@@ -181,16 +184,18 @@ def decode_gradient(packed: np.ndarray, length: int) -> np.ndarray:
 
 
 def decode_round(packed: np.ndarray, length: int) -> np.ndarray:
-    """Bulk-decode one round's packed block to float64 directions.
+    """Bulk-decode one round's packed block to int8 directions.
 
     The inverse of :func:`encode_round`: ``packed`` holds one client per
     row (``(num_clients, packed_size_bytes(length))``, as produced by
     :func:`pack_signs_batch` or read straight out of a round-major mmap
     block) and the result is the ``(num_clients, length)`` direction
-    matrix.  Row ``i`` is bitwise identical to
-    ``decode_gradient(packed[i], length)`` — one lookup-table pass over
-    the whole cohort replaces ``num_clients`` per-client unpack calls.
-    An empty cohort (0 rows) decodes to an empty ``(0, length)`` matrix.
+    matrix in ``{-1, 0, +1}`` as int8.  Row ``i`` equals
+    ``unpack_signs(packed[i], length)`` — one lookup-table pass over the
+    whole cohort replaces ``num_clients`` per-client unpack calls.
+    Widening is left to the arithmetic that consumes a row (−1, 0 and
+    +1 are exact in float64).  An empty cohort (0 rows) decodes to an
+    empty ``(0, length)`` int8 matrix.
     """
     packed = np.asarray(packed, dtype=np.uint8)
     if packed.ndim != 2:
@@ -203,11 +208,11 @@ def decode_round(packed: np.ndarray, length: int) -> np.ndarray:
             f"packed rows hold at most {packed.shape[1] * 4} elements, need {length}"
         )
     if rows == 0:
-        return np.empty((0, length), dtype=np.float64)
+        return np.empty((0, length), dtype=np.int8)
     # One table lookup decodes all four slots of every byte of every
-    # row; the length-trim is a view, so exactly one float64 matrix is
+    # row; the length-trim is a view, so exactly one matrix is
     # allocated.
-    return _BYTE_TO_QUAD[packed].view(np.int8)[:, :length].astype(np.float64)
+    return _BYTE_TO_QUAD[packed].view(np.int8)[:, :length]
 
 
 def packed_size_bytes(num_elements: int) -> int:

@@ -33,6 +33,7 @@ from repro.storage.sign_codec import (
     encode_gradient,
     encode_round,
     packed_size_bytes,
+    unpack_signs,
 )
 from repro.telemetry.core import current_telemetry
 
@@ -114,6 +115,9 @@ class GradientStore:
 
         For a sign store this is the *direction* vector in
         ``{-1, 0, +1}``; for a full store it is the gradient itself.
+        Always float64, so callers may do float arithmetic on it (the
+        L-BFGS seeding's ``get(j) - g_anchor``); only the bulk
+        :meth:`get_round` hands out int8 sign rows.
         """
         raise NotImplementedError
 
@@ -133,16 +137,18 @@ class GradientStore:
         return None
 
     def get_round(self, round_index: int) -> Dict[int, np.ndarray]:
-        """Decode one whole round as ``{client_id: float64 vector}``.
+        """Decode one whole round as ``{client_id: vector}``.
 
         Returns an empty dict for a round with no records.  The base
         implementation batches the round through one
         :func:`~repro.storage.sign_codec.decode_round` pass when the
-        backend exposes :meth:`encoded_round` payloads (falling back to
-        a per-client :meth:`get` loop otherwise, or when payload
-        lengths differ); backends with a genuinely batched read path
-        override it and set ``supports_bulk_round``.  Every path
-        returns values bitwise identical to per-client :meth:`get`.
+        backend exposes :meth:`encoded_round` payloads (per-row
+        :func:`~repro.storage.sign_codec.unpack_signs` when payload
+        lengths differ); sign rows come back as **int8**, equal in
+        value to per-client :meth:`get`, which returns float64.  A
+        backend without encoded payloads falls back to a per-client
+        :meth:`get` loop.  Backends with a genuinely batched read path
+        override it and set ``supports_bulk_round``.
         """
         try:
             encoded = self.encoded_round(round_index)
@@ -167,7 +173,7 @@ class GradientStore:
                 out = {cid: decoded[i] for i, (cid, _) in enumerate(entries)}
             else:
                 out = {
-                    cid: decode_gradient(np.asarray(packed).reshape(-1), length)
+                    cid: unpack_signs(np.asarray(packed).reshape(-1), length)
                     for cid, (packed, length) in entries
                 }
         if telemetry.enabled:
@@ -465,10 +471,10 @@ class SignGradientStore(_FreshMutexOnCopy, GradientStore):
 
         Stacks the round's packed payloads into one block and decodes
         it through :func:`repro.storage.sign_codec.decode_round` — each
-        returned vector is bitwise identical to the per-client
-        :meth:`get` result (rows of the decoded matrix; treat them as
-        read-only).  Rounds whose payload lengths differ fall back to
-        per-client decoding.
+        returned vector is an int8 row of the decoded matrix (treat it
+        as read-only), equal in value to the float64 per-client
+        :meth:`get` result.  Rounds whose payload lengths differ fall
+        back to per-row :func:`~repro.storage.sign_codec.unpack_signs`.
         """
         encoded = self.encoded_round(round_index)
         entries = sorted(encoded.items()) if encoded else []
@@ -484,7 +490,7 @@ class SignGradientStore(_FreshMutexOnCopy, GradientStore):
                 out = {cid: decoded[i] for i, (cid, _) in enumerate(entries)}
             else:
                 out = {
-                    cid: decode_gradient(packed, length)
+                    cid: unpack_signs(packed, length)
                     for cid, (packed, length) in entries
                 }
         if telemetry.enabled:

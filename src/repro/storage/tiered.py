@@ -107,6 +107,7 @@ from repro.storage.sign_codec import (
     encode_gradient,
     encode_round,
     packed_size_bytes,
+    unpack_signs,
 )
 from repro.storage.store import GradientStore
 from repro.telemetry.core import current_telemetry
@@ -1202,7 +1203,10 @@ class TieredSignGradientStore(GradientStore):
 
     def get_round(self, round_index: int) -> Dict[int, np.ndarray]:
         """Decode one whole round across tiers in (at most) one LUT pass
-        per tier; bitwise identical to the dict store's ``get_round``."""
+        per tier; bitwise identical to the dict store's ``get_round``:
+        int8 rows (hot-tier and mixed-length rows through
+        :func:`~repro.storage.sign_codec.unpack_signs`), equal in value
+        to the float64 :meth:`get`."""
         telemetry = current_telemetry()
         with self._lock:
             dr = self._disk.get(round_index)
@@ -1246,13 +1250,13 @@ class TieredSignGradientStore(GradientStore):
                             length = int(lengths[i])
                             start = int(dr.starts[i])
                             row = block[start : start + packed_size_bytes(length)]
-                            out[int(cid)] = decode_gradient(row, length)
+                            out[int(cid)] = unpack_signs(row, length)
                             decoded_elements += length
                 if hot_round:
                     self._tier_hit(TIER_HOT)
                     for cid in sorted(hot_round):
                         packed, length = hot_round[cid]
-                        out[int(cid)] = decode_gradient(packed, length)
+                        out[int(cid)] = unpack_signs(packed, length)
                         decoded_elements += length
             out = {cid: out[cid] for cid in sorted(out)}
         if telemetry.enabled:

@@ -279,7 +279,8 @@ _ALL_SPECS = [
     _spec(
         "storage_prefetch_cache_bytes", GAUGE, "bytes",
         "repro.storage.prefetch",
-        "Decoded payload bytes currently held by the shared decode cache.",
+        "Bytes of decoded int8 rows currently held by the shared decode "
+        "cache, each shared decoded block counted once.",
     ),
     # ----------------------------------------------------------- unlearning.lbfgs
     _spec(

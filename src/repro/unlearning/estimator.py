@@ -142,9 +142,11 @@ class GradientEstimator:
 
         The displacement is identical for every client in a round, so
         the recovery loop computes it once and calls this for each
-        client instead of re-deriving it per estimator.
+        client instead of re-deriving it per estimator.  The stored
+        direction may be an int8 ``get_round`` row: ``stored + hvp``
+        widens it per element, with no float64 copy of the row.
         """
-        stored = np.asarray(stored_gradient, dtype=np.float64).ravel()
+        stored = np.asarray(stored_gradient).ravel()
         displacement = np.asarray(displacement, dtype=np.float64).ravel()
         if stored.shape != displacement.shape:
             raise ValueError(

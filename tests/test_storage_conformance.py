@@ -144,11 +144,63 @@ class TestBulkFallbackParity:
                 assert base[cid].tobytes() == native[cid].tobytes()
 
     def test_bulk_matches_per_client_gets(self, backend):
+        """``get_round`` rows are int8, ``get`` is float64, and the two
+        agree in value (−1, 0, +1 widen exactly)."""
         store = backend["store"]
         for t in store.rounds():
             bulk = store.get_round(t)
+            base = GradientStore.get_round(store, t)
             for cid in store.clients_at(t):
-                assert bulk[cid].tobytes() == store.get(t, cid).tobytes()
+                dense = store.get(t, cid)
+                assert dense.dtype == np.float64
+                for row in (bulk[cid], base[cid]):
+                    assert row.dtype == np.int8
+                    assert row.astype(np.float64).tobytes() == dense.tobytes()
+
+    @pytest.mark.parametrize(
+        "layout", ["dict", "mmap", "tiered-hot", "tiered-warm", "tiered-cold",
+                   "tiered-warm+hot"]
+    )
+    def test_mixed_length_rounds_yield_int8_rows(self, layout, rng, tmp_path):
+        """Every tier and the per-row fallbacks (mixed payload lengths,
+        hot rows beside disk rows) hand out int8 rows equal to ``get``."""
+        reference = SignGradientStore(delta=DELTA)
+        for t in range(3):
+            for cid in range(4):
+                # Round 1 mixes payload lengths; the rest are homogeneous.
+                dim = DIM + (cid if t == 1 else 0)
+                reference.put(t, cid, rng.normal(size=dim) * 1e-3)
+        if layout == "dict":
+            store = reference
+        elif layout == "mmap":
+            store = MmapSignGradientStore.from_store(reference, str(tmp_path / "m"))
+        else:
+            budget = 1 << 20 if layout == "tiered-hot" else 64
+            store = TieredSignGradientStore(
+                str(tmp_path / "t"), delta=DELTA, hot_budget_bytes=budget
+            )
+            for (t, cid), (packed, length) in reference.items():
+                if layout == "tiered-warm+hot" and cid == 3:
+                    continue
+                store.put_encoded(t, cid, packed, length)
+            if layout != "tiered-hot":
+                store.flush()
+            if layout == "tiered-cold":
+                store.compact(cold_after=0)
+            if layout == "tiered-warm+hot":
+                store.hot_budget_bytes = 1 << 20
+                for t in range(3):
+                    packed, length = dict(reference.items())[(t, 3)]
+                    store.put_encoded(t, 3, packed, length)
+            tier = layout.split("-")[1].replace("warm+", "")
+            assert store.tier_rounds()[tier] == 3
+        for t in range(3):
+            for rows in (store.get_round(t), GradientStore.get_round(store, t)):
+                assert sorted(rows) == list(range(4))
+                for cid, row in rows.items():
+                    assert row.dtype == np.int8
+                    dense = reference.get(t, cid)
+                    assert row.astype(np.float64).tobytes() == dense.tobytes()
 
     def test_base_fallback_survives_drop(self, backend):
         backend["reference"].drop_client(2)

@@ -12,11 +12,15 @@ during an active prefetch, and the shared decode cache's bookkeeping
 (LRU bounds, pins, copy-on-discard coherence after ``drop_client``).
 """
 
+import hashlib
 import threading
 
 import numpy as np
 import pytest
 
+from repro.datasets import make_synthetic_mnist, partition_iid
+from repro.fl import FederatedSimulation, ParticipationSchedule, VehicleClient
+from repro.nn import mlp
 from repro.parallel.executor import make_executor
 from repro.storage import (
     MmapSignGradientStore,
@@ -28,6 +32,7 @@ from repro.storage import (
     set_default_prefetch_depth,
 )
 from repro.unlearning.recovery import SignRecoveryUnlearner
+from repro.utils.rng import SeedSequenceTree
 
 DELTA = 1e-6
 DIM = 41
@@ -207,6 +212,44 @@ class TestIdentity:
             set_default_prefetch_depth(previous)
         assert got.params.tobytes() == baseline.params.tobytes()
 
+    def test_prefetched_tiered_replay_matches_pinned_digest(self, tmp_path):
+        """A depth-4 prefetching replay over a warm + cold tiered record
+        reproduces a pinned SHA-256 — the decoded row dtype is an
+        implementation detail the recovered bytes must not see."""
+        tree = SeedSequenceTree(2025)
+        data = make_synthetic_mnist(200, tree.rng("data"), image_size=8)
+        shards = partition_iid(data, 4, tree.rng("part"))
+        clients = [
+            VehicleClient(i, shards[i], tree.rng(f"c{i}"), batch_size=16)
+            for i in range(4)
+        ]
+        model = mlp(tree.rng("model"), 64, 10, hidden=12)
+        store = TieredSignGradientStore(
+            str(tmp_path / "pinned"), delta=1e-4, hot_budget_bytes=256
+        )
+        record = FederatedSimulation(
+            model,
+            clients,
+            2e-3,
+            schedule=ParticipationSchedule.with_events(range(4), joins={3: 2}),
+            gradient_store=store,
+        ).run(12)
+        store.flush()
+        store.compact(cold_after=6)
+        tiers = store.tier_rounds()
+        assert tiers["warm"] > 0 and tiers["cold"] > 0
+        result = SignRecoveryUnlearner(
+            refresh_period=3, prefetch_depth=4
+        ).unlearn(record, [3], model)
+        assert result.rounds_replayed == PINNED_REPLAY_ROUNDS
+        assert hashlib.sha256(result.params.tobytes()).hexdigest() == PINNED_REPLAY
+
+
+# Recovered parameters of the pinned tiered replay above, recorded with
+# float64 bulk rows; the row dtype must not move them.
+PINNED_REPLAY = "ea928bd96c0cae864bfff431afba57fb0447586f56a9655d4427d0ce305912b9"
+PINNED_REPLAY_ROUNDS = 10
+
 
 # ----------------------------------------------------------------------
 # abort hygiene
@@ -349,6 +392,18 @@ class TestPersistence:
 # ----------------------------------------------------------------------
 # shared decode cache
 # ----------------------------------------------------------------------
+def _distinct_buffer_bytes(arrays):
+    """Bytes of the distinct memory blocks ``arrays`` keep alive — what
+    the decode cache's budget must count (rows of one bulk decode share
+    one block)."""
+    owners = {}
+    for arr in arrays:
+        while isinstance(arr.base, np.ndarray):
+            arr = arr.base
+        owners[id(arr)] = arr.nbytes
+    return sum(owners.values())
+
+
 class TestDecodeCache:
     def test_hit_miss_accounting(self, rng, tmp_path):
         store = _dict_store(rng, tmp_path)
@@ -367,8 +422,7 @@ class TestDecodeCache:
 
     def test_lru_eviction_respects_byte_budget_and_pins(self, rng, tmp_path):
         store = _dict_store(rng, tmp_path)
-        one_round = store.get_round(0)
-        round_bytes = sum(a.nbytes for a in one_round.values())
+        round_bytes = _distinct_buffer_bytes(store.get_round(0).values())
         cache = RoundDecodeCache(max_bytes=round_bytes * 2 + 1)
         cache.acquire(store, 0)  # pinned — never evicted
         for t in (1, 2, 3):
@@ -382,6 +436,23 @@ class TestDecodeCache:
         cache.release(store, 0)
         cache.release(store, 0)
         assert cache.pinned_entries == 0
+
+    def test_byte_budget_counts_shared_blocks_after_discard(self, rng):
+        """Rows of one decoded round share one block: discarding most
+        clients must not shrink the count while the block is held."""
+        store = SignGradientStore(delta=DELTA)
+        store.put_round(0, {c: rng.normal(size=1000) for c in range(8)})
+        cache = RoundDecodeCache(max_bytes=1 << 20)
+        value, _ = cache.acquire(store, 0)
+        assert cache.nbytes == _distinct_buffer_bytes(value.values())
+        for cid in range(6):
+            cache.discard_client(store, cid)
+        held, hit = cache.acquire(store, 0)
+        assert hit and sorted(held) == [6, 7]
+        assert cache.nbytes == _distinct_buffer_bytes(held.values())
+        assert cache.nbytes >= 8 * 1000
+        cache.release(store, 0)
+        cache.release(store, 0)
 
     def test_failed_decode_is_not_cached(self, rng, tmp_path):
         flaky = _FlakyStore(_dict_store(rng, tmp_path), broken_rounds={1})

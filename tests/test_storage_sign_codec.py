@@ -114,7 +114,8 @@ class TestEncodeDecode:
 
 
 class TestDecodeRound:
-    """Bulk round decode must equal per-client unpacking, bit for bit."""
+    """Bulk round decode yields int8 rows equal to per-client unpacking,
+    bit for bit; widened, they equal the float64 ``decode_gradient``."""
 
     # The codec test matrix: every delta / vector-length shape the codec
     # tests exercise, plus the degenerate cohorts.
@@ -130,12 +131,13 @@ class TestDecodeRound:
         assert enc_length == length
         decoded = decode_round(packed, length)
         assert decoded.shape == (5, length)
-        assert decoded.dtype == np.float64
+        assert decoded.dtype == np.int8
         for i in range(5):
-            np.testing.assert_array_equal(
-                decoded[i], unpack_signs(packed[i], length).astype(np.float64)
+            assert decoded[i].tobytes() == unpack_signs(packed[i], length).tobytes()
+            assert (
+                decoded[i].astype(np.float64).tobytes()
+                == decode_gradient(packed[i], length).tobytes()
             )
-            np.testing.assert_array_equal(decoded[i], decode_gradient(packed[i], length))
 
     @pytest.mark.parametrize("length", [5, 101, 102, 103])
     def test_matches_shift_and_mask_reference(self, length):
@@ -154,19 +156,19 @@ class TestDecodeRound:
         reference = np.array([0, 1, -1, 0], dtype=np.int8)[codes].reshape(6, -1)
         np.testing.assert_array_equal(reference[:, :length], signs)
         decoded = decode_round(block, length)
-        assert decoded.dtype == np.float64 and decoded.shape == (6, length)
-        assert decoded.tobytes() == signs.astype(np.float64).tobytes()
+        assert decoded.dtype == np.int8 and decoded.shape == (6, length)
+        assert decoded.tobytes() == reference[:, :length].tobytes()
         for i in range(6):
             row = unpack_signs(block[i], length)
             assert row.dtype == np.int8
             assert row.tobytes() == signs[i].tobytes()
 
     def test_empty_cohort(self):
-        """A round with zero clients decodes to an empty (0, d) matrix."""
+        """A round with zero clients decodes to an empty (0, d) int8 matrix."""
         packed = np.empty((0, packed_size_bytes(7)), dtype=np.uint8)
         decoded = decode_round(packed, 7)
         assert decoded.shape == (0, 7)
-        assert decoded.dtype == np.float64
+        assert decoded.dtype == np.int8
 
     def test_zero_length_round(self):
         packed, length = pack_signs_batch(np.zeros((3, 0), dtype=np.int8))
@@ -179,16 +181,12 @@ class TestDecodeRound:
         decoded = decode_round(packed, length)
         np.testing.assert_array_equal(decoded, np.zeros((4, 9)))
         for i in range(4):
-            np.testing.assert_array_equal(
-                decoded[i], unpack_signs(packed[i], length).astype(np.float64)
-            )
+            assert decoded[i].tobytes() == unpack_signs(packed[i], length).tobytes()
 
     def test_round_trip_through_encode_round(self, rng):
         g = rng.normal(size=(6, 33)) * 1e-3
         packed, length = encode_round(g, 1e-4)
-        np.testing.assert_array_equal(
-            decode_round(packed, length), ternarize(g, 1e-4).astype(np.float64)
-        )
+        assert decode_round(packed, length).tobytes() == ternarize(g, 1e-4).tobytes()
 
     def test_non_2d_raises(self):
         with pytest.raises(ValueError):
@@ -209,11 +207,9 @@ class TestDecodeRound:
         signs = rng.choice([-1, 0, 1], size=(rows, length)).astype(np.int8)
         packed, enc_length = pack_signs_batch(signs)
         decoded = decode_round(packed, enc_length)
-        assert decoded.shape == (rows, length)
+        assert decoded.shape == (rows, length) and decoded.dtype == np.int8
         for i in range(rows):
-            np.testing.assert_array_equal(
-                decoded[i], unpack_signs(packed[i], length).astype(np.float64)
-            )
+            assert decoded[i].tobytes() == unpack_signs(packed[i], length).tobytes()
 
 
 class TestStorageAccounting:

@@ -105,3 +105,39 @@ class TestGradientEstimator:
     def test_invalid_clip_threshold(self):
         with pytest.raises(ValueError):
             GradientEstimator(clip_threshold=0.0)
+
+    @pytest.mark.parametrize("seeded", [False, True])
+    def test_int8_row_matches_float64_row_bitwise(self, rng, seeded):
+        """A bulk ``get_round`` row arrives as int8; widened inside
+        ``stored + hvp`` it must give the same bytes as a float64 row —
+        serial estimator, parallel worker and the refresh pair alike."""
+        from repro.parallel.estimates import EstimateTask, run_estimate
+
+        d = 64
+        row8 = rng.integers(-1, 2, size=d).astype(np.int8)
+        row64 = row8.astype(np.float64)
+        disp = rng.normal(size=d) * 0.3
+        est = GradientEstimator(buffer_size=3, clip_threshold=0.8)
+        if seeded:
+            for _ in range(3):
+                s = rng.normal(size=d)
+                est.seed_pair(s, s * rng.uniform(0.5, 2.0) + rng.normal(size=d) * 0.1)
+        serial = [est.estimate_displaced(row, disp) for row in (row8, row64)]
+        assert serial[0].dtype == np.float64
+        assert serial[0].tobytes() == serial[1].tobytes()
+        assert (serial[0] - row8).tobytes() == (serial[1] - row64).tobytes()
+        worker = [
+            run_estimate(
+                EstimateTask(
+                    client_id=0,
+                    stored=row,
+                    state=est.buffer.compact_state(),
+                    displacement=disp,
+                    clip_threshold=0.8,
+                )
+            )
+            for row in (row8, row64)
+        ]
+        assert worker[0].estimate.tobytes() == worker[1].estimate.tobytes()
+        assert worker[0].estimate.tobytes() == serial[1].tobytes()
+        assert worker[0].drift == worker[1].drift
