@@ -26,9 +26,10 @@ warm
 cold
     Rounds older than ``cold_after`` rounds (measured from the newest
     round seen) are demoted during :meth:`compact`: the round's packed
-    block is zlib-compressed in one piece.  Reads decompress the whole
-    round block (a tiny LRU keeps the hottest decompressed blocks), so
-    bulk replay reads stay one-pass.
+    block is deflated in one piece with zlib's RLE strategy (see
+    :func:`_deflate`).  Reads decompress the whole round block (a tiny
+    LRU keeps the hottest decompressed blocks), so bulk replay reads
+    stay one-pass.
 
 Durability follows the RoundJournal discipline — every commit marker is
 written tmp + ``fsync`` + ``os.replace``, and the containing directory
@@ -43,7 +44,8 @@ just a process crash:
   disk — in background mode the writer only ever waits when the hot
   tier reaches twice its budget;
 - :meth:`compact` writes a complete new shard generation the same way
-  and only then unlinks the old one;
+  and only then unlinks the old one (a round with no dead rows that
+  keeps its codec is copied into it byte for byte);
 - a SIGKILL at *any* point leaves either the previous manifest (new
   files are unreferenced garbage, removed on :meth:`open`) or the new
   one — never a torn shard set.  ``tests/test_chaos_storage.py``
@@ -76,7 +78,7 @@ tier   stored bytes / client / round
 =====  ==============================================================
 hot    ``ceil(d/4)`` payload + ~100 B dict/ndarray overhead
 warm   ``ceil(d/4)`` in the shard + ~16 B index (id + length)
-cold   ``ceil(d/4) / r`` where ``r`` is the zlib ratio on the packed
+cold   ``ceil(d/4) / r`` where ``r`` is the zlib RLE ratio on the packed
        block — ≥2× for the sparse sign patterns δ-thresholding yields
        (measured in ``make bench-storage-scale``)
 =====  ==============================================================
@@ -234,6 +236,14 @@ class _DiskRound:
         self.starts = np.delete(self.starts, pos)
 
 
+def _deflate(block: bytes) -> bytes:
+    """A cold block as a zlib stream, RLE strategy: packed ternary codes
+    offer runs and a skewed byte histogram, not LZ77 matches (~10× less
+    CPU than the default strategy; the output is level-independent)."""
+    deflater = zlib.compressobj(strategy=zlib.Z_RLE)
+    return deflater.compress(block) + deflater.flush()
+
+
 def _starts_of(lengths: np.ndarray) -> np.ndarray:
     """Per-row byte offsets inside a round block, from element counts."""
     widths = (np.asarray(lengths, dtype=np.int64) + 3) // 4
@@ -262,16 +272,16 @@ class TieredSignGradientStore(GradientStore):
         cohort size.
     cold_after:
         Demotion horizon: during :meth:`compact`, rounds older than
-        this many rounds behind the newest are zlib-compressed into the
-        cold tier.  ``None`` (default) disables demotion.
+        this many rounds behind the newest are deflated into the cold
+        tier and younger cold rounds are inflated back to warm.
+        ``None`` (default) disables demotion: every round keeps its
+        current tier.
     shard_bytes:
         Target shard file size; a round block never spans shards.
     spill_mode:
         ``"sync"`` (spill inline in the writing thread) or
         ``"background"`` (a daemon thread drains sealed rounds; the
         writer only blocks when the hot tier reaches twice its budget).
-    compress_level:
-        zlib level for cold blocks.
     cold_cache_blocks:
         Capacity (in whole round blocks) of the cold-tier
         decompression LRU; ``0`` disables it, ``None`` (default)
@@ -291,7 +301,6 @@ class TieredSignGradientStore(GradientStore):
         cold_after: Optional[int] = None,
         shard_bytes: int = _DEFAULT_SHARD_BYTES,
         spill_mode: str = "sync",
-        compress_level: int = 6,
         cold_cache_blocks: Optional[int] = None,
     ) -> None:
         if delta < 0:
@@ -318,7 +327,6 @@ class TieredSignGradientStore(GradientStore):
         self.cold_after = cold_after
         self.shard_bytes = int(shard_bytes)
         self.spill_mode = spill_mode
-        self.compress_level = int(compress_level)
         self.cold_cache_blocks = int(cold_cache_blocks)
 
         self._lock = threading.RLock()
@@ -849,10 +857,9 @@ class TieredSignGradientStore(GradientStore):
                             "round": t,
                             "clients": clients,
                             "lengths": lengths,
-                            "block": b"".join(payloads),
                             "raw_bytes": raw,
                             "codec": _CODEC_RAW,
-                            "stored": None,
+                            "stored": b"".join(payloads),
                             # exact hot tuples at snapshot time, so the
                             # publish step can tell a consumed entry
                             # from one overwritten mid-spill
@@ -975,10 +982,7 @@ class TieredSignGradientStore(GradientStore):
         groups: List[List[int]] = []
         sizes: List[int] = []
         for i, spec in enumerate(specs):
-            stored = spec["block"]
-            if spec["codec"] == _CODEC_ZLIB:
-                stored = zlib.compress(spec["block"], self.compress_level)
-            spec["stored"] = stored
+            stored = spec["stored"]
             if not groups or (
                 sizes[-1] and sizes[-1] + len(stored) > self.shard_bytes
             ):
@@ -1049,12 +1053,14 @@ class TieredSignGradientStore(GradientStore):
 
         Every disk round is re-blocked without its dead rows; rounds
         older than the horizon (``cold_after`` argument, falling back
-        to the constructor's) are zlib-compressed into the cold tier,
-        younger cold rounds are re-inflated to warm.  The new shard
-        generation is published with one atomic manifest replace —
-        SIGKILL anywhere leaves either the old or the new complete
-        shard set — and the superseded generation's files are then
-        unlinked.  Hot rows are untouched.
+        to the constructor's) are deflated into the cold tier, younger
+        cold rounds are re-inflated to warm; with no horizon every
+        round keeps its tier.  A round with no dead rows and an
+        unchanged codec is copied as stored, never inflated or
+        re-deflated.  The new shard generation is published with one
+        atomic manifest replace — SIGKILL anywhere leaves either the
+        old or the new complete shard set — and the superseded
+        generation's files are then unlinked.  Hot rows are untouched.
 
         Returns ``{"rounds": .., "demoted": .., "reclaimed_bytes": ..,
         "generation": ..}``.
@@ -1074,40 +1080,34 @@ class TieredSignGradientStore(GradientStore):
                     dr = self._disk[t]
                     if not len(dr.clients):
                         continue  # fully dead round: drop entirely
-                    block = self._round_block(t, dr)
+                    codec = dr.codec
+                    if horizon is not None:
+                        old = self._max_round - t >= horizon
+                        codec = _CODEC_ZLIB if old else _CODEC_RAW
+                    if codec == _CODEC_ZLIB and dr.codec != _CODEC_ZLIB:
+                        demoted += 1
                     widths = (dr.lengths + 3) // 4
-                    if (
-                        dr.raw_bytes == int(widths.sum())
-                        and len(dr.clients)
-                        and int(dr.starts[0]) == 0
-                    ):
-                        # No dead rows: reuse the raw block wholesale.
-                        raw = bytes(block)
+                    raw_bytes = int(widths.sum())
+                    if dr.raw_bytes == raw_bytes and codec == dr.codec:
+                        # Untouched round: pass its stored bytes through.
+                        data = self._shard_data(dr.shard)
+                        stored = bytes(data[dr.offset : dr.offset + dr.stored_bytes])
                     else:
-                        parts = [
-                            bytes(
-                                block[
-                                    int(dr.starts[i]) : int(dr.starts[i])
-                                    + packed_size_bytes(int(dr.lengths[i]))
-                                ]
-                            )
-                            for i in range(len(dr.clients))
-                        ]
-                        raw = b"".join(parts)
-                    codec = _CODEC_RAW
-                    if horizon is not None and self._max_round - t >= horizon:
-                        codec = _CODEC_ZLIB
-                        if dr.codec != _CODEC_ZLIB:
-                            demoted += 1
+                        block = self._round_block(t, dr)
+                        if dr.raw_bytes != raw_bytes:  # drop the dead rows
+                            spans = zip(dr.starts.tolist(), widths.tolist())
+                            block = np.concatenate([block[s : s + w] for s, w in spans])
+                        stored = bytes(block)
+                        if codec == _CODEC_ZLIB:
+                            stored = _deflate(stored)
                     specs.append(
                         {
                             "round": t,
                             "clients": dr.clients.copy(),
                             "lengths": dr.lengths.copy(),
-                            "block": raw,
-                            "raw_bytes": len(raw),
+                            "raw_bytes": raw_bytes,
                             "codec": codec,
-                            "stored": None,
+                            "stored": stored,
                         }
                     )
                 self._generation += 1

@@ -17,6 +17,8 @@ as :mod:`tests.test_chaos` — ``make chaos`` sweeps several.
 """
 
 import os
+import shutil
+import zlib
 
 import numpy as np
 import pytest
@@ -143,6 +145,76 @@ def test_crash_during_compaction_never_loses_a_round(seed, point, tmp_path):
     assert _snapshot(reopened) == pre
     assert reopened.disk_bytes() < disk_before
     assert reopened.tier_rounds()["cold"] > 0
+
+
+def _stored_layout(store):
+    """``{round: (codec, stored block bytes)}`` — the on-disk form."""
+    out = {}
+    for t, dr in store._disk.items():
+        data = store._shard_data(dr.shard)
+        out[t] = (dr.codec, bytes(data[dr.offset : dr.offset + dr.stored_bytes]))
+    return out
+
+
+@pytest.mark.parametrize("seed", CHAOS_SEEDS)
+@pytest.mark.parametrize("point", CRASH_POINTS)
+def test_crash_during_mixed_compaction_is_old_or_new(
+    seed, point, tmp_path, monkeypatch
+):
+    """One compaction that both passes untouched cold blocks through
+    and re-deflates dirtied ones: a crash at any hook leaves the old or
+    the new layout on disk, block for block."""
+    rng = np.random.default_rng(seed)
+    reference = SignGradientStore(delta=DELTA)
+    directory = str(tmp_path / "tiered")
+    store = TieredSignGradientStore(directory, delta=DELTA)
+    for t, cohort in _cohorts(rng, range(7)).items():
+        reference.put_round(t, cohort)
+        store.put_round(t, cohort)
+    store.flush()
+    store.compact(cold_after=1)
+    # client 1 sits in rounds 0, 3 and 6 only: two cold rounds (and the
+    # warm newest) get dirty, cold rounds 1, 2, 4, 5 stay untouched
+    reference.drop_client(1)
+    store.drop_client(1)
+    pre = _snapshot(reference)
+    old = _stored_layout(store)
+
+    # the fully committed outcome, from a clean run on a copy
+    shutil.copytree(directory, str(tmp_path / "clean"))
+    clean = TieredSignGradientStore.open(str(tmp_path / "clean"))
+    deflates = []
+    compressobj = zlib.compressobj
+    monkeypatch.setattr(
+        zlib, "compressobj", lambda **kw: deflates.append(kw) or compressobj(**kw)
+    )
+    clean.compact(cold_after=1)
+    monkeypatch.undo()
+    assert len(deflates) == 2  # rounds 0 and 3; the rest pass through
+    new = _stored_layout(clean)
+    assert all(new[t] == old[t] for t in (1, 2, 4, 5))
+    assert all(new[t] != old[t] and new[t][0] == "zlib" for t in (0, 3))
+
+    store._crash_hook = _crash_hook(point)
+    with pytest.raises(_InjectedCrash):
+        store.compact(cold_after=1)
+    store._crash_hook = None
+    assert _snapshot(store) == pre
+    assert store.nbytes() == store.recount_nbytes()
+
+    reopened = TieredSignGradientStore.open(directory)
+    observed = _stored_layout(reopened)
+    assert observed in (old, new)
+    if point == "after-manifest-replace":
+        assert observed == new
+    assert _snapshot(reopened) == pre
+    assert reopened.nbytes() == reopened.recount_nbytes()
+
+    # a clean retry completes to the committed layout
+    reopened.compact(cold_after=1)
+    assert _stored_layout(reopened) == new
+    assert _snapshot(reopened) == pre
+    assert reopened.nbytes() == reopened.recount_nbytes()
 
 
 @pytest.mark.parametrize("seed", CHAOS_SEEDS)

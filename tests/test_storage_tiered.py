@@ -12,10 +12,14 @@ The contract under test (`docs/ARCHITECTURE.md`, "Storage tiering"):
   to the dict store — across a FaultPlan run and after persist/open —
   and ``ErasureDaemon`` traffic is served correctly mid-compaction;
 - a ≤5k-client synthetic sweep (the tier-1 smoke version of
-  ``make bench-storage-scale``) holds the capacity model's bounds.
+  ``make bench-storage-scale``) holds the capacity model's bounds;
+- cold blocks are RLE-strategy zlib streams, compaction copies an
+  untouched block byte for byte (no deflate), and layouts written with
+  the default strategy still read and pass through unchanged.
 """
 
 import threading
+import zlib
 
 import numpy as np
 import pytest
@@ -24,7 +28,7 @@ from repro.faults import ClientFault, FaultPlan
 from repro.fl import with_sign_store
 from repro.fl.persistence import load_record, save_record, store_to_arrays
 from repro.serving.daemon import ErasureDaemon
-from repro.storage import SignGradientStore, TieredSignGradientStore
+from repro.storage import SignGradientStore, TieredSignGradientStore, tiered
 from repro.storage.tiered import TIER_COLD, TIER_HOT, TIER_WARM
 from repro.unlearning import SignRecoveryUnlearner, UnlearningService
 
@@ -396,8 +400,8 @@ class TestDaemonMidCompaction:
         compactions = []
 
         def churn():
-            # alternate demote/promote horizons so every pass rewrites
-            # the shard set while the daemon replays from it
+            # a demoting pass, then a tier-keeping one: each publishes a
+            # new shard generation while the daemon replays from it
             while not stop.is_set():
                 for horizon in (2, None):
                     compactions.append(store.compact(cold_after=horizon))
@@ -540,3 +544,174 @@ class TestColdCache:
             TieredSignGradientStore(
                 str(tmp_path / "ccn"), delta=DELTA, cold_cache_blocks=-1
             )
+
+
+# ----------------------------------------------------------------------
+# cold codec: RLE deflate, pass-through compaction, older layouts
+# ----------------------------------------------------------------------
+def _stored_blocks(store):
+    """``{round: (codec, stored bytes)}`` for every live disk round."""
+    return {
+        t: (
+            dr.codec,
+            store._shard_data(dr.shard)[
+                dr.offset : dr.offset + dr.stored_bytes
+            ].tobytes(),
+        )
+        for t, dr in store._disk.items()
+        if len(dr.clients)
+    }
+
+
+def _count_deflaters(monkeypatch, make=zlib.compressobj):
+    """Route the store's ``zlib.compressobj`` through ``make``, counting."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs)
+        return make(*args, **kwargs)
+
+    monkeypatch.setattr(tiered.zlib, "compressobj", counting)
+    return calls
+
+
+def _legacy_deflater(*args, _compressobj=zlib.compressobj, **kwargs):
+    """The level-6, default-strategy stream older layouts hold."""
+    return _compressobj(6)
+
+
+class TestColdCodec:
+    def _cold(self, directory, rng, num_rounds=8, horizon=3):
+        store = TieredSignGradientStore(directory, delta=DELTA)
+        reference = _fill(store, rng, num_rounds=num_rounds)
+        # a client present in round 1 only, so dropping it dirties
+        # exactly one cold round
+        g = rng.normal(size=DIM) * 1e-3
+        reference.put(1, 99, g)
+        store.put(1, 99, g)
+        store.flush()
+        store.compact(cold_after=horizon)
+        assert store.tier_rounds()[TIER_COLD] > 1
+        return reference, store
+
+    def test_cold_blocks_are_rle_streams(self, rng, tmp_path):
+        _, store = self._cold(str(tmp_path / "t"), rng)
+        for codec, stored in _stored_blocks(store).values():
+            if codec == "zlib":
+                # FLEVEL 0: zlib writes it for the RLE strategy
+                assert stored[:2] == b"\x78\x01"
+
+    def test_unchanged_store_recompacts_without_deflating(
+        self, rng, tmp_path, monkeypatch
+    ):
+        reference, store = self._cold(str(tmp_path / "t"), rng)
+        before = _stored_blocks(store)
+        calls = _count_deflaters(monkeypatch)
+        inflates = []
+        inflate = zlib.decompress
+        monkeypatch.setattr(
+            tiered.zlib, "decompress", lambda b: inflates.append(b) or inflate(b)
+        )
+        stats = store.compact(cold_after=3)
+        assert calls == [] and inflates == []
+        assert stats["demoted"] == 0
+        assert _stored_blocks(store) == before
+        _assert_same_view(reference, store)
+
+    def test_drop_redeflates_only_the_dirty_round(
+        self, rng, tmp_path, monkeypatch
+    ):
+        reference, store = self._cold(str(tmp_path / "t"), rng)
+        before = _stored_blocks(store)
+        assert before[1][0] == "zlib"
+        reference.drop_client(99)
+        store.drop_client(99)
+        calls = _count_deflaters(monkeypatch)
+        store.compact(cold_after=3)
+        assert len(calls) == 1
+        after = _stored_blocks(store)
+        assert after[1] != before[1]
+        assert {t: b for t, b in after.items() if t != 1} == {
+            t: b for t, b in before.items() if t != 1
+        }
+        _assert_same_view(reference, store)
+        assert store.nbytes() == store.recount_nbytes()
+
+    def test_reopened_store_without_horizon_keeps_tiers(self, rng, tmp_path):
+        # cold_after is not persisted: a reopened store has no horizon,
+        # and its reclaim compaction used to inflate every cold round
+        directory = str(tmp_path / "t")
+        reference, store = self._cold(directory, rng)
+        store.close()
+        reopened = TieredSignGradientStore.open(directory)
+        tiers = reopened.tier_rounds()
+        reference.drop_client(2)
+        reopened.drop_client(2)
+        disk_before = reopened.disk_bytes()
+        reopened.compact()
+        assert reopened.tier_rounds() == tiers
+        assert reopened.disk_bytes() <= disk_before
+        _assert_same_view(reference, reopened)
+        # an explicit horizon still demotes and promotes
+        reopened.compact(cold_after=6)
+        assert reopened.tier_rounds()[TIER_COLD] == 2  # rounds 0 and 1
+        _assert_same_view(reference, reopened)
+
+    def test_legacy_level6_layout_reads_and_passes_through(
+        self, rng, tmp_path, monkeypatch
+    ):
+        directory = str(tmp_path / "t")
+        calls = _count_deflaters(monkeypatch, _legacy_deflater)
+        reference, store = self._cold(directory, rng)
+        assert calls
+        legacy = _stored_blocks(store)
+        store.close()
+        monkeypatch.undo()
+        cold = [b for codec, b in legacy.values() if codec == "zlib"]
+        assert cold and all(b[:2] == b"\x78\x9c" for b in cold)
+
+        reopened = TieredSignGradientStore.open(directory)
+        _assert_same_view(reference, reopened)
+        reopened.compact()
+        reopened.compact(cold_after=3)
+        assert _stored_blocks(reopened) == legacy
+        _assert_same_view(reference, reopened)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_cold_round_trip_random_shapes(self, seed, tmp_path):
+        rng = np.random.default_rng(seed)
+        directory = str(tmp_path / "t")
+        store = TieredSignGradientStore(directory, delta=DELTA)
+        reference = SignGradientStore(delta=DELTA)
+        dim = int(rng.integers(1, 300))
+        for t in range(6):
+            cohort = int(rng.integers(1, 12))
+            zeros = rng.random()
+            updates = {}
+            for c in range(cohort):
+                g = rng.normal(size=dim) * 1e-3
+                g[rng.random(dim) < zeros] = 0.0
+                updates[int(c)] = g
+            if t == 2:  # an all-zero block
+                updates = {c: np.zeros(dim) for c in updates}
+            reference.put_round(t, updates)
+            store.put_round(t, updates)
+        for c in range(3):  # a mixed-length round
+            g = rng.normal(size=int(rng.integers(1, 300))) * 1e-3
+            reference.put(6, c, g)
+            store.put(6, c, g)
+        # an empty cohort: round 7's only client leaves
+        g = rng.normal(size=dim)
+        reference.put(7, 500, g)
+        store.put(7, 500, g)
+        reference.put(8, 1, g)
+        store.put(8, 1, g)
+        store.flush()
+        reference.drop_client(500)
+        store.drop_client(500)
+        store.compact(cold_after=1)
+        cold = {t for t, (codec, _) in _stored_blocks(store).items() if codec == "zlib"}
+        assert cold == set(range(7))
+        _assert_same_view(reference, store)
+        store.close()
+        _assert_same_view(reference, TieredSignGradientStore.open(directory))
