@@ -11,7 +11,9 @@ test:
 
 # Sweep the fault-injection scenarios over several seeds; with
 # CHAOS_SEEDS set, the forest-retirement liveness machine
-# (tests/test_replay_cow.py) also runs at its large step budget.
+# (tests/test_replay_cow.py) also runs at its large step budget and the
+# replay cohort kernel's bit-for-bit property test
+# (tests/test_replay_cohort.py) at its large example budget.
 chaos:
 	CHAOS_SEEDS=7,21,99 pytest tests/ -m chaos
 

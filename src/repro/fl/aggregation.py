@@ -17,11 +17,20 @@ __all__ = ["fedavg", "coordinate_median", "trimmed_mean", "AGGREGATORS"]
 
 
 def _validate(gradients: Sequence[np.ndarray]) -> np.ndarray:
-    if not gradients:
+    """The ``(n, d)`` float64 gradient matrix.  A 2-D array (one
+    gradient per row, e.g. a replay round's estimate block) is the
+    matrix itself, not copied when it is float64; anything else is
+    stacked row by row."""
+    if isinstance(gradients, np.ndarray) and gradients.ndim == 2:
+        matrix = gradients.astype(np.float64, copy=False)
+    elif len(gradients):
+        matrix = np.stack(
+            [np.asarray(g, dtype=np.float64).ravel() for g in gradients]
+        )
+    else:
+        matrix = np.empty((0, 0))
+    if not matrix.shape[0]:
         raise ValueError("cannot aggregate an empty gradient list")
-    matrix = np.stack([np.asarray(g, dtype=np.float64).ravel() for g in gradients])
-    if matrix.ndim != 2:
-        raise ValueError("gradients must be flat vectors")
     return matrix
 
 

@@ -285,7 +285,9 @@ _ALL_SPECS = [
     # ----------------------------------------------------------- unlearning.lbfgs
     _spec(
         "lbfgs_hvp_seconds", HISTOGRAM, "seconds", "repro.unlearning.lbfgs",
-        "One compact-form L-BFGS Hessian-vector product (Algorithm 2, span).",
+        "One compact-form L-BFGS Hessian-vector product (Algorithm 2, span); "
+        "a replay round's cohort kernel observes an equal share of its time "
+        "per client.",
     ),
     _spec(
         "lbfgs_hvp_total", COUNTER, "calls", "repro.unlearning.lbfgs",

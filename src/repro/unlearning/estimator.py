@@ -15,22 +15,38 @@ absolute value of gradient elements"): each element with magnitude
 above ``L`` is scaled down to exactly ``±L``; smaller elements pass
 through unchanged.
 
-Telemetry: every :meth:`GradientEstimator.estimate` observes the Eq. 7
-clip rate (fraction of elements at ±L, ``recovery_clip_rate``) and the
-estimated-vs-stored gradient drift ``‖g̃ − g‖₂``
+A replay round runs Eq. 6/7 for its whole cohort through one kernel,
+:func:`estimate_cohort`, which writes every client's estimate into one
+``(K, d)`` block that the aggregation rule reads as is.  Row ``k`` is
+bit for bit the per-client :meth:`GradientEstimator.estimate_displaced`
+result (``docs/REPLAY.md``).
+
+Telemetry: every estimate, per client or in a cohort, observes the
+Eq. 7 clip rate (fraction of elements at ±L, ``recovery_clip_rate``)
+and the estimated-vs-stored gradient drift ``‖g̃ − g‖₂``
 (``recovery_estimate_drift``) — see ``docs/METRICS.md``.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+import time
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.telemetry.core import current_telemetry
-from repro.unlearning.lbfgs import LbfgsBuffer
+from repro.unlearning.lbfgs import LbfgsBuffer, solve_middle
 
-__all__ = ["estimate_gradient", "clip_elementwise", "GradientEstimator"]
+__all__ = [
+    "estimate_gradient",
+    "clip_elementwise",
+    "estimate_cohort",
+    "GradientEstimator",
+]
+
+#: Rows of a cohort block taken through Eq. 6/7 together: about this many
+#: bytes, so each block of rows stays in cache from ``wing·p`` to the clip.
+_CHUNK_BYTES = 1 << 18
 
 
 def estimate_gradient(
@@ -166,3 +182,103 @@ class GradientEstimator:
                 "recovery_estimate_drift", float(np.linalg.norm(clipped - stored))
             )
         return clipped
+
+
+def estimate_cohort(
+    cohort: Sequence[Tuple[GradientEstimator, np.ndarray]],
+    displacement: np.ndarray,
+    refresh: bool = False,
+) -> np.ndarray:
+    """Eq. 6/7 for one replay round's cohort, written into one block.
+
+    ``cohort`` holds ``(estimator, stored row)`` per present client, all
+    with one clip threshold, and ``displacement`` is the round's flat
+    float64 ``w̄_t − w_t``.  Row ``k`` of the returned ``(K, d)`` float64
+    block equals ``estimator.estimate_displaced(row, displacement)`` bit
+    for bit, with the same counters and telemetry; with ``refresh``
+    every estimator then adopts ``(displacement, row_k − stored)``, as
+    the refresh step's :meth:`GradientEstimator.refresh_pair` does.
+
+    Only call shapes that repeat the per-client arithmetic are used
+    (``docs/REPLAY.md``): ``ΔGᵀv``, ``ΔWᵀv`` and ``wing·p`` stay
+    one-vector products written in place, the middle systems of one pair
+    count go through one stacked ``solve`` (a loop of the same ``gesv``),
+    and ``σv − wing·p + stored`` and the clip are element-wise over
+    blocks of rows small enough to stay in cache.
+    """
+    v = displacement
+    telemetry = current_telemetry()
+    started = time.perf_counter()
+    rows: List[np.ndarray] = []
+    forms: List[Optional[Tuple]] = []
+    groups: Dict[int, List[int]] = {}  # client indices by pair count
+    for k, (est, stored) in enumerate(cohort):
+        row = np.asarray(stored).ravel()
+        if row.shape != v.shape:
+            raise ValueError(
+                f"gradient/displacement mismatch: {row.shape} vs {v.shape}"
+            )
+        form = est.buffer.compact_form()
+        if form is not None:
+            if form[0].shape[0] != v.size:
+                raise ValueError(
+                    f"vector has {v.size} elements, pairs have {form[0].shape[0]}"
+                )
+            groups.setdefault(form[0].shape[1], []).append(k)
+        rows.append(row)
+        forms.append(form)
+    if len({est.clip_threshold for est, _ in cohort}) > 1:
+        raise ValueError("a cohort's estimators must share one clip threshold")
+    block = np.zeros((len(cohort), v.size))
+    if not cohort:
+        return block
+    limit = cohort[0][0].clip_threshold
+    sigma = np.array([[0.0 if f is None else f[2]] for f in forms])
+    products: List[Optional[np.ndarray]] = [None] * len(cohort)  # p = M⁻¹·rhs
+    for s, members in groups.items():
+        rhs = np.empty((len(members), 2 * s, 1))
+        for j, k in enumerate(members):
+            np.matmul(forms[k][1].T, v, out=rhs[j, :s, 0])
+            np.matmul(forms[k][0].T, v, out=rhs[j, s:, 0])
+        rhs[:, s:, 0] *= sigma[members]
+        middles = np.stack([forms[k][3] for k in members])
+        try:
+            p = np.linalg.solve(middles, rhs)[..., 0]
+        except np.linalg.LinAlgError:
+            # One singular middle fails the stack: solve the group one
+            # system at a time, with compact_hvp's least-squares fallback.
+            p = [solve_middle(m, r) for m, r in zip(middles, rhs[..., 0])]
+        for j, k in enumerate(members):
+            products[k] = p[j]
+    stored = np.concatenate(rows).reshape(block.shape)
+    clip_rates = np.zeros(len(cohort))
+    step = max(1, _CHUNK_BYTES // (8 * v.size)) if v.size else len(cohort)
+    for lo in range(0, len(cohort), step):
+        chunk = block[lo : lo + step]
+        for k, p in enumerate(products[lo : lo + step], lo):
+            if p is not None:
+                np.matmul(forms[k][4], p, out=block[k])
+        np.subtract(np.multiply(v, sigma[lo : lo + step]), chunk, out=chunk)
+        for k, p in enumerate(products[lo : lo + step], lo):
+            if p is None:
+                block[k] = 0.0  # H̃ = 0 exactly, whatever 0·v came to
+        chunk += stored[lo : lo + step]
+        if telemetry.enabled:
+            clip_rates[lo : lo + step] = np.count_nonzero(
+                np.abs(chunk) > limit, axis=1
+            )
+        np.clip(chunk, -limit, limit, out=chunk)
+    if telemetry.enabled:
+        share = (time.perf_counter() - started) / len(cohort)
+        telemetry.inc("lbfgs_hvp_total", len(cohort))
+        drifts = np.linalg.norm(block - stored, axis=1)
+        for rate, drift in zip(clip_rates, drifts):
+            telemetry.observe("lbfgs_hvp_seconds", share)
+            if v.size:
+                telemetry.observe("recovery_clip_rate", float(rate) / v.size)
+                telemetry.observe("recovery_estimate_drift", float(drift))
+    for k, (est, _) in enumerate(cohort):
+        est.estimates_made += 1
+        if refresh:
+            est.refresh_pair(v, block[k] - rows[k])
+    return block

@@ -19,15 +19,15 @@ Eq. 6 displacement for all sibling branches is one broadcast subtract
 over the stacked rows and the Eq. 2 step is one stacked
 multiply-subtract (:meth:`~repro.nn.arena.BranchArena.step_rows`) —
 element-wise ufuncs, so each row is bitwise identical to its serial
-counterpart.  The *reductions* — per-client L-BFGS HVPs, per-branch
-aggregation, per-branch displacement norms — deliberately stay at the
-serial call shapes: BLAS-backed multi-column GEMM and multi-RHS solves
-are **not** bitwise-identical per column to their vector-shaped
+counterpart.  Each node's round runs the serial loop's cohort kernel
+(:func:`~repro.unlearning.estimator.estimate_cohort`), so its estimates
+and aggregate are the cold replay's bytes.  Nothing is batched *across*
+branches: multi-column GEMM, multi-RHS solves and re-strided views are
+**not** bitwise-identical per column to their vector-shaped
 equivalents (measured on this substrate; see ``docs/REPLAY.md``), and
 byte-identity against cold replay is the contract everything above
-relies on.  Fused estimation is always serial arithmetic for the same
-reason (the parallel estimation backends already prove serial ≡
-parallel, so nothing is lost).
+relies on.  Fused estimation never uses the thread/process backends
+(they already prove serial ≡ parallel, so nothing is lost).
 
 Cooperative cancellation is per branch: each request brings its own
 ``cancel_check`` (e.g. a serving deadline), polled between rounds.  An
@@ -65,6 +65,7 @@ from repro.unlearning.base import (
     remaining_ids,
     resolve_forget_round,
 )
+from repro.unlearning.estimator import estimate_cohort
 from repro.unlearning.recovery import (
     ReplayForest,
     SignRecoveryUnlearner,
@@ -544,20 +545,13 @@ def _run_group(
                 # not a view keeping the whole stacked block alive.
                 disp_vec = disp_block[k].copy() if refresh_now else disp_block[k]
                 with telemetry.span("recovery_round_seconds"):
-                    estimates: List[np.ndarray] = []
-                    weights: List[float] = []
-                    # Reductions keep the serial call shapes — see the
-                    # module docstring for why this is load-bearing.
-                    for cid, stored in present:
-                        estimate = node.estimators[cid].estimate_displaced(
-                            stored, disp_vec
-                        )
-                        estimates.append(estimate)
-                        weights.append(record.weight_of(cid))
-                        if refresh_now:
-                            node.estimators[cid].refresh_pair(
-                                disp_vec, estimate - stored
-                            )
+                    # The serial loop's round kernel, so the same bits.
+                    estimates = estimate_cohort(
+                        [(node.estimators[cid], stored) for cid, stored in present],
+                        disp_vec,
+                        refresh_now,
+                    )
+                    weights = [record.weight_of(cid) for cid, _ in present]
                     displacement = float(np.linalg.norm(disp_vec))
                     node.displacement_norms.append(displacement)
                     step_rows.append(node.row)

@@ -54,6 +54,7 @@ __all__ = [
     "compact_form_matrices",
     "compact_hvp",
     "lbfgs_hessian_dense",
+    "solve_middle",
 ]
 
 _MIN_CURVATURE = 1e-12
@@ -86,7 +87,8 @@ class LbfgsBuffer:
         self._pairs: Pairs = ()
         # Cached compact form (ΔW, ΔG, σ, M, wing); rebuilt lazily after
         # any pair mutation.  The cached arrays are shared with callers
-        # (compact_state, compact_hvp) and must be treated as read-only.
+        # (compact_form, compact_state, compact_hvp) and must be treated as
+        # read-only.
         self._form: Optional[
             Tuple[np.ndarray, np.ndarray, float, np.ndarray, np.ndarray]
         ] = None
@@ -175,17 +177,21 @@ class LbfgsBuffer:
         sigma = max(sigma, self.sigma_floor)
         return dw, dg, sigma
 
-    def _compact_form(
+    def compact_form(
         self,
-    ) -> Tuple[np.ndarray, np.ndarray, float, np.ndarray, np.ndarray]:
-        """The cached ``(ΔW, ΔG, σ, M, wing)`` compact form.
+    ) -> Optional[Tuple[np.ndarray, np.ndarray, float, np.ndarray, np.ndarray]]:
+        """The cached ``(ΔW, ΔG, σ, M, wing)`` compact form, or None
+        when empty.
 
         The middle matrix ``M`` and the wing ``[ΔG  σΔW]`` depend only
         on the held pairs, so within one recovery round (dozens of
         ``hvp`` calls against an unchanged buffer) they are built once
         here instead of once per product.  Invalidated by every pair
-        mutation.
+        mutation.  The arrays are the cache itself: treat them as
+        read-only (the replay's cohort kernel reads them directly).
         """
+        if self.is_empty:
+            return None
         form = self._form
         if form is None:
             dw, dg, sigma = self._matrices()
@@ -208,9 +214,10 @@ class LbfgsBuffer:
 
     def _hvp(self, vector: np.ndarray) -> np.ndarray:
         vector = np.asarray(vector, dtype=np.float64).ravel()
-        if self.is_empty:
+        form = self.compact_form()
+        if form is None:
             return np.zeros_like(vector)
-        dw, dg, sigma, middle, wing = self._compact_form()
+        dw, dg, sigma, middle, wing = form
         if dw.shape[0] != vector.size:
             raise ValueError(
                 f"vector has {vector.size} elements, pairs have {dw.shape[0]}"
@@ -226,10 +233,8 @@ class LbfgsBuffer:
         serial arithmetic on a copy of the buffer.  The returned arrays
         come from the internal cache: treat them as read-only.
         """
-        if self.is_empty:
-            return None
-        dw, dg, sigma, _, _ = self._compact_form()
-        return dw, dg, sigma
+        form = self.compact_form()
+        return None if form is None else form[:3]
 
     def dense(self, dim: int) -> np.ndarray:
         """Materialize ``H̃`` as a (dim, dim) matrix — tests/small d only."""
@@ -248,7 +253,7 @@ def compact_form_matrices(
     ``(d, 2s)`` wing ``[ΔG  σΔW]``.  Both depend only on the pair
     matrices, so a buffer serving many Hessian-vector products against
     the same pairs computes them once (see
-    :meth:`LbfgsBuffer._compact_form`).
+    :meth:`LbfgsBuffer.compact_form`).
     """
     dw, dg = delta_w, delta_g
     a = dw.T @ dg  # (s, s)
@@ -290,11 +295,16 @@ def compact_hvp(
     if middle is None or wing is None:
         middle, wing = compact_form_matrices(dw, dg, sigma)
     rhs = np.concatenate([dg.T @ vector, sigma * (dw.T @ vector)])
+    return sigma * vector - wing @ solve_middle(middle, rhs)
+
+
+def solve_middle(middle: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``p = M⁻¹ · rhs`` for one middle system; least squares when ``M``
+    is singular."""
     try:
-        p = np.linalg.solve(middle, rhs)
+        return np.linalg.solve(middle, rhs)
     except np.linalg.LinAlgError:
-        p, *_ = np.linalg.lstsq(middle, rhs, rcond=None)
-    return sigma * vector - wing @ p
+        return np.linalg.lstsq(middle, rhs, rcond=None)[0]
 
 
 def lbfgs_hessian_dense(

@@ -118,7 +118,7 @@ from repro.unlearning.base import (
     remaining_ids,
 )
 from repro.telemetry.core import current_telemetry
-from repro.unlearning.estimator import GradientEstimator
+from repro.unlearning.estimator import GradientEstimator, estimate_cohort
 from repro.utils.logging import get_logger
 from repro.utils.serialization import load_state, save_state_atomic
 
@@ -768,11 +768,9 @@ class SignRecoveryUnlearner(UnlearningMethod):
         executor: Executor,
         present: List[Tuple[int, np.ndarray]],
         estimators: Dict[int, GradientEstimator],
-        recovered: np.ndarray,
-        historical: np.ndarray,
-        record: TrainingRecord,
+        displacement_vec: np.ndarray,
         refresh_now: bool,
-    ) -> Tuple[List[np.ndarray], List[float]]:
+    ) -> List[np.ndarray]:
         """Fan one round's Eq. 6/7 steps across the executor.
 
         Snapshots each client's compact L-BFGS state *before* dispatch
@@ -783,16 +781,11 @@ class SignRecoveryUnlearner(UnlearningMethod):
         the serial path exactly.
         """
         telemetry = current_telemetry()
-        displacement_vec = (
-            np.asarray(recovered, dtype=np.float64).ravel()
-            - np.asarray(historical, dtype=np.float64).ravel()
-        )
         tasks = tasks_from_round(
             present, estimators, displacement_vec, self.clip_threshold
         )
         results, pool_stats = executor.run(run_estimate, tasks)
         estimates: List[np.ndarray] = []
-        weights: List[float] = []
         busy_seconds = 0.0
         for (cid, stored), result in zip(present, results):
             estimators[cid].estimates_made += 1
@@ -804,7 +797,6 @@ class SignRecoveryUnlearner(UnlearningMethod):
                     telemetry.observe("recovery_clip_rate", result.clip_rate)
                     telemetry.observe("recovery_estimate_drift", result.drift)
             estimates.append(result.estimate)
-            weights.append(record.weight_of(cid))
             if refresh_now:
                 estimators[cid].refresh_pair(
                     displacement_vec, result.estimate - stored
@@ -822,7 +814,7 @@ class SignRecoveryUnlearner(UnlearningMethod):
                     busy_seconds, executor.workers, pool_stats.wall_seconds
                 ),
             )
-        return estimates, weights
+        return estimates
 
     # ------------------------------------------------------------------
     # checkpointing
@@ -1236,38 +1228,25 @@ class SignRecoveryUnlearner(UnlearningMethod):
                     if not present:
                         skip(t)
                         continue
-                    estimates: List[np.ndarray] = []
-                    weights: List[float] = []
                     refresh_now = (
                         t - forget_round + 1
                     ) % self.refresh_period == 0
                     # Eq. 6's displacement is the same for every client
                     # in the round — compute it once, not per estimator.
+                    # A refresh adopts it, not a copy: frozen by the first
+                    # client that accepts it, shared by the rest.
                     disp_vec = recovered - historical
                     if executor is None:
-                        for cid, stored in present:
-                            estimate = estimators[cid].estimate_displaced(
-                                stored, disp_vec
-                            )
-                            estimates.append(estimate)
-                            weights.append(record.weight_of(cid))
-                            if refresh_now:
-                                # Adopted, not copied: disp_vec is frozen
-                                # by the first client that accepts it and
-                                # shared by the rest of the cohort.
-                                estimators[cid].refresh_pair(
-                                    disp_vec, estimate - stored
-                                )
-                    else:
-                        estimates, weights = self._estimate_parallel(
-                            executor,
-                            present,
-                            estimators,
-                            recovered,
-                            historical,
-                            record,
+                        estimates = estimate_cohort(
+                            [(estimators[cid], stored) for cid, stored in present],
+                            disp_vec,
                             refresh_now,
                         )
+                    else:
+                        estimates = self._estimate_parallel(
+                            executor, present, estimators, disp_vec, refresh_now
+                        )
+                    weights = [record.weight_of(cid) for cid, _ in present]
                     displacement = float(np.linalg.norm(disp_vec))
                     displacement_norms.append(displacement)
                     # In-place Eq. 2 on the recovery trajectory; every

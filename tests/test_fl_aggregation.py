@@ -106,3 +106,37 @@ class TestRegistry:
         for rule in AGGREGATORS.values():
             out = rule(grads, [1.0] * 5)
             assert out.shape == (3,)
+
+
+class TestMatrixInput:
+    """A stacked ``(n, d)`` array is the gradient matrix itself."""
+
+    @pytest.mark.parametrize("name", sorted(AGGREGATORS))
+    def test_array_equals_list_bitwise(self, name, rng):
+        block = rng.normal(size=(5, 7))
+        weights = rng.uniform(1, 10, size=5).tolist()
+        aggregate = AGGREGATORS[name]
+        assert (
+            aggregate(block, weights).tobytes()
+            == aggregate(list(block), weights).tobytes()
+        )
+
+    def test_float64_block_is_not_copied(self, rng):
+        from repro.fl.aggregation import _validate
+
+        block = rng.normal(size=(3, 4))
+        assert _validate(block) is block
+
+    @pytest.mark.parametrize("name", sorted(AGGREGATORS))
+    def test_empty_array_raises_documented_error(self, name):
+        with pytest.raises(ValueError, match="empty gradient list"):
+            AGGREGATORS[name](np.empty((0, 4)), [])
+
+    def test_array_weight_errors(self, rng):
+        block = rng.normal(size=(2, 3))
+        with pytest.raises(ValueError, match="non-negative"):
+            fedavg(block, [1, -1])
+        with pytest.raises(ValueError, match="sum to zero"):
+            fedavg(block, [0, 0])
+        with pytest.raises(ValueError, match="one weight per gradient"):
+            fedavg(block, [1])

@@ -1,0 +1,311 @@
+"""The replay round's cohort kernel: pinned digests and bit-for-bit parity.
+
+Two layers of guard around :func:`repro.unlearning.estimator.estimate_cohort`
+(Eq. 6/7 for a round's whole cohort, written into one block):
+
+- **Pinned digests.**  SHA-256 values of recovered parameters recorded
+  before the kernel existed, when each client still ran its own
+  ``estimate_displaced`` chain.  Pairwise "fused == cold" tests follow a
+  kernel change on both sides; these do not.  They cover a cold serial
+  replay whose cohort mixes empty, one-pair and two-pair buffers across
+  refresh rounds, a fused forest batch on a small ladder-shaped world,
+  and int8 ``get_round`` rows against float64 ``get`` rows.
+- **Property test.**  Over random cohorts, the kernel's aggregate equals
+  ``fedavg`` of the per-client chain byte for byte, with the same
+  bookkeeping, refresh pairs and errors.  ``make chaos`` (which sets
+  ``CHAOS_SEEDS``) runs it at a large example budget.
+"""
+
+import hashlib
+import os
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.fl.aggregation import AGGREGATORS, fedavg
+from repro.unlearning import ReplayForest, SignRecoveryUnlearner
+from repro.unlearning.base import remaining_ids
+from repro.unlearning.estimator import GradientEstimator, estimate_cohort
+from repro.unlearning.forest import fused_unlearn
+from tests.test_service_cache import CLIP, build_record
+
+#: Vehicle 4 joins at round 2, one round before the erased vehicle 5:
+#: seeded from round 3, its buffer holds one pair, vehicles 0-3 hold two
+#: and the late joiners 6 and 7 none.
+COLD_JOINS = {4: 2, 5: 3, 6: 6, 7: 9}
+
+#: Small ladder-shaped world: 8 base vehicles and 16 erasable ones that
+#: join on a grid, MLP 64-8-10 (d = 610) as in the ``gdpr_ladder`` world.
+LADDER_CLIENTS = 24
+LADDER_ROUNDS = 16
+LADDER_JOINS = {8 + i: 1 + (7 * i) % 14 for i in range(16)}
+LADDER_SETS = [
+    frozenset({8}),
+    frozenset({9}),
+    frozenset({8, 9}),
+    frozenset({10, 11}),
+    frozenset({12}),
+    frozenset({13, 8}),
+    frozenset({14, 15, 16}),
+    frozenset({17}),
+    frozenset({18, 19}),
+    frozenset({20, 9}),
+]
+
+#: Recorded with the per-client Eq. 6/7 chain; the kernel must not move them.
+PINNED_COLD = "88499054bf419195dfa9ea48ff0682ae0b305d4622b56809280654e88a3d62ae"
+PINNED_COLD_PAIRS = (13, 14)  # (accepted, rejected)
+PINNED_LADDER = "1d7b8e10c608a8c7801bf081551d8bf8d1aa684f84ecc353c8846d74d65ee316"
+
+
+def sha(*arrays):
+    digest = hashlib.sha256()
+    for array in arrays:
+        digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
+
+
+def cold_record():
+    return build_record(5, joins=COLD_JOINS)
+
+
+class TestPinnedDigests:
+    def test_seeding_mixes_pair_counts(self):
+        record, _ = cold_record()
+        unlearner = SignRecoveryUnlearner(clip_threshold=CLIP, refresh_period=3)
+        seeded = unlearner._seed_estimators(record, remaining_ids(record, [5]), 3)
+        assert {len(e.buffer) for e in seeded.values()} == {0, 1, 2}
+
+    @pytest.mark.parametrize("prefetch_depth", [0, 2])
+    def test_cold_serial_replay(self, prefetch_depth):
+        record, model = cold_record()
+        result = SignRecoveryUnlearner(
+            clip_threshold=CLIP, refresh_period=3, prefetch_depth=prefetch_depth
+        ).unlearn(record, [5], model)
+        assert result.rounds_replayed == 9
+        assert result.stats["forget_round"] == 3
+        assert (
+            result.stats["pairs_accepted"],
+            result.stats["pairs_rejected"],
+        ) == PINNED_COLD_PAIRS
+        assert sha(result.params) == PINNED_COLD
+
+    def test_float64_rows_give_the_same_digest(self):
+        record, model = cold_record()
+        # Shadow the class flag: every read goes through per-client
+        # ``get``, which decodes float64 rows instead of int8 views.
+        record.gradients.supports_bulk_round = False
+        assert record.gradients.get(3, 0).dtype == np.float64
+        result = SignRecoveryUnlearner(
+            clip_threshold=CLIP, refresh_period=3
+        ).unlearn(record, [5], model)
+        assert sha(result.params) == PINNED_COLD
+
+    def test_int8_rows_are_what_the_bulk_path_reads(self):
+        record, _ = cold_record()
+        rows = record.gradients.get_round(3)
+        assert rows and all(row.dtype == np.int8 for row in rows.values())
+
+    def test_fused_ladder_batch(self):
+        record, _ = build_record(
+            2,
+            num_rounds=LADDER_ROUNDS,
+            num_clients=LADDER_CLIENTS,
+            joins=LADDER_JOINS,
+        )
+        unlearner = SignRecoveryUnlearner(
+            clip_threshold=CLIP, prefix_cache=ReplayForest()
+        )
+        outcomes, stats = fused_unlearn(unlearner, record, LADDER_SETS)
+        assert all(o.error is None for o in outcomes)
+        assert (stats.executed_node_rounds, stats.member_rounds) == (122, 136)
+        assert stats.forks > 0 and stats.shared_rounds > 0
+        assert sha(*(o.result.params for o in outcomes)) == PINNED_LADDER
+
+
+# ----------------------------------------------------------------------
+# kernel == per-client chain, bit for bit
+# ----------------------------------------------------------------------
+#: ``make chaos`` (which sets CHAOS_SEEDS) runs the property at length.
+CHAOS = "CHAOS_SEEDS" in os.environ
+
+
+def make_estimator(rng, d, pairs, clip):
+    """An estimator offered ``pairs`` random pairs (some may be rejected
+    for curvature, which only widens the pair-count mix)."""
+    est = GradientEstimator(buffer_size=3, clip_threshold=clip)
+    for _ in range(pairs):
+        dw = rng.normal(size=d)
+        est.seed_pair(dw, rng.uniform(0.2, 3.0) * dw + rng.normal(size=d))
+    return est
+
+
+def clone(est):
+    return GradientEstimator.from_state(est.state(), 3, est.clip_threshold)
+
+
+def make_singular(est):
+    """Inject an exactly singular middle matrix into the cached form."""
+    dw, dg, sigma, middle, wing = est.buffer.compact_form()
+    middle = middle.copy()
+    middle[-1] = middle[0]
+    est.buffer._form = (dw, dg, sigma, middle, wing)
+
+
+def make_row(rng, d, int8):
+    if int8:
+        return rng.integers(-1, 2, size=d).astype(np.int8)
+    return rng.normal(scale=2.0, size=d)
+
+
+def reference(cohort, v, refresh):
+    """The per-client chain the kernel replaces."""
+    estimates = []
+    for est, row in cohort:
+        estimate = est.estimate_displaced(row, v)
+        estimates.append(estimate)
+        if refresh:
+            est.refresh_pair(v, estimate - row)
+    return estimates
+
+
+def cohort_case(seed, k, d, clip, refresh, singular):
+    rng = np.random.default_rng(seed)
+    mine, theirs = [], []
+    for i in range(k):
+        est = make_estimator(rng, d, int(rng.integers(0, 4)), clip)
+        twin = clone(est)
+        if singular and len(est.buffer):
+            make_singular(est)
+            make_singular(twin)
+        row = make_row(rng, d, bool(rng.integers(0, 2)))
+        mine.append((est, row))
+        theirs.append((twin, row))
+    v = rng.normal(scale=rng.choice([0.01, 1.0, 10.0]), size=d)
+    weights = rng.uniform(0.5, 20.0, size=k).tolist()
+    return mine, theirs, v, weights
+
+
+@pytest.mark.chaos
+@settings(max_examples=400 if CHAOS else 40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 9),
+    d=st.integers(1, 48),
+    clip=st.sampled_from([0.3, 1.0, 5.0, np.inf]),
+    refresh=st.booleans(),
+    singular=st.booleans(),
+    rule=st.sampled_from(sorted(AGGREGATORS)),
+)
+def test_kernel_matches_per_client_chain(seed, k, d, clip, refresh, singular, rule):
+    mine, theirs, v, weights = cohort_case(seed, k, d, clip, refresh, singular)
+    block = estimate_cohort(mine, v.copy(), refresh)
+    expected = reference(theirs, v.copy(), refresh)
+    assert block.shape == (k, d) and block.dtype == np.float64
+    for row, estimate in zip(block, expected):
+        assert row.tobytes() == estimate.tobytes()
+    aggregate = AGGREGATORS[rule]
+    assert aggregate(block, weights).tobytes() == aggregate(expected, weights).tobytes()
+    for (est, _), (twin, _) in zip(mine, theirs):
+        assert est.estimates_made == twin.estimates_made == 1
+        assert (est.pairs_accepted, est.pairs_rejected) == (
+            twin.pairs_accepted,
+            twin.pairs_rejected,
+        )
+        assert len(est.buffer) == len(twin.buffer)
+        for (dw, dg), (tw, tg) in zip(est.buffer.pairs(), twin.buffer.pairs()):
+            assert dw.tobytes() == tw.tobytes() and dg.tobytes() == tg.tobytes()
+            assert not np.shares_memory(dg, block)
+
+
+def test_singular_middle_takes_the_least_squares_branch(monkeypatch):
+    mine, theirs, v, _ = cohort_case(7, 4, 12, 5.0, False, False)
+    for (est, _), (twin, _) in zip(mine, theirs):
+        est.seed_pair(np.ones(12), np.full(12, 2.0))
+        twin.seed_pair(np.ones(12), np.full(12, 2.0))
+        make_singular(est)
+        make_singular(twin)
+    calls = []
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(
+        np.linalg, "lstsq", lambda *a, **kw: calls.append(1) or lstsq(*a, **kw)
+    )
+    block = estimate_cohort(mine, v, False)
+    assert len(calls) == len(mine)
+    for row, estimate in zip(block, reference(theirs, v, False)):
+        assert row.tobytes() == estimate.tobytes()
+
+
+def test_empty_buffers_give_the_stored_rows_exactly():
+    # 0·v would be -0.0 against a negative element and NaN against inf.
+    v = np.array([np.inf, -1.0, 1.0])
+    rows = [np.array([-0.0, 0.5, -2.0]), np.array([1, 0, -1], dtype=np.int8)]
+    cohort = [(GradientEstimator(clip_threshold=10.0), row) for row in rows]
+    with np.errstate(invalid="ignore"):
+        block = estimate_cohort(cohort, v)
+    ref = [GradientEstimator(clip_threshold=10.0).estimate_displaced(row, v)
+           for row in rows]
+    assert block.tobytes() == np.stack(ref).tobytes()
+
+
+class TestKernelErrors:
+    def test_mis_sized_row(self):
+        est = GradientEstimator()
+        with pytest.raises(ValueError, match="gradient/displacement mismatch"):
+            est.estimate_displaced(np.zeros(4), np.zeros(5))
+        with pytest.raises(ValueError, match="gradient/displacement mismatch"):
+            estimate_cohort([(GradientEstimator(), np.zeros(4))], np.zeros(5))
+
+    def test_mis_sized_pairs(self):
+        est = GradientEstimator()
+        est.seed_pair(np.ones(4), np.ones(4))
+        with pytest.raises(ValueError, match="vector has 5 elements, pairs have 4"):
+            estimate_cohort([(est, np.zeros(5))], np.zeros(5))
+
+    def test_mixed_clip_thresholds(self):
+        cohort = [(GradientEstimator(clip_threshold=c), np.ones(3)) for c in (1.0, 2.0)]
+        with pytest.raises(ValueError, match="one clip threshold"):
+            estimate_cohort(cohort, np.zeros(3))
+
+    @pytest.mark.parametrize(
+        "weights, message",
+        [([1.0, -1.0], "non-negative"), ([0.0, 0.0], "sum to zero")],
+    )
+    def test_bad_weights(self, weights, message):
+        cohort = [(GradientEstimator(), np.ones(3)) for _ in range(2)]
+        block = estimate_cohort(cohort, np.zeros(3))
+        with pytest.raises(ValueError, match=message):
+            fedavg(block, weights)
+        with pytest.raises(ValueError, match=message):
+            fedavg(list(block), weights)
+
+
+def test_telemetry_one_observation_per_client():
+    from repro.telemetry.core import Telemetry, use_telemetry
+
+    counts = []
+    for kernel in (True, False):
+        mine, theirs, v, _ = cohort_case(11, 6, 20, 0.3, True, False)
+        telemetry = Telemetry()
+        with use_telemetry(telemetry):
+            if kernel:
+                estimate_cohort(mine, v, True)
+            else:
+                reference(theirs, v, True)
+        reg = telemetry.registry
+        clip = reg.histogram("recovery_clip_rate")
+        drift = reg.histogram("recovery_estimate_drift")
+        counts.append(
+            (
+                reg.counter_value("lbfgs_hvp_total"),
+                reg.histogram("lbfgs_hvp_seconds").count,
+                clip.count,
+                round(clip.sum, 9),
+                drift.count,
+                round(drift.sum, 6),
+            )
+        )
+    assert counts[0] == counts[1]
+    assert counts[0][0] == 6
