@@ -10,7 +10,7 @@ bitwise identical regardless of which worker computes them.
 
 The parent snapshots each client's buffer *before* the round
 (:meth:`repro.unlearning.lbfgs.LbfgsBuffer.compact_state`) — exactly
-the state the serial loop would have used, since refresh pairs are only
+the state the serial backend would have used, since refresh pairs are only
 seeded after a client's own estimate — and performs all telemetry and
 estimator bookkeeping itself from the returned numbers, so worker
 processes/threads never touch the registry.
@@ -71,7 +71,7 @@ def tasks_from_round(
     maps client id to its
     :class:`~repro.unlearning.estimator.GradientEstimator`.  States are
     snapshotted here, *before* any refresh seeding, which is what keeps
-    the fan-out bitwise identical to the serial loop.
+    the fan-out bitwise identical to the serial backend.
     """
     return [
         EstimateTask(

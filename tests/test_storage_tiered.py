@@ -387,11 +387,6 @@ class TestDaemonMidCompaction:
         )
         store = tiered_record.gradients
 
-        reference_service = UnlearningService(
-            record=dict_record, model=model, clip_threshold=CLIP
-        )
-        expected = reference_service.handle_erasure_batch([5, 6, 7])
-
         service = UnlearningService(
             record=tiered_record, model=tiered_model, clip_threshold=CLIP
         )
@@ -417,8 +412,17 @@ class TestDaemonMidCompaction:
             daemon.stop()
 
         assert [r.status for r in results] == ["ok", "ok", "ok"]
-        for got, want in zip(results, expected):
-            assert got.params.tobytes() == want.params.tobytes()
+        # Two workers race for the service lock, so the three erasures
+        # commit in either order; each response must match the
+        # cumulative batch in the order the service committed them.
+        order = list(service._erased)
+        assert sorted(order) == [5, 6, 7]
+        reference_service = UnlearningService(
+            record=dict_record, model=model, clip_threshold=CLIP
+        )
+        expected = dict(zip(order, reference_service.handle_erasure_batch(order)))
+        for cid, got in zip((5, 6, 7), results):
+            assert got.params.tobytes() == expected[cid].params.tobytes()
         assert compactions, "compaction thread never ran"
 
 
