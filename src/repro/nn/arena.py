@@ -108,9 +108,9 @@ class BranchArena:
     per-branch mutation is in place and the whole fleet stays in one
     contiguous buffer.
 
-    :meth:`step_rows` is the fused Eq. 2 step: one stacked multiply and
-    one stacked subtract over every stepping branch, replacing K serial
-    :meth:`repro.nn.optim.SGD.step_` calls.  Both are element-wise
+    :meth:`step_rows` is the stacked form of Eq. 2's step: one stacked
+    multiply and one stacked subtract over many rows, in place of K
+    serial :meth:`repro.nn.optim.SGD.step_` calls.  Both are element-wise
     ufuncs, so row ``k`` of the fused result is bitwise identical to a
     serial step on row ``k`` alone (asserted in
     ``tests/test_replay_forest.py``).
@@ -164,10 +164,6 @@ class BranchArena:
     def row(self, row: int) -> np.ndarray:
         """The writable ``(d,)`` view of one branch's parameters."""
         return self.wm[row]
-
-    def rows(self, indices: Sequence[int]) -> np.ndarray:
-        """A stacked *copy* of the given rows (fancy indexing copies)."""
-        return self.wm[list(indices)]
 
     def step_rows(
         self, indices: Sequence[int], grads: np.ndarray, lr: float
