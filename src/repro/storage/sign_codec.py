@@ -12,13 +12,12 @@ float32 gradient would need.
 2/32 = 6.25 %, i.e. 93.75 % savings, plus a negligible fixed header —
 matching the paper's "approximately 95 %" claim.
 
-:func:`pack_signs_batch` / :func:`encode_round` are the batched forms:
-one round's gradients stacked as a ``(num_clients, d)`` matrix are
-ternarized and packed in a single vectorized pass, with each row
-bitwise identical to what the per-vector functions would produce.
-Packing writes 2-bit codes into one preallocated padded buffer (no
-concatenate copy), and unpacking goes through a precomputed
-byte → 4-signs lookup table.
+:func:`encode_round` is the batched encoder: one round's gradients,
+stacked as a ``(num_clients, d)`` matrix, go straight from floats to
+2-bit codes — two threshold comparisons write each element's code and
+one word-wide multiply packs four codes per byte — with each row
+bitwise identical to ``pack_signs_batch(ternarize(g, δ))``.  Unpacking
+goes through a precomputed byte → 4-signs lookup table.
 
 :func:`decode_round` is the decode counterpart: a whole round's packed
 ``(num_clients, packed_size_bytes(d))`` block — a dict-store stack or a
@@ -51,7 +50,6 @@ __all__ = [
 ]
 
 # 2-bit code points: 0 -> 0, 1 -> +1, 2 -> -1 (3 is unused / reserved).
-_CODE_OF_SIGN = {0: 0, 1: 1, -1: 2}
 _SIGN_OF_CODE = np.array([0, 1, -1, 0], dtype=np.int8)
 
 # byte value -> its four decoded signs, low bit-pair first.  Decoding a
@@ -72,8 +70,8 @@ _BYTE_TO_QUAD = _BYTE_TO_SIGNS.view(np.uint32).reshape(256)
 def ternarize(gradient: np.ndarray, delta: float) -> np.ndarray:
     """Thresholded element-wise sign: ``{-1, 0, +1}`` as ``int8``.
 
-    Elements in ``(-delta, delta]``... more precisely: ``> delta -> +1``,
-    ``< -delta -> -1``, otherwise ``0`` (the paper's definition).
+    ``> delta -> +1``, ``< -delta -> -1``, and ``0`` on the closed band
+    ``[-delta, delta]`` (the paper's definition); NaN maps to ``0``.
     """
     if delta < 0:
         raise ValueError(f"delta must be non-negative, got {delta}")
@@ -93,54 +91,24 @@ def pack_signs(signs: np.ndarray) -> Tuple[np.ndarray, int]:
     signs = np.asarray(signs)
     if signs.ndim != 1:
         raise ValueError(f"signs must be flat, got shape {signs.shape}")
-    if signs.size and not np.isin(signs, (-1, 0, 1)).all():
-        raise ValueError("signs may only contain -1, 0, +1")
-    pad = (-signs.size) % 4
-    # One preallocated padded buffer: masked writes land in the leading
-    # view, pad codes are already zero — no concatenate copy.
-    codes = np.zeros(signs.size + pad, dtype=np.uint8)
-    prefix = codes[: signs.size]
-    prefix[signs == 1] = 1
-    prefix[signs == -1] = 2
-    quads = codes.reshape(-1, 4)
-    packed = (
-        quads[:, 0] | (quads[:, 1] << 2) | (quads[:, 2] << 4) | (quads[:, 3] << 6)
-    ).astype(np.uint8)
-    return packed, int(signs.size)
+    packed, length = pack_signs_batch(signs[None, :])
+    return packed[0], length
 
 
 def pack_signs_batch(signs: np.ndarray) -> Tuple[np.ndarray, int]:
     """Pack a ``(num_rows, d)`` ternary matrix, one row per client.
 
     Returns ``(packed, d)`` where ``packed`` has shape
-    ``(num_rows, packed_size_bytes(d))`` and each row is bitwise
-    identical to ``pack_signs(signs[i])[0]``.  A single vectorized pass
-    replaces ``num_rows`` independent packing calls — this is what
-    :meth:`repro.storage.store.SignGradientStore.put_round` runs per
-    round.
+    ``(num_rows, packed_size_bytes(d))``.  The caller's signs are
+    validated, then packed by :func:`encode_round` at ``delta = 0``
+    (which maps ``+1``, ``0``, ``-1`` to themselves).
     """
     signs = np.asarray(signs)
     if signs.ndim != 2:
         raise ValueError(f"signs must be 2-D (rows, d), got shape {signs.shape}")
     if signs.size and not np.isin(signs, (-1, 0, 1)).all():
         raise ValueError("signs may only contain -1, 0, +1")
-    rows, length = signs.shape
-    if rows == 0:
-        # Empty cohort: reshape(0, -1, 4) below would be ambiguous.
-        return np.zeros((0, packed_size_bytes(length)), dtype=np.uint8), int(length)
-    pad = (-length) % 4
-    codes = np.zeros((rows, length + pad), dtype=np.uint8)
-    prefix = codes[:, :length]
-    prefix[signs == 1] = 1
-    prefix[signs == -1] = 2
-    quads = codes.reshape(rows, -1, 4)
-    packed = (
-        quads[:, :, 0]
-        | (quads[:, :, 1] << 2)
-        | (quads[:, :, 2] << 4)
-        | (quads[:, :, 3] << 6)
-    ).astype(np.uint8)
-    return packed, int(length)
+    return encode_round(signs, 0.0)
 
 
 def unpack_signs(packed: np.ndarray, length: int) -> np.ndarray:
@@ -158,24 +126,41 @@ def unpack_signs(packed: np.ndarray, length: int) -> np.ndarray:
 
 
 def encode_gradient(gradient: np.ndarray, delta: float) -> Tuple[np.ndarray, int]:
-    """Ternarize then pack a flat gradient vector."""
-    return pack_signs(ternarize(gradient, delta).ravel())
+    """Ternarize then pack a flat gradient vector (any shape is raveled)."""
+    packed, length = encode_round(np.ravel(gradient)[None, :], delta)
+    return packed[0], length
 
 
 def encode_round(gradients: np.ndarray, delta: float) -> Tuple[np.ndarray, int]:
     """Ternarize + pack one round's ``(num_clients, d)`` gradient stack.
 
-    The batched form of :func:`encode_gradient`: one vectorized
-    threshold pass and one packing pass over the whole round.  Row ``i``
-    of the returned ``(num_clients, packed_size_bytes(d))`` array is
-    bitwise identical to ``encode_gradient(gradients[i], delta)[0]``.
+    Row ``i`` of the returned ``(num_clients, packed_size_bytes(d))``
+    array is bitwise identical to ``pack_signs(ternarize(gradients[i],
+    delta))[0]``.  No int8 signs are built and nothing is re-validated:
+    the codes come straight from the comparisons, so they are valid by
+    construction.
     """
+    if delta < 0:
+        raise ValueError(f"delta must be non-negative, got {delta}")
     gradients = np.asarray(gradients, dtype=np.float64)
     if gradients.ndim != 2:
         raise ValueError(
             f"gradients must be 2-D (clients, d), got shape {gradients.shape}"
         )
-    return pack_signs_batch(ternarize(gradients, delta))
+    rows, length = gradients.shape
+    # One code per element, rows padded to whole 4-byte words: 1 above
+    # delta, 2 below -delta, 0 on the closed band between (and for NaN).
+    codes = np.zeros((rows, length + (-length) % 4), dtype=np.uint8)
+    head = codes[:, :length]
+    np.greater(gradients, delta, out=head)
+    head |= np.less(gradients, -delta).view(np.uint8) << 1
+    # A word c0 + c1·2⁸ + c2·2¹⁶ + c3·2²⁴ (codes ≤ 3) times this constant
+    # holds the packed byte c0 + 4·c1 + 16·c2 + 64·c3 in its top byte:
+    # every other partial product lands in its own lower bit pair or
+    # past bit 31, so nothing carries into it.
+    words = codes.view("<u4")
+    words *= np.uint32(0x01041040)
+    return (words >> 24).astype(np.uint8), int(length)
 
 
 def decode_gradient(packed: np.ndarray, length: int) -> np.ndarray:

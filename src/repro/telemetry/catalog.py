@@ -287,7 +287,7 @@ _ALL_SPECS = [
         "lbfgs_hvp_seconds", HISTOGRAM, "seconds", "repro.unlearning.lbfgs",
         "One compact-form L-BFGS Hessian-vector product (Algorithm 2, span); "
         "a replay round's cohort kernel observes an equal share of its time "
-        "per client.",
+        "per client (a replay node's stacked form is built outside it).",
     ),
     _spec(
         "lbfgs_hvp_total", COUNTER, "calls", "repro.unlearning.lbfgs",

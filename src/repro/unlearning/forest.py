@@ -22,8 +22,11 @@ Live branch parameters are the rows of one
 Eq. 6's displacement and Eq. 2's in-place step on its own row view, so
 every branch does exactly what a one-request replay does.  Each
 node's round runs the cohort kernel
-(:func:`~repro.unlearning.estimator.estimate_cohort`), or fans it out
-through the unlearner's thread/process backend (bitwise the same).
+(:func:`~repro.unlearning.estimator.estimate_cohort`) on the node's
+stacked L-BFGS form (a :class:`~repro.unlearning.estimator.CohortForm`,
+built once per refresh, seeding, fork or restore and shared by a
+fork's children), or fans it out through the unlearner's
+thread/process backend (bitwise the same).
 Nothing is batched *across* branches: multi-column GEMM, multi-RHS
 solves and re-strided views are **not** bitwise-identical per column to
 their vector-shaped equivalents (measured on this substrate; see
@@ -70,7 +73,7 @@ from repro.unlearning.base import (
     remaining_ids,
     resolve_forget_round,
 )
-from repro.unlearning.estimator import estimate_cohort
+from repro.unlearning.estimator import CohortForm, estimate_cohort
 from repro.unlearning.recovery import (
     ReplayForest,
     SignRecoveryUnlearner,
@@ -134,6 +137,7 @@ class _ExecNode:
         "snapshots",
         "resume",
         "store_forget",
+        "form",
     )
 
     def __init__(self):
@@ -150,6 +154,9 @@ class _ExecNode:
         self.snapshots: Dict[int, _ReplaySnapshot] = {}
         self.resume = 0
         self.store_forget: FrozenSet[int] = frozenset()
+        # The estimators' stacked compact forms; None after any change
+        # to their pairs, rebuilt at the node's next estimate.
+        self.form: Optional[CohortForm] = None
 
 
 def _copy_estimators(unlearner: SignRecoveryUnlearner, estimators: Dict) -> Dict:
@@ -311,6 +318,18 @@ def _run_group(
         key = (resumes[i], forget_of[i] & cum[resumes[i] - forget_round])
         buckets.setdefault(key, []).append(i)
 
+    def seed_missing(node: _ExecNode) -> None:
+        """Seed estimators for the node's remaining clients that have
+        none.  A form stays current unless a seeded one holds pairs:
+        clients without pairs are in no group."""
+        missing = [
+            c for c in remaining_ids(record, node.union) if c not in node.estimators
+        ]
+        seeded = unlearner._seed_estimators(record, missing, forget_round)
+        node.estimators.update(seeded)
+        if any(len(est.buffer) for est in seeded.values()):
+            node.form = None
+
     arena = BranchArena(len(idxs), int(record.final_params().size))
     active: List[_ExecNode] = []
     for (resume, _effective), members in sorted(
@@ -333,15 +352,8 @@ def _run_group(
             ests = unlearner._estimators_from_snapshot(snap.estimators)
             # The snapshot was filtered by one member's forget set; the
             # node must exclude every member's.
-            ests = {c: e for c, e in ests.items() if c not in node.union}
-            missing = [
-                c for c in remaining_ids(record, node.union) if c not in ests
-            ]
-            if missing:
-                ests.update(
-                    unlearner._seed_estimators(record, missing, forget_round)
-                )
-            node.estimators = ests
+            node.estimators = {c: e for c, e in ests.items() if c not in node.union}
+            seed_missing(node)
             progress = snap.progress
             node.rounds_replayed = int(progress["rounds_replayed"])
             node.skipped_rounds = int(progress["skipped_rounds"])
@@ -374,17 +386,9 @@ def _run_group(
             node.store_forget = forget_of[node.members[0]]
             return
         flush_snapshots(node)  # committed under the old effective keying
-        missing = [
-            c
-            for c in remaining_ids(record, new_union)
-            if c not in node.estimators
-        ]
-        if missing:
-            node.estimators.update(
-                unlearner._seed_estimators(record, missing, forget_round)
-            )
         node.union = new_union
         node.store_forget = forget_of[node.members[0]]
+        seed_missing(node)
 
     def round_done(node: _ExecNode, t: int) -> None:
         """The crash checkpoint, on its cadence, after a round."""
@@ -516,6 +520,7 @@ def _run_group(
                     clone.missing_checkpoints = node.missing_checkpoints
                     clone.displacement_norms = list(node.displacement_norms)
                     clone.resume = node.resume
+                    clone.form = node.form  # same pairs, same frozen stacks
                     children.append((clone, member_part))
                 for child, member_part in children:
                     child.members = list(member_part)
@@ -526,15 +531,7 @@ def _run_group(
                     # Clients only the *other* parts forget become remaining
                     # here; by the fork invariant they have not participated
                     # yet, so seeding reproduces their cold state.
-                    missing = [
-                        c
-                        for c in remaining_ids(record, child.union)
-                        if c not in child.estimators
-                    ]
-                    if missing:
-                        child.estimators.update(
-                            unlearner._seed_estimators(record, missing, forget_round)
-                        )
+                    seed_missing(child)
                     if child is not node:
                         active.append(child)
                         live.append(child)
@@ -611,15 +608,20 @@ def _run_group(
                 disp_vec = node.recovered - historical
                 with telemetry.span("recovery_round_seconds"):
                     if executor is None:
+                        if node.form is None:
+                            node.form = CohortForm(node.estimators)
                         estimates = estimate_cohort(
                             [(node.estimators[cid], stored) for cid, stored in present],
                             disp_vec,
                             refresh_now,
+                            node.form.plan(tuple(cid for cid, _ in present)),
                         )
                     else:
                         estimates = unlearner._estimate_parallel(
                             executor, present, node.estimators, disp_vec, refresh_now
                         )
+                    if refresh_now:
+                        node.form = None  # the present estimators took new pairs
                     weights = [record.weight_of(cid) for cid, _ in present]
                     displacement = float(np.linalg.norm(disp_vec))
                     node.displacement_norms.append(displacement)

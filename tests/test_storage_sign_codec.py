@@ -1,5 +1,7 @@
 """Tests for the 2-bit ternary sign codec, incl. hypothesis round trips."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -234,3 +236,60 @@ class TestStorageAccounting:
             packed_size_bytes(-1)
         with pytest.raises(ValueError):
             storage_savings_ratio(0)
+
+
+# ----------------------------------------------------------------------
+# the one-pass encoder == ternarize-then-pack, byte for byte
+# ----------------------------------------------------------------------
+#: ``make chaos`` (which sets CHAOS_SEEDS) runs the property at length.
+CHAOS = "CHAOS_SEEDS" in os.environ
+
+
+def reference_encode(gradients, delta):
+    """Ternarize, then pack element by element — the two-pass encoder
+    the one-pass ``encode_round`` replaced, written independently of
+    every packing path in the codec."""
+    signs = ternarize(gradients, delta)
+    rows, length = signs.shape
+    packed = np.zeros((rows, packed_size_bytes(length)), dtype=np.uint8)
+    for i, j in np.argwhere(signs != 0):
+        code = 1 if signs[i, j] == 1 else 2
+        packed[i, j // 4] |= code << (2 * (j % 4))
+    return packed
+
+
+@st.composite
+def gradient_rounds(draw):
+    rows = draw(st.integers(0, 5))
+    length = draw(st.one_of(st.just(1), st.integers(0, 67)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    delta = draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0)))
+    delta = float(dtype(delta))  # so that planted ties stay exact ties
+    g = rng.normal(size=(rows, length)).astype(dtype)
+    # Planted specials: exact ±δ ties (must stay 0), ±inf, NaN, ±0.0.
+    specials = np.array([delta, -delta, np.inf, -np.inf, np.nan, 0.0, -0.0])
+    mask = rng.random(g.shape) < 0.3
+    g[mask] = rng.choice(specials, size=int(mask.sum()))
+    if draw(st.booleans()) and length:
+        # Non-contiguous rows: every other column of a wider matrix.
+        wide = np.zeros((rows, 2 * length), dtype=g.dtype)
+        wide[:, ::2] = g
+        g = wide[:, ::2]
+    return g, delta
+
+
+@pytest.mark.chaos
+@settings(max_examples=400 if CHAOS else 40, deadline=None)
+@given(case=gradient_rounds())
+def test_one_pass_encoder_matches_ternarize_then_pack(case):
+    g, delta = case
+    expected = reference_encode(g, delta)
+    packed, length = encode_round(g, delta)
+    assert (packed.shape, packed.dtype, length) == (expected.shape, np.uint8, g.shape[1])
+    assert packed.tobytes() == expected.tobytes()
+    assert pack_signs_batch(ternarize(g, delta))[0].tobytes() == expected.tobytes()
+    for row, want in zip(g, expected):
+        got, n = encode_gradient(row, delta)
+        assert (got.tobytes(), n) == (want.tobytes(), g.shape[1])
+        assert pack_signs(ternarize(row, delta))[0].tobytes() == want.tobytes()
