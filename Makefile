@@ -12,10 +12,13 @@ test:
 # Sweep the fault-injection scenarios over several seeds; with
 # CHAOS_SEEDS set, the forest-retirement liveness machine
 # (tests/test_replay_cow.py) also runs at its large step budget, and
-# three bit-for-bit property tests run at their large example budgets:
-# the replay cohort kernel's and the replay node's stacked form
-# (tests/test_replay_cohort.py: test_kernel_matches_per_client_chain,
-# test_node_form_matches_per_client_chain) and the one-pass sign
+# four bit-for-bit property tests run at their large example budgets:
+# the replay cohort kernel's, the replay node's stacked form's and the
+# replay round path's — stored block slice or take, chunked kernel
+# tail, in-place FedAvg (tests/test_replay_cohort.py:
+# test_kernel_matches_per_client_chain,
+# test_node_form_matches_per_client_chain,
+# test_round_path_matches_per_client_chain) — and the one-pass sign
 # encoder's (tests/test_storage_sign_codec.py:
 # test_one_pass_encoder_matches_ternarize_then_pack).
 chaos:

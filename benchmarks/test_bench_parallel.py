@@ -1,8 +1,9 @@
 """Tracked serial-vs-parallel baseline for the execution engine.
 
-Runs the same 8-client / 20-round federated simulation (and the
-recovery replay over its record) once on the serial reference and once
-through the process pool, then writes the measured wall times, the
+Runs the same 8-client / 20-round federated simulation once on the
+serial reference and once through the process pool (and, after each,
+the recovery replay over its record — replay has no fan-out, so its
+times compare like for like), then writes the measured wall times, the
 speedup, and the host's CPU count to ``results/parallel.json`` (with
 the session telemetry snapshot attached, as every benchmark record).
 
@@ -76,9 +77,8 @@ def test_parallel_training_and_recovery_vs_serial(benchmark, save_result):
     def measure(backend, workers):
         model, sim = build_sim(backend=backend, workers=workers)
         record, train_seconds = _timed(lambda: sim.run(NUM_ROUNDS))
-        unlearner = SignRecoveryUnlearner(
-            refresh_period=4, backend=backend, workers=workers
-        )
+        # Recovery has no fan-out; it replays after each engine's training.
+        unlearner = SignRecoveryUnlearner(refresh_period=4)
         result, recover_seconds = _timed(
             lambda: unlearner.unlearn(record, forget_ids=[2], model=model)
         )

@@ -1,18 +1,19 @@
 #!/usr/bin/env python
 """Parallel execution demo: same results, measured speedup.
 
-Runs one small federated training + recovery workload twice — on the
-serial reference engine and through the process pool — verifies the
-two runs are *bitwise identical*, and prints the measured wall times
-and speedup.  On a single-core host the pool overhead usually wins
-(speedup < 1×); the point of the demo is that correctness never
+Runs one small federated training + recovery workload twice — training
+on the serial reference engine and through the process pool — verifies
+the two runs are *bitwise identical*, and prints the measured wall
+times and speedup.  On a single-core host the pool overhead usually
+wins (speedup < 1×); the point of the demo is that correctness never
 depends on the engine, so ``--workers``/``--backend`` are free knobs.
+They are training-only: recovery runs one stacked kernel per replay
+node either way.
 
 The same engines back ``python -m repro.eval <exp> --backend process
 --workers 4`` and the ``backend=``/``workers=`` constructor arguments
-of ``FederatedSimulation`` and ``SignRecoveryUnlearner``; the tracked
-baseline lives in ``benchmarks/results/parallel.json``
-(``make bench-parallel``).
+of ``FederatedSimulation``; the tracked baseline lives in
+``benchmarks/results/parallel.json`` (``make bench-parallel``).
 
 Run:  python examples/parallel_speedup.py
 """
@@ -69,9 +70,9 @@ def run_pipeline(backend=None, workers=None):
     start = time.perf_counter()
     model, sim = build_sim(backend=backend, workers=workers)
     record = sim.run(NUM_ROUNDS)
-    result = SignRecoveryUnlearner(
-        refresh_period=4, backend=backend, workers=workers
-    ).unlearn(record, forget_ids=[2], model=model)
+    result = SignRecoveryUnlearner(refresh_period=4).unlearn(
+        record, forget_ids=[2], model=model
+    )
     return record, result, time.perf_counter() - start
 
 

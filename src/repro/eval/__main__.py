@@ -10,9 +10,10 @@ Examples
     python -m repro.eval storage --telemetry-dir telemetry/
 
 ``--backend thread --workers 4`` (or ``process``) routes the training
-round loop and recovery replay through the :mod:`repro.parallel`
-execution engine — results are bitwise identical to the default serial
-run; only wall time changes.
+round loop through the :mod:`repro.parallel` execution engine — results
+are bitwise identical to the default serial run; only wall time
+changes.  The options are training-only: recovery replay runs one
+stacked kernel per replay node on every backend.
 
 With ``--telemetry-dir`` the run is instrumented end to end: a JSONL
 event log (``events.jsonl``), a Prometheus text snapshot
@@ -89,14 +90,15 @@ def main(argv=None) -> int:
         "--backend",
         choices=list(BACKENDS),
         default=None,
-        help="execution engine for the round/recovery loops "
+        help="execution engine for the training round loop, training only "
         "(default: serial; results are bitwise identical across backends)",
     )
     parser.add_argument(
         "--workers",
         type=int,
         default=None,
-        help="worker slots for the thread/process backends (default: 1)",
+        help="worker slots for the training thread/process backends "
+        "(default: 1)",
     )
     parser.add_argument(
         "--store",

@@ -1,10 +1,12 @@
-"""Parallel execution engine for training and server-side recovery.
+"""Parallel execution engine for training.
 
-The two hot loops of the reproduction — per-round client updates in
-:class:`~repro.fl.simulation.FederatedSimulation` and per-client Eq. 7
-estimation in :class:`~repro.unlearning.recovery.SignRecoveryUnlearner`
-— are embarrassingly parallel maps over clients.  This package supplies
-the engine that fans them out:
+The training loop's per-round client updates in
+:class:`~repro.fl.simulation.FederatedSimulation` are an embarrassingly
+parallel map over clients, and the replay prefetcher decodes rounds on
+the thread engine.  (Replay estimation itself runs as one stacked
+kernel per replay node, :mod:`repro.unlearning.estimator`; a per-client
+fan-out of it was slower at every measured shape.)  This package
+supplies the engine:
 
 - :mod:`repro.parallel.policy` — the process-wide default
   backend/workers policy (``serial``/1 unless changed; the CLI's
@@ -12,11 +14,11 @@ the engine that fans them out:
 - :mod:`repro.parallel.executor` — the pluggable ``serial`` /
   ``thread`` / ``process`` executors with per-worker static contexts
   and in-task-order result gathering;
-- :mod:`repro.parallel.rounds` / :mod:`repro.parallel.estimates` —
-  the picklable worker-side task bodies.
+- :mod:`repro.parallel.rounds` — the picklable worker-side task
+  bodies.
 
 The determinism guarantee: for the same seed, every backend produces
-**bitwise identical** training records and recovery outputs.  Each
+**bitwise identical** training records.  Each
 client computes on its own RNG stream (state round-tripped through the
 task), each concurrent task borrows a private scratch model, and the
 parent merges results in a fixed client order — so completion order
@@ -24,12 +26,6 @@ can never leak into the numerics.  ``tests/test_parallel.py`` asserts
 this across backends, seeds, and active fault plans.
 """
 
-from repro.parallel.estimates import (
-    EstimateResult,
-    EstimateTask,
-    run_estimate,
-    tasks_from_round,
-)
 from repro.parallel.executor import (
     Executor,
     PoolStats,
@@ -57,8 +53,6 @@ __all__ = [
     "BACKENDS",
     "ClientRoundResult",
     "ClientRoundTask",
-    "EstimateResult",
-    "EstimateTask",
     "ExecutionPolicy",
     "Executor",
     "ModelPool",
@@ -71,7 +65,5 @@ __all__ = [
     "pool_utilization",
     "resolve_execution",
     "run_client_round",
-    "run_estimate",
     "set_default_execution",
-    "tasks_from_round",
 ]

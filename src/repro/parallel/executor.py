@@ -1,7 +1,7 @@
 """Pluggable executors for per-client fan-out.
 
-One round of training (or recovery replay) is an embarrassingly
-parallel map over clients: every task reads the same global state and
+One round of training is an embarrassingly parallel map over
+clients: every task reads the same global state and
 returns an independent result.  :func:`make_executor` builds one of
 three interchangeable engines:
 
@@ -14,8 +14,8 @@ three interchangeable engines:
 
 Determinism is the caller's contract, and the executor keeps its side
 of it: :meth:`Executor.run` always returns results **in task order**,
-regardless of completion order.  The callers (simulation/recovery)
-keep theirs by shipping each client's own RNG state with the task and
+regardless of completion order.  The caller (the simulation) keeps
+its side by shipping each client's own RNG state with the task and
 merging results by client id.
 
 Worker context

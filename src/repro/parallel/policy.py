@@ -1,14 +1,14 @@
 """Process-wide default execution policy.
 
-The simulation and the unlearner take ``backend``/``workers``
-constructor arguments, but most callers reach them through layers of
-experiment runners that should not have to thread execution knobs
-through every signature.  Mirroring the telemetry pattern
+The simulation takes ``backend``/``workers`` constructor arguments,
+but most callers reach it through layers of experiment runners that
+should not have to thread execution knobs through every signature.
+Mirroring the telemetry pattern
 (:func:`repro.telemetry.core.set_telemetry`), the policy lives in one
 process-wide slot: ``python -m repro.eval --workers N --backend X``
-sets it, and every :class:`~repro.fl.simulation.FederatedSimulation` /
-:class:`~repro.unlearning.recovery.SignRecoveryUnlearner` constructed
-with ``backend=None``/``workers=None`` resolves against it.
+sets it, and every :class:`~repro.fl.simulation.FederatedSimulation`
+constructed with ``backend=None``/``workers=None`` resolves against
+it.  (It is training-only: replay runs one stacked kernel per node.)
 
 The default is ``serial`` with one worker — the guard tests assert
 this stays true, so seed-sensitive and chaos tests are unaffected by

@@ -31,6 +31,7 @@ from repro.storage.store import (
     FullGradientStore,
     GradientStore,
     ModelCheckpointStore,
+    RoundRows,
     SignGradientStore,
     default_sign_backend,
     make_gradient_store,
@@ -44,6 +45,7 @@ __all__ = [
     "ModelCheckpointStore",
     "RoundDecodeCache",
     "RoundPrefetcher",
+    "RoundRows",
     "SIGN_BACKENDS",
     "SignGradientStore",
     "SnapshotPin",

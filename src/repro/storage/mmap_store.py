@@ -47,9 +47,8 @@ from repro.storage.sign_codec import (
     decode_gradient,
     decode_round,
     packed_size_bytes,
-    unpack_signs,
 )
-from repro.storage.store import GradientStore, SignGradientStore
+from repro.storage.store import GradientStore, RoundRows, SignGradientStore
 from repro.telemetry.core import current_telemetry
 from repro.utils.serialization import fsync_dir
 
@@ -302,51 +301,31 @@ class MmapSignGradientStore(GradientStore):
             telemetry.inc("storage_decoded_elements_total", length, backend="mmap")
         return decoded
 
-    def get_round(self, round_index: int) -> Dict[int, np.ndarray]:
+    def get_round(self, round_index: int) -> RoundRows:
         """One contiguous slice of the shard, bulk-decoded in one pass.
 
-        For the common homogeneous-length round the block is a zero-copy
-        ``(rows, row_bytes)`` view of the memmap handed straight to
-        :func:`~repro.storage.sign_codec.decode_round`; tombstoned
-        clients are filtered from the result.  Heterogeneous rounds fall
-        back to per-row :func:`~repro.storage.sign_codec.unpack_signs`.
-        Rows are int8 either way, equal in value to the float64
-        per-client :meth:`get`.
+        For the common round (one row length, no tombstoned client) the
+        block is a zero-copy ``(rows, row_bytes)`` view of the memmap
+        handed straight to :func:`~repro.storage.sign_codec.decode_round`;
+        any other round goes through the base class's batched
+        :meth:`encoded_round` decode.  Rows are int8 either way, equal in
+        value to the float64 per-client :meth:`get`.
         """
         if round_index not in self._rounds:
-            return {}
+            return RoundRows.of({})
         shard, offset, clients, lengths = self._rounds[round_index]
-        live = [
-            (i, cid) for i, cid in enumerate(clients) if cid not in self._tombstones
-        ]
-        if not live:
-            return {}
+        if len(set(lengths)) != 1 or not self._tombstones.isdisjoint(clients):
+            return GradientStore.get_round(self, round_index)
         telemetry = current_telemetry()
+        length, n = lengths[0], len(clients)
+        width = packed_size_bytes(length)
         with telemetry.span("storage_decode_seconds"):
-            if len(set(lengths)) == 1:
-                length = lengths[0]
-                width = packed_size_bytes(length)
-                block = self._shards[shard][
-                    offset : offset + width * len(clients)
-                ].reshape(len(clients), width)
-                decoded = decode_round(block, length)
-                out = {cid: decoded[i] for i, cid in live}
-            else:
-                out = {}
-                for i, cid in live:
-                    row_off = offset + sum(
-                        packed_size_bytes(n) for n in lengths[:i]
-                    )
-                    row = self._shards[shard][
-                        row_off : row_off + packed_size_bytes(lengths[i])
-                    ]
-                    out[cid] = unpack_signs(row, lengths[i])
+            block = self._shards[shard][offset : offset + width * n]
+            out = RoundRows(clients, decode_round(block.reshape(n, width), length))
         if telemetry.enabled:
             telemetry.inc("storage_mmap_round_reads_total", 1)
             telemetry.inc(
-                "storage_decoded_elements_total",
-                sum(lengths[i] for i, _ in live),
-                backend="mmap",
+                "storage_decoded_elements_total", length * n, backend="mmap"
             )
             telemetry.inc("storage_bulk_decode_rounds_total", 1, backend="mmap")
         return out
@@ -360,6 +339,9 @@ class MmapSignGradientStore(GradientStore):
         """
         if round_index not in self._rounds:
             return {}
+        telemetry = current_telemetry()
+        if telemetry.enabled:
+            telemetry.inc("storage_mmap_round_reads_total", 1)
         shard, offset, clients, lengths = self._rounds[round_index]
         out = {}
         for cid, length in zip(clients, lengths):

@@ -57,6 +57,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.parallel.executor import Executor, make_executor
+from repro.storage.store import RoundRows
 from repro.telemetry.core import current_telemetry
 
 __all__ = [
@@ -95,36 +96,36 @@ def set_default_prefetch_depth(depth: int) -> int:
     return previous
 
 
-def _freeze(decoded: Dict[int, np.ndarray]) -> Dict[int, np.ndarray]:
-    """Flag every decoded vector read-only (views stay zero-copy)."""
-    for vec in decoded.values():
+def _freeze(decoded: RoundRows) -> RoundRows:
+    """Flag the decoded rows read-only (views stay zero-copy)."""
+    for array in decoded.arrays():
         try:
-            vec.setflags(write=False)
+            array.setflags(write=False)
         except ValueError:
             # A view of a read-only base (mmap) is already frozen.
             pass
     return decoded
 
 
-def _held_bytes(decoded: Dict[int, np.ndarray]) -> int:
-    """Bytes of the distinct buffers ``decoded``'s arrays keep alive.
+def _held_bytes(decoded: RoundRows) -> int:
+    """Bytes of the distinct buffers ``decoded`` keeps alive.
 
-    A bulk decode's rows are views of one block, which stays whole while
-    any row is held; summing row sizes would undercount it once
+    A bulk decode's rows are one block, which stays whole while any row
+    is held; summing row sizes would undercount it once
     :meth:`RoundDecodeCache.discard_client` drops some of the rows.
     """
     owners: Dict[int, int] = {}
-    for vec in decoded.values():
-        while isinstance(vec.base, np.ndarray):
-            vec = vec.base
-        owners[id(vec)] = int(vec.nbytes)
+    for array in decoded.arrays():
+        while isinstance(array.base, np.ndarray):
+            array = array.base
+        owners[id(array)] = int(array.nbytes)
     return sum(owners.values())
 
 
 class _CacheEntry:
     __slots__ = ("value", "nbytes", "refs")
 
-    def __init__(self, value: Dict[int, np.ndarray], nbytes: int):
+    def __init__(self, value: RoundRows, nbytes: int):
         self.value = value
         self.nbytes = nbytes
         self.refs = 0
@@ -135,16 +136,17 @@ class RoundDecodeCache:
 
     Keys are store *identities* (held weakly: a store being garbage
     collected purges its entries), values are the exact
-    ``{client_id: direction}`` dict ``store.get_round(t)`` returned,
-    with every array flagged read-only.  :meth:`acquire` pins the entry
+    :class:`~repro.storage.store.RoundRows` ``store.get_round(t)``
+    returned, with its rows flagged read-only.  :meth:`acquire` pins the entry
     (refcount) so an active prefetch window can never have its rounds
     evicted under it; :meth:`release` unpins.  Eviction is LRU over
     unpinned entries once ``nbytes`` exceeds ``max_bytes``.
 
     ``drop_client`` coherence: the owning service calls
     :meth:`discard_client` after purging an erased client, which
-    replaces affected entries with copies that omit the client (copies,
-    so consumers already holding the old dict are unaffected).
+    replaces affected entries with rounds that omit the client (new
+    values over the same decoded block, so consumers already holding
+    the old one are unaffected).
 
     Thread-safe; decodes run outside the lock, and a lost decode race
     adopts the winner's entry so all consumers share one value.
@@ -194,7 +196,7 @@ class RoundDecodeCache:
     # ------------------------------------------------------------------
     def acquire(
         self, store: object, round_index: int
-    ) -> Tuple[Optional[Dict[int, np.ndarray]], bool]:
+    ) -> Tuple[Optional[RoundRows], bool]:
         """``(decoded cohort, was_hit)`` for ``store``'s ``round_index``.
 
         Pins the entry; callers must :meth:`release` it exactly once.
@@ -214,7 +216,7 @@ class RoundDecodeCache:
                     telemetry.inc("storage_prefetch_cache_hits_total")
                 return entry.value, True
         try:
-            decoded = store.get_round(round_index)
+            decoded = RoundRows.of(store.get_round(round_index))
         except Exception:
             with self._lock:
                 self.misses += 1
@@ -263,9 +265,10 @@ class RoundDecodeCache:
         """Drop ``client_id`` from every cached round of ``store``.
 
         The cache-side mirror of ``store.drop_client``: affected
-        entries are *replaced* with copies that omit the client, so
-        dicts already handed to consumers are untouched.  Returns the
-        number of entries rewritten.
+        entries are *replaced* with :meth:`RoundRows.without
+        <repro.storage.store.RoundRows.without>` the client, so rounds
+        already handed to consumers are untouched.  Returns the number
+        of entries rewritten.
         """
         store_id = id(store)
         rewritten = 0
@@ -276,7 +279,7 @@ class RoundDecodeCache:
                 entry = self._entries[key]
                 if client_id not in entry.value:
                     continue
-                value = {c: v for c, v in entry.value.items() if c != client_id}
+                value = entry.value.without(client_id)
                 nbytes = _held_bytes(value)
                 self._nbytes += nbytes - entry.nbytes
                 replacement = _CacheEntry(value, nbytes)
@@ -439,7 +442,7 @@ class RoundPrefetcher:
         self._top_up()
 
     # ------------------------------------------------------------------
-    def _decode(self, t: int) -> Optional[Dict[int, np.ndarray]]:
+    def _decode(self, t: int) -> Optional[RoundRows]:
         """One round's cohort via the cache (pinning) or the store."""
         if self.cache is not None:
             value, _ = self.cache.acquire(self.store, t)
@@ -453,7 +456,7 @@ class RoundPrefetcher:
                     self._pins[t] = self._pins.get(t, 0) + 1
             return value
         try:
-            return self.store.get_round(t)
+            return RoundRows.of(self.store.get_round(t))
         except Exception:
             return None
 
@@ -503,7 +506,7 @@ class RoundPrefetcher:
         self._release_pin(t)
 
     # ------------------------------------------------------------------
-    def fetch(self, t: int) -> Optional[Dict[int, np.ndarray]]:
+    def fetch(self, t: int) -> Optional[RoundRows]:
         """Round ``t``'s decoded cohort, or ``None`` on decode failure.
 
         Identical in value to ``store.get_round(t)`` (with the

@@ -23,7 +23,8 @@ telemetry the instrumentation short-circuits to nothing.
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, List, Optional, Tuple
+from collections.abc import Mapping
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -39,6 +40,7 @@ from repro.telemetry.core import current_telemetry
 
 __all__ = [
     "GradientStore",
+    "RoundRows",
     "FullGradientStore",
     "SignGradientStore",
     "ModelCheckpointStore",
@@ -77,6 +79,98 @@ def set_default_sign_backend(kind: str) -> str:
     previous = _default_sign_backend
     _default_sign_backend = kind
     return previous
+
+
+class RoundRows(Mapping):
+    """One decoded round: ``client_id -> row``, with the rows as one block.
+
+    ``cids`` holds the round's client ids ascending (int64) and row ``i``
+    of :attr:`block` is client ``cids[i]``'s stored direction — int8
+    from the sign stores' LUT decode, float64 from per-client ``get``.
+    As a mapping it is what ``get_round`` always returned: ``len()``,
+    ``.get(cid)`` and iteration (ascending ids) are unchanged, and each
+    value is a row view of the decoded block.  A round whose rows differ
+    in length has no block (``block`` is None) and keeps its rows apart.
+
+    :meth:`without` drops a client without copying a row: the decoded
+    block stays whole and the rows left are picked from it when read.
+    """
+
+    __slots__ = ("cids", "_base", "_at", "_ragged")
+
+    def __init__(self, cids, base: Optional[np.ndarray], at=None, ragged=None):
+        self.cids = np.asarray(cids, dtype=np.int64)
+        self._base = base
+        self._at = at  # block row i is _base[_at[i]]; None: _base[i]
+        self._ragged = ragged
+
+    @classmethod
+    def of(cls, rows: "Mapping[int, np.ndarray]") -> "RoundRows":
+        """``rows`` as a :class:`RoundRows` (itself when it is one): one
+        stacked block when every row is flat and of one length."""
+        if isinstance(rows, RoundRows):
+            return rows
+        cids = sorted(rows)
+        vectors = [np.asarray(rows[cid]) for cid in cids]
+        if not vectors:
+            return cls(cids, np.empty((0, 0), dtype=np.int8))
+        if len({v.shape for v in vectors}) == 1 and vectors[0].ndim == 1:
+            return cls(cids, np.stack(vectors))
+        return cls(cids, None, ragged=vectors)
+
+    @property
+    def block(self) -> Optional[np.ndarray]:
+        """The ``(len(cids), d)`` row block; None for a ragged round."""
+        if self._base is None or self._at is None:
+            return self._base
+        return np.take(self._base, self._at, axis=0)
+
+    def rows_at(self, positions: np.ndarray) -> Optional[np.ndarray]:
+        """The block rows at ascending ``positions`` into :attr:`cids`:
+        a view when they are contiguous in the decoded block, else one
+        ``take``.  None for a ragged round."""
+        if self._base is None:
+            return None
+        rows = positions if self._at is None else self._at[positions]
+        if not rows.size:
+            return self._base[:0]
+        first = int(rows[0])
+        if rows[-1] - first + 1 == rows.size:
+            return self._base[first : first + rows.size]
+        return np.take(self._base, rows, axis=0)
+
+    def without(self, client_id: int) -> "RoundRows":
+        """This round minus ``client_id``'s row (itself when absent)."""
+        try:
+            i = self._position(client_id)
+        except KeyError:
+            return self
+        if self._base is None:
+            return RoundRows.of({c: row for c, row in self.items() if c != client_id})
+        at = np.arange(len(self.cids)) if self._at is None else self._at
+        return RoundRows(np.delete(self.cids, i), self._base, at=np.delete(at, i))
+
+    def arrays(self) -> List[np.ndarray]:
+        """The arrays holding the rows (the decoded block, or each row)."""
+        return self._ragged if self._base is None else [self._base]
+
+    def _position(self, client_id) -> int:
+        i = int(np.searchsorted(self.cids, client_id))
+        if i < len(self.cids) and self.cids[i] == client_id:
+            return i
+        raise KeyError(client_id)
+
+    def __getitem__(self, client_id) -> np.ndarray:
+        i = self._position(client_id)
+        if self._base is None:
+            return self._ragged[i]
+        return self._base[i if self._at is None else self._at[i]]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.cids.tolist())
+
+    def __len__(self) -> int:
+        return len(self.cids)
 
 
 class GradientStore:
@@ -136,11 +230,11 @@ class GradientStore:
         """
         return None
 
-    def get_round(self, round_index: int) -> Dict[int, np.ndarray]:
-        """Decode one whole round as ``{client_id: vector}``.
+    def get_round(self, round_index: int) -> RoundRows:
+        """Decode one whole round as ``{client_id: vector}`` rows of one
+        block (:class:`RoundRows`; empty for a round with no records).
 
-        Returns an empty dict for a round with no records.  The base
-        implementation batches the round through one
+        The base implementation batches the round through one
         :func:`~repro.storage.sign_codec.decode_round` pass when the
         backend exposes :meth:`encoded_round` payloads (per-row
         :func:`~repro.storage.sign_codec.unpack_signs` when payload
@@ -148,38 +242,35 @@ class GradientStore:
         value to per-client :meth:`get`, which returns float64.  A
         backend without encoded payloads falls back to a per-client
         :meth:`get` loop.  Backends with a genuinely batched read path
-        override it and set ``supports_bulk_round``.
+        set ``supports_bulk_round``.
         """
         try:
             encoded = self.encoded_round(round_index)
         except Exception:
             encoded = None
         if not encoded:
-            return {
-                cid: self.get(round_index, cid)
-                for cid in self.clients_at(round_index)
-            }
-        entries = sorted(encoded.items())
+            ids = self.clients_at(round_index)
+            return RoundRows.of({cid: self.get(round_index, cid) for cid in ids})
+        cids = sorted(encoded)
+        entries = [encoded[cid] for cid in cids]
         telemetry = current_telemetry()
         backend = getattr(self, "telemetry_backend", "sign")
-        lengths = {length for _, (_, length) in entries}
+        lengths = {length for _, length in entries}
         with telemetry.span("storage_decode_seconds"):
             if len(lengths) == 1:
-                length = next(iter(lengths))
-                block = np.stack(
-                    [np.asarray(packed).reshape(-1) for _, (packed, _) in entries]
-                )
-                decoded = decode_round(block, length)
-                out = {cid: decoded[i] for i, (cid, _) in enumerate(entries)}
+                block = np.stack([np.ravel(packed) for packed, _ in entries])
+                out = RoundRows(cids, decode_round(block, lengths.pop()))
             else:
-                out = {
-                    cid: unpack_signs(np.asarray(packed).reshape(-1), length)
-                    for cid, (packed, length) in entries
-                }
+                out = RoundRows.of(
+                    {
+                        cid: unpack_signs(np.ravel(packed), length)
+                        for cid, (packed, length) in zip(cids, entries)
+                    }
+                )
         if telemetry.enabled:
             telemetry.inc(
                 "storage_decoded_elements_total",
-                sum(length for _, (_, length) in entries),
+                sum(length for _, length in entries),
                 backend=backend,
             )
             telemetry.inc(
@@ -465,42 +556,6 @@ class SignGradientStore(_FreshMutexOnCopy, GradientStore):
         if telemetry.enabled:
             telemetry.inc("storage_decoded_elements_total", length, backend="sign")
         return decoded
-
-    def get_round(self, round_index: int) -> Dict[int, np.ndarray]:
-        """Bulk-decode one round's cohort in a single LUT pass.
-
-        Stacks the round's packed payloads into one block and decodes
-        it through :func:`repro.storage.sign_codec.decode_round` — each
-        returned vector is an int8 row of the decoded matrix (treat it
-        as read-only), equal in value to the float64 per-client
-        :meth:`get` result.  Rounds whose payload lengths differ fall
-        back to per-row :func:`~repro.storage.sign_codec.unpack_signs`.
-        """
-        encoded = self.encoded_round(round_index)
-        entries = sorted(encoded.items()) if encoded else []
-        if not entries:
-            return {}
-        telemetry = current_telemetry()
-        lengths = {length for _, (_, length) in entries}
-        with telemetry.span("storage_decode_seconds"):
-            if len(lengths) == 1:
-                length = next(iter(lengths))
-                block = np.stack([packed for _, (packed, _) in entries])
-                decoded = decode_round(block, length)
-                out = {cid: decoded[i] for i, (cid, _) in enumerate(entries)}
-            else:
-                out = {
-                    cid: unpack_signs(packed, length)
-                    for cid, (packed, length) in entries
-                }
-        if telemetry.enabled:
-            telemetry.inc(
-                "storage_decoded_elements_total",
-                sum(length for _, (_, length) in entries),
-                backend="sign",
-            )
-            telemetry.inc("storage_bulk_decode_rounds_total", 1, backend="sign")
-        return out
 
     def encoded_round(
         self, round_index: int

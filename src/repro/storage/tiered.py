@@ -109,9 +109,8 @@ from repro.storage.sign_codec import (
     encode_gradient,
     encode_round,
     packed_size_bytes,
-    unpack_signs,
 )
-from repro.storage.store import GradientStore
+from repro.storage.store import GradientStore, RoundRows
 from repro.telemetry.core import current_telemetry
 from repro.utils.serialization import fsync_dir, load_state, save_state_atomic
 
@@ -1201,67 +1200,33 @@ class TieredSignGradientStore(GradientStore):
             )
         return decoded
 
-    def get_round(self, round_index: int) -> Dict[int, np.ndarray]:
-        """Decode one whole round across tiers in (at most) one LUT pass
-        per tier; bitwise identical to the dict store's ``get_round``:
-        int8 rows (hot-tier and mixed-length rows through
-        :func:`~repro.storage.sign_codec.unpack_signs`), equal in value
-        to the float64 :meth:`get`."""
-        telemetry = current_telemetry()
+    def get_round(self, round_index: int) -> RoundRows:
+        """Decode one whole round; bitwise identical to the dict store's
+        ``get_round`` (int8 rows, equal in value to the float64
+        :meth:`get`).  A round that is one gap-free disk block of one
+        row length decodes straight from a zero-copy view of it in one
+        LUT pass; any other round (hot rows, mixed lengths, gaps) goes
+        through the base class's batched :meth:`encoded_round` decode."""
         with self._lock:
             dr = self._disk.get(round_index)
-            hot_round = self._hot.get(round_index, {})
-            if dr is None and not hot_round:
-                return {}
-            out: Dict[int, np.ndarray] = {}
-            decoded_elements = 0
+            lengths = set() if dr is None else set(dr.lengths.tolist())
+            if len(lengths) != 1 or self._hot.get(round_index):
+                return GradientStore.get_round(self, round_index)
+            n, length = len(dr.clients), lengths.pop()
+            width, first = packed_size_bytes(length), int(dr.starts[0])
+            # Homogeneous widths and strictly increasing starts: end points
+            # n − 1 rows apart mean the rows are gap-free.
+            if int(dr.starts[-1]) - first != (n - 1) * width:
+                return GradientStore.get_round(self, round_index)
+            telemetry = current_telemetry()
+            self._tier_hit(dr.tier)
             with telemetry.span("storage_decode_seconds"):
-                if dr is not None and len(dr.clients):
-                    self._tier_hit(dr.tier)
-                    block = self._round_block(round_index, dr)
-                    lengths = dr.lengths
-                    n = len(lengths)
-                    if len(set(lengths.tolist())) == 1:
-                        length = int(lengths[0])
-                        width = packed_size_bytes(length)
-                        # With homogeneous widths and strictly increasing
-                        # starts, end-point equality implies the rows are
-                        # gap-free — one zero-copy reshape serves them.
-                        contiguous = (
-                            int(dr.starts[0]) == 0
-                            and int(dr.starts[-1]) == (n - 1) * width
-                        )
-                        matrix = (
-                            block[: n * width].reshape(n, width)
-                            if contiguous
-                            else np.stack(
-                                [
-                                    block[int(s) : int(s) + width]
-                                    for s in dr.starts
-                                ]
-                            )
-                        )
-                        decoded = decode_round(matrix, length)
-                        for i, cid in enumerate(dr.clients):
-                            out[int(cid)] = decoded[i]
-                        decoded_elements += length * n
-                    else:
-                        for i, cid in enumerate(dr.clients):
-                            length = int(lengths[i])
-                            start = int(dr.starts[i])
-                            row = block[start : start + packed_size_bytes(length)]
-                            out[int(cid)] = unpack_signs(row, length)
-                            decoded_elements += length
-                if hot_round:
-                    self._tier_hit(TIER_HOT)
-                    for cid in sorted(hot_round):
-                        packed, length = hot_round[cid]
-                        out[int(cid)] = unpack_signs(packed, length)
-                        decoded_elements += length
-            out = {cid: out[cid] for cid in sorted(out)}
+                block = self._round_block(round_index, dr)
+                rows = block[first : first + n * width].reshape(n, width)
+                out = RoundRows(dr.clients, decode_round(rows, length))
         if telemetry.enabled:
             telemetry.inc(
-                "storage_decoded_elements_total", decoded_elements, backend="tiered"
+                "storage_decoded_elements_total", length * n, backend="tiered"
             )
             telemetry.inc("storage_bulk_decode_rounds_total", 1, backend="tiered")
         return out
@@ -1281,6 +1246,7 @@ class TieredSignGradientStore(GradientStore):
             out: Dict[int, Tuple[np.ndarray, int]] = {}
             dr = self._disk.get(round_index)
             if dr is not None and len(dr.clients):
+                self._tier_hit(dr.tier)
                 block = self._round_block(round_index, dr)
                 for i, cid in enumerate(dr.clients):
                     length = int(dr.lengths[i])
@@ -1289,8 +1255,11 @@ class TieredSignGradientStore(GradientStore):
                         block[start : start + packed_size_bytes(length)],
                         length,
                     )
-            for cid, rec in self._hot.get(round_index, {}).items():
-                out[int(cid)] = rec
+            hot_round = self._hot.get(round_index)
+            if hot_round:
+                self._tier_hit(TIER_HOT)
+                for cid, rec in hot_round.items():
+                    out[int(cid)] = rec
             return out
 
     def has(self, round_index: int, client_id: int) -> bool:

@@ -354,27 +354,6 @@ _ALL_SPECS = [
         "Replay-state checkpoints committed to disk.",
     ),
     _spec(
-        "recovery_parallel_workers", GAUGE, "workers", "repro.unlearning.recovery",
-        "Worker slots of the recovery estimation pool (thread/process "
-        "backends only).",
-    ),
-    _spec(
-        "recovery_parallel_dispatch_seconds", HISTOGRAM, "seconds",
-        "repro.unlearning.recovery",
-        "Submission of one replay round's estimation tasks to the pool.",
-    ),
-    _spec(
-        "recovery_parallel_gather_seconds", HISTOGRAM, "seconds",
-        "repro.unlearning.recovery",
-        "In-order collection of one replay round's estimates from the pool.",
-    ),
-    _spec(
-        "recovery_parallel_utilization", GAUGE, "fraction",
-        "repro.unlearning.recovery",
-        "Busy-time fraction of the pool over the latest replay round: "
-        "Σ task seconds / (workers × wall).",
-    ),
-    _spec(
         "recovery_cache_hits_total", COUNTER, "requests", "repro.unlearning.recovery",
         "Erasure requests that resumed from a cached replay prefix.",
     ),

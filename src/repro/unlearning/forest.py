@@ -20,13 +20,19 @@ engine with one request: a one-member node is a serial replay.
 Live branch parameters are the rows of one
 :class:`~repro.nn.arena.BranchArena` ``(K, d)`` matrix; each node takes
 Eq. 6's displacement and Eq. 2's in-place step on its own row view, so
-every branch does exactly what a one-request replay does.  Each
-node's round runs the cohort kernel
-(:func:`~repro.unlearning.estimator.estimate_cohort`) on the node's
-stacked L-BFGS form (a :class:`~repro.unlearning.estimator.CohortForm`,
-built once per refresh, seeding, fork or restore and shared by a
-fork's children), or fans it out through the unlearner's
-thread/process backend (bitwise the same).
+every branch does exactly what a one-request replay does.  A node holds
+its estimators as columns (a
+:class:`~repro.unlearning.estimator.CohortState`: snapshots and forks
+copy its counters and share its pairs column), and its round costs a
+fixed number of NumPy calls whatever the cohort size: the present
+clients are a slice (or one ``take``) of the round's decoded block,
+the cohort kernel
+(:func:`~repro.unlearning.estimator.estimate_cohort`) reads that block
+against the node's stacked L-BFGS form (a
+:class:`~repro.unlearning.estimator.CohortForm`, built once per
+refresh, seeding with pairs, or restore, and shared by a fork's
+children), and FedAvg scales the kernel's own block in place with the
+weights its plan caches (:meth:`~repro.unlearning.estimator.CohortPlan.fedavg`).
 Nothing is batched *across* branches: multi-column GEMM, multi-RHS
 solves and re-strided views are **not** bitwise-identical per column to
 their vector-shaped equivalents (measured on this substrate; see
@@ -60,12 +66,12 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.fl.aggregation import AGGREGATORS
+from repro.fl.aggregation import AGGREGATORS, fedavg
 from repro.fl.history import TrainingRecord
 from repro.nn.arena import BranchArena
 from repro.nn.optim import SGD
-from repro.parallel.executor import Executor, make_executor
 from repro.storage.prefetch import RoundPrefetcher, default_prefetch_depth
+from repro.storage.store import RoundRows
 from repro.telemetry.core import current_telemetry
 from repro.unlearning.backtrack import backtrack
 from repro.unlearning.base import (
@@ -73,7 +79,12 @@ from repro.unlearning.base import (
     remaining_ids,
     resolve_forget_round,
 )
-from repro.unlearning.estimator import CohortForm, estimate_cohort
+from repro.unlearning.estimator import (
+    CohortForm,
+    CohortState,
+    estimate_cohort,
+    found_in,
+)
 from repro.unlearning.recovery import (
     ReplayForest,
     SignRecoveryUnlearner,
@@ -126,9 +137,10 @@ class _ExecNode:
     __slots__ = (
         "members",
         "union",
+        "union_ids",
         "row",
         "recovered",
-        "estimators",
+        "state",
         "rounds_replayed",
         "skipped_rounds",
         "missing_entries",
@@ -143,9 +155,10 @@ class _ExecNode:
     def __init__(self):
         self.members: List[int] = []
         self.union: FrozenSet[int] = frozenset()
+        self.union_ids = np.empty(0, dtype=np.int64)  # ``union`` ascending
         self.row = -1
         self.recovered: Optional[np.ndarray] = None
-        self.estimators: Dict[int, object] = {}
+        self.state: Optional[CohortState] = None
         self.rounds_replayed = 0
         self.skipped_rounds = 0
         self.missing_entries = 0
@@ -154,18 +167,13 @@ class _ExecNode:
         self.snapshots: Dict[int, _ReplaySnapshot] = {}
         self.resume = 0
         self.store_forget: FrozenSet[int] = frozenset()
-        # The estimators' stacked compact forms; None after any change
-        # to their pairs, rebuilt at the node's next estimate.
+        # The state's stacked compact forms; None after any change to
+        # its pairs column, rebuilt at the node's next estimate.
         self.form: Optional[CohortForm] = None
 
-
-def _copy_estimators(unlearner: SignRecoveryUnlearner, estimators: Dict) -> Dict:
-    """A node's estimators for a forked sibling: separate buffers and
-    counters over the same frozen pair arrays, so neither side's later
-    refreshes reach the other."""
-    return unlearner._estimators_from_snapshot(
-        {cid: est.state() for cid, est in estimators.items()}
-    )
+    def forget(self, union: FrozenSet[int]) -> None:
+        self.union = union
+        self.union_ids = np.array(sorted(union), dtype=np.int64)
 
 
 def _node_snapshot(
@@ -173,7 +181,7 @@ def _node_snapshot(
 ) -> _ReplaySnapshot:
     return unlearner._make_snapshot(
         node.recovered,
-        node.estimators,
+        node.state,
         node.rounds_replayed,
         node.skipped_rounds,
         node.missing_entries,
@@ -227,33 +235,17 @@ def fused_unlearn(
         forget_of[i] = forget
         groups.setdefault(forget_round, []).append(i)
 
-    executor: Optional[Executor] = None
-    try:
-        if groups and unlearner.execution.backend != "serial":
-            # Estimation tasks are self-contained (compact L-BFGS state
-            # and displacement travel in the task): no worker context.
-            executor = make_executor(
-                unlearner.execution.backend, unlearner.execution.workers
-            )
-            if telemetry.enabled:
-                telemetry.set_gauge(
-                    "recovery_parallel_workers", unlearner.execution.workers
-                )
-        for forget_round in sorted(groups):
-            _run_group(
-                unlearner,
-                record,
-                forget_round,
-                groups[forget_round],
-                forget_of,
-                checks,
-                outcomes,
-                stats,
-                executor,
-            )
-    finally:
-        if executor is not None:
-            executor.close()
+    for forget_round in sorted(groups):
+        _run_group(
+            unlearner,
+            record,
+            forget_round,
+            groups[forget_round],
+            forget_of,
+            checks,
+            outcomes,
+            stats,
+        )
     assert all(o is not None for o in outcomes)
     return outcomes, stats  # type: ignore[return-value]
 
@@ -267,7 +259,6 @@ def _run_group(
     checks: List[Optional[Callable[[], None]]],
     outcomes: List[Optional[BranchOutcome]],
     stats: FusedReplayStats,
-    executor: Optional[Executor],
 ) -> None:
     aggregate = AGGREGATORS[record.aggregator]
     forest: Optional[ReplayForest] = unlearner.prefix_cache
@@ -318,17 +309,61 @@ def _run_group(
         key = (resumes[i], forget_of[i] & cum[resumes[i] - forget_round])
         buckets.setdefault(key, []).append(i)
 
+    def seed_state(cids) -> CohortState:
+        return CohortState.from_estimators(
+            unlearner._seed_estimators(record, cids, forget_round)
+        )
+
     def seed_missing(node: _ExecNode) -> None:
         """Seed estimators for the node's remaining clients that have
         none.  A form stays current unless a seeded one holds pairs:
-        clients without pairs are in no group."""
-        missing = [
-            c for c in remaining_ids(record, node.union) if c not in node.estimators
-        ]
-        seeded = unlearner._seed_estimators(record, missing, forget_round)
-        node.estimators.update(seeded)
-        if any(len(est.buffer) for est in seeded.values()):
-            node.form = None
+        clients without pairs are in no group, they only move slots."""
+        remaining = np.array(remaining_ids(record, node.union), dtype=np.int64)
+        missing = remaining[np.isin(remaining, node.state.cids, invert=True)]
+        if not missing.size:
+            return
+        fresh = seed_state(missing.tolist())
+        node.state = node.state.merged(fresh)
+        if node.form is not None:
+            pairs = any(map(len, fresh.pairs))
+            node.form = None if pairs else CohortForm(node.state, like=node.form)
+
+    # FedAvg weights |D_i| for a block of clients, from one sorted table.
+    known = np.array(sorted(record.client_sizes), dtype=np.int64)
+    sizes = np.array([float(record.client_sizes[c]) for c in known.tolist()])
+
+    def weigh(present: np.ndarray) -> np.ndarray:
+        if len(known) and found_in(known, present).all():
+            return sizes[np.searchsorted(known, present)]
+        return np.array([record.weight_of(c) for c in present.tolist()])
+
+    opt = SGD(record.learning_rate)
+
+    def replay_node(node, rows: RoundRows, at, disp_vec, refresh_now) -> float:
+        """Eq. 6/7 for the node's present rows ``rows`` at ``at``, then
+        the aggregate and Eq. 2 on its arena row; the displacement norm.
+        (Its own scope: nothing of the round outlives it, so the next
+        round's form is never built beside this one's.)"""
+        if node.form is None:
+            node.form = CohortForm(node.state)
+        plan = node.form.plan(rows.cids[at], weigh)
+        stored = rows.rows_at(at)
+        if stored is None:
+            ragged = [rows[c] for c in rows.cids[at].tolist()]
+            stored = _stack_rows(ragged, disp_vec.size)
+        estimates = estimate_cohort(node.state, plan, stored, disp_vec, refresh_now)
+        if refresh_now:
+            node.form = None  # the present slots took new pairs
+        displacement = float(np.linalg.norm(disp_vec))
+        node.displacement_norms.append(displacement)
+        opt.step_(
+            node.recovered,
+            plan.fedavg(estimates)
+            if aggregate is fedavg
+            else aggregate(estimates, plan.weights),
+        )
+        node.rounds_replayed += 1
+        return displacement
 
     arena = BranchArena(len(idxs), int(record.final_params().size))
     active: List[_ExecNode] = []
@@ -337,22 +372,19 @@ def _run_group(
     ):
         node = _ExecNode()
         node.members = list(members)
-        node.union = frozenset().union(*(forget_of[m] for m in members))
+        node.forget(frozenset().union(*(forget_of[m] for m in members)))
         node.resume = resume
         node.store_forget = forget_of[members[0]]
         snap = restored[members[0]]
         if snap is None:
             params, _ = backtrack(record, sorted(forget_of[members[0]]))
             node.row = arena.acquire(params)
-            node.estimators = unlearner._seed_estimators(
-                record, remaining_ids(record, node.union), forget_round
-            )
+            node.state = seed_state(remaining_ids(record, node.union))
         else:
             node.row = arena.acquire(snap.params)
-            ests = unlearner._estimators_from_snapshot(snap.estimators)
             # The snapshot was filtered by one member's forget set; the
             # node must exclude every member's.
-            node.estimators = {c: e for c, e in ests.items() if c not in node.union}
+            node.state = snap.estimators.without(node.union)
             seed_missing(node)
             progress = snap.progress
             node.rounds_replayed = int(progress["rounds_replayed"])
@@ -386,7 +418,7 @@ def _run_group(
             node.store_forget = forget_of[node.members[0]]
             return
         flush_snapshots(node)  # committed under the old effective keying
-        node.union = new_union
+        node.forget(new_union)
         node.store_forget = forget_of[node.members[0]]
         seed_missing(node)
 
@@ -448,7 +480,6 @@ def _run_group(
                 cancel_check=checks[idxs[0]] if single else None,
                 executor=unlearner.prefetch_executor,
             )
-    opt = SGD(record.learning_rate)
     try:
         for t in range(start, num_rounds):
             live = [n for n in active if n.resume <= t]
@@ -487,16 +518,20 @@ def _run_group(
             # (the only rounds a node can fork, or a later request leave
             # it) — one snapshot per node, shared by every member.
             step = t - forget_round
-            if forest is not None and cum[step + 1] is not cum[step]:
+            joined = forest is None or cum[step + 1] is not cum[step]
+            if forest is not None and joined:
                 for node in live:
                     if t > node.resume:
                         node.snapshots[t] = _node_snapshot(unlearner, node)
 
             # Fork at divergence: members whose forget sets intersect this
-            # round's participants differently stop sharing here.
+            # round's participants differently stop sharing here.  They
+            # share their effective sets, so only a round where someone
+            # takes part for the first time since F can split them
+            # (without a forest to say which, every round is checked).
             participants_t = record.ledger.participants_at(t)
             p_set = set(participants_t)
-            for node in list(live):
+            for node in list(live) if joined else ():
                 parts: Dict[FrozenSet[int], List[int]] = {}
                 for m in node.members:
                     parts.setdefault(forget_of[m] & p_set, []).append(m)
@@ -513,7 +548,7 @@ def _run_group(
                     clone = _ExecNode()
                     clone.row = arena.acquire(node.recovered)
                     clone.recovered = arena.row(clone.row)
-                    clone.estimators = _copy_estimators(unlearner, node.estimators)
+                    clone.state = node.state.copy()
                     clone.rounds_replayed = node.rounds_replayed
                     clone.skipped_rounds = node.skipped_rounds
                     clone.missing_entries = node.missing_entries
@@ -524,8 +559,8 @@ def _run_group(
                     children.append((clone, member_part))
                 for child, member_part in children:
                     child.members = list(member_part)
-                    child.union = frozenset().union(
-                        *(forget_of[m] for m in member_part)
+                    child.forget(
+                        frozenset().union(*(forget_of[m] for m in member_part))
                     )
                     child.store_forget = forget_of[member_part[0]]
                     # Clients only the *other* parts forget become remaining
@@ -540,11 +575,11 @@ def _run_group(
 
             # A node with nobody left to replay this round skips it before
             # any read; the rest share one read of w_t and the cohort.
-            reading: List[Tuple[_ExecNode, List[int]]] = []
+            reading: List[Tuple[_ExecNode, int]] = []
             for node in live:
-                participants = [c for c in participants_t if c not in node.union]
-                if participants:
-                    reading.append((node, participants))
+                participating = len(participants_t) - len(node.union & p_set)
+                if participating:
+                    reading.append((node, participating))
                 else:
                     node_skip(node, t)
             if not reading:
@@ -557,45 +592,41 @@ def _run_group(
                 for node, _ in reading:
                     node_skip(node, t, missing_checkpoint=True)
                 continue
-            round_updates: Optional[Dict[int, np.ndarray]] = None
+            rows: Optional[RoundRows] = None
             if prefetcher is not None:
                 # Usually decoded in the background already; a failure
                 # falls through to the per-client reads below.
-                round_updates = prefetcher.fetch(t)
+                rows = prefetcher.fetch(t)
             elif getattr(record.gradients, "supports_bulk_round", False):
                 try:
-                    round_updates = record.gradients.get_round(t)
+                    rows = RoundRows.of(record.gradients.get_round(t))
                 except Exception:
-                    # Damaged round block: per-client reads isolate the
-                    # broken entries.
-                    round_updates = None
-            entry_memo: Dict[int, Optional[np.ndarray]] = {}
+                    rows = None
+            if rows is None:
+                # No bulk read, or a damaged round block: per-client reads
+                # isolate the broken entries.
+                entries: Dict[int, np.ndarray] = {}
+                for cid in sorted(set().union(*(p_set - n.union for n, _ in reading))):
+                    try:
+                        entries[cid] = record.gradients.get(t, cid)
+                    except Exception:
+                        pass
+                rows = RoundRows.of(entries)
+            # Block positions of this round's participants' rows.
+            listed = np.flatnonzero(found_in(np.array(participants_t), rows.cids))
 
-            ready: List[Tuple[_ExecNode, List[Tuple[int, np.ndarray]]]] = []
-            for node, participants in reading:
-                if round_updates is not None:
-                    present = [
-                        (cid, stored)
-                        for cid in participants
-                        if (stored := round_updates.get(cid)) is not None
-                    ]
-                else:
-                    present = []
-                    for cid in participants:
-                        if cid not in entry_memo:
-                            try:
-                                entry_memo[cid] = record.gradients.get(t, cid)
-                            except Exception:
-                                entry_memo[cid] = None
-                        if entry_memo[cid] is not None:
-                            present.append((cid, entry_memo[cid]))
+            ready: List[Tuple[_ExecNode, np.ndarray]] = []
+            for node, participating in reading:
+                at = listed
+                if node.union_ids.size and at.size:
+                    at = at[~found_in(node.union_ids, rows.cids[at])]
                 # Absent or undecodable entries: like a historical dropout.
-                round_missing = len(participants) - len(present)
+                round_missing = participating - at.size
                 node.missing_entries += round_missing
                 if telemetry.enabled and round_missing:
                     telemetry.inc("recovery_missing_entries_total", round_missing)
-                if present:
-                    ready.append((node, present))
+                if at.size:
+                    ready.append((node, at))
                 else:
                     node_skip(node, t)
             if not ready:
@@ -604,29 +635,12 @@ def _run_group(
             # Each ready node steps its own arena row: Eq. 6's displacement
             # is a fresh vector (a refresh may adopt it), Eq. 2 in place.
             refresh_now = (t - forget_round + 1) % unlearner.refresh_period == 0
-            for node, present in ready:
+            for node, at in ready:
                 disp_vec = node.recovered - historical
                 with telemetry.span("recovery_round_seconds"):
-                    if executor is None:
-                        if node.form is None:
-                            node.form = CohortForm(node.estimators)
-                        estimates = estimate_cohort(
-                            [(node.estimators[cid], stored) for cid, stored in present],
-                            disp_vec,
-                            refresh_now,
-                            node.form.plan(tuple(cid for cid, _ in present)),
-                        )
-                    else:
-                        estimates = unlearner._estimate_parallel(
-                            executor, present, node.estimators, disp_vec, refresh_now
-                        )
-                    if refresh_now:
-                        node.form = None  # the present estimators took new pairs
-                    weights = [record.weight_of(cid) for cid, _ in present]
-                    displacement = float(np.linalg.norm(disp_vec))
-                    node.displacement_norms.append(displacement)
-                    opt.step_(node.recovered, aggregate(estimates, weights))
-                    node.rounds_replayed += 1
+                    displacement = replay_node(
+                        node, rows, at, disp_vec, refresh_now
+                    )
                 if telemetry.enabled:
                     telemetry.inc("recovery_rounds_total")
                     telemetry.set_gauge("recovery_displacement_norm", displacement)
@@ -661,8 +675,8 @@ def _run_group(
     for node in list(active):
         if forest is not None:
             node.snapshots[num_rounds] = _node_snapshot(unlearner, node)
-        base_accepted = sum(e.pairs_accepted for e in node.estimators.values())
-        base_rejected = sum(e.pairs_rejected for e in node.estimators.values())
+        base_accepted = int(node.state.accepted.sum())
+        base_rejected = int(node.state.rejected.sum())
         norms = node.displacement_norms
         mean_disp = float(np.mean(norms)) if norms else 0.0
         max_disp = float(np.max(norms)) if norms else 0.0
@@ -710,3 +724,12 @@ def _run_group(
         stats.forks,
         stats.peak_branches,
     )
+
+
+def _stack_rows(rows: List[np.ndarray], d: int) -> np.ndarray:
+    """A ragged round's rows as one block, once each is checked to hold
+    ``d`` elements."""
+    for row in rows:
+        if row.shape != (d,):
+            raise ValueError(f"gradient/displacement mismatch: {row.shape} vs {(d,)}")
+    return np.stack(rows)

@@ -36,8 +36,9 @@ result (``docs/REPLAY.md``).
 
 Telemetry: each Hessian-vector product is timed and counted
 (``lbfgs_hvp_seconds`` span, ``lbfgs_hvp_total``), and each checked
-insertion (:meth:`LbfgsBuffer.add_pair` / :meth:`LbfgsBuffer.adopt_pair`)
-records its timing plus the accepted/rejected pair counters and the
+insertion (:func:`append_pair`, behind :meth:`LbfgsBuffer.add_pair` /
+:meth:`LbfgsBuffer.adopt_pair`) records its timing plus the
+accepted/rejected pair counters and the
 resulting buffer occupancy — see ``docs/METRICS.md``.
 """
 
@@ -51,6 +52,7 @@ from repro.telemetry.core import current_telemetry
 
 __all__ = [
     "LbfgsBuffer",
+    "append_pair",
     "compact_form_matrices",
     "compact_hvp",
     "lbfgs_hessian_dense",
@@ -88,8 +90,7 @@ class LbfgsBuffer:
         self._pairs: Pairs = ()
         # Cached compact form (ΔW, ΔG, σ, M, wing); rebuilt lazily after
         # any pair mutation.  The cached arrays are shared with callers
-        # (compact_form, compact_state, compact_hvp) and must be treated as
-        # read-only.
+        # (compact_form, compact_hvp) and must be treated as read-only.
         self._form: Optional[
             Tuple[np.ndarray, np.ndarray, float, np.ndarray, np.ndarray]
         ] = None
@@ -117,34 +118,14 @@ class LbfgsBuffer:
 
     def adopt_pair(self, delta_w: np.ndarray, delta_g: np.ndarray) -> bool:
         """:meth:`add_pair` without the copy, for the replay machinery,
-        whose pairs are temporaries nobody else writes to.  Both must be
-        flat float64; an accepted pair is frozen in place (``delta_w``
-        may be frozen already — one displacement serves a round's whole
-        cohort).  Same checks, same telemetry."""
-        telemetry = current_telemetry()
-        with telemetry.span("lbfgs_buffer_update_seconds"):
-            if delta_w.shape != delta_g.shape:
-                raise ValueError(
-                    f"pair shape mismatch: {delta_w.shape} vs {delta_g.shape}"
-                )
-            accepted = (
-                float(np.linalg.norm(delta_w)) >= _MIN_NORM
-                and float(delta_w @ delta_g) > _MIN_CURVATURE
-            )
-            if accepted:
-                delta_w.flags.writeable = False
-                delta_g.flags.writeable = False
-                self._pairs = (self._pairs + ((delta_w, delta_g),))[
-                    -self.buffer_size :
-                ]
-                self._form = None
-        if telemetry.enabled:
-            if accepted:
-                telemetry.inc("lbfgs_pairs_accepted_total")
-                telemetry.set_gauge("lbfgs_buffer_pairs", len(self._pairs))
-            else:
-                telemetry.inc("lbfgs_pairs_rejected_total")
-        return accepted
+        whose pairs are temporaries nobody else writes to: see
+        :func:`append_pair`."""
+        pairs = append_pair(self._pairs, delta_w, delta_g, self.buffer_size)
+        if pairs is None:
+            return False
+        self._pairs = pairs
+        self._form = None
+        return True
 
     def adopt_pairs(self, pairs: Pairs) -> None:
         """Hold exactly ``pairs`` — another buffer's :meth:`pairs`, by
@@ -226,24 +207,47 @@ class LbfgsBuffer:
             )
         return compact_hvp(dw, dg, sigma, vector, middle=middle, wing=wing)
 
-    def compact_state(self) -> Optional[Tuple[np.ndarray, np.ndarray, float]]:
-        """The buffer's compact form ``(ΔW, ΔG, σ)``, or None when empty.
-
-        ``compact_hvp(ΔW, ΔG, σ, v)`` on this state equals
-        ``self.hvp(v)`` bitwise — it is the picklable snapshot the
-        parallel recovery path ships to workers so they run the exact
-        serial arithmetic on a copy of the buffer.  The returned arrays
-        come from the internal cache: treat them as read-only.
-        """
-        form = self.compact_form()
-        return None if form is None else form[:3]
-
     def dense(self, dim: int) -> np.ndarray:
         """Materialize ``H̃`` as a (dim, dim) matrix — tests/small d only."""
         if dim > 4096:
             raise ValueError("refusing to materialize a Hessian larger than 4096²")
         eye = np.eye(dim)
         return np.stack([self.hvp(eye[:, j]) for j in range(dim)], axis=1)
+
+
+def append_pair(
+    pairs: Pairs, delta_w: np.ndarray, delta_g: np.ndarray, buffer_size: int
+) -> Optional[Pairs]:
+    """``pairs`` with ``(Δw, Δg)`` appended, the oldest rolled out past
+    ``buffer_size`` — or None when the pair is rejected: near-zero
+    ``Δw`` or non-positive curvature ``ΔwᵀΔg`` (they would make BFGS
+    indefinite); a shape mismatch is an error.
+
+    The pair is adopted, not copied: both must be flat float64, and an
+    accepted pair is frozen in place (``delta_w`` may be frozen already
+    — one displacement serves a replay round's whole cohort).
+    """
+    telemetry = current_telemetry()
+    with telemetry.span("lbfgs_buffer_update_seconds"):
+        if delta_w.shape != delta_g.shape:
+            raise ValueError(
+                f"pair shape mismatch: {delta_w.shape} vs {delta_g.shape}"
+            )
+        accepted = (
+            float(np.linalg.norm(delta_w)) >= _MIN_NORM
+            and float(delta_w @ delta_g) > _MIN_CURVATURE
+        )
+        if accepted:
+            delta_w.flags.writeable = False
+            delta_g.flags.writeable = False
+            pairs = (pairs + ((delta_w, delta_g),))[-buffer_size:]
+    if telemetry.enabled:
+        if accepted:
+            telemetry.inc("lbfgs_pairs_accepted_total")
+            telemetry.set_gauge("lbfgs_buffer_pairs", len(pairs))
+        else:
+            telemetry.inc("lbfgs_pairs_rejected_total")
+    return pairs if accepted else None
 
 
 def compact_form_matrices(
@@ -281,24 +285,25 @@ def compact_form_matrices(
 
 
 def stack_compact_forms(
-    buffers: Sequence[LbfgsBuffer],
+    held: Sequence[Pairs], sigma_floor: float = 1e-8
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The compact forms of buffers holding ``s`` pairs each, stacked:
-    ``(ΔW, which, ΔG, σ, M, wing)`` shaped ``(u, d, s)``, ``(n,)``,
-    ``(n, d, s)``, ``(n,)``, ``(n, 2s, 2s)`` and ``(n, d, 2s)``.
+    """The compact forms of pairs values holding ``s`` pairs each (a
+    buffer's :meth:`LbfgsBuffer.pairs`), stacked: ``(ΔW, which, ΔG, σ,
+    M, wing)`` shaped ``(u, d, s)``, ``(n,)``, ``(n, d, s)``, ``(n,)``,
+    ``(n, 2s, 2s)`` and ``(n, d, 2s)``.
 
-    Row ``k`` holds the values of ``buffers[k].compact_form()``, its
-    ``ΔW`` being ``ΔW[which[k]]``: one matrix per distinct tuple of
-    frozen ``Δw`` arrays (``u = 1`` when every buffer shares them — a
-    replay round's refresh, or one seeding anchor), with ``ΔWᵀΔW`` and
-    ``Δwᵀ_{s−1}Δw_{s−1}`` computed once per distinct ``ΔW``.  σ comes
-    from the stacked ``(d, s)`` columns, as in
+    Row ``k`` holds the values of the ``compact_form()`` of a buffer
+    holding ``held[k]``, its ``ΔW`` being ``ΔW[which[k]]``: one matrix
+    per distinct tuple of frozen ``Δw`` arrays (``u = 1`` when every
+    row shares them — a replay round's refresh, or one seeding anchor),
+    with ``ΔWᵀΔW`` and ``Δwᵀ_{s−1}Δw_{s−1}`` computed once per distinct
+    ``ΔW``.  σ comes from the stacked ``(d, s)`` columns, as in
     :meth:`LbfgsBuffer._matrices` — a dot of strided columns, whose bits
     a dot of the contiguous pair arrays need not share.
     """
-    n, s = len(buffers), len(buffers[0])
-    d = buffers[0].pairs()[0][0].size
-    keys = [tuple(id(w) for w, _ in b.pairs()) for b in buffers]
+    n, s = len(held), len(held[0])
+    d = held[0][0][0].size
+    keys = [tuple(id(w) for w, _ in pairs) for pairs in held]
     slots = {key: u for u, key in enumerate(dict.fromkeys(keys))}  # Δw ids -> ΔW
     which = np.array([slots[key] for key in keys])
     dw = np.empty((len(slots), d, s))
@@ -307,16 +312,16 @@ def stack_compact_forms(
     middle = np.empty((n, 2 * s, 2 * s))
     wing = np.empty((n, d, 2 * s))
     grams: List[Optional[Tuple[np.ndarray, float]]] = [None] * len(slots)
-    for k, buffer in enumerate(buffers):
+    for k, pairs in enumerate(held):
         u = which[k]
-        for j, (w, g) in enumerate(buffer.pairs()):
+        for j, (w, g) in enumerate(pairs):
             dg[k, :, j] = g
             if grams[u] is None:
                 dw[u, :, j] = w
         if grams[u] is None:
             grams[u] = (dw[u].T @ dw[u], float(dw[u, :, -1] @ dw[u, :, -1]))
         gram, ss = grams[u]
-        sigma[k] = max(float(dg[k, :, -1] @ dw[u, :, -1]) / ss, buffer.sigma_floor)
+        sigma[k] = max(float(dg[k, :, -1] @ dw[u, :, -1]) / ss, sigma_floor)
         compact_form_matrices(dw[u], dg[k], sigma[k], gram, middle[k], wing[k])
     for array in (dw, which, dg, sigma, middle, wing):
         array.flags.writeable = False  # shared by reference, like the pairs
@@ -333,12 +338,11 @@ def compact_hvp(
 ) -> np.ndarray:
     """The compact-form Hessian-vector product ``H̃ · vector``.
 
-    The pure arithmetic core of Algorithm 2, shared by the serial path
-    (:meth:`LbfgsBuffer.hvp`) and the parallel recovery workers so both
-    produce bitwise-identical results.  ``delta_w``/``delta_g`` are the
-    stacked ``(d, s)`` pair matrices and ``sigma`` the (already
-    clamped) initial-curvature scalar — i.e. exactly what
-    :meth:`LbfgsBuffer.compact_state` returns.
+    The pure arithmetic core of Algorithm 2 behind
+    :meth:`LbfgsBuffer.hvp`.  ``delta_w``/``delta_g`` are the stacked
+    ``(d, s)`` pair matrices and ``sigma`` the (already clamped)
+    initial-curvature scalar — the first three items of
+    :meth:`LbfgsBuffer.compact_form`.
 
     ``middle``/``wing`` may be passed precomputed (from
     :func:`compact_form_matrices` on the same ``ΔW, ΔG, σ``); the

@@ -46,19 +46,10 @@ the Eq. 6 displacement ``‖w̄_t − w_t‖₂``
 (``recovery_displacement_norm``).  The per-estimate clip rate and drift
 come from :mod:`repro.unlearning.estimator` — see ``docs/METRICS.md``.
 
-Parallel recovery: with ``backend="thread"``/``"process"`` the
-per-client Eq. 6 HVP + Eq. 7 clip fan out through
-:mod:`repro.parallel`.  Each worker gets a snapshot of the client's
-compact L-BFGS state and the round's shared displacement, runs the
-exact serial arithmetic, and the parent does all estimator bookkeeping
-and telemetry from the returned numbers — so the recovered parameters
-are **bitwise identical to the serial run** and the pool reports its
-shape and timing via ``recovery_parallel_*``.
-
 Amortized serving: successive erasure requests replay overlapping
 windows — forgetting ``{a}`` then ``{a, b}`` repeats every round up to
 ``b``'s first appearance.  A :class:`ReplayForest` keeps the committed
-state (parameters, L-BFGS buffers, progress counters — replay is
+state (parameters, L-BFGS pairs columns, progress counters — replay is
 RNG-free, so no generator state exists to key) at the start of every
 round that brings in a new participant, and at the end,
 in a shared tree keyed by the **effective forget set**
@@ -77,9 +68,9 @@ metrics; ``docs/REPLAY.md`` is the design doc.
 
 Round reads go through the store's bulk
 :meth:`~repro.storage.store.GradientStore.get_round` when the backend
-advertises ``supports_bulk_round`` — one LUT pass per cohort instead of
-per-client unpacking — and fall back to per-client reads (with their
-per-entry damage isolation) otherwise.
+advertises ``supports_bulk_round`` — one LUT pass per cohort, whose
+block the cohort kernel reads as is — and fall back to per-client
+reads (with their per-entry damage isolation) otherwise.
 """
 
 from __future__ import annotations
@@ -88,7 +79,6 @@ import os
 import threading
 import weakref
 from collections import OrderedDict
-from operator import is_, itemgetter
 from typing import (
     Callable,
     Dict,
@@ -104,13 +94,11 @@ import numpy as np
 from repro.fl.client import VehicleClient
 from repro.fl.history import TrainingRecord
 from repro.nn.model import Sequential
-from repro.parallel.estimates import run_estimate, tasks_from_round
-from repro.parallel.executor import Executor, pool_utilization
-from repro.parallel.policy import resolve_execution
+from repro.parallel.executor import Executor
 from repro.storage.prefetch import RoundDecodeCache
 from repro.unlearning.base import ModelFactory, UnlearnResult, UnlearningMethod
 from repro.telemetry.core import current_telemetry
-from repro.unlearning.estimator import GradientEstimator
+from repro.unlearning.estimator import CohortState, GradientEstimator
 from repro.utils.serialization import load_state, save_state_atomic
 
 __all__ = ["ReplayForest", "SignRecoveryUnlearner"]
@@ -122,10 +110,10 @@ class _ReplaySnapshot:
     """Committed replay state at the *start* of one round — immutable.
 
     ``params`` is a read-only copy of the recovered vector;
-    ``estimators`` maps client id to
-    :meth:`~repro.unlearning.estimator.GradientEstimator.state`, whose
-    L-BFGS pairs are the live buffers' own frozen arrays, shared by
-    reference; ``progress`` holds the stats counters accumulated so far,
+    ``estimators`` is a :class:`~repro.unlearning.estimator.CohortState`
+    copy: its own counters and the replay's pairs column itself, so the
+    snapshots a replay takes between two refreshes share one pairs
+    column; ``progress`` holds the stats counters accumulated so far,
     so a resumed run's final ``UnlearnResult.stats`` is byte-identical
     to a cold one's.  Its ``"displacement_norms"`` is ``(norms, n)``:
     the first ``n`` entries of the storing run's append-only list.
@@ -141,24 +129,22 @@ class _ReplaySnapshot:
     def arrays(self):
         """Every array the snapshot keeps alive (shared ones repeat)."""
         yield self.params
-        for state in self.estimators.values():
-            for pair in state[0]:
+        for pairs in self.estimators.pairs:
+            for pair in pairs:
                 yield from pair
 
 
 class _ForestNode:
     """One shared snapshot in the forest: committed start-of-round state
-    keyed (within its root) by ``(round, effective forget set)``.
-    ``columns`` are the pairs tuples of its estimator entries, grouped
-    as it took them on — the unit the byte accounting counts."""
+    keyed (within its root) by ``(round, effective forget set)``.  Its
+    snapshot's pairs column is the unit the byte accounting counts."""
 
-    __slots__ = ("snapshot", "round", "effective", "columns")
+    __slots__ = ("snapshot", "round", "effective")
 
     def __init__(self, snapshot: _ReplaySnapshot, round, effective):
         self.snapshot = snapshot
         self.round = round
         self.effective = effective
-        self.columns: List[Tuple] = []
 
 
 class _ForestRoot:
@@ -247,8 +233,9 @@ class ReplayForest:
         # pointer on the node: a dying forest must not need the cycle
         # collector to give its bytes back.)
         self._lru: "OrderedDict[_ForestNode, _ForestRoot]" = OrderedDict()
-        # id -> [object, holders] for each params array, column, pairs
-        # tuple and pair array the nodes hold; a shared one is counted once.
+        # id -> [object, holders] for each params array, pairs column,
+        # pairs tuple and pair array the nodes hold; a shared one is
+        # counted once.
         self._held: Dict[int, List] = {}
         #: Bytes of the distinct arrays held by all nodes.
         self.nbytes = 0
@@ -385,11 +372,11 @@ class ReplayForest:
             self.nbytes += delta * array.nbytes
 
     def _count_column(self, column: Tuple, delta: int) -> None:
-        """One node's hold on a column of pairs tuples.  A replay's
-        snapshots share one column between refreshes, so a node mostly
-        costs one probe; a column's tuples, and a tuple's arrays, are
-        visited only when the first holder arrives or the last leaves."""
-        if self._count(column, delta):
+        """One node's hold on a pairs column.  A replay's snapshots share
+        one column between refreshes, so a node mostly costs one probe;
+        a column's tuples, and a tuple's arrays, are visited only when
+        the first holder arrives or the last leaves."""
+        if column and self._count(column, delta):
             for pairs in column:
                 if self._count(pairs, delta):
                     for pair in pairs:
@@ -403,8 +390,7 @@ class ReplayForest:
         if not level:
             del root.nodes[node.round]
         self._count_array(node.snapshot.params, -1)
-        for column in node.columns:
-            self._count_column(column, -1)
+        self._count_column(node.snapshot.estimators.pairs, -1)
 
     def _drop_root(self, root: _ForestRoot) -> None:
         self._roots.remove(root)
@@ -461,11 +447,7 @@ class ReplayForest:
             snapshot = node.snapshot
             return node.round, _ReplaySnapshot(
                 params=snapshot.params,
-                estimators={
-                    cid: state
-                    for cid, state in snapshot.estimators.items()
-                    if cid not in forget
-                },
+                estimators=snapshot.estimators.without(forget),
                 progress=snapshot.progress,
             )
 
@@ -495,7 +477,6 @@ class ReplayForest:
         with self._lock:
             forget = frozenset(forget)
             root = self._root(record, base_key, forget_round)
-            last: Tuple = ()
             for t in sorted(snapshots):
                 snap = snapshots[t]
                 effective = forget & root.cum[t - forget_round]
@@ -504,25 +485,20 @@ class ReplayForest:
                 if node is None:
                     node = level[effective] = _ForestNode(snap, t, effective)
                     self._count_array(snap.params, +1)
-                    added = snap.estimators.values()
+                    self._count_column(snap.estimators.pairs, +1)
                 else:
                     # Keep the established snapshot (byte-identical state by
                     # the effective-set argument) but widen its estimator
                     # coverage with clients this replay tracked and the
                     # stored one had forgotten.
-                    covered = node.snapshot.estimators
-                    added = [
-                        covered.setdefault(cid, state)
-                        for cid, state in snap.estimators.items()
-                        if cid not in covered
-                    ]
-                column = tuple(map(itemgetter(0), added))  # the pairs tuples
-                if len(column) == len(last) and all(map(is_, column, last)):
-                    column = last  # no refresh since the previous snapshot
-                if column:
-                    node.columns.append(column)
-                    self._count_column(column, +1)
-                    last = column
+                    held = node.snapshot
+                    wider = held.estimators.merged(snap.estimators)
+                    if wider is not held.estimators:
+                        self._count_column(wider.pairs, +1)
+                        self._count_column(held.estimators.pairs, -1)
+                        node.snapshot = _ReplaySnapshot(
+                            held.params, wider, held.progress
+                        )
                 self._lru[node] = root
                 self._lru.move_to_end(node)
             while self.nbytes > self.max_bytes and len(self._lru) > 1:
@@ -605,12 +581,6 @@ class SignRecoveryUnlearner(UnlearningMethod):
         is removed on successful completion.
     checkpoint_every:
         Replay rounds between checkpoints.
-    backend, workers:
-        Execution engine for the per-client estimation fan-out
-        (``serial``/``thread``/``process``); None falls back to the
-        process-wide default from
-        :func:`repro.parallel.policy.default_execution`.  Every backend
-        recovers bitwise-identical parameters.
     prefix_cache:
         Optional :class:`ReplayForest` shared across requests.
         When set, :meth:`unlearn` resumes from the deepest reusable
@@ -658,8 +628,6 @@ class SignRecoveryUnlearner(UnlearningMethod):
         round_callback: Optional[Callable[[int, np.ndarray], None]] = None,
         checkpoint_dir: Optional[str] = None,
         checkpoint_every: int = 5,
-        backend: Optional[str] = None,
-        workers: Optional[int] = None,
         prefix_cache: Optional[ReplayForest] = None,
         cancel_check: Optional[Callable[[], None]] = None,
         prefetch_depth: Optional[int] = None,
@@ -678,7 +646,6 @@ class SignRecoveryUnlearner(UnlearningMethod):
         self.round_callback = round_callback
         self.checkpoint_dir = checkpoint_dir
         self.checkpoint_every = checkpoint_every
-        self.execution = resolve_execution(backend, workers)
         self.prefix_cache = prefix_cache
         self.cancel_check = cancel_check
         self.prefetch_depth = prefetch_depth
@@ -752,60 +719,6 @@ class SignRecoveryUnlearner(UnlearningMethod):
         return estimators
 
     # ------------------------------------------------------------------
-    def _estimate_parallel(
-        self,
-        executor: Executor,
-        present: List[Tuple[int, np.ndarray]],
-        estimators: Dict[int, GradientEstimator],
-        displacement_vec: np.ndarray,
-        refresh_now: bool,
-    ) -> List[np.ndarray]:
-        """Fan one round's Eq. 6/7 steps across the executor.
-
-        Snapshots each client's compact L-BFGS state *before* dispatch
-        (the cohort kernel also estimates from pre-refresh state), merges
-        results in participant order, and performs the estimator
-        bookkeeping, refresh seeding, and telemetry re-emission the
-        workers withheld — so counters and recovered parameters match
-        the serial backend exactly.
-        """
-        telemetry = current_telemetry()
-        tasks = tasks_from_round(
-            present, estimators, displacement_vec, self.clip_threshold
-        )
-        results, pool_stats = executor.run(run_estimate, tasks)
-        estimates: List[np.ndarray] = []
-        busy_seconds = 0.0
-        for (cid, stored), result in zip(present, results):
-            estimators[cid].estimates_made += 1
-            busy_seconds += result.duration_seconds
-            if telemetry.enabled:
-                telemetry.inc("lbfgs_hvp_total")
-                telemetry.observe("lbfgs_hvp_seconds", result.hvp_seconds)
-                if result.estimate.size:
-                    telemetry.observe("recovery_clip_rate", result.clip_rate)
-                    telemetry.observe("recovery_estimate_drift", result.drift)
-            estimates.append(result.estimate)
-            if refresh_now:
-                estimators[cid].refresh_pair(
-                    displacement_vec, result.estimate - stored
-                )
-        if telemetry.enabled:
-            telemetry.observe(
-                "recovery_parallel_dispatch_seconds", pool_stats.dispatch_seconds
-            )
-            telemetry.observe(
-                "recovery_parallel_gather_seconds", pool_stats.gather_seconds
-            )
-            telemetry.set_gauge(
-                "recovery_parallel_utilization",
-                pool_utilization(
-                    busy_seconds, executor.workers, pool_stats.wall_seconds
-                ),
-            )
-        return estimates
-
-    # ------------------------------------------------------------------
     # checkpointing
     # ------------------------------------------------------------------
     def _checkpoint_path(self) -> str:
@@ -849,7 +762,7 @@ class SignRecoveryUnlearner(UnlearningMethod):
     def _make_snapshot(
         self,
         recovered: np.ndarray,
-        estimators: Dict[int, GradientEstimator],
+        estimators: CohortState,
         rounds_replayed: int,
         skipped_rounds: int,
         missing_entries: int,
@@ -857,7 +770,8 @@ class SignRecoveryUnlearner(UnlearningMethod):
         displacement_norms: List[float],
     ) -> _ReplaySnapshot:
         """Snapshot the committed replay state: one copy of the
-        parameter vector, everything else by reference.
+        parameter vector and of the estimator counters, everything else
+        by reference.
 
         ``displacement_norms`` must be the run's own append-only list —
         the snapshot records its current length, not its contents.
@@ -866,7 +780,7 @@ class SignRecoveryUnlearner(UnlearningMethod):
         params.flags.writeable = False
         return _ReplaySnapshot(
             params=params,
-            estimators={cid: est.state() for cid, est in estimators.items()},
+            estimators=estimators.copy(),
             progress={
                 "rounds_replayed": rounds_replayed,
                 "skipped_rounds": skipped_rounds,
@@ -879,16 +793,6 @@ class SignRecoveryUnlearner(UnlearningMethod):
             },
         )
 
-    def _estimators_from_snapshot(
-        self, states: Dict[int, Tuple]
-    ) -> Dict[int, GradientEstimator]:
-        return {
-            cid: GradientEstimator.from_state(
-                state, self.buffer_size, self.clip_threshold
-            )
-            for cid, state in states.items()
-        }
-
     def _save_checkpoint(
         self,
         fingerprint: Dict,
@@ -898,7 +802,8 @@ class SignRecoveryUnlearner(UnlearningMethod):
     ) -> None:
         arrays: Dict[str, np.ndarray] = {"recovered": snapshot.params}
         est_meta: Dict[str, Dict] = {}
-        for cid, (pairs, made, accepted, rejected) in snapshot.estimators.items():
+        states = snapshot.estimators.states()
+        for cid, (pairs, made, accepted, rejected) in states.items():
             for j, (dw, dg) in enumerate(pairs):
                 arrays[f"p_{cid}_{j}_w"] = dw
                 arrays[f"p_{cid}_{j}_g"] = dg
@@ -943,7 +848,7 @@ class SignRecoveryUnlearner(UnlearningMethod):
             a.flags.writeable = False
         # GradientEstimator.state() layout; the fingerprint pins
         # buffer_size, so the saved pairs are exactly the buffer's.
-        estimators: Dict[int, Tuple] = {
+        states: Dict[int, Tuple] = {
             int(cid): (
                 tuple(
                     (arrays[f"p_{cid}_{j}_w"], arrays[f"p_{cid}_{j}_g"])
@@ -959,6 +864,9 @@ class SignRecoveryUnlearner(UnlearningMethod):
         norms = [float(n) for n in progress["displacement_norms"]]
         progress["displacement_norms"] = (norms, len(norms))
         params = np.asarray(arrays["recovered"], dtype=np.float64)
+        estimators = CohortState.from_states(
+            states, self.buffer_size, self.clip_threshold
+        )
         return int(meta["next_round"]), _ReplaySnapshot(params, estimators, progress)
 
     # ------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 ``repro.parallel`` promises that the thread and process backends are
 *bitwise identical* to the serial reference — same training records,
-same accuracies, same fault bookkeeping, same recovered parameters —
-with only wall time allowed to differ.  These tests pin that contract:
+same accuracies, same fault bookkeeping — with only wall time allowed
+to differ.  These tests pin that contract:
 
 - executor unit behaviour (in-task-order results, worker contexts,
   pool stats, utilization math);
@@ -12,8 +12,6 @@ with only wall time allowed to differ.  These tests pin that contract:
 - serial vs thread vs process equality for ``FederatedSimulation.run``
   across seeds, with and without an active ``FaultPlan`` (including
   dropped stragglers and flaky retries);
-- the same equality for ``SignRecoveryUnlearner.unlearn`` with seeded
-  L-BFGS buffers;
 - telemetry counter parity: the parallel path re-emits per-client
   metrics from worker stats, so counters match the serial run;
 - the batched sign codec (`pack_signs_batch` / `encode_round` /
@@ -52,7 +50,6 @@ from repro.storage import (
     unpack_signs,
 )
 from repro.telemetry import Telemetry, use_telemetry
-from repro.unlearning import SignRecoveryUnlearner
 from repro.utils.rng import SeedSequenceTree
 
 NUM_CLIENTS = 6
@@ -111,8 +108,6 @@ class TestExecutionPolicy:
     def test_constructors_resolve_to_serial_by_default(self):
         _, sim = build_sim(3)
         assert sim.execution == ExecutionPolicy(backend="serial", workers=1)
-        unlearner = SignRecoveryUnlearner()
-        assert unlearner.execution == ExecutionPolicy(backend="serial", workers=1)
 
     def test_resolve_fills_unset_knobs_from_default(self):
         previous = set_default_execution(backend="thread", workers=4)
@@ -129,7 +124,6 @@ class TestExecutionPolicy:
         try:
             _, sim = build_sim(3)
             assert sim.execution == ExecutionPolicy("thread", 2)
-            assert SignRecoveryUnlearner().execution == ExecutionPolicy("thread", 2)
         finally:
             set_default_execution(previous.backend, previous.workers)
 
@@ -347,56 +341,6 @@ class TestTrainingIdentity:
             else:
                 assert registry.gauge_value("fl_parallel_workers") is None
                 assert dispatch is None
-
-
-# ----------------------------------------------------------------------
-# recovery identity
-# ----------------------------------------------------------------------
-class TestRecoveryIdentity:
-    @pytest.fixture(scope="class")
-    def trained(self):
-        # Client 2 joins at round 8 so forgetting it yields a non-zero
-        # forget round — the replay window starts with history in the
-        # L-BFGS buffers and the workers exercise real compact HVPs.
-        schedule = ParticipationSchedule.with_events(
-            range(NUM_CLIENTS), joins={2: 8}
-        )
-        model, sim = build_sim(41, schedule=schedule)
-        record = sim.run(24)
-        return model, record
-
-    def test_recovery_bitwise_identical_across_backends(self, trained):
-        model, record = trained
-        reference = SignRecoveryUnlearner(refresh_period=4).unlearn(
-            record, forget_ids=[2], model=model
-        )
-        assert reference.stats["forget_round"] > 0
-        assert reference.stats["pairs_accepted"] > 0  # real HVP state in play
-        for backend, workers in BACKENDS[1:]:
-            result = SignRecoveryUnlearner(
-                refresh_period=4, backend=backend, workers=workers
-            ).unlearn(record, forget_ids=[2], model=model)
-            np.testing.assert_array_equal(result.params, reference.params)
-            assert result.stats == reference.stats
-            assert result.rounds_replayed == reference.rounds_replayed
-
-    def test_recovery_telemetry_counter_parity(self, trained):
-        model, record = trained
-        counters = {}
-        for backend, workers in [("serial", 1), ("thread", 3)]:
-            telemetry = Telemetry()
-            with use_telemetry(telemetry):
-                SignRecoveryUnlearner(
-                    refresh_period=4, backend=backend, workers=workers
-                ).unlearn(record, forget_ids=[2], model=model)
-            registry = telemetry.registry
-            counters[backend] = {
-                "hvp": registry.counter_value("lbfgs_hvp_total"),
-                "rounds": registry.counter_value("recovery_rounds_total"),
-                "clip_count": registry.histogram("recovery_clip_rate").count,
-            }
-        assert counters["thread"] == counters["serial"]
-        assert counters["serial"]["hvp"] > 0
 
 
 # ----------------------------------------------------------------------

@@ -10,10 +10,14 @@ Two layers of guard around :func:`repro.unlearning.estimator.estimate_cohort`
   replay whose cohort mixes empty, one-pair and two-pair buffers across
   refresh rounds, a fused forest batch on a small ladder-shaped world,
   and int8 ``get_round`` rows against float64 ``get`` rows.
-- **Property test.**  Over random cohorts, the kernel's aggregate equals
-  ``fedavg`` of the per-client chain byte for byte, with the same
-  bookkeeping, refresh pairs and errors.  ``make chaos`` (which sets
-  ``CHAOS_SEEDS``) runs it at a large example budget.
+- **Property tests.**  Over random cohorts, the kernel's aggregate
+  equals ``fedavg`` of the per-client chain byte for byte, with the same
+  bookkeeping, refresh pairs and errors — also along the replay's round
+  path (stored rows a slice or a take of the decoded round block, the
+  in-place FedAvg).  ``make chaos`` (which sets ``CHAOS_SEEDS``) runs
+  them at a large example budget.
+- **Structure.**  A node's stacked form stays current, and a fused burst
+  builds no per-client estimator state past seeding.
 """
 
 import hashlib
@@ -25,9 +29,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fl.aggregation import AGGREGATORS, fedavg
+from repro.storage.store import RoundRows
 from repro.unlearning import ReplayForest, SignRecoveryUnlearner
 from repro.unlearning.base import remaining_ids
-from repro.unlearning.estimator import CohortForm, GradientEstimator, estimate_cohort
+from repro.unlearning.estimator import (
+    CohortForm,
+    CohortState,
+    GradientEstimator,
+    estimate_cohort,
+)
 from repro.unlearning.forest import fused_unlearn
 from tests.test_service_cache import CLIP, build_record
 
@@ -143,7 +153,11 @@ def make_estimator(rng, d, pairs, clip):
 
 
 def clone(est):
-    return GradientEstimator.from_state(est.state(), 3, est.clip_threshold)
+    """An estimator holding ``est``'s pairs (by reference) and counters."""
+    twin = GradientEstimator(buffer_size=3, clip_threshold=est.clip_threshold)
+    pairs, twin.estimates_made, twin.pairs_accepted, twin.pairs_rejected = est.state()
+    twin.buffer.adopt_pairs(pairs)
+    return twin
 
 
 def make_singular(est):
@@ -165,12 +179,22 @@ def plant_singular(form):
 
 
 def kernel_plan(cohort, singular):
-    """The kernel's plan over ``cohort``, singular as ``make_singular``
-    makes the reference twins when ``singular``."""
-    form = CohortForm(dict(enumerate(est for est, _ in cohort)))
+    """The cohort's estimators as columns and the kernel's plan over
+    them, singular as ``make_singular`` makes the reference twins when
+    ``singular``."""
+    state = CohortState.from_estimators(dict(enumerate(est for est, _ in cohort)))
+    form = CohortForm(state)
     if singular:
         plant_singular(form)
-    return form.plan(tuple(range(len(cohort))))
+    return state, form.plan(np.arange(len(cohort)), lambda ids: np.ones(ids.size))
+
+
+def kernel(cohort, v, refresh=False, singular=False):
+    """The kernel over a ``(estimator, row)`` cohort, rows stacked into
+    one stored block; ``(block, state)``."""
+    state, plan = kernel_plan(cohort, singular)
+    stored = np.stack([row for _, row in cohort]) if cohort else np.empty((0, v.size))
+    return estimate_cohort(state, plan, stored, v, refresh), state
 
 
 def make_row(rng, d, int8):
@@ -219,21 +243,103 @@ def cohort_case(seed, k, d, clip, refresh, singular):
 )
 def test_kernel_matches_per_client_chain(seed, k, d, clip, refresh, singular, rule):
     mine, theirs, v, weights = cohort_case(seed, k, d, clip, refresh, singular)
-    block = estimate_cohort(mine, v.copy(), refresh, kernel_plan(mine, singular))
+    block, state = kernel(mine, v.copy(), refresh, singular)
     expected = reference(theirs, v.copy(), refresh)
     assert block.shape == (k, d) and block.dtype == np.float64
     for row, estimate in zip(block, expected):
         assert row.tobytes() == estimate.tobytes()
     aggregate = AGGREGATORS[rule]
     assert aggregate(block, weights).tobytes() == aggregate(expected, weights).tobytes()
-    for (est, _), (twin, _) in zip(mine, theirs):
-        assert est.estimates_made == twin.estimates_made == 1
-        assert (est.pairs_accepted, est.pairs_rejected) == (
+    for slot, (twin, _) in enumerate(theirs):
+        assert state.made[slot] == twin.estimates_made == 1
+        assert (state.accepted[slot], state.rejected[slot]) == (
             twin.pairs_accepted,
             twin.pairs_rejected,
         )
-        assert len(est.buffer) == len(twin.buffer)
-        for (dw, dg), (tw, tg) in zip(est.buffer.pairs(), twin.buffer.pairs()):
+        assert len(state.pairs[slot]) == len(twin.buffer)
+        for (dw, dg), (tw, tg) in zip(state.pairs[slot], twin.buffer.pairs()):
+            assert dw.tobytes() == tw.tobytes() and dg.tobytes() == tg.tobytes()
+            assert not np.shares_memory(dg, block)
+
+
+# ----------------------------------------------------------------------
+# the replay's round path == the per-client chain, bit for bit
+# ----------------------------------------------------------------------
+def round_case(seed, k, d, int8, special, take):
+    """A node's cohort (0-3 offered pairs each) and the round it reads:
+    its present rows picked from a decoded block that also holds rows
+    of clients outside the node — as one slice, or (``take``) with a
+    gap, so the pick is one ``take``."""
+    rng = np.random.default_rng(seed)
+    cids = np.arange(k) * 3 + 1
+    mine = {}
+    for cid in cids.tolist():
+        mine[cid] = make_estimator(rng, d, int(rng.integers(0, 4)), 5.0)
+    theirs = {cid: clone(est) for cid, est in mine.items()}
+    # The decoded round: a forgotten client before and after the node's
+    # rows, and (take) two between each pair of them.
+    if take:
+        everyone = np.arange(3 * k + 2)
+    else:
+        everyone = np.concatenate([[0], cids, [3 * k + 2]])
+    if int8:
+        block = rng.integers(-1, 2, size=(everyone.size, d)).astype(np.int8)
+    else:
+        block = rng.normal(scale=2.0, size=(everyone.size, d))
+        block[rng.random(block.shape) < 0.2] = -0.0
+    rows = RoundRows(everyone, block)
+    v = rng.normal(scale=rng.choice([0.01, 1.0, 10.0]), size=d)
+    if special:
+        v[rng.integers(0, d, size=3)] = rng.choice([np.inf, -np.inf, np.nan], size=3)
+    weights = rng.uniform(0.5, 20.0, size=k)
+    return mine, theirs, rows, v, weights
+
+
+@pytest.mark.chaos
+@settings(max_examples=400 if CHAOS else 40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 12),
+    d=st.one_of(st.integers(1, 48), st.sampled_from([4095, 4096, 4097, 9000])),
+    int8=st.booleans(),
+    special=st.booleans(),
+    take=st.booleans(),
+    refresh=st.booleans(),
+)
+def test_round_path_matches_per_client_chain(seed, k, d, int8, special, take, refresh):
+    """The node-round path: present rows picked out of the decoded
+    round block (a slice or one take), the kernel on that block, the
+    in-place FedAvg on the kernel's own block — against the per-client
+    chain and ``fedavg``.  Row chunks straddle ``_CHUNK_BYTES`` at the
+    large ``d``; rows hold −0.0, ``v`` ±inf and NaN."""
+    mine, theirs, rows, v, weights = round_case(seed, k, d, int8, special, take)
+    state = CohortState.from_estimators(mine)
+    at = np.flatnonzero(np.isin(rows.cids, state.cids))
+    stored = rows.rows_at(at)
+    assert np.shares_memory(stored, rows.block) == (not take or k == 1)
+    assert stored.dtype == (np.int8 if int8 else np.float64)
+    table = dict(zip(state.cids.tolist(), weights))
+    plan = CohortForm(state).plan(
+        rows.cids[at], lambda ids: np.array([table[c] for c in ids.tolist()])
+    )
+    with np.errstate(all="ignore"):
+        block = estimate_cohort(state, plan, stored, v.copy(), refresh)
+        expected = reference(
+            [(theirs[c], rows[c]) for c in state.cids.tolist()], v.copy(), refresh
+        )
+        for row, estimate in zip(block, expected):
+            assert row.tobytes() == estimate.tobytes()
+        want = fedavg(expected, weights)
+        assert plan.fedavg(block).tobytes() == want.tobytes()
+    for slot, cid in enumerate(state.cids.tolist()):
+        twin = theirs[cid]
+        assert state.made[slot] == twin.estimates_made == 1
+        assert (state.accepted[slot], state.rejected[slot]) == (
+            twin.pairs_accepted,
+            twin.pairs_rejected,
+        )
+        assert len(state.pairs[slot]) == len(twin.buffer)
+        for (dw, dg), (tw, tg) in zip(state.pairs[slot], twin.buffer.pairs()):
             assert dw.tobytes() == tw.tobytes() and dg.tobytes() == tg.tobytes()
             assert not np.shares_memory(dg, block)
 
@@ -249,7 +355,7 @@ def test_singular_middle_takes_the_least_squares_branch(monkeypatch):
     monkeypatch.setattr(
         np.linalg, "lstsq", lambda *a, **kw: calls.append(1) or lstsq(*a, **kw)
     )
-    block = estimate_cohort(mine, v, False, kernel_plan(mine, True))
+    block, _ = kernel(mine, v, False, True)
     assert len(calls) == len(mine)
     for row, estimate in zip(block, reference(theirs, v, False)):
         assert row.tobytes() == estimate.tobytes()
@@ -261,7 +367,7 @@ def test_empty_buffers_give_the_stored_rows_exactly():
     rows = [np.array([-0.0, 0.5, -2.0]), np.array([1, 0, -1], dtype=np.int8)]
     cohort = [(GradientEstimator(clip_threshold=10.0), row) for row in rows]
     with np.errstate(invalid="ignore"):
-        block = estimate_cohort(cohort, v)
+        block, _ = kernel(cohort, v)
     ref = [GradientEstimator(clip_threshold=10.0).estimate_displaced(row, v)
            for row in rows]
     assert block.tobytes() == np.stack(ref).tobytes()
@@ -273,18 +379,18 @@ class TestKernelErrors:
         with pytest.raises(ValueError, match="gradient/displacement mismatch"):
             est.estimate_displaced(np.zeros(4), np.zeros(5))
         with pytest.raises(ValueError, match="gradient/displacement mismatch"):
-            estimate_cohort([(GradientEstimator(), np.zeros(4))], np.zeros(5))
+            kernel([(GradientEstimator(), np.zeros(4))], np.zeros(5))
 
     def test_mis_sized_pairs(self):
         est = GradientEstimator()
         est.seed_pair(np.ones(4), np.ones(4))
         with pytest.raises(ValueError, match="vector has 5 elements, pairs have 4"):
-            estimate_cohort([(est, np.zeros(5))], np.zeros(5))
+            kernel([(est, np.zeros(5))], np.zeros(5))
 
     def test_mixed_clip_thresholds(self):
         cohort = [(GradientEstimator(clip_threshold=c), np.ones(3)) for c in (1.0, 2.0)]
         with pytest.raises(ValueError, match="one clip threshold"):
-            estimate_cohort(cohort, np.zeros(3))
+            kernel(cohort, np.zeros(3))
 
     @pytest.mark.parametrize(
         "weights, message",
@@ -292,23 +398,25 @@ class TestKernelErrors:
     )
     def test_bad_weights(self, weights, message):
         cohort = [(GradientEstimator(), np.ones(3)) for _ in range(2)]
-        block = estimate_cohort(cohort, np.zeros(3))
+        block, state = kernel(cohort, np.zeros(3))
         with pytest.raises(ValueError, match=message):
             fedavg(block, weights)
         with pytest.raises(ValueError, match=message):
             fedavg(list(block), weights)
+        with pytest.raises(ValueError, match=message):  # the replay's in-place FedAvg
+            CohortForm(state).plan(np.arange(2), lambda ids: np.array(weights))
 
 
 def test_telemetry_one_observation_per_client():
     from repro.telemetry.core import Telemetry, use_telemetry
 
     counts = []
-    for kernel in (True, False):
+    for stacked in (True, False):
         mine, theirs, v, _ = cohort_case(11, 6, 20, 0.3, True, False)
         telemetry = Telemetry()
         with use_telemetry(telemetry):
-            if kernel:
-                estimate_cohort(mine, v, True)
+            if stacked:
+                kernel(mine, v, True)
             else:
                 reference(theirs, v, True)
         reg = telemetry.registry
@@ -368,25 +476,26 @@ def node_case(seed, n, d, clip, shared):
 )
 def test_node_form_matches_per_client_chain(seed, n, d, clip, shared, refresh, singular):
     mine, theirs, present, rows, v = node_case(seed, n, d, clip, shared)
-    form = CohortForm(mine)
+    state = CohortState.from_estimators(mine)
+    form = CohortForm(state)
     if singular:
         plant_singular(form)
         for est in theirs.values():
             if len(est.buffer):
                 make_singular(est)
-    block = estimate_cohort(
-        [(mine[c], rows[c]) for c in present], v.copy(), refresh, form.plan(tuple(present))
-    )
+    stored = np.stack([rows[c] for c in present])
+    plan = form.plan(np.array(present))
+    block = estimate_cohort(state, plan, stored, v.copy(), refresh)
     expected = reference([(theirs[c], rows[c]) for c in present], v.copy(), refresh)
     for row, estimate in zip(block, expected):
         assert row.tobytes() == estimate.tobytes()
     for cid in present:
-        est, twin = mine[cid], theirs[cid]
-        assert (est.estimates_made, est.pairs_accepted) == (
+        (pairs, made, accepted, _), twin = state.states()[cid], theirs[cid]
+        assert (made, accepted) == (
             twin.estimates_made,
             twin.pairs_accepted,
         )
-        for (dw, dg), (tw, tg) in zip(est.buffer.pairs(), twin.buffer.pairs()):
+        for (dw, dg), (tw, tg) in zip(pairs, twin.buffer.pairs()):
             assert dw.tobytes() == tw.tobytes() and dg.tobytes() == tg.tobytes()
 
 
@@ -400,9 +509,10 @@ def test_delta_w_is_stacked_once_per_distinct_tuple():
         shared[cid].refresh_pair(w, 2.0 * w + rng.normal(scale=0.1, size=16))
         own[cid] = GradientEstimator()
         own[cid].seed_pair(w, 2.0 * w + rng.normal(scale=0.1, size=16))
-    ((dw, which, dg, *_),) = CohortForm(shared).groups
+    ((dw, which, dg, *_),) = CohortForm(CohortState.from_estimators(shared)).groups
     assert (dw.shape, which.tolist(), dg.shape) == ((1, 16, 1), [0] * 4, (4, 16, 1))
-    ((dw, which, *rest),) = CohortForm(own).groups  # seed_pair copies: 4 arrays
+    # seed_pair copies: 4 arrays
+    ((dw, which, *rest),) = CohortForm(CohortState.from_estimators(own)).groups
     assert (dw.shape, which.tolist()) == ((4, 16, 1), [0, 1, 2, 3])
     assert not any(a.flags.writeable for a in (dw, which, *rest))
 
@@ -413,12 +523,12 @@ def test_plan_slices_contiguous_runs_and_takes_the_rest():
         ests[cid] = GradientEstimator()
         if cid != 2:
             ests[cid].seed_pair(np.ones(4) + cid, np.full(4, 2.0 + cid))
-    form = CohortForm(ests)
-    ((_, take, at),) = form.plan((0, 1, 3))
+    form = CohortForm(CohortState.from_estimators(ests))
+    ((_, take, at),) = form.plan(np.array([0, 1, 3])).groups
     assert (take, at) == (slice(0, 3), slice(0, 3))  # stack rows skip cid 2
-    ((_, take, at),) = form.plan((1, 2, 4))
+    ((_, take, at),) = form.plan(np.array([1, 2, 4])).groups
     assert take.tolist() == [1, 3] and at.tolist() == [0, 2]
-    assert form.plan((1, 2, 4)) is form.plan((1, 2, 4))
+    assert form.plan(np.array([1, 2, 4])) is form.plan(np.array([1, 2, 4]))
 
 
 def rows_of(group, take):
@@ -428,14 +538,16 @@ def rows_of(group, take):
     return [dw[which[take]], *(r[take] for r in rest)]
 
 
-def assert_fresh(cohort, plan):
+def assert_fresh(state, plan):
     """The node's form, at the rows a round reads, equals a form built
     now from the same estimators."""
-    fresh = CohortForm(dict(enumerate(est for est, _ in cohort)))
-    block = np.arange(len(cohort))
-    fresh_plan = fresh.plan(tuple(block.tolist()))
-    assert len(plan) == len(fresh_plan)
-    for (group, take, at), (new, new_take, new_at) in zip(plan, fresh_plan):
+    fresh = CohortForm(state)
+    block = np.arange(len(plan.slots))
+    fresh_plan = fresh.plan(state.cids[plan.slots])
+    assert len(plan.groups) == len(fresh_plan.groups)
+    for (group, take, at), (new, new_take, new_at) in zip(
+        plan.groups, fresh_plan.groups
+    ):
         assert block[at].tolist() == block[new_at].tolist()
         for old, now in zip(rows_of(group, take), rows_of(new, new_take)):
             assert old.tobytes() == now.tobytes()
@@ -447,13 +559,12 @@ def form_spy(monkeypatch):
     list holds each checked round's ``refresh`` flag."""
     import repro.unlearning.forest as engine
 
-    kernel, rounds = engine.estimate_cohort, []
+    real, rounds = engine.estimate_cohort, []
 
-    def checked(cohort, displacement, refresh=False, plan=None):
-        assert plan is not None  # the engine passes its node's form
-        assert_fresh(cohort, plan)
+    def checked(state, plan, stored, displacement, refresh=False):
+        assert_fresh(state, plan)
         rounds.append(refresh)
-        return kernel(cohort, displacement, refresh, plan)
+        return real(state, plan, stored, displacement, refresh)
 
     monkeypatch.setattr(engine, "estimate_cohort", checked)
     return rounds
@@ -530,3 +641,99 @@ class TestNodeFormStaysCurrent:
         (second,), _ = fused_unlearn(unlearner, record, [frozenset({8, 23})])
         assert first.error is None and second.error is None
         assert second.cached_prefix_rounds > 0 and len(form_spy) > checked
+
+
+# ----------------------------------------------------------------------
+# node state is columnar: no per-client objects in a fused burst
+# ----------------------------------------------------------------------
+#: 64 base vehicles and 8 that join one per round from round 2.
+WIDE_CLIENTS = 72
+WIDE_JOINS = {64 + i: 2 + i for i in range(8)}
+WIDE_SETS = [{64}, {65}, {64, 65}, {66}, {67, 68}, {69}, {70}, {71}]
+WIDE_REFRESH = 4
+
+
+def test_fused_burst_builds_no_per_client_state(monkeypatch):
+    """Over a fused burst on a K ≥ 64 cohort no ``GradientEstimator`` is
+    built outside seeding or asked for ``state()``; a fork and a
+    snapshot share the node's pairs column; consecutive snapshots with
+    no refresh between them hold one pairs column (``is``)."""
+    record, _ = build_record(
+        4, num_rounds=14, num_clients=WIDE_CLIENTS, joins=WIDE_JOINS
+    )
+    forest = ReplayForest()
+    unlearner = SignRecoveryUnlearner(
+        clip_threshold=CLIP, refresh_period=WIDE_REFRESH, prefix_cache=forest
+    )
+    seeding, strays, copies, stored = [False], [], [], []
+    seed = unlearner._seed_estimators
+
+    def seeding_only(call):
+        """``call`` as seeding: estimators built and read out per client."""
+
+        def watched(*args):
+            seeding[0] = True
+            try:
+                return call(*args)
+            finally:
+                seeding[0] = False
+
+        return watched
+
+    init, state, real_copy, real_store = (
+        GradientEstimator.__init__, GradientEstimator.state, CohortState.copy,
+        forest.store,
+    )
+    columns = CohortState.from_estimators.__func__
+
+    def init_watched(self, *args, **kwargs):
+        if not seeding[0]:
+            strays.append("built")
+        init(self, *args, **kwargs)
+
+    def state_watched(self):
+        if not seeding[0]:
+            strays.append("state()")
+        return state(self)
+
+    def copy_watched(self, *keep):
+        out = real_copy(self, *keep)
+        if keep:  # a restore's or a merge's pick of slots
+            return out
+        copies.append(
+            (out.pairs is self.pairs, out.made is not self.made)
+        )
+        return out
+
+    def store_watched(record, base_key, forget, forget_round, snapshots):
+        stored.append((forget_round, dict(snapshots)))
+        return real_store(record, base_key, forget, forget_round, snapshots)
+
+    unlearner._seed_estimators = seeding_only(seed)
+    forest.store = store_watched
+    monkeypatch.setattr(GradientEstimator, "__init__", init_watched)
+    monkeypatch.setattr(GradientEstimator, "state", state_watched)
+    monkeypatch.setattr(
+        CohortState,
+        "from_estimators",
+        classmethod(lambda cls, ests: seeding_only(columns)(cls, ests)),
+    )
+    monkeypatch.setattr(CohortState, "copy", copy_watched)
+
+    outcomes, stats = fused_unlearn(unlearner, record, WIDE_SETS)
+    assert all(o.error is None for o in outcomes)
+    assert stats.forks > 0 and len(remaining_ids(record, [])) >= 64
+    assert not strays
+    # Every fork and snapshot shares the pairs column and copies counters.
+    assert copies and all(all(copy) for copy in copies)
+    shared = 0
+    for forget_round, snapshots in stored:
+        rounds = sorted(snapshots)
+        for early, late in zip(rounds, rounds[1:]):
+            if not any(
+                (r - forget_round + 1) % WIDE_REFRESH == 0 for r in range(early, late)
+            ):
+                columns = (snapshots[r].estimators.pairs for r in (early, late))
+                assert next(columns) is next(columns)
+                shared += 1
+    assert shared

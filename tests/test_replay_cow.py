@@ -43,8 +43,7 @@ from hypothesis.stateful import (
 )
 
 from repro.unlearning import ReplayForest, SignRecoveryUnlearner
-from repro.unlearning.estimator import GradientEstimator
-from repro.unlearning.forest import _copy_estimators
+from repro.unlearning.estimator import CohortState, GradientEstimator
 from repro.unlearning.lbfgs import LbfgsBuffer
 from repro.unlearning.recovery import _ReplaySnapshot
 
@@ -59,8 +58,9 @@ def assert_frozen(array):
 
 def snapshot_digest(snapshot, cids=None):
     h = hashlib.sha256(snapshot.params.tobytes())
-    for cid in sorted(snapshot.estimators if cids is None else cids):
-        pairs, *counters = snapshot.estimators[cid]
+    states = snapshot.estimators.states()
+    for cid in sorted(states if cids is None else cids):
+        pairs, *counters = states[cid]
         h.update(repr((cid, counters)).encode())
         for dw, dg in pairs:
             h.update(dw.tobytes())
@@ -70,6 +70,12 @@ def snapshot_digest(snapshot, cids=None):
 
 def forest_nodes(forest):
     return list(forest._lru)
+
+
+def columns(estimators):
+    """``{cid: (pairs, made, accepted, rejected)}`` as a snapshot's
+    estimator columns."""
+    return CohortState.from_states(estimators, 1, 1.0)
 
 
 # ----------------------------------------------------------------------
@@ -131,7 +137,7 @@ class TestFrozenSharing:
         record, _, forest, unlearner = self.replayed_forest()
         nodes = forest_nodes(forest)
         assert any(
-            state[0] for n in nodes for state in n.snapshot.estimators.values()
+            state[0] for n in nodes for state in n.snapshot.estimators.states().values()
         )
         for node in nodes:
             for array in node.snapshot.arrays():
@@ -141,21 +147,27 @@ class TestFrozenSharing:
         )
         for array in restored.arrays():
             assert_frozen(array)
-        estimators = unlearner._estimators_from_snapshot(restored.estimators)
-        forked = _copy_estimators(unlearner, estimators)
-        for cid, est in estimators.items():
-            stored_pairs = restored.estimators[cid][0]
-            assert est.buffer.pairs() is stored_pairs  # restore copies nothing
-            assert forked[cid].buffer.pairs() is stored_pairs  # nor does a fork
-            assert forked[cid].buffer is not est.buffer
-            for pair in est.buffer.pairs():
+        # What a replay node's restore and a fork make of it.
+        estimators = restored.estimators.without(frozenset({5, 7}))
+        forked = estimators.copy()
+        stored, own, theirs = (
+            state.states() for state in (restored.estimators, estimators, forked)
+        )
+        for cid in own:
+            stored_pairs = stored[cid][0]
+            assert own[cid][0] is stored_pairs  # restore copies nothing
+            assert theirs[cid][0] is stored_pairs  # nor does a fork
+            assert forked.made is not estimators.made
+            for pair in own[cid][0]:
                 for array in pair:
                     assert_frozen(array)
 
     def test_a_round_cohort_shares_one_displacement(self):
         _, _, forest, _ = self.replayed_forest()
         final = max(forest_nodes(forest), key=lambda n: n.round).snapshot
-        newest = [state[0][-1] for state in final.estimators.values() if state[0]]
+        newest = [
+            state[0][-1] for state in final.estimators.states().values() if state[0]
+        ]
         assert len(newest) > 1
         assert len({id(dw) for dw, _ in newest}) < len(newest)  # Δw shared
         assert len({id(dg) for _, dg in newest}) == len(newest)  # Δg per client
@@ -191,7 +203,9 @@ class TestFrozenSharing:
         # ... which a forest holding them counts once.
         forest = ReplayForest()
         params = record.params_at(3)
-        snapshot = unlearner._make_snapshot(params, seeded, 0, 0, 0, 0, [])
+        snapshot = unlearner._make_snapshot(
+            params, CohortState.from_estimators(seeded), 0, 0, 0, 0, []
+        )
         forest.store(FakeRecord([[0]] * 4), BASE_KEY, frozenset({99}), 0, {4: snapshot})
         assert forest.nbytes == (1 + 2 + len(held)) * params.nbytes
         assert forest.recount_nbytes() == forest.nbytes
@@ -201,7 +215,7 @@ class TestFrozenSharing:
         # Per node: the clients it covers now (a later store may widen
         # coverage, never change an entry) and the digest over them.
         before = {
-            n: (sorted(n.snapshot.estimators), snapshot_digest(n.snapshot))
+            n: (n.snapshot.estimators.cids.tolist(), snapshot_digest(n.snapshot))
             for n in forest_nodes(forest)
         }
         base_key = unlearner._cache_base_key(record)
@@ -211,10 +225,11 @@ class TestFrozenSharing:
         params = first.params.copy()
         params += 1.0
         d = params.size
-        for est in unlearner._estimators_from_snapshot(first.estimators).values():
-            est.refresh_pair(np.ones(d), np.ones(d))
-            est.estimates_made += 7
-            est.buffer.clear()
+        state = first.estimators
+        n = len(state.cids)
+        state.refresh(np.arange(n), np.ones(d), np.full((n, d), 2.0), np.ones((n, d)))
+        state.made += 7
+        state.pairs = ((),) * n
         assert snapshot_digest(second) == snapshot_digest(
             forest.lookup(record, base_key, frozenset({5, 7}), 3)[1]
         )
@@ -305,7 +320,7 @@ class ForestMachine(RuleBasedStateMachine):
             for cid in CLIENTS + (GHOST,)
             if cid not in forget
         }
-        return _ReplaySnapshot(frozen(t), estimators, {})
+        return _ReplaySnapshot(frozen(t), columns(estimators), {})
 
     @rule(
         index=st.integers(0, 2),
@@ -338,7 +353,7 @@ class ForestMachine(RuleBasedStateMachine):
             return
         resume, restored = hit
         assert resume == expected
-        assert not set(restored.estimators) & forget
+        assert not set(restored.estimators.cids.tolist()) & forget
         for array in restored.arrays():
             assert not array.flags.writeable
         assert next(reversed(self.forest._lru)).round == resume  # touched
@@ -436,7 +451,7 @@ class RetirementMachine(RuleBasedStateMachine):
                     dw = self.pool.setdefault(t // 3, frozen(t // 3 + 1))
                     self.pool[key] = ((dw, frozen(cid + 2)),)
                 estimators[cid] = (self.pool[key], t, 1, 0)
-        return _ReplaySnapshot(frozen(t), estimators, {})
+        return _ReplaySnapshot(frozen(t), columns(estimators), {})
 
     def resume(self, forget):
         """Look ``forget`` up in both forests; the round both resume at."""
@@ -543,7 +558,7 @@ class TestBudget:
         snapshots = {
             t: _ReplaySnapshot(
                 frozen(t),
-                {0: (pairs, t, 1, 0), 1: (((dw, frozen(3)),), t, 1, 0)},
+                columns({0: (pairs, t, 1, 0), 1: (((dw, frozen(3)),), t, 1, 0)}),
                 {},
             )
             for t in (1, 2, 3)
@@ -559,7 +574,7 @@ class TestBudget:
         record = make_record(0)
         forest.store(
             record, BASE_KEY, frozenset({4}), 0,
-            {t: _ReplaySnapshot(frozen(t), {}, {}) for t in (3, 1, 2)},
+            {t: _ReplaySnapshot(frozen(t), columns({}), {}) for t in (3, 1, 2)},
         )
         assert [n.round for n in forest_nodes(forest)] == [3]
         assert forest.node_evictions == 2
@@ -616,15 +631,16 @@ def test_snapshots_restores_and_forks_allocate_no_pair_bytes():
     try:
         start, _ = tracemalloc.get_traced_memory()
         taken = {}
+        state = CohortState.from_estimators(estimators)
         for t in range(1, snapshots + 1):
             norms.append(float(t))
-            taken[t] = unlearner._make_snapshot(recovered, estimators, t, 0, 0, 0, norms)
+            taken[t] = unlearner._make_snapshot(recovered, state, t, 0, 0, 0, norms)
         forest.store(record, BASE_KEY, frozenset({99}), 0, taken)
         live = []
         for _ in range(restores):
             _, restored = forest.lookup(record, BASE_KEY, frozenset({99}), 0)
-            own = unlearner._estimators_from_snapshot(restored.estimators)
-            live.append((restored.params.copy(), own, _copy_estimators(unlearner, own)))
+            own = restored.estimators.without(frozenset({99}))  # a node's restore
+            live.append((restored.params.copy(), own, own.copy()))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

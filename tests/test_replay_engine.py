@@ -7,7 +7,6 @@ The features a single trajectory carries ride on that one loop:
 - crash checkpoints (``checkpoint_dir``) and the resume from them,
   including ``stats["resumed_from"]`` and the checkpoint's contents;
 - ``round_callback``, called after each replayed round;
-- the thread estimate backend;
 - a ``cancel_check`` abort, whose salvaged prefix a retry resumes;
 - the live path's replay-merge commit.
 
@@ -52,7 +51,6 @@ PINS = {
     "callback_healthy": "c4868560609ce0e63066c0b8836e6b081c40d6e0588798e83c3bfd8d55639764",
     "callback_rounds_damaged": [3, 4, 6, 7, 8, 9, 10, 11],
     "callback_damaged": "f8ef1b6ff41384212680e682c7a29ea54e5b861065e91c55be6ce102e66e17cf",
-    "thread": "a373a78968473eeb5ea813085f53d18c7485c3ab30d5f1267a17920de32fdba5",
     "abort_retry_0": (
         5, 3, "a085c1d50de3e2b1e8eaf016b5b270e6f6b8c13d130870e9dc099f78566a925a"
     ),
@@ -136,17 +134,6 @@ def test_round_callback_sequence(world):
     result = unlearner.unlearn(record, [5], model)
     check(f"callback_rounds_{world}", [t for t, _ in seen])
     check(f"callback_{world}", digest(result, seen))
-
-
-# ----------------------------------------------------------------------
-# (c) thread backend, 2 workers
-# ----------------------------------------------------------------------
-def test_thread_backend():
-    record, model = build_record(3)
-    result = SignRecoveryUnlearner(
-        clip_threshold=CLIP, backend="thread", workers=2, refresh_period=3
-    ).unlearn(record, [5, 7], model)
-    check("thread", digest(result))
 
 
 # ----------------------------------------------------------------------

@@ -13,6 +13,7 @@ import pytest
 
 from repro.storage import (
     MmapSignGradientStore,
+    RoundDecodeCache,
     SignGradientStore,
     TieredSignGradientStore,
 )
@@ -212,6 +213,62 @@ class TestBulkFallbackParity:
             assert sorted(base) == sorted(expected)
             for cid in expected:
                 assert base[cid].tobytes() == expected[cid].tobytes()
+
+
+def _build_tiered_hot(reference, tmp_path):
+    directory = str(tmp_path / "tiered-hot-layout")
+    store = TieredSignGradientStore(directory, delta=DELTA, hot_budget_bytes=1 << 20)
+    for (t, cid), (packed, length) in reference.items():
+        store.put_encoded(t, cid, packed, length)
+    assert store.tier_rounds()["hot"] == len(reference.rounds())
+    return store, None
+
+
+#: Every tier a round block can come from: the tiered store's hot
+#: overlay, warm shards and cold blocks, beside dict and mmap.
+BLOCK_BACKENDS = {**BACKENDS, "tiered-hot": _build_tiered_hot}
+
+
+def _assert_block_rows(store, rows, t, cids):
+    """Row ``i`` of the round's block is ``get(t, cids[i])``, and the
+    mapping surface reads the same rows."""
+    assert rows.cids.tolist() == cids == list(rows) == sorted(rows)
+    assert len(rows) == len(cids) and rows.block.shape == (len(cids), DIM)
+    for i, cid in enumerate(cids):
+        np.testing.assert_array_equal(rows.block[i], store.get(t, cid))
+        np.testing.assert_array_equal(rows[cid], rows.block[i])
+        assert rows.get(cid) is not None and cid in rows
+    assert rows.get(999) is None and 999 not in rows
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_BACKENDS))
+class TestRoundBlock:
+    """``get_round`` returns one decoded block with its client ids, from
+    the store, from the decode cache, and after a cache discard."""
+
+    def build(self, name, rng, tmp_path):
+        reference = _reference_store(rng)
+        return reference, BLOCK_BACKENDS[name](reference, tmp_path)[0]
+
+    def test_store_round(self, name, rng, tmp_path):
+        reference, store = self.build(name, rng, tmp_path)
+        for t in reference.rounds():
+            _assert_block_rows(store, store.get_round(t), t, reference.clients_at(t))
+
+    def test_cached_round_and_discard(self, name, rng, tmp_path):
+        reference, store = self.build(name, rng, tmp_path)
+        cache = RoundDecodeCache(max_bytes=1 << 20)
+        for t in reference.rounds():
+            cids = reference.clients_at(t)
+            cached, _ = cache.acquire(store, t)
+            _assert_block_rows(store, cached, t, cids)
+            cache.discard_client(store, cids[0])
+            left, hit = cache.acquire(store, t)
+            assert hit
+            _assert_block_rows(store, left, t, cids[1:])
+            _assert_block_rows(store, cached, t, cids)  # held rounds keep theirs
+            cache.release(store, t)
+            cache.release(store, t)
 
 
 class TestNbytes:

@@ -185,7 +185,9 @@ def test_stacked_forms_equal_each_buffers_form(d, s, shared):
             buf.adopt_pair(w, rng.uniform(0.5, 1.5) * w + 0.1 * rng.normal(size=d))
         if len(buf) == s:
             buffers.append(buf)
-    dw, which, dg, sigma, middle, wing = stack_compact_forms(buffers)
+    dw, which, dg, sigma, middle, wing = stack_compact_forms(
+        [buf.pairs() for buf in buffers]
+    )
     assert len(dw) == (1 if shared else len(buffers))
     for k, buf in enumerate(buffers):
         want = buf.compact_form()
