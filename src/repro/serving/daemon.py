@@ -40,10 +40,12 @@ request loop built for sustained load:
   error drops its key, so the keyed retry re-executes (picking up any
   salvaged replay prefix) instead of replaying the stored failure.
 
-Erasure execution itself is serialized by the service's internal lock
-(the record, erased-set, and prefix cache are one shared state);
-the worker pool buys concurrency for everything around it — admission,
-deadline policing, degraded-mode answers, and shutdown.
+Every dequeued group — a lone ticket or a coalesced one — takes one
+path: queue-wait accounting, deadline and breaker checks, one service
+call, one breaker verdict.  Erasure execution is serialized by the
+service (stop-the-world by its lock; against a live session only the
+commits are); the worker pool buys concurrency for everything around
+it — admission, deadline policing, degraded-mode answers, and shutdown.
 
 Shutdown is explicit: ``stop(mode="drain")`` finishes queued work,
 ``stop(mode="abort")`` fails it with typed rejections; both are
@@ -58,7 +60,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict, deque
-from typing import Callable, Deque, Dict, Optional, Sequence, Union
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from concurrent.futures import Future
 
@@ -262,9 +264,8 @@ class ErasureDaemon:
                 with self._cond:
                     if not self._queue:
                         break
-                    ticket = self._queue.popleft()
-                    self._set_queue_gauge()
-                self._process(ticket)
+                    batch = self._take()
+                self._process(batch)
         deadline = None if timeout is None else self._clock() + timeout
         with self._cond:
             while self._queue or self._inflight:
@@ -279,15 +280,11 @@ class ErasureDaemon:
         self._threads = []
         # After a clean join no replay is mid-flight, so this leaves no
         # decode threads behind; after a timed-out stop a straggler may
-        # still hold the service lock — skip rather than hang.
+        # still be replaying — skip rather than hang.
         try:
             self.service.drain_prefetch(blocking=False)
         except ServiceBusyError as exc:
-            _log.warning(
-                "prefetch drain skipped at shutdown: %s (retry after %.2fs)",
-                exc,
-                exc.retry_after,
-            )
+            _log.warning("prefetch drain skipped at shutdown: %s", exc)
         if self.flusher is not None:
             self.flusher.stop()
 
@@ -308,9 +305,9 @@ class ErasureDaemon:
     def retry_after_hint(self) -> float:
         """Suggested client backoff: queue depth × live service time."""
         with self._cond:
-            depth = len(self._queue) + self._inflight
-            ema = self._ema_service_seconds
-        return depth * max(ema, 1e-3)
+            return (len(self._queue) + self._inflight) * max(
+                self._ema_service_seconds, 1e-3
+            )
 
     def submit(
         self,
@@ -354,11 +351,7 @@ class ErasureDaemon:
                 self._count(request, "rejected", locked=True)
                 if telemetry.enabled:
                     telemetry.inc("serving_shed_total")
-                depth = len(self._queue) + self._inflight
-                raise RejectedError(
-                    "queue_full",
-                    retry_after=depth * max(self._ema_service_seconds, 1e-3),
-                )
+                raise RejectedError("queue_full", retry_after=self.retry_after_hint())
             future: Future = Future()
             ticket = _Ticket(request, future, self._clock())
             self._queue.append(ticket)
@@ -366,7 +359,7 @@ class ErasureDaemon:
                 self._keys[key] = future
                 while len(self._keys) > self._key_capacity:
                     self._keys.popitem(last=False)
-            self._set_queue_gauge(locked=True)
+            self._set_queue_gauge()
             self._cond.notify()
         return future
 
@@ -417,16 +410,11 @@ class ErasureDaemon:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _set_queue_gauge(self, locked: bool = False) -> None:
+    def _set_queue_gauge(self) -> None:
+        """Publish the queue depth; caller holds ``_cond``."""
         telemetry = current_telemetry()
-        if not telemetry.enabled:
-            return
-        if locked:
-            depth = len(self._queue)
-        else:
-            with self._cond:
-                depth = len(self._queue)
-        telemetry.set_gauge("serving_queue_depth", depth)
+        if telemetry.enabled:
+            telemetry.set_gauge("serving_queue_depth", len(self._queue))
 
     def _count(self, request: ErasureRequest, status: str, locked: bool = False) -> None:
         telemetry = current_telemetry()
@@ -469,6 +457,21 @@ class ErasureDaemon:
         else:
             ticket.future.set_result(response)
 
+    def _take(self) -> List[_Ticket]:
+        """Dequeue the head ticket; with fusion on, a single-vehicle head
+        also takes the consecutive single-vehicle tickets behind it.
+        Caller holds ``_cond``."""
+        batch = [self._queue.popleft()]
+        if self.fusion_width > 1 and len(batch[0].request.client_ids) == 1:
+            while (
+                len(batch) < self.fusion_width
+                and self._queue
+                and len(self._queue[0].request.client_ids) == 1
+            ):
+                batch.append(self._queue.popleft())
+        self._set_queue_gauge()
+        return batch
+
     def _worker_loop(self) -> None:
         while True:
             with self._cond:
@@ -476,256 +479,145 @@ class ErasureDaemon:
                     self._cond.wait(timeout=0.05)
                 if self._stopping and not self._queue:
                     return
-                ticket = self._queue.popleft()
-                batch = [ticket]
-                # Coalesce: a single-vehicle head pulls consecutive
-                # single-vehicle followers into one fused execution.
-                if self.fusion_width > 1 and len(ticket.request.client_ids) == 1:
-                    while (
-                        len(batch) < self.fusion_width
-                        and self._queue
-                        and len(self._queue[0].request.client_ids) == 1
-                    ):
-                        batch.append(self._queue.popleft())
+                batch = self._take()
                 self._inflight += len(batch)
-                self._set_queue_gauge(locked=True)
             try:
-                if len(batch) > 1:
-                    self._process_fused(batch)
-                else:
-                    self._process(ticket)
+                self._process(batch)
             finally:
                 with self._cond:
                     self._inflight -= len(batch)
                     self._cond.notify_all()
 
-    def _stale_response(self, ticket: _Ticket, queue_seconds: float) -> None:
-        params = self._last_params
-        if params is None:
-            params = self.service.record.final_params()
-        response = ServiceResponse(
-            status="stale",
-            params=params,
-            queue_seconds=queue_seconds,
-            retry_after=max(self.breaker.cooldown_remaining(), 1e-3),
+    def _expired(self, ticket: _Ticket, where: str) -> bool:
+        """Fail ``ticket`` with a deadline error if its deadline passed."""
+        deadline = ticket.request.deadline
+        if deadline is None or not deadline.expired():
+            return False
+        self._finish(
+            ticket,
+            "deadline",
+            error=DeadlineExceededError(
+                f"deadline of {deadline.budget_seconds:.3f}s expired {where}"
+            ),
         )
-        self._finish(ticket, "stale", response=response)
+        return True
 
-    def _process(self, ticket: _Ticket) -> None:
-        request = ticket.request
-        deadline = request.deadline
-        queue_seconds = self._clock() - ticket.enqueued_at
-        telemetry = current_telemetry()
-        if telemetry.enabled:
-            telemetry.observe("serving_queue_wait_seconds", queue_seconds)
-        if deadline is not None and deadline.expired():
-            self._finish(
-                ticket,
-                "deadline",
-                error=DeadlineExceededError(
-                    f"deadline of {deadline.budget_seconds:.3f}s expired "
-                    "while queued"
-                ),
+    def _execute(self, tickets: List[_Ticket]) -> List[Tuple[list, Optional[Exception]]]:
+        """Run the admitted tickets; one ``(outcomes, error)`` per ticket.
+        A coalesced group is one fused forest execution, each deadline
+        its own branch's cancel check, outside ``retry_policy``; a lone
+        ticket is a single or serial-batch erasure under it."""
+        if len(tickets) > 1:
+            report = self.service.handle_erasure_batch_fused(
+                [t.request.client_ids[0] for t in tickets],
+                cancel_checks=[
+                    t.request.deadline.check if t.request.deadline else None
+                    for t in tickets
+                ],
             )
-            return
-        # Degraded modes while the breaker refuses service.  serve_stale
-        # answers immediately; queue_only holds the request (deadline
-        # still polices the wait) until a probe slot opens.
-        while not self.breaker.allow():
-            if self.degraded_mode == "serve_stale":
-                self._stale_response(ticket, queue_seconds)
-                return
-            if deadline is not None and deadline.expired():
-                self._finish(
-                    ticket,
-                    "deadline",
-                    error=DeadlineExceededError(
-                        f"deadline of {deadline.budget_seconds:.3f}s expired "
-                        "while held by the open breaker"
-                    ),
-                )
-                return
-            with self._cond:
-                if self._stopping:
-                    self._finish(ticket, "rejected", error=RejectedError("shutdown"))
-                    return
-                self._cond.wait(timeout=0.005)
-
+            return [([o] if o is not None else None, e)
+                    for o, e in zip(report.outcomes, report.errors)]
+        request = tickets[0].request
+        deadline = request.deadline
         cancel_check = deadline.check if deadline is not None else None
 
         def run():
             if len(request.client_ids) == 1:
-                outcome = self.service.handle_erasure_request(
-                    request.client_ids[0], cancel_check=cancel_check
-                )
-                return [outcome]
+                return [
+                    self.service.handle_erasure_request(
+                        request.client_ids[0], cancel_check=cancel_check
+                    )
+                ]
             return self.service.handle_erasure_batch(
                 request.client_ids, cancel_check=cancel_check
             )
 
-        started = self._clock()
-        try:
-            if self.retry_policy is not None:
-                budget = deadline.remaining() if deadline is not None else None
-                retried = self.retry_policy.call(run, budget=budget)
-                if not retried.succeeded:
-                    raise TransientClientError(
-                        "transient failures exhausted the retry budget"
-                    )
-                outcomes = retried.value
-            else:
-                outcomes = run()
-        except DeadlineExceededError as exc:
-            # The replay aborted at a committed round boundary; the
-            # salvaged prefix stays in the service's cache.  Says
-            # nothing about substrate health: if this execution held
-            # the half-open probe slot, return it undecided so the next
-            # request can probe instead of the breaker wedging.
-            self.breaker.release_probe()
-            if telemetry.enabled:
-                telemetry.inc("serving_deadline_aborts_total")
-            self._finish(ticket, "deadline", error=exc)
-            return
-        except _CLIENT_ERRORS as exc:
-            # The client asked for something invalid — no substrate
-            # verdict either way; release any held probe slot.
-            self.breaker.release_probe()
-            self._finish(ticket, "error", error=exc)
-            return
-        except Exception as exc:  # substrate fault: feed the breaker
-            self.breaker.record_failure()
-            _log.warning("erasure request failed: %s", exc)
-            self._finish(ticket, "error", error=exc)
-            return
-        service_seconds = self._clock() - started
-        self.breaker.record_success()
-        with self._cond:
-            # EMA over per-request service time drives the retry-after
-            # hint handed to shed clients.
-            if self._ema_service_seconds == 0.0:
-                self._ema_service_seconds = service_seconds
-            else:
-                self._ema_service_seconds = (
-                    0.8 * self._ema_service_seconds + 0.2 * service_seconds
-                )
-        self._last_params = outcomes[-1].params
-        response = ServiceResponse(
-            status="ok",
-            params=outcomes[-1].params,
-            outcomes=list(outcomes),
-            queue_seconds=queue_seconds,
-            service_seconds=service_seconds,
-        )
-        self._finish(ticket, "ok", response=response)
+        if self.retry_policy is None:
+            return [(run(), None)]
+        budget = deadline.remaining() if deadline is not None else None
+        retried = self.retry_policy.call(run, budget=budget)
+        if not retried.succeeded:
+            raise TransientClientError("transient failures exhausted the retry budget")
+        return [(retried.value, None)]
 
-    def _process_fused(self, tickets: list) -> None:
-        """Serve coalesced single-vehicle tickets as one forest execution.
+    def _process(self, tickets: List[_Ticket]) -> None:
+        """Serve one dequeued group (a lone ticket or a coalesced one).
 
-        Mirrors :meth:`_process` per ticket — queue-wait accounting,
-        dequeue-time deadline policing, degraded modes — then runs the
-        survivors through
-        :meth:`~repro.unlearning.service.UnlearningService.handle_erasure_batch_fused`
-        with each ticket's deadline as its branch's cancel check.  The
-        group is one breaker verdict: any committed member proves the
-        substrate healthy, any non-client failure feeds the breaker,
-        and a group that only hit deadlines/aborts leaves the probe
-        slot undecided.
+        Per ticket: queue-wait accounting and the dequeue-time deadline
+        check.  While the breaker refuses service, ``serve_stale``
+        answers every ticket stale and ``queue_only`` holds them (the
+        deadline still polices the wait) until a probe slot opens.  The
+        survivors run through :meth:`_execute`; the group is one breaker
+        verdict — any committed ticket proves the substrate healthy,
+        any non-client failure feeds the breaker, and a group that only
+        hit deadlines, aborts or client errors leaves the probe slot
+        undecided.
         """
         telemetry = current_telemetry()
-        live = []
+        admitted = []
         for ticket in tickets:
             queue_seconds = self._clock() - ticket.enqueued_at
             if telemetry.enabled:
                 telemetry.observe("serving_queue_wait_seconds", queue_seconds)
-            deadline = ticket.request.deadline
-            if deadline is not None and deadline.expired():
-                self._finish(
-                    ticket,
-                    "deadline",
-                    error=DeadlineExceededError(
-                        f"deadline of {deadline.budget_seconds:.3f}s expired "
-                        "while queued"
-                    ),
-                )
-                continue
-            live.append((ticket, queue_seconds))
-        if not live:
-            return
-        while not self.breaker.allow():
+            if not self._expired(ticket, "while queued"):
+                admitted.append((ticket, queue_seconds))
+        while admitted and not self.breaker.allow():
             if self.degraded_mode == "serve_stale":
-                for ticket, queue_seconds in live:
-                    self._stale_response(ticket, queue_seconds)
+                # Answer with the last known-good parameters (before any
+                # success: the trained model); nothing is erased.
+                params = self._last_params
+                if params is None:
+                    params = self.service.record.final_params()
+                for ticket, queue_seconds in admitted:
+                    self._finish(ticket, "stale", response=ServiceResponse(
+                        status="stale",
+                        params=params,
+                        queue_seconds=queue_seconds,
+                        retry_after=max(self.breaker.cooldown_remaining(), 1e-3),
+                    ))
                 return
-            held = []
-            for ticket, queue_seconds in live:
-                deadline = ticket.request.deadline
-                if deadline is not None and deadline.expired():
-                    self._finish(
-                        ticket,
-                        "deadline",
-                        error=DeadlineExceededError(
-                            f"deadline of {deadline.budget_seconds:.3f}s "
-                            "expired while held by the open breaker"
-                        ),
-                    )
-                else:
-                    held.append((ticket, queue_seconds))
-            live = held
-            if not live:
-                return
+            admitted = [
+                (ticket, queue_seconds)
+                for ticket, queue_seconds in admitted
+                if not self._expired(ticket, "while held by the open breaker")
+            ]
             with self._cond:
-                if self._stopping:
-                    for ticket, _ in live:
-                        self._finish(
-                            ticket, "rejected", error=RejectedError("shutdown")
-                        )
+                if self._stopping or not admitted:
+                    for ticket, _ in admitted:
+                        self._finish(ticket, "rejected", error=RejectedError("shutdown"))
                     return
                 self._cond.wait(timeout=0.005)
+        if not admitted:
+            return
 
-        if telemetry.enabled:
-            telemetry.inc("serving_fused_tickets_total", len(live))
-        ids = [ticket.request.client_ids[0] for ticket, _ in live]
-        checks = [
-            ticket.request.deadline.check
-            if ticket.request.deadline is not None
-            else None
-            for ticket, _ in live
-        ]
+        if len(tickets) > 1 and telemetry.enabled:
+            telemetry.inc("serving_fused_tickets_total", len(admitted))
         started = self._clock()
         try:
-            report = self.service.handle_erasure_batch_fused(
-                ids, cancel_checks=checks
-            )
-        except Exception as exc:
-            # The fused executor itself failed — a substrate verdict
-            # for the whole group.
-            self.breaker.record_failure()
-            _log.warning("fused erasure batch failed: %s", exc)
-            for ticket, _ in live:
-                self._finish(ticket, "error", error=exc)
-            return
+            results = self._execute([ticket for ticket, _ in admitted])
+        except Exception as exc:  # the whole execution failed
+            results = [(None, exc)] * len(admitted)
         service_seconds = self._clock() - started
 
-        committed = 0
-        substrate_fault = False
-        for (ticket, queue_seconds), outcome, error in zip(
-            live, report.outcomes, report.errors
-        ):
-            if outcome is not None:
-                committed += 1
-                self._last_params = outcome.params
+        committed = substrate_fault = False
+        for (ticket, queue_seconds), (outcomes, error) in zip(admitted, results):
+            if error is None:
+                committed = True
+                self._last_params = outcomes[-1].params
                 self._finish(
                     ticket,
                     "ok",
                     response=ServiceResponse(
                         status="ok",
-                        params=outcome.params,
-                        outcomes=[outcome],
+                        params=outcomes[-1].params,
+                        outcomes=list(outcomes),
                         queue_seconds=queue_seconds,
                         service_seconds=service_seconds,
                     ),
                 )
             elif isinstance(error, DeadlineExceededError):
+                # The replay aborted at a committed round boundary; the
+                # salvaged prefix stays in the service's cache.
                 if telemetry.enabled:
                     telemetry.inc("serving_deadline_aborts_total")
                 self._finish(ticket, "deadline", error=error)
@@ -738,6 +630,7 @@ class ErasureDaemon:
                 self._finish(ticket, "error", error=error)
             else:
                 substrate_fault = True
+                _log.warning("erasure request failed: %s", error)
                 self._finish(ticket, "error", error=error)
 
         if committed:
@@ -745,12 +638,15 @@ class ErasureDaemon:
         elif substrate_fault:
             self.breaker.record_failure()
         else:
+            # Deadlines and client errors say nothing about substrate
+            # health: return a held half-open probe slot undecided so
+            # the next request can probe instead of the breaker wedging.
             self.breaker.release_probe()
         with self._cond:
-            per_ticket = service_seconds / len(live)
-            if self._ema_service_seconds == 0.0:
-                self._ema_service_seconds = per_ticket
-            else:
-                self._ema_service_seconds = (
-                    0.8 * self._ema_service_seconds + 0.2 * per_ticket
-                )
+            # EMA over per-ticket service time drives the retry-after
+            # hint handed to shed clients.
+            per_ticket = service_seconds / len(admitted)
+            ema = self._ema_service_seconds
+            self._ema_service_seconds = (
+                per_ticket if ema == 0.0 else 0.8 * ema + 0.2 * per_ticket
+            )

@@ -25,13 +25,19 @@ request's forget set is a superset of the previous one's (erased
 clients stay excluded), which is exactly the cache's reuse condition,
 and what lets every commit retire the snapshots no later request can
 resume from (:meth:`~repro.unlearning.recovery.ReplayForest.retire`).
-:meth:`handle_erasure_batch` serves N queued requests in one call:
-all-upfront validation, then one merged replay plan in which request
-``k`` replays only the rounds its own vehicle's history actually
-perturbs.  Outcomes report the amortization
-(``ErasureOutcome.cached_prefix_rounds``) and every request feeds
-``service_erasure_requests_total`` (labelled single/batch) — the
-recovered parameters are byte-identical to serving each request cold.
+
+Every entry point — single, departed vehicle, attacker scan, serial
+batch, fused batch; stop-the-world or bound to a live training session
+— runs the same pipeline (:meth:`UnlearningService._erase_group`):
+**plan** (validate, build the cumulative forget sets, pin a view),
+**replay** (one :func:`~repro.unlearning.forest.fused_unlearn` call —
+lock-free when live, so training keeps running, a live batch
+included), **commit** (conflict check, fold in the rounds trained past
+the pinned watermark, purge, bookkeeping, install).  Outcomes report
+the amortization (``ErasureOutcome.cached_prefix_rounds``) and every
+request feeds ``service_erasure_requests_total`` (labelled
+single/batch/fused) — the recovered parameters are byte-identical to
+serving each request cold.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from __future__ import annotations
 import threading
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,7 +56,8 @@ from repro.nn.model import Sequential
 from repro.parallel.executor import Executor, make_executor
 from repro.storage.prefetch import RoundDecodeCache, default_prefetch_depth
 from repro.telemetry.core import current_telemetry
-from repro.unlearning.base import UnlearnResult, resolve_forget_round
+from repro.unlearning.base import UnlearnResult
+from repro.unlearning.forest import fused_unlearn
 from repro.unlearning.merge import (
     conflict_projected_merge,
     negated_pseudo_gradient_tail,
@@ -59,7 +66,7 @@ from repro.unlearning.recovery import ReplayForest, SignRecoveryUnlearner
 from repro.utils.logging import get_logger
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an fl<->unlearning cycle)
-    from repro.fl.live import LiveTrainingSession, RecordSnapshot
+    from repro.fl.live import LiveTrainingSession
 
 __all__ = [
     "DependentAbortError",
@@ -240,9 +247,11 @@ class UnlearningService:
                 f"unknown merge_mode {self.merge_mode!r}; choose from "
                 f"{MERGE_MODES}"
             )
-        # Guards the lazy prefetch-resource build: live-path replays run
-        # outside the service lock, so two can race into first use.
-        self._config_lock = threading.Lock()
+        # Guards the lazy prefetch-resource build (live replays run
+        # outside the service lock, so two can race into first use) and
+        # counts the replays in flight for drain_prefetch.
+        self._replay_cond = threading.Condition(threading.Lock())
+        self._replays = 0
 
     def bind_live(self, session: "LiveTrainingSession") -> "UnlearningService":
         """Attach a :class:`~repro.fl.live.LiveTrainingSession`.
@@ -250,7 +259,7 @@ class UnlearningService:
         Switches every erasure workflow to the snapshot-isolated live
         path: replays pin a :meth:`~repro.fl.live.LiveTrainingSession.pin_snapshot`
         and run lock-free; commits merge into the live model under the
-        train gate (see :meth:`_erase_live`).  ``record`` is repointed
+        train gate (see :meth:`_erase_group`).  ``record`` is repointed
         at the session's live view so bookkeeping (active clients,
         storage bytes) tracks training.  Returns self for chaining.
         """
@@ -285,29 +294,6 @@ class UnlearningService:
         replay has run — it is allocated lazily)."""
         return self._decode_cache
 
-    def _effective_prefetch_depth(self) -> int:
-        if self.prefetch_depth is not None:
-            return self.prefetch_depth
-        return default_prefetch_depth()
-
-    def _prefetch_config(self):
-        """Resolve (depth, cache, executor) for one replay, lazily
-        building the shared cache and decode thread pool on first use."""
-        depth = self._effective_prefetch_depth()
-        if depth <= 0:
-            return 0, None, None
-        with self._config_lock:
-            if self._decode_cache is None:
-                self._decode_cache = RoundDecodeCache(
-                    max_bytes=self.decode_cache_bytes
-                )
-            if self._prefetch_executor is None:
-                # Readahead-queue sizing: several in-flight rounds may
-                # block on storage concurrently (cold blocks, remote
-                # tiers).
-                self._prefetch_executor = make_executor("thread", min(depth, 4))
-            return depth, self._decode_cache, self._prefetch_executor
-
     def drain_prefetch(self, blocking: bool = True) -> bool:
         """Tear down the shared prefetch resources (decode thread pool
         and round cache).  Safe to call with no replay in flight — the
@@ -315,322 +301,372 @@ class UnlearningService:
         after its workers have drained.  The next replay lazily rebuilds
         both, so the service stays usable afterwards.
 
-        With ``blocking=False``, a replay currently holding the service
-        lock raises :class:`ServiceBusyError` (carrying a suggested
-        ``retry_after``) — a timed-out daemon ``stop`` must not hang
-        behind an in-flight request, but the caller deserves to know the
-        drain did not happen."""
+        A replay in flight — under the service lock or, live, lock-free —
+        holds the prefetch resources: ``blocking=True`` waits for it,
+        ``blocking=False`` raises :class:`ServiceBusyError` (carrying a
+        suggested ``retry_after``) — a timed-out daemon ``stop`` must
+        not hang behind an in-flight request, but the caller deserves to
+        know the drain did not happen."""
+        busy = ServiceBusyError(
+            "a replay is in flight; prefetch drain skipped", retry_after=0.05
+        )
         if not self._lock.acquire(blocking=blocking):
-            raise ServiceBusyError(
-                "a replay holds the service lock; prefetch drain skipped",
-                retry_after=0.05,
-            )
+            raise busy
         try:
-            if self._prefetch_executor is not None:
-                self._prefetch_executor.close()
-                self._prefetch_executor = None
-            if self._decode_cache is not None:
-                self._decode_cache.clear()
-                self._decode_cache = None
+            with self._replay_cond:
+                if self._replays and not blocking:
+                    raise busy
+                self._replay_cond.wait_for(lambda: not self._replays)
+                if self._prefetch_executor is not None:
+                    self._prefetch_executor.close()
+                    self._prefetch_executor = None
+                if self._decode_cache is not None:
+                    self._decode_cache.clear()
+                    self._decode_cache = None
             return True
         finally:
             self._lock.release()
 
-    def _unlearner(
-        self, cancel_check: Optional[Callable[[], None]] = None
-    ) -> SignRecoveryUnlearner:
-        depth, cache, executor = self._prefetch_config()
-        return SignRecoveryUnlearner(
-            clip_threshold=self.clip_threshold,
-            buffer_size=self.buffer_size,
-            refresh_period=self.refresh_period,
-            prefix_cache=self._prefix_cache,
-            cancel_check=cancel_check,
-            prefetch_depth=depth,
-            decode_cache=cache,
-            prefetch_executor=executor,
-        )
-
-    def _erase(
+    def _replay(
         self,
-        client_ids: Sequence[int],
-        mode: str = "single",
-        cancel_check: Optional[Callable[[], None]] = None,
-    ) -> ErasureOutcome:
-        if self.live_session is not None:
-            return self._erase_live(client_ids, mode=mode, cancel_check=cancel_check)
-        with self._lock:
-            client_ids = sorted(set(int(c) for c in client_ids))
-            already = set(self._erased) & set(client_ids)
-            if already:
-                raise ValueError(f"clients {sorted(already)} were already erased")
-            # Previously erased clients stay in the forget set: their
-            # gradients are purged, and the counterfactual model must keep
-            # excluding them.
-            forget = sorted(set(client_ids) | set(self._erased))
-            unlearner = self._unlearner(cancel_check)
-            # An abort here (deadline, cancellation) propagates before any
-            # state below mutates: nothing is purged, nobody is marked
-            # erased, and the partial replay lives on in the prefix cache.
-            result = unlearner.unlearn(self.record, forget, self.model)
-            purged = sum(self.record.gradients.drop_client(cid) for cid in client_ids)
-            if self._decode_cache is not None:
-                # Keep the shared decode cache coherent with the purge.
-                # (Belt and braces: erased clients stay in every later
-                # forget set, so a stale entry could never be consumed
-                # on this path anyway.)
-                for cid in client_ids:
-                    self._decode_cache.discard_client(self.record.gradients, cid)
-            self._erased.extend(client_ids)
-            self._prefix_cache.retire(self.record, self._erased)
-            self.record.metadata["erased_clients"] = sorted(self._erased)
+        view: TrainingRecord,
+        forget_sets: Sequence[frozenset],
+        checks: Sequence[Optional[Callable[[], None]]],
+    ):
+        """The service's one replay call: every forget set through one
+        :func:`~repro.unlearning.forest.fused_unlearn` execution over
+        ``view``.  Counted in flight, so :meth:`drain_prefetch` never
+        tears the decode pool down under a replay — live replays hold
+        no service lock."""
+        depth = self.prefetch_depth
+        if depth is None:
+            depth = default_prefetch_depth()
+        with self._replay_cond:
+            self._replays += 1
+            if depth > 0:
+                # Built lazily on first use and shared by every replay.
+                if self._decode_cache is None:
+                    self._decode_cache = RoundDecodeCache(
+                        max_bytes=self.decode_cache_bytes
+                    )
+                if self._prefetch_executor is None:
+                    # Readahead-queue sizing: several in-flight rounds
+                    # may block on storage concurrently (cold blocks,
+                    # remote tiers).
+                    self._prefetch_executor = make_executor("thread", min(depth, 4))
+        try:
+            unlearner = SignRecoveryUnlearner(
+                clip_threshold=self.clip_threshold,
+                buffer_size=self.buffer_size,
+                refresh_period=self.refresh_period,
+                prefix_cache=self._prefix_cache,
+                prefetch_depth=max(depth, 0),
+                decode_cache=self._decode_cache if depth > 0 else None,
+                prefetch_executor=self._prefetch_executor if depth > 0 else None,
+            )
+            return fused_unlearn(unlearner, view, forget_sets, checks)
+        finally:
+            with self._replay_cond:
+                self._replays -= 1
+                self._replay_cond.notify_all()
+
+    def _pin(self) -> TrainingRecord:
+        """The view a replay reads: a pinned snapshot of the live
+        session, or the record itself, whose watermark is its last
+        round.  Pair with :meth:`_unpin`."""
+        session = self.live_session
+        if session is None:
+            return self.record
+        snap = session.pin_snapshot()
         telemetry = current_telemetry()
         if telemetry.enabled:
-            telemetry.inc("service_erasure_requests_total", 1, mode=mode)
-        _log.info(
-            "erased clients %s: replayed %d rounds (%d from cache), "
-            "purged %d stored records",
-            client_ids,
-            result.rounds_replayed,
-            unlearner.last_cached_prefix_rounds,
-            purged,
-        )
-        return ErasureOutcome(
-            forgotten=client_ids,
-            params=result.params,
-            result=result,
-            purged_records=purged,
-            cached_prefix_rounds=unlearner.last_cached_prefix_rounds,
-        )
+            telemetry.inc("service_snapshot_pins_total")
+            telemetry.set_gauge(
+                "service_snapshot_active", session.registry.active_pins()
+            )
+            telemetry.set_gauge("service_snapshot_watermark", snap.watermark)
+        return snap
 
-    def _count_stored(self, client_ids: Sequence[int], num_rounds: int) -> int:
-        """Stored gradient records the given clients hold in rounds
-        ``[0, num_rounds)`` — the count a purge will delete."""
+    def _unpin(self, view: TrainingRecord) -> None:
+        if view is self.record:
+            return
+        view.release()
+        telemetry = current_telemetry()
+        if telemetry.enabled:
+            telemetry.set_gauge(
+                "service_snapshot_active", self.live_session.registry.active_pins()
+            )
+
+    def _plan(
+        self, members: List[List[int]], view: TrainingRecord
+    ) -> Tuple[List[Optional[BaseException]], List[int], List[frozenset]]:
+        """Validate each member against the erased set and ``view``'s
+        ledger; returns the per-slot errors, the valid slots, and their
+        cumulative forget sets (erased set plus every valid member up to
+        and including this one)."""
+        known = set(view.ledger.known_clients())
+        erased = set(self._erased)
+        taken = set(erased)
+        errors: List[Optional[BaseException]] = [None] * len(members)
+        slots: List[int] = []
+        sets: List[frozenset] = []
+        for k, ids in enumerate(members):
+            mine = set(ids)
+            if mine & erased:
+                errors[k] = ValueError(f"clients {sorted(mine & erased)} were already erased")
+            elif mine & taken:
+                errors[k] = ValueError(f"duplicate clients in batch: {sorted(mine & taken)}")
+            elif mine - known:
+                errors[k] = ValueError(f"unknown clients {sorted(mine - known)}")
+            else:
+                taken |= mine
+                slots.append(k)
+                sets.append(frozenset(taken))
+        return errors, slots, sets
+
+    @staticmethod
+    def _cut(
+        members: List[List[int]],
+        slots: List[int],
+        failures: Sequence[Optional[BaseException]],
+        errors: List[Optional[BaseException]],
+    ) -> int:
+        """Record the first failure among ``slots`` and fail every later
+        slot with :class:`DependentAbortError`; returns how many slots
+        precede the failure (all of them when none failed)."""
+        for j, error in enumerate(failures):
+            if error is not None:
+                errors[slots[j]] = error
+                for k in slots[j + 1:]:
+                    errors[k] = DependentAbortError(
+                        f"request for clients {members[k]} depended on aborted "
+                        f"request for clients {members[slots[j]]}"
+                    )
+                return j
+        return len(failures)
+
+    def _purge(self, members: List[List[int]], num_rounds: int) -> List[int]:
+        """Delete the committed members' stored updates; returns each
+        member's purged record count.  Live, reclamation is deferred
+        behind the snapshot registry, so a still-pinned reader never
+        loses rounds below its watermark mid-replay."""
         store = self.record.gradients
-        return sum(
-            1
-            for t in range(num_rounds)
-            for cid in client_ids
-            if store.has(t, cid)
-        )
+        cache = self._decode_cache
 
-    def _erase_live(
+        def drop(cid: int) -> int:
+            dropped = store.drop_client(cid)
+            if cache is not None:
+                # Keep the shared decode cache coherent with the purge.
+                cache.discard_client(store, cid)
+            return dropped
+
+        session = self.live_session
+        if session is None:
+            return [sum(drop(cid) for cid in ids) for ids in members]
+        counts = [
+            sum(1 for t in range(num_rounds) for cid in ids if store.has(t, cid))
+            for ids in members
+        ]
+        cids = [cid for ids in members for cid in ids]
+        if not session.registry.defer(lambda: [drop(cid) for cid in cids]):
+            telemetry = current_telemetry()
+            if telemetry.enabled:
+                telemetry.inc("service_snapshot_deferred_drops_total", len(cids))
+        return counts
+
+    def _erase_group(
         self,
-        client_ids: Sequence[int],
-        mode: str = "single",
-        cancel_check: Optional[Callable[[], None]] = None,
-    ) -> ErasureOutcome:
-        """Snapshot-isolated erasure against a live training session.
+        members: Sequence[Sequence[int]],
+        checks: Sequence[Optional[Callable[[], None]]],
+        mode: str,
+    ) -> FusedBatchReport:
+        """The one erasure pipeline: plan → replay → commit.
 
-        Two-phase optimistic scheme:
+        ``members[k]`` is one request's client ids and ``checks[k]`` its
+        cooperative cancel hook.  Member ``k``'s forget set is
+        cumulative: its ids, every valid earlier member's, and the
+        already-erased set.
 
-        **Phase 1 (lock-free)** — validate and pin a
-        :class:`~repro.fl.live.RecordSnapshot` under a short service
-        lock, then replay the counterfactual against the pinned view
-        with *no* lock held: training rounds keep committing past the
-        watermark ``W`` while the replay runs, and the replay forest
-        caches the resulting ``[F, W)`` trajectory.
-
-        **Phase 2 (commit)** — under the service lock and the session's
-        train gate, detect conflicts (a concurrent erasure changed the
-        forget set: retry phase 1, forest-hot), then fold the
-        counterfactual into the rounds trained past ``W`` per
-        ``merge_mode``:
-
-        - ``"replay"`` (exact, default): re-run the unlearner over the
-          live record at the commit round ``T'`` — the forest serves
-          the cached prefix, so only the ``[W, T')`` tail executes
-          under the gate.  Byte-identical to stopping the world at
-          ``T'``.
-        - ``"project"``: FedOSD conflict-projected task-vector merge.
-        - ``"npg"``: negated pseudo-gradient tail correction.
-
-        The merged model is installed as the live global model (and the
-        checkpoint at ``T'``), the erased clients are excluded from all
-        future rounds, and their stored gradients are purged — deferred
-        through the snapshot registry until the last pinned reader
-        drains.
+        1. **Plan** (service lock): pin a view, validate every member
+           (an already-erased, duplicate or unknown id fails that slot
+           with ``ValueError``), build the cumulative forget sets.
+        2. **Replay**: one :meth:`_replay` over the view.  Live, this
+           runs lock-free while training keeps committing rounds past
+           the pinned watermark ``W``; stop-the-world it runs under the
+           service lock, which is held across all three stages.
+        3. **Commit** (service lock + train gate): if the erased set
+           changed since the plan, start over (up to
+           ``max_commit_retries``, forest-hot).  When rounds were trained
+           past ``W``, fold them in per ``merge_mode``: ``"replay"``
+           re-runs the members over a fresh pin at the commit round
+           ``T'`` — the forest serves ``[F, W)``, only ``[W, T')``
+           executes under the gate, byte-identical to stopping the world
+           at ``T'`` — while ``"project"`` (FedOSD) and ``"npg"`` merge
+           each member with its own cumulative new ids.  Members commit
+           in order up to the first failure; later ones get
+           :class:`DependentAbortError`.  Then purge, bookkeeping and,
+           live, install the deepest member's model and exclude every
+           committed vehicle from future rounds.
         """
         session = self.live_session
-        assert session is not None
-        telemetry = current_telemetry()
+        members = [sorted(set(int(c) for c in ids)) for ids in members]
+        n = len(members)
         conflicts = 0
-        while True:
-            # ---- phase 1: validate + pin (short lock) ----------------
-            with self._lock:
-                ids = sorted(set(int(c) for c in client_ids))
-                already = set(self._erased) & set(ids)
-                if already:
-                    raise ValueError(
-                        f"clients {sorted(already)} were already erased"
+        with self._lock if session is None else nullcontext():
+            while True:
+                # ---- plan ------------------------------------------
+                with self._lock:
+                    base = list(self._erased)
+                    view = self._pin()
+                    errors, slots, sets = self._plan(members, view)
+                report = FusedBatchReport(outcomes=[None] * n, errors=errors)
+                if not slots:
+                    self._unpin(view)
+                    return report
+                # ---- replay ----------------------------------------
+                slot_checks = [checks[k] for k in slots]
+                try:
+                    branches, report.stats = self._replay(view, sets, slot_checks)
+                finally:
+                    self._unpin(view)
+                good = self._cut(members, slots, [b.error for b in branches], errors)
+                if not good:
+                    return report
+                slots, sets, slot_checks = slots[:good], sets[:good], slot_checks[:good]
+                # ---- commit ----------------------------------------
+                with self._lock:
+                    telemetry = current_telemetry()
+                    if self._erased != base:
+                        conflicts += 1
+                        if telemetry.enabled:
+                            telemetry.inc("service_snapshot_conflicts_total")
+                        if conflicts > self.max_commit_retries:
+                            raise RuntimeError(
+                                f"erasure of {members} lost {conflicts} commit "
+                                "races; giving up"
+                            )
+                        continue  # forest-hot retry from the plan stage
+                    # Live: the train gate yields the commit round T'.
+                    # Stop-the-world the commit round is the last round.
+                    merge, gate = (
+                        (nullcontext(), nullcontext(self.record.num_rounds))
+                        if session is None
+                        else (telemetry.span("service_merge_seconds"),
+                              session.commit_gate())
                     )
-                snap = session.pin_snapshot()
-                base_erased = tuple(sorted(self._erased))
-                forget = sorted(set(ids) | set(base_erased))
-            if telemetry.enabled:
-                telemetry.inc("service_snapshot_pins_total")
-                telemetry.set_gauge(
-                    "service_snapshot_active", session.registry.active_pins()
-                )
-                telemetry.set_gauge("service_snapshot_watermark", snap.watermark)
-            try:
-                # Lock-free replay over the pinned view; an abort
-                # (deadline, cancellation) propagates before anything
-                # mutates, and the partial trajectory stays in the
-                # forest.
-                unlearner = self._unlearner(cancel_check)
-                phase1 = unlearner.unlearn(snap, forget, self.model)
-                watermark = snap.watermark
-                base_params = snap.params_at_watermark
-            finally:
-                snap.release()
-                if telemetry.enabled:
-                    telemetry.set_gauge(
-                        "service_snapshot_active", session.registry.active_pins()
-                    )
-            # ---- phase 2: conflict check + merge commit --------------
-            with self._lock:
-                if tuple(sorted(self._erased)) != base_erased:
-                    conflicts += 1
-                    if telemetry.enabled:
-                        telemetry.inc("service_snapshot_conflicts_total")
-                    if conflicts > self.max_commit_retries:
-                        raise RuntimeError(
-                            f"erasure of {ids} lost {conflicts} commit races; "
-                            f"giving up"
+                    with merge, gate as commit_round:
+                        folded, merged, mode_used = self._fold_tail(
+                            view, commit_round, sets, slot_checks,
+                            branches[:good], set(base),
                         )
-                    _log.info(
-                        "live erasure of %s: forget set changed during replay, "
-                        "retrying (attempt %d)", ids, conflicts + 1,
-                    )
-                    continue
-                with telemetry.span("service_merge_seconds"):
-                    with session.commit_gate() as commit_round:
-                        fresh = session.pin_snapshot()
-                        try:
-                            tail_rounds = commit_round - watermark
-                            if tail_rounds == 0:
-                                # Nothing trained past the watermark:
-                                # the counterfactual *is* the merge.
-                                final, merged = phase1, phase1.params
-                                mode_used = "replay"
-                            elif self.merge_mode == "replay":
-                                # Exact: tail-delta replay through the
-                                # forest — [F, W) is served from the
-                                # phase-1 node, only [W, T') executes
-                                # here under the gate.
-                                tail = self._unlearner(cancel_check)
-                                final = tail.unlearn(fresh, forget, self.model)
-                                merged = final.params
-                                mode_used = "replay"
-                            elif self.merge_mode == "project":
-                                merged = conflict_projected_merge(
-                                    base_params,
-                                    phase1.params,
-                                    fresh.final_params(),
-                                )
-                                final, mode_used = phase1, "project"
-                            else:  # "npg"
-                                merged = (
-                                    phase1.params
-                                    + (fresh.final_params() - base_params)
-                                    + negated_pseudo_gradient_tail(
-                                        fresh, ids, watermark, commit_round
-                                    )
-                                )
-                                final, mode_used = phase1, "npg"
-                            session.install_params(merged)
-                            session.exclude(ids)
-                        finally:
-                            fresh.release()
-                # Physical reclamation: defer behind the snapshot
-                # registry so a still-pinned reader never loses rounds
-                # below its watermark mid-replay.
-                purged = self._count_stored(ids, commit_round)
-                store = self.record.gradients
-                decode_cache = self._decode_cache
-
-                def _purge(cids=tuple(ids)):
-                    for cid in cids:
-                        store.drop_client(cid)
-                        if decode_cache is not None:
-                            decode_cache.discard_client(store, cid)
-
-                ran_now = session.registry.defer(_purge)
-                if not ran_now and telemetry.enabled:
-                    telemetry.inc(
-                        "service_snapshot_deferred_drops_total", len(ids)
-                    )
-                self._erased.extend(ids)
-                self._prefix_cache.retire(self.record, self._erased)
-                self.record.metadata["erased_clients"] = sorted(self._erased)
-                self.record.metadata.setdefault("merge_commits", []).append(
-                    {
-                        "clients": list(ids),
-                        "watermark": int(watermark),
-                        "commit_round": int(commit_round),
-                        "mode": mode_used,
-                        "conflicts": int(conflicts),
-                    }
-                )
-            if telemetry.enabled:
-                telemetry.inc("service_erasure_requests_total", 1, mode=mode)
-                telemetry.inc("service_merge_commits_total", 1, mode=mode_used)
-                telemetry.observe(
-                    "service_merge_tail_rounds", float(commit_round - watermark)
-                )
-            _log.info(
-                "live-erased clients %s: pinned at round %d, committed at %d "
-                "(%s merge, %d tail rounds, %d conflicts), purged %d records%s",
-                ids,
-                watermark,
-                commit_round,
-                mode_used,
-                commit_round - watermark,
-                conflicts,
-                purged,
-                "" if ran_now else " (deferred)",
-            )
-            return ErasureOutcome(
-                forgotten=ids,
-                params=merged,
-                result=final,
-                purged_records=purged,
-                cached_prefix_rounds=unlearner.last_cached_prefix_rounds,
-                snapshot_watermark=watermark,
-                commit_round=commit_round,
-                merge_mode=mode_used,
+                        good = self._cut(members, slots, [b.error for b in folded], errors)
+                        committed = slots[:good]
+                        if session is not None and committed:
+                            session.install_params(merged[good - 1])
+                            session.exclude([c for k in committed for c in members[k]])
+                    if not committed:
+                        return report
+                    purged = self._purge([members[k] for k in committed], commit_round)
+                    self._erased.extend(c for k in committed for c in members[k])
+                    self._prefix_cache.retire(self.record, self._erased)
+                    self.record.metadata["erased_clients"] = sorted(self._erased)
+                    if session is not None:
+                        self.record.metadata.setdefault("merge_commits", []).extend(
+                            {
+                                "clients": list(members[k]),
+                                "watermark": int(view.num_rounds),
+                                "commit_round": int(commit_round),
+                                "mode": mode_used,
+                                "conflicts": int(conflicts),
+                            }
+                            for k in committed
+                        )
+                break
+        live = session is not None
+        watermark = view.num_rounds
+        for j, k in enumerate(committed):
+            report.outcomes[k] = ErasureOutcome(
+                forgotten=members[k],
+                params=merged[j],
+                result=folded[j].result,
+                purged_records=purged[j],
+                cached_prefix_rounds=branches[j].cached_prefix_rounds,
+                snapshot_watermark=watermark if live else None,
+                commit_round=commit_round if live else None,
+                merge_mode=mode_used if live else None,
                 commit_conflicts=conflicts,
             )
-
-    def _plan_batch(self, client_ids: Sequence[int]) -> List[int]:
-        """Validate a batch upfront and log its merged replay plan.
-
-        Returns the per-request backtrack rounds.  All requests are
-        checked before any replay starts, so a malformed batch raises
-        without erasing anyone.
-        """
-        ids = [int(c) for c in client_ids]
-        dupes = sorted({c for c in ids if ids.count(c) > 1})
-        if dupes:
-            raise ValueError(f"duplicate clients in batch: {dupes}")
-        already = sorted(set(self._erased) & set(ids))
-        if already:
-            raise ValueError(f"clients {already} were already erased")
-        known = set(self.record.ledger.known_clients())
-        unknown = sorted(set(ids) - known)
-        if unknown:
-            raise ValueError(f"unknown clients in batch: {unknown}")
-        forget = set(self._erased)
-        plan: List[int] = []
-        for cid in ids:
-            forget.add(cid)
-            plan.append(resolve_forget_round(self.record, sorted(forget)))
+            if telemetry.enabled:
+                telemetry.inc("service_erasure_requests_total", 1, mode=mode)
+                if live:
+                    telemetry.inc("service_merge_commits_total", 1, mode=mode_used)
+                    telemetry.observe(
+                        "service_merge_tail_rounds", float(commit_round - watermark)
+                    )
         _log.info(
-            "batch erasure plan for %s: backtrack rounds %s over %d total rounds",
-            ids, plan, self.record.num_rounds,
+            "erased %s (%s): %d/%d requests committed at round %d, purged %s "
+            "records, %d commit conflicts",
+            [members[k] for k in committed], mode, len(committed), n,
+            commit_round, purged, conflicts,
         )
-        return plan
+        return report
+
+    def _fold_tail(
+        self,
+        view: TrainingRecord,
+        commit_round: int,
+        sets: List[frozenset],
+        checks: List[Optional[Callable[[], None]]],
+        branches: list,
+        erased: set,
+    ):
+        """Fold the rounds trained past ``view``'s watermark ``W`` into
+        each member's phase-1 branch, per ``merge_mode``; train gate
+        held.  Returns ``(branches, params, mode)`` — in ``"replay"``
+        mode the tail replay's branches, whose errors cut the commit."""
+        watermark = view.num_rounds
+        if commit_round == watermark:
+            # Nothing trained past the watermark: the counterfactual
+            # *is* the merge.
+            return branches, [b.result.params for b in branches], "replay"
+        fresh = self.live_session.pin_snapshot()
+        try:
+            if self.merge_mode == "replay":
+                # Exact: [F, W) is served from the phase-1 nodes, only
+                # [W, T') executes here.
+                tail, _ = self._replay(fresh, sets, checks)
+                params = [b.result.params if b.error is None else None for b in tail]
+                return tail, params, "replay"
+            base, live = view.params_at_watermark, fresh.final_params()
+            merged = []
+            for branch, forget in zip(branches, sets):
+                if self.merge_mode == "project":
+                    merged.append(
+                        conflict_projected_merge(base, branch.result.params, live)
+                    )
+                else:  # "npg": each member's own cumulative new ids
+                    merged.append(
+                        branch.result.params
+                        + (live - base)
+                        + negated_pseudo_gradient_tail(
+                            fresh, forget - erased, watermark, commit_round
+                        )
+                    )
+            return branches, merged, self.merge_mode
+        finally:
+            fresh.release()
+
+    def _erase_one(
+        self,
+        client_ids: Sequence[int],
+        cancel_check: Optional[Callable[[], None]],
+        mode: str = "single",
+    ) -> ErasureOutcome:
+        """One request as a one-member group; raises its slot's error."""
+        report = self._erase_group([client_ids], [cancel_check], mode)
+        if report.errors[0] is not None:
+            raise report.errors[0]
+        return report.outcomes[0]
 
     # ------------------------------------------------------------------
     # the three §IV-A workflows
@@ -646,7 +682,7 @@ class UnlearningService:
         may raise to abort cooperatively — see
         :class:`~repro.unlearning.recovery.SignRecoveryUnlearner`.
         """
-        return self._erase([client_id], cancel_check=cancel_check)
+        return self._erase_one([client_id], cancel_check)
 
     def handle_erasure_batch(
         self,
@@ -655,73 +691,67 @@ class UnlearningService:
     ) -> List[ErasureOutcome]:
         """Serve N queued right-to-be-forgotten requests as one batch.
 
-        Requests are validated together upfront (duplicates, already
-        erased, unknown vehicles — nothing is erased if any request is
-        malformed), then served in arrival order against the shared
-        prefix cache: request ``k``'s forget set extends request
+        Requests are validated together upfront (duplicates, unknown
+        vehicles — nothing is erased if any request is malformed), then
+        served in arrival order, each as its own erasure against the
+        shared prefix cache: request ``k``'s forget set extends request
         ``k−1``'s by one vehicle, so its replay resumes where the
-        trajectories diverge — typically that vehicle's join round —
-        instead of from the batch's earliest backtrack round.  Each
-        outcome is **byte-identical** to serving its request alone on a
-        fresh service (``tests/test_service_cache.py``); only the work
-        is amortized, as ``cached_prefix_rounds`` reports.
+        trajectories diverge.  Each outcome is **byte-identical** to
+        serving its request alone on a fresh service; only the work is
+        amortized, as ``cached_prefix_rounds`` reports.  Against a live
+        session training keeps running: each request commits its own
+        tail under the train gate, like a single live erasure.
 
         ``cancel_check`` (optional) aborts cooperatively between replay
-        rounds; already-completed requests in the batch stay erased (an
-        abort never rolls back committed erasures).
-
-        Batches are **idempotent over already-erased ids**: ids the
-        service has already erased are skipped (with no outcome) rather
-        than rejected, so resubmitting an aborted batch verbatim
-        completes its unserved suffix — a deadline abort after request
-        ``k`` commits leaves ``k`` ids erased, and the retry serves only
-        the rest.  A fully-served resubmission returns one no-op outcome
-        carrying the current counterfactual parameters
-        (``forgotten == []``).  Single-request erasure keeps rejecting
-        double erasure with ``ValueError``.
+        rounds; already-completed requests stay erased.  Ids the service
+        has already erased are skipped (no outcome), so resubmitting an
+        aborted batch verbatim completes its unserved suffix; a fully
+        served resubmission returns one no-op outcome carrying the
+        current counterfactual parameters (``forgotten == []``).
         """
         ids = [int(c) for c in client_ids]
         if not ids:
             return []
-        # Hold the lock across plan + serve so the upfront validation
-        # stays true for the whole batch (no interleaved erasure can
-        # invalidate the plan mid-batch).  Against a live session the
-        # train gate is held too: batch semantics are cumulative, so the
-        # whole batch commits against one frozen record (single live
-        # erasures — the latency-sensitive path — stay lock-free).
-        gate = (
-            self.live_session.gate if self.live_session is not None
-            else nullcontext()
-        )
-        with self._lock, gate:
+        # Hold the lock across validation and every request, so the
+        # upfront validation stays true for the whole batch.
+        with self._lock:
             erased = set(self._erased)
             fresh = [c for c in ids if c not in erased]
-            skipped = sorted(set(ids) & erased)
-            if skipped:
+            if len(fresh) < len(ids):
                 _log.info(
                     "batch erasure: skipping already-erased clients %s "
-                    "(idempotent resubmission)", skipped,
+                    "(idempotent resubmission)", sorted(set(ids) & erased),
                 )
-            if not fresh:
-                # The whole batch was already served (a retry of a
-                # completed batch whose response was lost): answer with
-                # the current counterfactual state — a cache-hot replay
-                # of the standing forget set, nothing new erased.
-                unlearner = self._unlearner(cancel_check)
-                result = unlearner.unlearn(self.record, sorted(erased), self.model)
-                return [
-                    ErasureOutcome(
-                        forgotten=[],
-                        params=result.params,
-                        result=result,
-                        purged_records=0,
-                        cached_prefix_rounds=unlearner.last_cached_prefix_rounds,
+            view = self._pin()
+            try:
+                if fresh:
+                    errors, _, _ = self._plan([[c] for c in fresh], view)
+                    error = next((e for e in errors if e is not None), None)
+                    if error is not None:
+                        raise error
+                else:
+                    # The whole batch was already served (a retry of a
+                    # completed batch whose response was lost): answer
+                    # with the current counterfactual state — a
+                    # cache-hot replay of the standing forget set,
+                    # nothing new erased.
+                    (branch,), _ = self._replay(
+                        view, [frozenset(erased)], [cancel_check]
                     )
-                ]
-            self._plan_batch(fresh)
+            finally:
+                self._unpin(view)
+            if fresh:
+                return [self._erase_one([cid], cancel_check, "batch") for cid in fresh]
+            if branch.error is not None:
+                raise branch.error
             return [
-                self._erase([cid], mode="batch", cancel_check=cancel_check)
-                for cid in fresh
+                ErasureOutcome(
+                    forgotten=[],
+                    params=branch.result.params,
+                    result=branch.result,
+                    purged_records=0,
+                    cached_prefix_rounds=branch.cached_prefix_rounds,
+                )
             ]
 
     def handle_erasure_batch_fused(
@@ -732,153 +762,29 @@ class UnlearningService:
         """Serve N queued erasure requests as **one fused forest replay**.
 
         Like :meth:`handle_erasure_batch`, request ``k``'s forget set is
-        cumulative (its vehicle plus every valid earlier one plus the
-        already-erased set) and every result is byte-identical to
-        serving that request alone — but instead of N sequential
-        replays against the cache, all requests replay through one
-        shared execution tree (:func:`repro.unlearning.forest.fused_unlearn`):
+        cumulative and every result is byte-identical to serving that
+        request alone — but all requests replay through one shared
+        execution tree (:func:`repro.unlearning.forest.fused_unlearn`):
         common prefix segments execute once and branches fork only at
-        divergence, so the amortized cost *falls* as the batch grows.
+        divergence.  Live, the tree replays lock-free and the commit
+        folds in the rounds trained meanwhile.
 
-        Per-request semantics (this is the daemon's fusion substrate,
-        so slots are never silently dropped): ``outcomes[k]`` carries
-        the committed erasure, or ``errors[k]`` carries a ``ValueError``
-        (already erased / unknown / duplicate — single-request
-        semantics, unlike the skip-and-continue of the serial batch
-        path), the member's own cancellation (e.g. a deadline abort:
-        nothing committed, prefix salvaged), or a
-        :class:`DependentAbortError` when an earlier member aborted —
-        committed members before the first abort stay erased, exactly
-        like the serial batch path.
-
+        Slots are never silently dropped (this is the daemon's fusion
+        substrate): ``outcomes[k]`` carries the committed erasure, or
+        ``errors[k]`` a ``ValueError`` (already erased / unknown /
+        duplicate), the member's own cancellation (nothing committed,
+        prefix salvaged), or a :class:`DependentAbortError` when an
+        earlier member aborted — members before it stay committed.
         ``cancel_checks`` (optional, aligned with ``client_ids``) are
-        the per-request cooperative cancellation hooks, polled between
-        replay rounds for every round the member's branch executes.
+        polled between the rounds each member's branch executes.
         """
         ids = [int(c) for c in client_ids]
-        n = len(ids)
         checks: List[Optional[Callable[[], None]]] = (
-            list(cancel_checks) if cancel_checks is not None else [None] * n
+            list(cancel_checks) if cancel_checks is not None else [None] * len(ids)
         )
-        if len(checks) != n:
+        if len(checks) != len(ids):
             raise ValueError("cancel_checks must align with client_ids")
-        report = FusedBatchReport(outcomes=[None] * n, errors=[None] * n)
-        if not ids:
-            return report
-        from repro.unlearning.forest import fused_unlearn
-
-        gate = (
-            self.live_session.gate if self.live_session is not None
-            else nullcontext()
-        )
-        with self._lock, gate:
-            known = set(self.record.ledger.known_clients())
-            seen = set(self._erased)
-            cumulative = set(self._erased)
-            members: List[int] = []
-            member_sets: List[frozenset] = []
-            for k, cid in enumerate(ids):
-                if cid in seen:
-                    report.errors[k] = ValueError(
-                        f"clients [{cid}] were already erased"
-                    )
-                    continue
-                if cid not in known:
-                    report.errors[k] = ValueError(f"unknown clients in batch: [{cid}]")
-                    continue
-                seen.add(cid)
-                cumulative.add(cid)
-                members.append(k)
-                member_sets.append(frozenset(cumulative))
-            if not members:
-                return report
-            unlearner = self._unlearner(None)
-            branch_outcomes, stats = fused_unlearn(
-                unlearner,
-                self.record,
-                member_sets,
-                cancel_checks=[checks[k] for k in members],
-            )
-            report.stats = stats
-            telemetry = current_telemetry()
-            # Commit in batch order up to the first aborted/failed
-            # member; later members' forget sets include its un-erased
-            # vehicle, so their (valid, salvaged) results describe an
-            # unreachable state and must not commit.
-            first_failure: Optional[int] = None
-            for j, k in enumerate(members):
-                branch = branch_outcomes[j]
-                if first_failure is not None:
-                    report.errors[k] = DependentAbortError(
-                        f"request for client {ids[k]} depended on aborted "
-                        f"request for client {ids[members[first_failure]]}"
-                    )
-                    continue
-                if branch.error is not None:
-                    report.errors[k] = branch.error
-                    first_failure = j
-                    continue
-                if self.live_session is not None:
-                    # Deferred reclamation, same as the single live
-                    # path: a phase-1 reader pinned before this batch
-                    # took the gate may still be replaying.
-                    purged = self._count_stored([ids[k]], self.record.num_rounds)
-                    store = self.record.gradients
-                    cache = self._decode_cache
-
-                    def _purge(cid=ids[k], store=store, cache=cache):
-                        store.drop_client(cid)
-                        if cache is not None:
-                            cache.discard_client(store, cid)
-
-                    if not self.live_session.registry.defer(_purge):
-                        if telemetry.enabled:
-                            telemetry.inc("service_snapshot_deferred_drops_total")
-                else:
-                    purged = self.record.gradients.drop_client(ids[k])
-                    if self._decode_cache is not None:
-                        self._decode_cache.discard_client(
-                            self.record.gradients, ids[k]
-                        )
-                self._erased.append(ids[k])
-                self.record.metadata["erased_clients"] = sorted(self._erased)
-                if telemetry.enabled:
-                    telemetry.inc("service_erasure_requests_total", 1, mode="fused")
-                report.outcomes[k] = ErasureOutcome(
-                    forgotten=[ids[k]],
-                    params=branch.result.params,
-                    result=branch.result,
-                    purged_records=purged,
-                    cached_prefix_rounds=branch.cached_prefix_rounds,
-                )
-            committed = sum(1 for o in report.outcomes if o is not None)
-            if committed:
-                self._prefix_cache.retire(self.record, self._erased)
-            if self.live_session is not None and committed:
-                # The gate froze training for the whole fused call, so
-                # the deepest committed counterfactual *is* the merge.
-                last = next(
-                    o for o in reversed(report.outcomes) if o is not None
-                )
-                self.live_session.install_params(last.params)
-                self.live_session.exclude(
-                    [c for o in report.outcomes if o is not None
-                     for c in o.forgotten]
-                )
-                if telemetry.enabled:
-                    telemetry.inc(
-                        "service_merge_commits_total", committed, mode="replay"
-                    )
-            _log.info(
-                "fused batch: %d/%d committed (%d node-rounds for %d member-"
-                "rounds, %d forks)",
-                committed,
-                n,
-                stats.executed_node_rounds,
-                stats.member_rounds,
-                stats.forks,
-            )
-        return report
+        return self._erase_group([[cid] for cid in ids], checks, "fused")
 
     def handle_departed_vehicle(
         self,
@@ -890,18 +796,14 @@ class UnlearningService:
         Works whether or not the ledger shows a leave — a vehicle that
         silently dropped out for good looks identical to the server.
         """
-        return self._erase([client_id], cancel_check=cancel_check)
+        return self._erase_one([client_id], cancel_check)
 
     def scan_and_purge_attackers(
         self, z_threshold: float = 1.5
     ) -> Optional[ErasureOutcome]:
         """Scenario 3: detect poisoners from the stored history and
         erase them.  Returns ``None`` when nothing is flagged."""
-        gate = (
-            self.live_session.gate if self.live_session is not None
-            else nullcontext()
-        )
-        with gate:
+        with self.live_session.gate if self.live_session is not None else nullcontext():
             report = detect_malicious_clients(self.record, z_threshold=z_threshold)
         if not report.flagged:
             _log.info("attacker scan: nothing flagged")
@@ -909,7 +811,7 @@ class UnlearningService:
         candidates = [c for c in report.flagged if c not in self._erased]
         if not candidates:
             return None
-        outcome = self._erase(candidates)
+        outcome = self._erase_one(candidates, None)
         outcome.detection = report
         return outcome
 

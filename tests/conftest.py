@@ -7,6 +7,11 @@ suite fast while still exercising the real pipeline.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
+import os
+
 import numpy as np
 import pytest
 
@@ -15,6 +20,41 @@ from repro.fl import FederatedSimulation, ParticipationSchedule, VehicleClient
 from repro.nn import mlp
 from repro.storage import FullGradientStore
 from repro.utils.rng import SeedSequenceTree
+
+
+#: The OpenBLAS core the suite's byte-pinned digests were recorded on.
+#: Float reductions differ between BLAS kernels, so a pin that fails on
+#: another core may be a kernel difference, not a regression.
+PINS_CORE = "SkylakeX"
+
+
+@functools.lru_cache(maxsize=None)
+def blas_core() -> str:
+    """The OpenBLAS kernel core NumPy's bundled library picked at
+    runtime (e.g. ``SkylakeX``), or ``unknown``."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*"))):
+        try:
+            corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
+def pin_note() -> str:
+    """Failure message for a pinned-digest assertion."""
+    return f"runtime BLAS core {blas_core()}; pins recorded on {PINS_CORE}"
+
+
+def pytest_report_header(config):
+    return f"BLAS core: {blas_core()} (digest pins recorded on {PINS_CORE})"
+
+
+def pytest_terminal_summary(terminalreporter, exitstatus, config):
+    if config.get_verbosity() < 0:  # -q drops the report header
+        terminalreporter.write_line(pytest_report_header(config))
 
 
 @pytest.fixture

@@ -6,9 +6,13 @@ Covers the pieces the live erasure workflow is assembled from:
   pinning, deferred reclamation, quiesce/drain;
 - :class:`~repro.fl.live.LiveTrainingSession` — trainer-thread round
   loop, pacing permits, watermark publishing, snapshot pinning;
-- :meth:`~repro.unlearning.service.UnlearningService._erase_live` —
-  two-phase optimistic erasure: merge modes, commit conflicts, typed
-  busy errors, deferred purges, persistence under pinned readers;
+- :meth:`~repro.unlearning.service.UnlearningService._erase_group`
+  bound to a live session — the one erasure pipeline, two-phase:
+  a lock-free replay over a pinned snapshot, then a commit that folds
+  in the rounds trained meanwhile.  Merge modes, commit conflicts, a
+  live fused batch that lets training run through its replay, typed
+  busy errors (including a prefetch drain racing a lock-free replay),
+  deferred purges, persistence under pinned readers;
 - the merge helpers (:mod:`repro.unlearning.merge`) and the
   ``mixed`` train/erase arrival schedule.
 """
@@ -27,10 +31,12 @@ from repro.fl import (
     load_record,
 )
 from repro.nn import mlp
+from repro.serving.requests import DeadlineExceededError
 from repro.serving.loadgen import Arrival, LoadGenerator, SCHEDULES, mixed_schedule
 from repro.storage import SignGradientStore
 from repro.storage.snapshot import SnapshotRegistry
 from repro.unlearning import (
+    DependentAbortError,
     NegatedPseudoGradientUnlearner,
     ServiceBusyError,
     SignRecoveryUnlearner,
@@ -269,30 +275,23 @@ class TestLiveErasure:
         assert session.wait_for_round(n, timeout=60)
 
     def advance_during_phase1(self, session, service, extra_rounds):
-        """Patch the service's unlearner factory so the first phase-1
+        """Spy on the service's replay seam so the first (phase-1)
         replay deterministically overlaps ``extra_rounds`` of training
         — the commit then has a non-empty tail to merge."""
-        orig_factory = service._unlearner
+        replay = service._replay
         fired = []
 
-        def factory(cancel_check=None):
-            unlearner = orig_factory(cancel_check)
-            orig_unlearn = unlearner.unlearn
+        def overlapping(view, forget_sets, checks):
+            result = replay(view, forget_sets, checks)
+            if not fired:
+                fired.append(True)
+                session.allow_rounds(extra_rounds)
+                assert session.wait_for_round(
+                    view.num_rounds + extra_rounds, timeout=60
+                )
+            return result
 
-            def unlearn(record, forget_ids, model, *args, **kwargs):
-                result = orig_unlearn(record, forget_ids, model, *args, **kwargs)
-                if not fired:
-                    fired.append(True)
-                    session.allow_rounds(extra_rounds)
-                    assert session.wait_for_round(
-                        record.num_rounds + extra_rounds, timeout=60
-                    )
-                return result
-
-            unlearner.unlearn = unlearn
-            return unlearner
-
-        service._unlearner = factory
+        service._replay = overlapping
 
     def test_zero_tail_commit_is_the_counterfactual(self):
         _, session, service = make_live_service(21)
@@ -373,27 +372,20 @@ class TestLiveErasure:
 
     def test_commit_conflict_retries_forest_hot(self):
         _, session, service = make_live_service(24)
-        orig_factory = service._unlearner
+        replay = service._replay
         fired = []
 
-        def factory(cancel_check=None):
-            unlearner = orig_factory(cancel_check)
-            orig_unlearn = unlearner.unlearn
+        def racing(view, forget_sets, checks):
+            if not fired:
+                fired.append(True)
+                # A concurrent erasure commits while our phase-1
+                # replay runs: the forget set this commit validated
+                # against is stale.
+                service._erased.append(3)
+                service.record.metadata["erased_clients"] = [3]
+            return replay(view, forget_sets, checks)
 
-            def unlearn(record, forget_ids, model, *args, **kwargs):
-                if not fired:
-                    fired.append(True)
-                    # A concurrent erasure commits while our phase-1
-                    # replay runs: the forget set this commit validated
-                    # against is stale.
-                    service._erased.append(3)
-                    service.record.metadata["erased_clients"] = [3]
-                return orig_unlearn(record, forget_ids, model, *args, **kwargs)
-
-            unlearner.unlearn = unlearn
-            return unlearner
-
-        service._unlearner = factory
+        service._replay = racing
         session.start()
         try:
             self.run_to(session, 4)
@@ -445,6 +437,99 @@ class TestLiveErasure:
         finally:
             session.release_pacing()
         session.result(timeout=120)
+
+    @pytest.mark.parametrize("failing", [None, 1], ids=["all_commit", "b_aborts"])
+    def test_live_fused_batch_is_two_phase(self, failing):
+        # Training keeps running through a live fused batch's replay;
+        # the commit replays the trained tail for every member.
+        _, session, service = make_live_service(30)
+        self.advance_during_phase1(session, service, extra_rounds=2)
+        checks = [None, None, None]
+        if failing is not None:
+
+            def aborts():
+                raise DeadlineExceededError("budget spent")
+
+            checks[failing] = aborts
+        session.start()
+        try:
+            self.run_to(session, 3)
+            report = service.handle_erasure_batch_fused([1, 2, 3], cancel_checks=checks)
+        finally:
+            session.release_pacing()
+        record = session.result(timeout=120)
+        committed = [1, 2, 3] if failing is None else [1]
+        if failing is not None:
+            assert isinstance(report.errors[1], DeadlineExceededError)
+            assert isinstance(report.errors[2], DependentAbortError)
+            assert report.outcomes[1:] == [None, None]
+        for k, cid in enumerate(committed):
+            outcome = report.outcomes[k]
+            assert report.errors[k] is None
+            assert outcome.forgotten == [cid]
+            assert (outcome.snapshot_watermark, outcome.commit_round) == (3, 5)
+            reference = reference_erase(30, committed[: k + 1], 5)
+            assert outcome.params.tobytes() == reference.params.tobytes()
+        for cid in committed:
+            for t in range(5, NUM_ROUNDS):
+                assert cid not in record.ledger.participants_at(t)
+            for t in range(NUM_ROUNDS):
+                assert not record.gradients.has(t, cid)
+        assert record.metadata["erased_clients"] == committed
+        commits = record.metadata["merge_commits"]
+        assert [c["clients"] for c in commits] == [[cid] for cid in committed]
+        for commit in commits:
+            assert (commit["watermark"], commit["commit_round"]) == (3, 5)
+            assert commit["mode"] == "replay"
+
+    @pytest.mark.parametrize("live", [True, False], ids=["live", "stop_the_world"])
+    def test_prefetch_drain_racing_a_replay_is_busy(self, live):
+        # A non-blocking drain at the replay's second round must answer
+        # busy, not tear the decode pool down under the replay — a live
+        # replay holds no service lock, so the lock alone cannot tell.
+        model, sim = build_sim(29)
+        if live:
+            session = LiveTrainingSession(sim, NUM_ROUNDS, paced=True)
+            service = UnlearningService(
+                record=sim.record_view(0), model=model, clip_threshold=5.0,
+                prefetch_depth=2,
+            ).bind_live(session)
+            session.start()
+            self.run_to(session, 4)
+        else:
+            service = UnlearningService(
+                record=sim.run(4), model=model, clip_threshold=5.0, prefetch_depth=2
+            )
+        owner = threading.get_ident()
+        ticks, drains = [0], []
+
+        def drain():
+            try:
+                drains.append(service.drain_prefetch(blocking=False))
+            except ServiceBusyError as exc:
+                drains.append(exc)
+
+        def tick():
+            # Decode threads poll the same hook; only the replay's own
+            # thread marks round boundaries.
+            if threading.get_ident() != owner:
+                return
+            ticks[0] += 1
+            if ticks[0] == 2:
+                racer = threading.Thread(target=drain)
+                racer.start()
+                racer.join(10)
+
+        try:
+            outcome = service.handle_erasure_request(1, cancel_check=tick)
+        finally:
+            if live:
+                session.release_pacing()
+                session.result(timeout=120)
+        assert len(drains) == 1 and isinstance(drains[0], ServiceBusyError)
+        reference = reference_erase(29, [1], 4)
+        assert outcome.params.tobytes() == reference.params.tobytes()
+        assert service.drain_prefetch(blocking=False) is True
 
     def test_drain_prefetch_nonblocking_raises_typed_busy_error(self):
         _, session, service = make_live_service(27)

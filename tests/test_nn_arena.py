@@ -32,6 +32,8 @@ from repro.unlearning import SignRecoveryUnlearner
 from repro.unlearning.lbfgs import LbfgsBuffer, compact_form_matrices, compact_hvp
 from repro.utils.rng import SeedSequenceTree
 
+from tests.conftest import pin_note
+
 
 def sha(arr: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
@@ -362,15 +364,16 @@ class TestGoldenEquivalence:
             eval_every=2,
         )
         record = sim.run(NUM_ROUNDS)
-        assert sha(record.params_at(NUM_ROUNDS)) == GOLDEN_FINAL_PARAMS
-        assert [round(a, 12) for a in record.accuracy_history] == GOLDEN_ACCURACY
+        assert sha(record.params_at(NUM_ROUNDS)) == GOLDEN_FINAL_PARAMS, pin_note()
+        accuracy = [round(a, 12) for a in record.accuracy_history]
+        assert accuracy == GOLDEN_ACCURACY, pin_note()
         digest = hashlib.sha256()
         for t in range(NUM_ROUNDS + 1):
             digest.update(np.ascontiguousarray(record.params_at(t)).tobytes())
-        assert digest.hexdigest() == GOLDEN_CHECKPOINTS
+        assert digest.hexdigest() == GOLDEN_CHECKPOINTS, pin_note()
 
         result = SignRecoveryUnlearner(refresh_period=2).unlearn(record, [1], model)
-        assert sha(result.params) == GOLDEN_RECOVERED
+        assert sha(result.params) == GOLDEN_RECOVERED, pin_note()
         assert result.rounds_replayed == 4
         assert result.stats["forget_round"] == 2
 
@@ -380,14 +383,14 @@ class TestGoldenEquivalence:
         x = rng.normal(size=(8, 1, 12, 12))
         y = rng.integers(0, 4, size=8)
         w0 = cnn.get_flat_params()
-        assert sha(w0) == GOLDEN_CNN_W0
+        assert sha(w0) == GOLDEN_CNN_W0, pin_note()
         loss, grad = cnn.loss_and_flat_grad(x, y)
-        assert float(loss) == GOLDEN_CNN_LOSS
-        assert sha(grad) == GOLDEN_CNN_GRAD
+        assert float(loss) == GOLDEN_CNN_LOSS, pin_note()
+        assert sha(grad) == GOLDEN_CNN_GRAD, pin_note()
         cnn.set_flat_params(w0 - 0.05 * grad)
         loss2, grad2 = cnn.loss_and_flat_grad(x, y)
-        assert float(loss2) == GOLDEN_CNN_LOSS2
-        assert sha(grad2) == GOLDEN_CNN_GRAD2
+        assert float(loss2) == GOLDEN_CNN_LOSS2, pin_note()
+        assert sha(grad2) == GOLDEN_CNN_GRAD2, pin_note()
 
 
 # ----------------------------------------------------------------------

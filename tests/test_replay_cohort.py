@@ -40,6 +40,7 @@ from repro.unlearning.estimator import (
 )
 from repro.unlearning.forest import fused_unlearn
 from tests.test_service_cache import CLIP, build_record
+from tests.conftest import pin_note
 
 #: Vehicle 4 joins at round 2, one round before the erased vehicle 5:
 #: seeded from round 3, its buffer holds one pair, vehicles 0-3 hold two
@@ -99,8 +100,8 @@ class TestPinnedDigests:
         assert (
             result.stats["pairs_accepted"],
             result.stats["pairs_rejected"],
-        ) == PINNED_COLD_PAIRS
-        assert sha(result.params) == PINNED_COLD
+        ) == PINNED_COLD_PAIRS, pin_note()
+        assert sha(result.params) == PINNED_COLD, pin_note()
 
     def test_float64_rows_give_the_same_digest(self):
         record, model = cold_record()
@@ -111,7 +112,7 @@ class TestPinnedDigests:
         result = SignRecoveryUnlearner(
             clip_threshold=CLIP, refresh_period=3
         ).unlearn(record, [5], model)
-        assert sha(result.params) == PINNED_COLD
+        assert sha(result.params) == PINNED_COLD, pin_note()
 
     def test_int8_rows_are_what_the_bulk_path_reads(self):
         record, _ = cold_record()
@@ -132,7 +133,7 @@ class TestPinnedDigests:
         assert all(o.error is None for o in outcomes)
         assert (stats.executed_node_rounds, stats.member_rounds) == (122, 136)
         assert stats.forks > 0 and stats.shared_rounds > 0
-        assert sha(*(o.result.params for o in outcomes)) == PINNED_LADDER
+        assert sha(*(o.result.params for o in outcomes)) == PINNED_LADDER, pin_note()
 
 
 # ----------------------------------------------------------------------
@@ -600,7 +601,7 @@ class TestNodeFormStaysCurrent:
         result = SignRecoveryUnlearner(clip_threshold=CLIP, refresh_period=3).unlearn(
             record, [5], model
         )
-        assert sha(result.params) == PINNED_COLD
+        assert sha(result.params) == PINNED_COLD, pin_note()
         assert form_spy.count(True) == 3 and len(form_spy) == 9
 
     def test_after_fork(self, form_spy):

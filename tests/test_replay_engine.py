@@ -40,6 +40,7 @@ from repro.unlearning import (
 )
 from repro.utils.serialization import load_state
 
+from tests.conftest import pin_note
 from tests.test_fl_live import build_sim
 from tests.test_service_cache import CLIP, JOINS, build_record
 
@@ -81,7 +82,7 @@ def sha(array):
 
 
 def check(name, value):
-    assert value == PINS[name], name
+    assert value == PINS[name], f"{name}: {pin_note()}"
 
 
 class Died(RuntimeError):
@@ -192,25 +193,18 @@ def test_live_replay_merge_commit():
     ).bind_live(session)
     # The first phase-1 replay lets two more rounds train before it
     # returns, so the commit replays a two-round tail through the forest.
-    make = service._unlearner
+    replay = service._replay
     fired = []
 
-    def factory(cancel_check=None):
-        unlearner = make(cancel_check)
-        unlearn = unlearner.unlearn
+    def overlapping(view, forget_sets, checks):
+        result = replay(view, forget_sets, checks)
+        if not fired:
+            fired.append(True)
+            session.allow_rounds(2)
+            assert session.wait_for_round(view.num_rounds + 2, timeout=60)
+        return result
 
-        def overlapping(record, forget_ids, model, *args, **kwargs):
-            result = unlearn(record, forget_ids, model, *args, **kwargs)
-            if not fired:
-                fired.append(True)
-                session.allow_rounds(2)
-                assert session.wait_for_round(record.num_rounds + 2, timeout=60)
-            return result
-
-        unlearner.unlearn = overlapping
-        return unlearner
-
-    service._unlearner = factory
+    service._replay = overlapping
     session.start()
     try:
         session.allow_rounds(3)

@@ -97,6 +97,17 @@ def service():
     return UnlearningService(record=record, model=model, clip_threshold=CLIP)
 
 
+def each_fusion_width(service):
+    """The degraded-mode and dequeue-deadline cases run their 3-ticket
+    queue as lone tickets (``fusion_width`` 1, on ``service``) and as
+    one coalesced group (4, on a fresh twin): the daemon's queue-wait,
+    deadline and breaker-hold preamble is shared by its two service
+    calls."""
+    yield 1, service
+    record, model = build_record()
+    yield 4, UnlearningService(record=record, model=model, clip_threshold=CLIP)
+
+
 # ----------------------------------------------------------------------
 # request vocabulary
 # ----------------------------------------------------------------------
@@ -280,18 +291,26 @@ class TestAdmission:
         assert exc.value.reason == "shutdown"
 
     def test_failed_outcome_drops_its_idempotency_key(self, service):
-        # Only in-flight and successful outcomes are cached: a request
-        # that ends in a deadline abort must drop its key, or the
-        # keyed retry replays the stored exception instead of
-        # re-executing the erasure.
-        clock = FakeClock()
-        daemon = ErasureDaemon(service, capacity=8, workers=1, clock=clock)
-        future = daemon.submit(4, key="k", deadline=Deadline(1.0, clock=clock))
-        clock.advance(2.0)  # expires while queued
-        daemon.stop(mode="drain")
-        with pytest.raises(DeadlineExceededError):
-            future.result(timeout=1)
-        assert "k" not in daemon._keys
+        for fusion_width, service in each_fusion_width(service):
+            # Only in-flight and successful outcomes are cached: a request
+            # that ends in a deadline abort must drop its key, or the
+            # keyed retry replays the stored exception instead of
+            # re-executing the erasure.
+            clock = FakeClock()
+            daemon = ErasureDaemon(
+                service, capacity=8, workers=1, clock=clock, fusion_width=fusion_width
+            )
+            futures = [
+                daemon.submit(cid, key=f"k{cid}", deadline=Deadline(1.0, clock=clock))
+                for cid in (4, 5, 6)
+            ]
+            clock.advance(2.0)  # expires while queued
+            daemon.stop(mode="drain")
+            for future in futures:
+                with pytest.raises(DeadlineExceededError, match="while queued"):
+                    future.result(timeout=1)
+            assert not daemon._keys
+            assert service.erased_clients == []
 
     def test_keyed_retry_after_failure_reexecutes(self, service):
         calls = {"n": 0}
@@ -397,57 +416,69 @@ class TestDeadlineAbort:
 # ----------------------------------------------------------------------
 class TestDegradedModes:
     def test_serve_stale_answers_with_last_known_good(self, service):
-        breaker = CircuitBreaker(failure_threshold=1, window=4, cooldown_seconds=60.0)
-        daemon = ErasureDaemon(
-            service, capacity=8, workers=1, breaker=breaker,
-            degraded_mode="serve_stale",
-        )
-        daemon.signal_fault(kind="quarantine")
-        assert breaker.state == OPEN
-        future = daemon.submit(4)
-        daemon.stop(mode="drain")
-        response = future.result(timeout=1)
-        assert response.status == "stale" and response.stale
-        assert response.retry_after > 0.0
-        # No erasure ran; the answer is the last known-good parameters
-        # (no prior success: the trained final model).
-        assert service.erased_clients == []
-        assert (
-            response.params.tobytes()
-            == service.record.final_params().tobytes()
-        )
+        for fusion_width, service in each_fusion_width(service):
+            breaker = CircuitBreaker(failure_threshold=1, window=4, cooldown_seconds=60.0)
+            daemon = ErasureDaemon(
+                service, capacity=8, workers=1, breaker=breaker,
+                degraded_mode="serve_stale", fusion_width=fusion_width,
+            )
+            daemon.signal_fault(kind="quarantine")
+            assert breaker.state == OPEN
+            futures = [daemon.submit(cid) for cid in (4, 5, 6)]
+            daemon.stop(mode="drain")
+            for future in futures:
+                response = future.result(timeout=1)
+                assert response.status == "stale" and response.stale
+                assert response.retry_after > 0.0
+                # No erasure ran; the answer is the last known-good
+                # parameters (no prior success: the trained final model).
+                assert (
+                    response.params.tobytes()
+                    == service.record.final_params().tobytes()
+                )
+            assert service.erased_clients == []
 
     def test_queue_only_holds_until_cooldown_then_serves(self, service):
-        breaker = CircuitBreaker(failure_threshold=1, window=4, cooldown_seconds=0.05)
-        daemon = ErasureDaemon(
-            service, capacity=8, workers=1, breaker=breaker,
-            degraded_mode="queue_only",
-        ).start()
-        try:
-            daemon.signal_fault()
-            response = daemon.request(4, timeout=10)
-            assert response.status == "ok"
-            assert breaker.state == CLOSED
-            assert breaker.transitions == [OPEN, HALF_OPEN, CLOSED]
-        finally:
-            daemon.stop(mode="drain")
+        for fusion_width, service in each_fusion_width(service):
+            breaker = CircuitBreaker(failure_threshold=1, window=4, cooldown_seconds=0.05)
+            daemon = ErasureDaemon(
+                service, capacity=8, workers=1, breaker=breaker,
+                degraded_mode="queue_only", fusion_width=fusion_width,
+            )
+            try:
+                daemon.signal_fault()
+                # Queue before starting the worker so one dequeue sees all three.
+                futures = [daemon.submit(cid) for cid in (4, 5, 6)]
+                daemon.start()
+                for future in futures:
+                    assert future.result(timeout=10).status == "ok"
+                assert breaker.state == CLOSED
+                assert breaker.transitions == [OPEN, HALF_OPEN, CLOSED]
+            finally:
+                daemon.stop(mode="drain")
+            assert service.erased_clients == [4, 5, 6]
 
     def test_queue_only_polices_deadline_while_held(self, service):
-        clock = FakeClock()
-        breaker = CircuitBreaker(
-            failure_threshold=1, window=4, cooldown_seconds=1e9, clock=clock
-        )
-        daemon = ErasureDaemon(
-            service, capacity=8, workers=1, breaker=breaker,
-            degraded_mode="queue_only", clock=clock,
-        )
-        daemon.signal_fault()
-        future = daemon.submit(4, deadline=Deadline(5.0, clock=clock))
-        clock.advance(6.0)  # expires while held by the open breaker
-        daemon.stop(mode="drain")
-        with pytest.raises(DeadlineExceededError):
-            future.result(timeout=1)
-        assert service.erased_clients == []
+        for fusion_width, service in each_fusion_width(service):
+            clock = FakeClock()
+            breaker = CircuitBreaker(
+                failure_threshold=1, window=4, cooldown_seconds=1e9, clock=clock
+            )
+            daemon = ErasureDaemon(
+                service, capacity=8, workers=1, breaker=breaker,
+                degraded_mode="queue_only", clock=clock, fusion_width=fusion_width,
+            )
+            daemon.signal_fault()
+            futures = [
+                daemon.submit(cid, deadline=Deadline(5.0, clock=clock))
+                for cid in (4, 5, 6)
+            ]
+            clock.advance(6.0)  # expires while held by the open breaker
+            daemon.stop(mode="drain")
+            for future in futures:
+                with pytest.raises(DeadlineExceededError):
+                    future.result(timeout=1)
+            assert service.erased_clients == []
 
     def test_invalid_degraded_mode_rejected(self, service):
         with pytest.raises(ValueError):
@@ -462,52 +493,65 @@ class TestDegradedModes:
         assert daemon.status()["breaker_state"] == OPEN
 
     def test_client_error_probe_releases_the_slot(self, service):
-        # Half-open probe granted to a request that ends in a client
-        # error: the slot must be released so the NEXT request probes —
-        # otherwise the breaker wedges half-open and (in serve_stale
-        # mode) every future request is answered stale forever.
-        service.handle_erasure_request(4)  # makes a later 4 a client error
-        breaker = CircuitBreaker(failure_threshold=1, window=4, cooldown_seconds=0.0)
-        daemon = ErasureDaemon(service, capacity=8, workers=1, breaker=breaker)
-        daemon.signal_fault()  # trip; zero cooldown → next allow() probes
-        probe = daemon.submit(4)   # holds the probe, ends in ValueError
-        follow = daemon.submit(5)  # must become the next probe, not stale
-        daemon.stop(mode="drain")
-        with pytest.raises(ValueError):
-            probe.result(timeout=1)
-        response = follow.result(timeout=1)
-        assert response.status == "ok"
-        assert breaker.state == CLOSED
-        assert service.erased_clients == [4, 5]
+        for fusion_width, service in each_fusion_width(service):
+            # Half-open probe granted to a request that ends in a client
+            # error: the slot must be released so the NEXT request probes —
+            # otherwise the breaker wedges half-open and (in serve_stale
+            # mode) every future request is answered stale forever.  A
+            # coalesced group is one verdict: its committed members close
+            # the breaker, and the client error joins no member's chain.
+            service.handle_erasure_request(4)  # makes a later 4 a client error
+            breaker = CircuitBreaker(failure_threshold=1, window=4, cooldown_seconds=0.0)
+            daemon = ErasureDaemon(
+                service, capacity=8, workers=1, breaker=breaker,
+                fusion_width=fusion_width,
+            )
+            daemon.signal_fault()  # trip; zero cooldown → next allow() probes
+            probe = daemon.submit(4)   # holds the probe, ends in ValueError
+            follow = daemon.submit(5)  # must become the next probe, not stale
+            last = daemon.submit(6)
+            daemon.stop(mode="drain")
+            with pytest.raises(ValueError):
+                probe.result(timeout=1)
+            for future in (follow, last):
+                assert future.result(timeout=1).status == "ok"
+            assert breaker.state == CLOSED
+            assert service.erased_clients == [4, 5, 6]
 
     def test_deadline_abort_probe_releases_the_slot(self, service):
-        clock = FakeClock()
-        breaker = CircuitBreaker(
-            failure_threshold=1, window=4, cooldown_seconds=0.0, clock=clock
-        )
-        daemon = ErasureDaemon(
-            service, capacity=8, workers=1, breaker=breaker, clock=clock
-        )
-        calls = {"n": 0}
-        original = service.handle_erasure_request
+        for fusion_width, service in each_fusion_width(service):
+            # The probe is a two-vehicle request, so it is served alone at
+            # either width; the two single-vehicle followers then form the
+            # next probe — one coalesced group at fusion width 4.
+            clock = FakeClock()
+            breaker = CircuitBreaker(
+                failure_threshold=1, window=4, cooldown_seconds=0.0, clock=clock
+            )
+            daemon = ErasureDaemon(
+                service, capacity=8, workers=1, breaker=breaker, clock=clock,
+                fusion_width=fusion_width,
+            )
+            replay = service._replay
+            calls = {"n": 0}
 
-        def slow_once(client_id, cancel_check=None):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                clock.advance(5.0)  # the replay outlives the deadline
-                cancel_check()      # between-rounds checkpoint: aborts
-            return original(client_id, cancel_check=cancel_check)
+            def slow_once(view, forget_sets, checks):
+                calls["n"] += 1
+                if calls["n"] == 1:
+                    clock.advance(5.0)  # the replay outlives the deadline
+                return replay(view, forget_sets, checks)
 
-        service.handle_erasure_request = slow_once
-        daemon.signal_fault()
-        probe = daemon.submit(4, deadline=Deadline(1.0, clock=clock))
-        follow = daemon.submit(5)
-        daemon.stop(mode="drain")
-        with pytest.raises(DeadlineExceededError):
-            probe.result(timeout=1)
-        assert follow.result(timeout=1).status == "ok"
-        assert breaker.state == CLOSED
-        assert service.erased_clients == [5]
+            service._replay = slow_once
+            daemon.signal_fault()
+            probe = daemon.submit((4, 6), deadline=Deadline(1.0, clock=clock))
+            follow = daemon.submit(5)
+            last = daemon.submit(7)
+            daemon.stop(mode="drain")
+            with pytest.raises(DeadlineExceededError):
+                probe.result(timeout=1)
+            for future in (follow, last):
+                assert future.result(timeout=1).status == "ok"
+            assert breaker.state == CLOSED
+            assert service.erased_clients == [5, 7]
 
     def test_client_errors_do_not_feed_the_breaker(self, service):
         daemon = ErasureDaemon(service, capacity=8, workers=1)

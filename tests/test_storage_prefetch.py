@@ -34,6 +34,8 @@ from repro.storage import (
 from repro.unlearning.recovery import SignRecoveryUnlearner
 from repro.utils.rng import SeedSequenceTree
 
+from tests.conftest import pin_note
+
 DELTA = 1e-6
 DIM = 41
 
@@ -241,8 +243,9 @@ class TestIdentity:
         result = SignRecoveryUnlearner(
             refresh_period=3, prefetch_depth=4
         ).unlearn(record, [3], model)
-        assert result.rounds_replayed == PINNED_REPLAY_ROUNDS
-        assert hashlib.sha256(result.params.tobytes()).hexdigest() == PINNED_REPLAY
+        assert result.rounds_replayed == PINNED_REPLAY_ROUNDS, pin_note()
+        digest = hashlib.sha256(result.params.tobytes()).hexdigest()
+        assert digest == PINNED_REPLAY, pin_note()
 
 
 # Recovered parameters of the pinned tiered replay above, recorded with
