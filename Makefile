@@ -12,15 +12,18 @@ test:
 # Sweep the fault-injection scenarios over several seeds; with
 # CHAOS_SEEDS set, the forest-retirement liveness machine
 # (tests/test_replay_cow.py) also runs at its large step budget, and
-# four bit-for-bit property tests run at their large example budgets:
+# five bit-for-bit property tests run at their large example budgets:
 # the replay cohort kernel's, the replay node's stacked form's and the
 # replay round path's — stored block slice or take, chunked kernel
 # tail, in-place FedAvg (tests/test_replay_cohort.py:
 # test_kernel_matches_per_client_chain,
 # test_node_form_matches_per_client_chain,
-# test_round_path_matches_per_client_chain) — and the one-pass sign
+# test_round_path_matches_per_client_chain) — the one-pass sign
 # encoder's (tests/test_storage_sign_codec.py:
-# test_one_pass_encoder_matches_ternarize_then_pack).
+# test_one_pass_encoder_matches_ternarize_then_pack) and the training
+# cohort pass's — row k of a stacked pass equals vehicle k's pass
+# alone (tests/test_cohort_pass.py:
+# test_cohort_rows_match_lone_passes).
 chaos:
 	CHAOS_SEEDS=7,21,99 pytest tests/ -m chaos
 

@@ -12,18 +12,24 @@ Clients share one scratch :class:`~repro.nn.model.Sequential` instance
 client sets the global parameters into it before the gradient pass.
 This mirrors what a real vehicle does (download ``w_t``, compute, and
 upload) while keeping the 100-client simulation memory-light.
+
+Every vehicle of a round computes at the same ``w_t``, so
+:func:`cohort_updates` computes a whole cohort in stacked passes
+(:meth:`~repro.nn.model.Sequential.cohort_pass`) — a lone vehicle's
+:meth:`VehicleClient.compute_update` is the cohort of one.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from itertools import groupby
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.datasets.base import ArrayDataset
 from repro.nn.model import Sequential
 
-__all__ = ["VehicleClient"]
+__all__ = ["VehicleClient", "cohort_updates"]
 
 
 class VehicleClient:
@@ -97,24 +103,23 @@ class VehicleClient:
         """``|D_i|`` — the FedAvg weight this client reports."""
         return len(self.dataset)
 
+    @property
+    def batch_shape(self):
+        """Shape of every minibatch this client samples."""
+        return (min(self.batch_size, len(self.dataset)),) + self.dataset.x.shape[1:]
+
     def compute_update(
         self, global_params: np.ndarray, model: Sequential
     ) -> np.ndarray:
         """Compute this round's reported gradient at ``global_params``.
 
         With ``local_steps == 1`` this is the exact stochastic gradient
-        on one sampled minibatch.  With more steps it is the
+        on one sampled minibatch (:func:`cohort_updates` of this client
+        alone).  With more steps it is the
         pseudo-gradient ``(w_start − w_end) / local_lr``.
         """
-        model.set_flat_params(global_params)
         if self.local_steps == 1:
-            xb, yb = self.dataset.sample_batch(self.batch_size, self.rng)
-            # The gradient stays in the model's arena; the only copy made
-            # is the float64 update the client actually reports.
-            _, gview = model.loss_and_flat_grad_view(xb, yb)
-            if self.reduction == "sum":
-                return np.multiply(gview, xb.shape[0], dtype=np.float64)
-            return gview.astype(np.float64)
+            return cohort_updates([self], global_params, model)[0]
         assert self.local_lr is not None
         params = np.asarray(global_params, dtype=np.float64).copy()
         step = np.empty_like(params)
@@ -161,3 +166,52 @@ class VehicleClient:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         tag = " malicious" if self.malicious else ""
         return f"VehicleClient(id={self.client_id}, n={self.num_samples}{tag})"
+
+
+def _pass_key(client: VehicleClient):
+    """Clients with equal keys can share a pass; a multi-step client
+    shares with nobody."""
+    if client.local_steps > 1:
+        return id(client)
+    return client.batch_shape, client.reduction
+
+
+def cohort_updates(
+    clients: Sequence[VehicleClient], global_params: np.ndarray, model: Sequential
+) -> np.ndarray:
+    """Each client's :meth:`VehicleClient.compute_update` at
+    ``global_params`` — same bits, same minibatch draws — as the rows of
+    one ``(K, d)`` float64 block.
+
+    Runs of consecutive one-step clients with one minibatch shape and
+    reduction (runs, so every random draw keeps client order) go
+    through stacked passes of at most
+    :meth:`~repro.nn.model.Sequential.pass_rows` clients; a client with
+    ``local_steps > 1`` runs its own loop of one-batch passes.
+    """
+    block = np.empty((len(clients), model.num_params))
+    start = 0
+    for _, run in groupby(clients, key=_pass_key):
+        group = list(run)
+        lo, start = start, start + len(group)
+        head = group[0]
+        if head.local_steps > 1:
+            block[lo] = head.compute_update(global_params, model)
+            continue
+        model.set_flat_params(global_params)
+        step = model.pass_rows(head.batch_shape) if len(group) > 1 else 1
+        for at in range(0, len(group), step):
+            chunk = group[at : at + step]
+            batches = [c.dataset.sample_batch(c.batch_size, c.rng) for c in chunk]
+            xs = np.stack([xb for xb, _ in batches])
+            ys = np.stack([yb for _, yb in batches])
+            rows = block[lo + at : lo + at + len(chunk)]
+            grads = rows
+            if model.dtype != rows.dtype:  # a float32 arena
+                grads = np.empty(rows.shape, model.dtype)
+            model.cohort_pass(xs, ys, grads)
+            if head.reduction == "sum":
+                np.multiply(grads, xs.shape[1], out=rows, dtype=np.float64)
+            elif grads is not rows:
+                rows[...] = grads
+    return block

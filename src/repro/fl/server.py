@@ -13,17 +13,18 @@ rounds into ``fl_rounds_skipped_total`` — see ``docs/METRICS.md``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Mapping, Optional
 
 import numpy as np
 
 from repro.faults.validation import QuarantineEvent, UpdateValidator
-from repro.fl.aggregation import AGGREGATORS
+from repro.fl.aggregation import AGGREGATORS, fedavg
 from repro.fl.membership import MembershipLedger
 from repro.nn.optim import SGD
 from repro.storage.store import (
     GradientStore,
     ModelCheckpointStore,
+    RoundRows,
     make_gradient_store,
 )
 from repro.telemetry.core import current_telemetry
@@ -122,13 +123,18 @@ class RsuServer:
         self.checkpoints.put(self.round_index, self.params)
         return self.params.copy()
 
-    def run_round(self, updates: Dict[int, np.ndarray]) -> np.ndarray:
+    def run_round(self, updates: Mapping[int, np.ndarray]) -> np.ndarray:
         """Aggregate ``updates`` (client_id -> gradient) and step the model.
 
         Records each raw update into the gradient store *before*
         aggregation — the store is what compresses (the server never
         keeps the raw gradients beyond this call, which is the storage
         model of §IV).  Returns the new global parameters.
+
+        ``updates`` may be a :class:`~repro.storage.store.RoundRows`
+        whose block the caller gives up — the serial round's cohort
+        pass hands one over; the store encodes that block as it is and
+        FedAvg scales it in place.  A plain mapping is stacked once.
 
         With a validator configured, updates that fail the gate are
         quarantined instead: never stored, never aggregated, and the
@@ -151,7 +157,7 @@ class RsuServer:
                 )
             else:
                 verdicts = None
-            accepted: Dict[int, np.ndarray] = {}
+            rejected = []
             for client_id in sorted(updates):
                 if verdicts is not None and not verdicts[client_id].ok:
                     self.quarantine.append(
@@ -166,17 +172,29 @@ class RsuServer:
                         client_id,
                         verdicts[client_id].reason,
                     )
-                    continue
-                accepted[client_id] = updates[client_id]
-            if not accepted:
+                    rejected.append(client_id)
+            if len(rejected) == len(updates):
                 return self.skip_round()
+            if rejected:
+                updates = {
+                    c: updates[c] for c in sorted(updates) if c not in rejected
+                }
+            rows = RoundRows.of(updates)
             # Batched commit: one vectorized encode pass for sign stores
             # (bitwise identical to per-client puts in the same order).
-            self.gradients.put_round(t, accepted)
-            ordered = sorted(accepted)
-            gradients = [accepted[cid] for cid in ordered]
-            weights = [self.client_sizes[cid] for cid in ordered]
-            aggregated = self._aggregate(gradients, weights)
+            self.gradients.put_round(t, rows)
+            weights = [self.client_sizes[cid] for cid in rows]
+            block = rows.block
+            if block is None:
+                aggregated = self._aggregate(list(rows.values()), weights)
+            elif self._aggregate is fedavg:
+                # fedavg's bits, scaled in place: the block is ours.
+                block = block.astype(np.float64, copy=False)
+                w = np.asarray(weights, dtype=np.float64)
+                block *= w[:, None]
+                aggregated = block.sum(axis=0) / w.sum()
+            else:
+                aggregated = self._aggregate(block, weights)
             # Eq. 2 applied in place (checkpoints/journal always copy, so
             # no stored round state aliases the live vector).
             self._opt.step_(self.params, aggregated)

@@ -5,10 +5,12 @@ schedule into the round loop of §III-A, producing the
 :class:`~repro.fl.history.TrainingRecord` the unlearning methods
 consume.
 
-On the default serial path one scratch model instance is shared by all
-clients (each sets the global parameters before its gradient pass), so
-memory stays flat in the number of vehicles.  With ``backend="thread"``
-or ``"process"`` the per-client compute fans out through
+On the default serial path one scratch model computes each round's
+whole cohort in stacked passes (:func:`repro.fl.client.cohort_updates`,
+chunked under a fixed byte bound, so memory stays bounded in the number
+of vehicles), and the server takes the resulting gradient block as it
+is.  With ``backend="thread"`` or ``"process"`` the per-client compute
+fans out through
 :mod:`repro.parallel` instead — each worker borrows a private scratch
 model and the client's own RNG state travels with the task, so the
 resulting record is **bitwise identical to the serial run** (see the
@@ -46,21 +48,17 @@ and parallel runs produce identical counters.
 from __future__ import annotations
 
 import functools
-from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
+import time
+from typing import Callable, Dict, Generator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.datasets.base import ArrayDataset
-from repro.faults.injection import (
-    ClientCrashError,
-    ServerKilledError,
-    TransientClientError,
-    corrupt_update,
-)
-from repro.faults.plan import ClientFault, FaultPlan
+from repro.faults.injection import ServerKilledError
+from repro.faults.plan import FaultPlan
 from repro.faults.retry import RetryPolicy
 from repro.faults.validation import QuarantineEvent, UpdateValidator
-from repro.fl.client import VehicleClient
+from repro.fl.client import VehicleClient, cohort_updates
 from repro.fl.events import ParticipationSchedule
 from repro.fl.history import TrainingRecord
 from repro.fl.journal import JournalSnapshot, RoundJournal
@@ -70,26 +68,20 @@ from repro.nn.model import Sequential
 from repro.parallel.executor import Executor, make_executor, pool_utilization
 from repro.parallel.policy import resolve_execution
 from repro.parallel.rounds import (
+    FAULT_STAT_KEYS,
     ClientRoundTask,
+    apply_fault,
     build_training_context,
+    flaky_attempts,
     run_client_round,
 )
-from repro.storage.store import GradientStore
+from repro.storage.store import GradientStore, RoundRows
 from repro.telemetry.core import current_telemetry
 from repro.utils.logging import get_logger
 
 __all__ = ["FederatedSimulation"]
 
 _log = get_logger("fl.simulation")
-
-_FAULT_STAT_KEYS = (
-    "crashes",
-    "corrupted",
-    "stragglers_dropped",
-    "stragglers_met",
-    "retries",
-    "gave_up",
-)
 
 
 class FederatedSimulation:
@@ -177,7 +169,7 @@ class FederatedSimulation:
         self.fault_plan = fault_plan
         self.retry_policy = retry_policy or RetryPolicy(max_attempts=1)
         self.execution = resolve_execution(backend, workers)
-        self.fault_stats: Dict[str, int] = {k: 0 for k in _FAULT_STAT_KEYS}
+        self.fault_stats: Dict[str, int] = {k: 0 for k in FAULT_STAT_KEYS}
         self._registered: set = set()
         self._left: set = set()
         # Clients erased mid-run (live-traffic path): the schedule may
@@ -261,101 +253,103 @@ class FederatedSimulation:
         )
 
     # ------------------------------------------------------------------
-    # fault-aware client compute
-    # ------------------------------------------------------------------
-    def _compute_update(
-        self,
-        cid: int,
-        round_index: int,
-        global_params: np.ndarray,
-        fault: Optional[ClientFault],
-    ) -> np.ndarray:
-        """One client's update for the round, faults applied.
-
-        Raises :class:`~repro.faults.injection.ClientCrashError` when
-        the update is lost (crash, missed deadline, retries exhausted);
-        the caller records the dropout.  Flaky faults raise transiently
-        before the gradient pass, so the client's RNG stream is only
-        consumed by the attempt that succeeds — a resumed run therefore
-        draws identical minibatches.
-        """
-        client = self.clients[cid]
-        failures_left = [fault.failures if fault and fault.kind == "flaky" else 0]
-
-        def attempt() -> np.ndarray:
-            if failures_left[0] > 0:
-                failures_left[0] -= 1
-                raise TransientClientError(
-                    f"client {cid} transient failure at round {round_index}"
-                )
-            return client.compute_update(global_params, self.model)
-
-        outcome = self.retry_policy.call(attempt)
-        self.fault_stats["retries"] += outcome.attempts - 1
-        if not outcome.succeeded:
-            self.fault_stats["gave_up"] += 1
-            raise ClientCrashError(
-                f"client {cid} failed all {outcome.attempts} attempts at round "
-                f"{round_index}"
-            )
-        update = outcome.value
-        if fault is None or fault.kind == "flaky":
-            return update
-        if fault.kind == "crash":
-            self.fault_stats["crashes"] += 1
-            raise ClientCrashError(f"client {cid} crashed at round {round_index}")
-        if fault.kind == "straggle":
-            assert self.fault_plan is not None
-            deadline = self.fault_plan.deadline(
-                max(1, len(self.server.ledger.members_at(round_index))),
-                self.model.num_params,
-            )
-            if fault.delay_seconds > deadline:
-                self.fault_stats["stragglers_dropped"] += 1
-                raise ClientCrashError(
-                    f"client {cid} straggled {fault.delay_seconds:.2f}s past the "
-                    f"{deadline:.2f}s deadline at round {round_index}"
-                )
-            self.fault_stats["stragglers_met"] += 1
-            return update
-        if fault.kind == "corrupt":
-            self.fault_stats["corrupted"] += 1
-            assert self.fault_plan is not None and fault.mode is not None
-            return corrupt_update(
-                update, fault.mode, self.fault_plan.corruption_rng(round_index, cid)
-            )
-        raise AssertionError(f"unhandled fault kind {fault.kind}")  # pragma: no cover
-
-    # ------------------------------------------------------------------
     # per-round update collection (serial and parallel paths)
     # ------------------------------------------------------------------
-    def _collect_updates_serial(
-        self, t: int, participants: List[int], global_params: np.ndarray
-    ) -> Dict[int, np.ndarray]:
-        """Reference inline path: one client after another."""
+    def _round_faults(self, t: int, participants: List[int]) -> List[Tuple]:
+        """Per participant ``(cid, fault, straggle deadline, corruption
+        generator)`` for round ``t``, counting the injected faults."""
         telemetry = current_telemetry()
-        updates: Dict[int, np.ndarray] = {}
+        out: List[Tuple] = []
+        deadline: Optional[float] = None
         for cid in participants:
             fault = (
                 self.fault_plan.fault_at(t, cid)
                 if self.fault_plan is not None
                 else None
             )
-            if telemetry.enabled and fault is not None:
+            if fault is None:
+                out.append((cid, None, None, None))
+                continue
+            if telemetry.enabled:
                 telemetry.inc("fl_faults_injected_total", 1, kind=fault.kind)
-            try:
-                with telemetry.span("fl_client_update_seconds"):
-                    update = self._compute_update(cid, t, global_params, fault)
-            except ClientCrashError as exc:
-                _log.debug("round %d: %s", t, exc)
-                self.server.client_dropped_out(cid, t)
-                if telemetry.enabled:
-                    telemetry.inc("fl_dropouts_total")
-            else:
+            if fault.kind == "straggle" and deadline is None:
+                # members_at depends only on join/leave events, so the
+                # V2I deadline is round-invariant: compute it once.
+                deadline = self.fault_plan.deadline(
+                    max(1, len(self.server.ledger.members_at(t))),
+                    self.model.num_params,
+                )
+            corruption_rng = None
+            if fault.kind == "corrupt":
+                corruption_rng = self.fault_plan.corruption_rng(t, cid)
+            straggle = deadline if fault.kind == "straggle" else None
+            out.append((cid, fault, straggle, corruption_rng))
+        return out
+
+    def _account(
+        self,
+        t: int,
+        cid: int,
+        update: Optional[np.ndarray],
+        stats: Dict[str, int],
+        seconds: float,
+    ) -> None:
+        """Book one client's round outcome: fault stats, per-client
+        telemetry, and a dropout when its update was lost."""
+        telemetry = current_telemetry()
+        for key, delta in stats.items():
+            self.fault_stats[key] += delta
+        if telemetry.enabled:
+            telemetry.observe("fl_client_update_seconds", seconds)
+            if stats["retries"]:
+                telemetry.inc("faults_retries_total", stats["retries"])
+            if stats["gave_up"]:
+                telemetry.inc("faults_giveups_total", stats["gave_up"])
+        if update is None:
+            _log.debug("round %d: client %d update lost", t, cid)
+            self.server.client_dropped_out(cid, t)
+            if telemetry.enabled:
+                telemetry.inc("fl_dropouts_total")
+        elif telemetry.enabled:
+            telemetry.observe("fl_client_update_bytes", update.nbytes)
+
+    def _collect_updates_serial(
+        self, t: int, participants: List[int], global_params: np.ndarray
+    ) -> Mapping[int, np.ndarray]:
+        """Reference inline path: the round's cohort in one pass.
+
+        Flaky retries run per client first (they draw no random
+        numbers); the survivors' gradients come from one
+        :func:`~repro.fl.client.cohort_updates` call — stacked passes,
+        each row bitwise the client's own ``compute_update`` — and
+        crash, straggle and corrupt then apply per row.  Each client's
+        ``fl_client_update_seconds`` is its share of the pass.  Returns
+        a :class:`~repro.storage.store.RoundRows` over the pass's block
+        when no fault touched it, else a dict.
+        """
+        stats = {cid: dict.fromkeys(FAULT_STAT_KEYS, 0) for cid in participants}
+        ready = [
+            case
+            for case in self._round_faults(t, participants)
+            if flaky_attempts(case[1], self.retry_policy, stats[case[0]])
+        ]
+        started = time.perf_counter()
+        block = cohort_updates(
+            [self.clients[case[0]] for case in ready], global_params, self.model
+        )
+        share = (time.perf_counter() - started) / max(1, len(ready))
+        updates: Dict[int, np.ndarray] = {}
+        seconds = dict.fromkeys(participants, 0.0)
+        intact = True  # no fault dropped or replaced a row of the block
+        for row, (cid, fault, deadline, corruption_rng) in zip(block, ready):
+            update = apply_fault(fault, row, stats[cid], deadline, corruption_rng)
+            intact &= update is row
+            seconds[cid] = share
+            if update is not None:
                 updates[cid] = update
-                if telemetry.enabled:
-                    telemetry.observe("fl_client_update_bytes", update.nbytes)
-        return updates
+        for cid in participants:
+            self._account(t, cid, updates.get(cid), stats[cid], seconds[cid])
+        return RoundRows(list(updates), block) if intact else updates
 
     def _make_executor(self) -> Executor:
         """Build the round-loop engine with its worker-side context."""
@@ -390,41 +384,20 @@ class FederatedSimulation:
         identical to :meth:`_collect_updates_serial`.
         """
         telemetry = current_telemetry()
-        tasks: List[ClientRoundTask] = []
-        deadline: Optional[float] = None
-        for cid in participants:
-            fault = (
-                self.fault_plan.fault_at(t, cid)
-                if self.fault_plan is not None
-                else None
+        tasks = [
+            ClientRoundTask(
+                client_id=cid,
+                round_index=t,
+                global_params=global_params,
+                rng_state=self.clients[cid].rng.bit_generator.state,
+                fault=fault,
+                deadline=deadline,
+                corruption_rng=corruption_rng,
             )
-            if telemetry.enabled and fault is not None:
-                telemetry.inc("fl_faults_injected_total", 1, kind=fault.kind)
-            corruption_rng = None
-            if fault is not None and fault.kind == "straggle" and deadline is None:
-                # members_at depends only on join/leave events, so the
-                # V2I deadline is round-invariant: compute it once.
-                deadline = self.fault_plan.deadline(
-                    max(1, len(self.server.ledger.members_at(t))),
-                    self.model.num_params,
-                )
-            if fault is not None and fault.kind == "corrupt":
-                corruption_rng = self.fault_plan.corruption_rng(t, cid)
-            tasks.append(
-                ClientRoundTask(
-                    client_id=cid,
-                    round_index=t,
-                    global_params=global_params,
-                    rng_state=self.clients[cid].rng.bit_generator.state,
-                    fault=fault,
-                    deadline=(
-                        deadline
-                        if fault is not None and fault.kind == "straggle"
-                        else None
-                    ),
-                    corruption_rng=corruption_rng,
-                )
+            for cid, fault, deadline, corruption_rng in self._round_faults(
+                t, participants
             )
+        ]
         fn = functools.partial(run_client_round, executor.context_key)
         results, pool_stats = executor.run(fn, tasks)
         updates: Dict[int, np.ndarray] = {}
@@ -432,28 +405,12 @@ class FederatedSimulation:
         for result in results:  # task order == participants order
             cid = result.client_id
             self.clients[cid].rng.bit_generator.state = result.rng_state
-            for key, delta in result.stats.items():
-                self.fault_stats[key] += delta
             busy_seconds += result.duration_seconds
-            if telemetry.enabled:
-                telemetry.observe(
-                    "fl_client_update_seconds", result.duration_seconds
-                )
-                if result.stats["retries"]:
-                    telemetry.inc("faults_retries_total", result.stats["retries"])
-                if result.stats["gave_up"]:
-                    telemetry.inc("faults_giveups_total", result.stats["gave_up"])
-            if result.update is None:
-                _log.debug("round %d: client %d update lost", t, cid)
-                self.server.client_dropped_out(cid, t)
-                if telemetry.enabled:
-                    telemetry.inc("fl_dropouts_total")
-            else:
+            self._account(
+                t, cid, result.update, result.stats, result.duration_seconds
+            )
+            if result.update is not None:
                 updates[cid] = result.update
-                if telemetry.enabled:
-                    telemetry.observe(
-                        "fl_client_update_bytes", result.update.nbytes
-                    )
         if telemetry.enabled:
             telemetry.observe(
                 "fl_parallel_dispatch_seconds", pool_stats.dispatch_seconds
@@ -517,7 +474,7 @@ class FederatedSimulation:
         self._registered = set(snapshot.registered)
         self._left = set(snapshot.left)
         self._excluded = set(snapshot.excluded)
-        for key in _FAULT_STAT_KEYS:
+        for key in FAULT_STAT_KEYS:
             self.fault_stats[key] = snapshot.fault_stats.get(key, 0)
         unknown = set(snapshot.rng_states) - set(self.clients)
         if unknown:

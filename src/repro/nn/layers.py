@@ -4,6 +4,12 @@ Design notes
 ------------
 - Data layout is ``NCHW`` for images and ``(N, features)`` for dense
   inputs, matching the conventions of the PyTorch models in the paper.
+  Layers are written once over *leading axes*: axes before the batch
+  axis stack batches (:class:`~repro.nn.model.Sequential` feeds
+  ``(K, N, ...)`` blocks, a batch per vehicle).  Every product stays
+  one BLAS call per batch with that batch's own shapes (a stacked
+  ``np.matmul``, never one merged ``(K*N, ...)`` product), so batch
+  ``k`` of a stacked pass is bit for bit its pass alone.
 - Each layer owns its parameters and gradient buffers as plain NumPy
   arrays.  :meth:`Layer.params` and :meth:`Layer.grads` return *live
   references* so the :class:`~repro.nn.model.Sequential` container can
@@ -14,8 +20,9 @@ Design notes
   ``weight``/``bias``/``grad_*`` arrays ARE slices of the model's flat
   parameter/gradient vectors.
 - ``backward`` consumes the upstream gradient and both (a) stores the
-  parameter gradients and (b) returns the gradient with respect to the
-  layer input.
+  parameter gradients — into the layer's own buffers, or into the
+  stacked per-batch views it is handed — and (b) returns the gradient
+  with respect to the layer input, unless told nothing reads it.
 - Convolution uses the im2col/col2im transform so the inner loop is a
   single BLAS matmul — the only way a pure-NumPy CNN is fast enough for
   hundred-round federated experiments.  The large patch matrices and
@@ -104,10 +111,23 @@ class Layer:
         :meth:`backward`."""
         raise NotImplementedError
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        """Consume the upstream gradient; fills the parameter-gradient
-        buffers and returns the gradient w.r.t. the layer input."""
+    def backward(
+        self,
+        dout: np.ndarray,
+        grads: Optional[Sequence[np.ndarray]] = None,
+        input_grad: bool = True,
+    ) -> Optional[np.ndarray]:
+        """Consume the upstream gradient; fills the parameter gradients
+        — into ``grads`` when given (like :meth:`grads`, with the stacked
+        axes of ``dout`` in front) — and returns the gradient w.r.t. the
+        layer input, or nothing (uncomputed) with ``input_grad=False``."""
         raise NotImplementedError
+
+    def footprint(self, shape: Tuple[int, ...]) -> Tuple[Tuple[int, ...], int]:
+        """``(output sample shape, elements held per sample)`` of a
+        training pass on an input sample of ``shape``; the default fits
+        element-wise layers (output, cache, input gradient)."""
+        return shape, 3 * int(np.prod(shape))
 
     @property
     def num_params(self) -> int:
@@ -128,54 +148,48 @@ def im2col(
 
     Returns ``(col, out_h, out_w)`` where ``col`` has shape
     ``(N * out_h * out_w, C * kh * kw)``: one row per output spatial
-    position, one column per kernel tap.
+    position, one column per kernel tap.  Leading axes before ``N``
+    stack batches: ``(K, N, C, H, W)`` gives ``K`` patch matrices.
 
     With a ``workspace``, the padded image, the 6-D gather buffer and
     the returned patch matrix are drawn from it (keyed by ``tag`` and
     input shape) instead of being allocated — the returned array is
     then workspace scratch, valid until the next same-shape call.
     """
-    n, c, h, w = x.shape
+    *lead, c, h, w = x.shape
+    lead = tuple(lead)
     out_h = (h + 2 * pad - kh) // stride + 1
     out_w = (w + 2 * pad - kw) // stride + 1
     if out_h <= 0 or out_w <= 0:
         raise ValueError(
             f"kernel ({kh}x{kw}, stride={stride}, pad={pad}) too large for input {h}x{w}"
         )
+    padded = lead + (c, h + 2 * pad, w + 2 * pad)
+    col6_shape = lead + (c, kh, kw, out_h, out_w)
     if workspace is None:
-        img = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), mode="constant")
-        col = np.empty((n, c, kh, kw, out_h, out_w), dtype=x.dtype)
+        img = np.pad(x, [(0, 0)] * (x.ndim - 2) + [(pad, pad)] * 2, mode="constant")
+        col = np.empty(col6_shape, dtype=x.dtype)
     else:
         if pad:
             # Border stays zero from allocation; only the interior is
             # rewritten each call.
-            img = workspace.get(
-                (tag, "im2col_img"),
-                (n, c, h + 2 * pad, w + 2 * pad),
-                x.dtype,
-                zero=True,
-            )
-            img[:, :, pad : h + pad, pad : w + pad] = x
+            img = workspace.get((tag, "im2col_img"), padded, x.dtype, zero=True)
+            img[..., pad : h + pad, pad : w + pad] = x
         else:
             img = x
-        col = workspace.get((tag, "im2col_col6"), (n, c, kh, kw, out_h, out_w), x.dtype)
+        col = workspace.get((tag, "im2col_col6"), col6_shape, x.dtype)
     for y in range(kh):
         y_max = y + stride * out_h
         for xk in range(kw):
             x_max = xk + stride * out_w
-            col[:, :, y, xk, :, :] = img[:, :, y:y_max:stride, xk:x_max:stride]
+            col[..., y, xk, :, :] = img[..., y:y_max:stride, xk:x_max:stride]
+    k = len(lead)
+    rows = col.transpose(*range(k), k + 3, k + 4, k, k + 1, k + 2)
+    col2d_shape = lead[:-1] + (lead[-1] * out_h * out_w, c * kh * kw)
     if workspace is None:
-        return (
-            col.transpose(0, 4, 5, 1, 2, 3).reshape(n * out_h * out_w, -1),
-            out_h,
-            out_w,
-        )
-    col2d = workspace.get(
-        (tag, "im2col_col2d"), (n * out_h * out_w, c * kh * kw), x.dtype
-    )
-    np.copyto(
-        col2d.reshape(n, out_h, out_w, c, kh, kw), col.transpose(0, 4, 5, 1, 2, 3)
-    )
+        return rows.reshape(col2d_shape), out_h, out_w
+    col2d = workspace.get((tag, "im2col_col2d"), col2d_shape, x.dtype)
+    np.copyto(col2d.reshape(rows.shape), rows)
     return col2d, out_h, out_w
 
 
@@ -196,25 +210,28 @@ def col2im(
     accumulator comes from it and the result may alias workspace
     scratch (valid until the next same-shape call).
     """
-    n, c, h, w = input_shape
+    *lead, c, h, w = input_shape
+    lead = tuple(lead)
     out_h = (h + 2 * pad - kh) // stride + 1
     out_w = (w + 2 * pad - kw) // stride + 1
-    col6 = col.reshape(n, out_h, out_w, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
+    k = len(lead)
+    col6 = col.reshape(lead + (out_h, out_w, c, kh, kw)).transpose(
+        *range(k), k + 2, k + 3, k + 4, k, k + 1
+    )
+    padded = lead + (c, h + 2 * pad, w + 2 * pad)
     if workspace is None:
-        img = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=col.dtype)
+        img = np.zeros(padded, dtype=col.dtype)
     else:
-        img = workspace.get(
-            (tag, "col2im_img"), (n, c, h + 2 * pad, w + 2 * pad), col.dtype
-        )
+        img = workspace.get((tag, "col2im_img"), padded, col.dtype)
         img.fill(0.0)
     for y in range(kh):
         y_max = y + stride * out_h
         for xk in range(kw):
             x_max = xk + stride * out_w
-            img[:, :, y:y_max:stride, xk:x_max:stride] += col6[:, :, y, xk, :, :]
+            img[..., y:y_max:stride, xk:x_max:stride] += col6[..., y, xk, :, :]
     if pad == 0:
         return img
-    return img[:, :, pad : h + pad, pad : w + pad]
+    return img[..., pad : h + pad, pad : w + pad]
 
 
 class Dense(Layer):
@@ -243,24 +260,27 @@ class Dense(Layer):
 
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
         """Affine map ``x @ W + b``; caches ``x`` when training."""
-        if x.ndim != 2 or x.shape[1] != self.in_features:
+        if x.ndim < 2 or x.shape[-1] != self.in_features:
             raise ValueError(
-                f"Dense expects (N, {self.in_features}), got {x.shape}"
+                f"Dense expects (..., N, {self.in_features}), got {x.shape}"
             )
         if training:
             self._x = x
         return x @ self.weight + self.bias
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
+    def backward(self, dout, grads=None, input_grad=True):
         """Fill weight/bias gradients and return ``dL/dx``."""
         if self._x is None:
             raise RuntimeError("backward called before forward(training=True)")
-        # In-place copy so the gradient buffer identity is stable.
-        np.matmul(self._x.T, dout, out=self.grad_weight)
-        self.grad_bias[...] = dout.sum(axis=0)
-        dx = dout @ self.weight.T
+        grad_weight, grad_bias = self.grads() if grads is None else grads
+        # Written in place so the gradient buffer identity is stable.
+        np.matmul(self._x.swapaxes(-1, -2), dout, out=grad_weight)
+        grad_bias[...] = dout.sum(axis=-2)
         self._x = None
-        return dx
+        return dout @ self.weight.T if input_grad else None
+
+    def footprint(self, shape):
+        return (self.out_features,), self.in_features + self.out_features
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Dense({self.in_features}, {self.out_features})"
@@ -317,16 +337,14 @@ class Conv2d(Layer):
         self.grad_bias = np.zeros_like(self.bias)
         self._ws = Workspace()
         self._col: Optional[np.ndarray] = None
-        self._x_shape: Optional[Tuple[int, int, int, int]] = None
-        self._out_hw: Optional[Tuple[int, int]] = None
+        self._x_shape: Optional[Tuple[int, ...]] = None
 
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
         """Convolve NCHW input via im2col; caches patches when training."""
-        if x.ndim != 4 or x.shape[1] != self.in_channels:
+        if x.ndim < 4 or x.shape[-3] != self.in_channels:
             raise ValueError(
-                f"Conv2d expects (N, {self.in_channels}, H, W), got {x.shape}"
+                f"Conv2d expects (..., N, {self.in_channels}, H, W), got {x.shape}"
             )
-        n = x.shape[0]
         tag = "t" if training else "i"
         col, out_h, out_w = im2col(
             x,
@@ -339,39 +357,43 @@ class Conv2d(Layer):
         )
         w_mat = self.weight.reshape(self.out_channels, -1)
         out_mat = self._ws.get(
-            (tag, "fwd_out"), (col.shape[0], self.out_channels), col.dtype
+            (tag, "fwd_out"), col.shape[:-1] + (self.out_channels,), col.dtype
         )
         np.matmul(col, w_mat.T, out=out_mat)
         out_mat += self.bias
-        out = out_mat.reshape(n, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
+        out = np.moveaxis(
+            out_mat.reshape(x.shape[:-3] + (out_h, out_w, self.out_channels)), -1, -3
+        )
         if training:
             self._col = col
             self._x_shape = x.shape
-            self._out_hw = (out_h, out_w)
         return out
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
+    def backward(self, dout, grads=None, input_grad=True):
         """Fill kernel/bias gradients and return ``dL/dx`` via col2im."""
-        if self._col is None or self._x_shape is None or self._out_hw is None:
+        if self._col is None or self._x_shape is None:
             raise RuntimeError("backward called before forward(training=True)")
-        n = self._x_shape[0]
-        out_h, out_w = self._out_hw
+        col, x_shape = self._col, self._x_shape
+        self._col = self._x_shape = None
+        grad_weight, grad_bias = self.grads() if grads is None else grads
         dout_mat = self._ws.get(
-            ("t", "bwd_dout"), (n * out_h * out_w, self.out_channels), dout.dtype
+            ("t", "bwd_dout"), col.shape[:-1] + (self.out_channels,), dout.dtype
         )
-        np.copyto(
-            dout_mat.reshape(n, out_h, out_w, self.out_channels),
-            dout.transpose(0, 2, 3, 1),
-        )
-        self.grad_bias[...] = dout_mat.sum(axis=0)
+        dout_nhwc = np.moveaxis(dout, -3, -1)
+        np.copyto(dout_mat.reshape(dout_nhwc.shape), dout_nhwc)
+        grad_bias[...] = dout_mat.sum(axis=-2)
         np.matmul(
-            dout_mat.T, self._col, out=self.grad_weight.reshape(self.out_channels, -1)
+            dout_mat.swapaxes(-1, -2),
+            col,
+            out=grad_weight.reshape(grad_weight.shape[:-3] + (-1,)),
         )
-        dcol = self._ws.get(("t", "bwd_dcol"), self._col.shape, self._col.dtype)
+        if not input_grad:
+            return None
+        dcol = self._ws.get(("t", "bwd_dcol"), col.shape, col.dtype)
         np.matmul(dout_mat, self.weight.reshape(self.out_channels, -1), out=dcol)
-        dx = col2im(
+        return col2im(
             dcol,
-            self._x_shape,
+            x_shape,
             self.kernel_size,
             self.kernel_size,
             self.stride,
@@ -379,10 +401,14 @@ class Conv2d(Layer):
             workspace=self._ws,
             tag="t",
         )
-        self._col = None
-        self._x_shape = None
-        self._out_hw = None
-        return dx
+
+    def footprint(self, shape):
+        c, h, w = shape
+        k, s, p = self.kernel_size, self.stride, self.padding
+        oh, ow = (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
+        # im2col's two patch copies and dcol, plus output and its gradient.
+        per_pixel = 3 * c * k * k + 2 * self.out_channels
+        return (self.out_channels, oh, ow), per_pixel * oh * ow
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -412,38 +438,46 @@ class MaxPool2d(Layer):
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
         """Non-overlapping max pooling; caches the argmax mask when training."""
         p = self.pool_size
-        n, c, h, w = x.shape
+        h, w = x.shape[-2:]
         if h % p or w % p:
             raise ValueError(
                 f"MaxPool2d(pool={p}) needs H, W divisible by pool; got {h}x{w}"
             )
         tag = "t" if training else "i"
-        xr = self._ws.get((tag, "pool_xr"), (n, c, h // p, p, w // p, p), x.dtype)
+        windows = x.shape[:-2] + (h // p, p, w // p, p)
+        xr = self._ws.get((tag, "pool_xr"), windows, x.dtype)
         # xr is contiguous, so viewing it as NCHW is free; the copy also
         # absorbs non-contiguous inputs (e.g. a conv's transposed output).
-        np.copyto(xr.reshape(n, c, h, w), x)
-        out = xr.max(axis=(3, 5))
+        np.copyto(xr.reshape(x.shape), x)
+        out = xr.max(axis=(-3, -1))
         if training:
             # Mask marks, per pooling window, which positions achieved the
             # max (ties propagate gradient to every argmax, which is the
             # subgradient convention and keeps the op deterministic).
             mask = self._ws.get((tag, "pool_mask"), xr.shape, np.bool_)
-            np.equal(xr, out[:, :, :, None, :, None], out=mask)
+            np.equal(xr, out[..., None, :, None], out=mask)
             self._mask = mask
             self._x_shape = x.shape
         return out
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
+    def backward(self, dout, grads=None, input_grad=True):
         """Route the gradient to the max positions (ties share it)."""
         if self._mask is None or self._x_shape is None:
             raise RuntimeError("backward called before forward(training=True)")
-        counts = self._mask.sum(axis=(3, 5), keepdims=True)
-        dx6 = self._ws.get(("t", "pool_dx"), self._mask.shape, dout.dtype)
-        np.multiply(self._mask, dout[:, :, :, None, :, None] / counts, out=dx6)
-        dx = dx6.reshape(self._x_shape)
-        self._mask = None
-        self._x_shape = None
-        return dx
+        mask, x_shape = self._mask, self._x_shape
+        self._mask = self._x_shape = None
+        if not input_grad:
+            return None
+        counts = mask.sum(axis=(-3, -1), keepdims=True)
+        dx6 = self._ws.get(("t", "pool_dx"), mask.shape, dout.dtype)
+        np.multiply(mask, dout[..., None, :, None] / counts, out=dx6)
+        return dx6.reshape(x_shape)
+
+    def footprint(self, shape):
+        c, h, w = shape
+        p = self.pool_size
+        # Window copy, mask and routed gradient at input size.
+        return (c, h // p, w // p), 3 * c * h * w
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"MaxPool2d({self.pool_size})"
@@ -462,13 +496,12 @@ class ReLU(Layer):
             self._mask = x > 0
         return out
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
+    def backward(self, dout, grads=None, input_grad=True):
         """Pass the gradient through where the input was positive."""
         if self._mask is None:
             raise RuntimeError("backward called before forward(training=True)")
-        dx = dout * self._mask
-        self._mask = None
-        return dx
+        mask, self._mask = self._mask, None
+        return dout * mask if input_grad else None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "ReLU()"
@@ -487,20 +520,27 @@ class Tanh(Layer):
             self._out = out
         return out
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
+    def backward(self, dout, grads=None, input_grad=True):
         """Chain rule through tanh: ``dout * (1 - tanh(x)^2)``."""
         if self._out is None:
             raise RuntimeError("backward called before forward(training=True)")
-        dx = dout * (1.0 - self._out**2)
-        self._out = None
-        return dx
+        out, self._out = self._out, None
+        return dout * (1.0 - out**2) if input_grad else None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "Tanh()"
 
 
 class Flatten(Layer):
-    """Collapse all non-batch dimensions: ``(N, ...) -> (N, prod(...))``."""
+    """Collapse all non-batch dimensions: ``(N, ...) -> (N, prod(...))``.
+
+    The one layer whose sample rank is open, so it cannot find the
+    batch axis from the back: it keeps the first ``lead`` axes (1 by
+    default; :class:`~repro.nn.model.Sequential` sets 2 on its layers,
+    which it feeds ``(K, N, ...)`` blocks).
+    """
+
+    lead = 1
 
     def __init__(self) -> None:
         self._shape: Optional[Tuple[int, ...]] = None
@@ -509,15 +549,17 @@ class Flatten(Layer):
         """Reshape to ``(N, -1)``; remembers the input shape when training."""
         if training:
             self._shape = x.shape
-        return x.reshape(x.shape[0], -1)
+        return x.reshape(x.shape[: self.lead] + (-1,))
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
+    def backward(self, dout, grads=None, input_grad=True):
         """Reshape the gradient back to the cached input shape."""
         if self._shape is None:
             raise RuntimeError("backward called before forward(training=True)")
-        dx = dout.reshape(self._shape)
-        self._shape = None
-        return dx
+        shape, self._shape = self._shape, None
+        return dout.reshape(shape) if input_grad else None
+
+    def footprint(self, shape):
+        return (int(np.prod(shape)),), 0
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "Flatten()"
@@ -534,7 +576,10 @@ class Dropout(Layer):
     Active only when ``training=True``; at inference it is the
     identity.  Requires an explicit generator so training remains
     reproducible.  With ``rate == 0.0`` the training path is also the
-    identity and allocates nothing (no ones mask, no input copy).
+    identity and allocates nothing (no ones mask, no input copy).  On
+    stacked batches the mask is one draw over the block, so batch ``k``
+    gets the numbers it would get drawn on its own, after batches
+    ``0..k-1``.
     """
 
     def __init__(self, rate: float, rng: np.random.Generator):
@@ -556,15 +601,14 @@ class Dropout(Layer):
         self._mask = (self._rng.random(x.shape) < keep) / keep
         return x * self._mask
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
+    def backward(self, dout, grads=None, input_grad=True):
         """Apply the same keep mask used in the forward pass."""
         if self._mask is None:
             raise RuntimeError("backward called before forward(training=True)")
-        mask = self._mask
-        self._mask = None
-        if mask is _IDENTITY_MASK:
-            return dout
-        return dout * mask
+        mask, self._mask = self._mask, None
+        if not input_grad:
+            return None
+        return dout if mask is _IDENTITY_MASK else dout * mask
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Dropout({self.rate})"

@@ -7,8 +7,6 @@ standalone stable :func:`softmax` used by evaluation code.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 __all__ = ["softmax", "SoftmaxCrossEntropy"]
@@ -30,37 +28,37 @@ class SoftmaxCrossEntropy:
     softmax layer.
     """
 
-    def forward(
-        self, logits: np.ndarray, labels: np.ndarray
-    ) -> Tuple[float, np.ndarray]:
+    def forward(self, logits: np.ndarray, labels: np.ndarray):
         """Return ``(mean_loss, dloss/dlogits)``.
 
         Parameters
         ----------
         logits:
-            ``(N, num_classes)`` raw scores.
+            ``(N, num_classes)`` raw scores; leading axes before ``N``
+            stack batches, and then the loss is one mean per batch.
         labels:
-            ``(N,)`` integer class indices in ``[0, num_classes)``.
+            ``(N,)`` integer class indices in ``[0, num_classes)`` (with
+            the same leading axes as ``logits``).
         """
         logits = np.asarray(logits, dtype=np.float64)
         labels = np.asarray(labels)
-        if logits.ndim != 2:
+        if logits.ndim < 2:
             raise ValueError(f"logits must be (N, C), got {logits.shape}")
-        if labels.shape != (logits.shape[0],):
+        if labels.shape != logits.shape[:-1]:
             raise ValueError(
-                f"labels must be ({logits.shape[0]},), got {labels.shape}"
+                f"labels must be {logits.shape[:-1]}, got {labels.shape}"
             )
-        if labels.size and (labels.min() < 0 or labels.max() >= logits.shape[1]):
+        if labels.size and (labels.min() < 0 or labels.max() >= logits.shape[-1]):
             raise ValueError("labels out of range for logits width")
-        n = logits.shape[0]
         probs = softmax(logits)
+        picked = np.take_along_axis(probs, labels[..., None], axis=-1)
         # Clip only inside the log; the gradient uses the exact probs.
-        nll = -np.log(np.clip(probs[np.arange(n), labels], 1e-300, None))
-        loss = float(nll.mean())
+        nll = -np.log(np.clip(picked[..., 0], 1e-300, None))
+        loss = nll.mean(axis=-1)
         grad = probs
-        grad[np.arange(n), labels] -= 1.0
-        grad /= n
-        return loss, grad
+        np.put_along_axis(grad, labels[..., None], picked - 1.0, axis=-1)
+        grad /= logits.shape[-2]
+        return (float(loss) if loss.ndim == 0 else loss), grad
 
     def loss_only(self, logits: np.ndarray, labels: np.ndarray) -> float:
         """Mean cross-entropy without materializing the gradient."""

@@ -27,6 +27,13 @@ The ``_view`` variants (:meth:`get_flat_params_view`,
 that one copy and hand out read-only aliases of the arena for hot paths
 that only *read* the vector before the model is touched again.
 
+:meth:`Sequential.cohort_pass` runs one forward/backward over ``K``
+stacked minibatches — a round's vehicles at one global model (Eq. 2) —
+into the rows of a ``(K, d)`` gradient block, row ``k`` bit for bit
+the pass on batch ``k`` alone (:mod:`repro.nn.layers`).  The plain API
+is the pass at ``K = 1``.  No pass computes the input gradient of the
+first layer with parameters: nothing reads it.
+
 ``dtype`` selects the arena compute precision.  The default
 ``float64`` is the bitwise-determinism contract; ``float32`` is an
 opt-in policy where layer compute runs in single precision while every
@@ -42,13 +49,18 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.nn.arena import ParameterArena
-from repro.nn.layers import Layer
+from repro.nn.layers import Dropout, Flatten, Layer
 from repro.nn.loss import SoftmaxCrossEntropy, softmax
-from repro.utils.flat import shapes_of, total_size
+from repro.utils.flat import shapes_of
 
-__all__ = ["Sequential"]
+__all__ = ["PASS_BYTES", "Sequential"]
 
 _ALLOWED_DTYPES = (np.dtype(np.float64), np.dtype(np.float32))
+
+#: Bound on one cohort pass's estimated working set: the paper CNN at
+#: batch 128 (~0.1 GiB a vehicle) runs a vehicle a pass, and every
+#: ledger MLP cohort fits in one.
+PASS_BYTES = 64 << 20
 
 
 class Sequential:
@@ -93,13 +105,23 @@ class Sequential:
         """
         arena = ParameterArena(self._param_shapes, dtype=self.dtype)
         offset = 0
-        for layer in self.layers:
+        # Each parameter's columns of a (K, d) gradient block.
+        ends = np.cumsum([0] + [v.size for v in arena.grad_views]).tolist()
+        self._columns = [
+            (slice(a, b), v.shape) for a, b, v in zip(ends, ends[1:], arena.grad_views)
+        ]
+        self._first = len(self.layers)
+        for i, layer in enumerate(self.layers):
             count = len(layer.params())
             layer.adopt_views(
                 arena.param_views[offset : offset + count],
                 arena.grad_views[offset : offset + count],
             )
             offset += count
+            if count:
+                self._first = min(self._first, i)
+            if isinstance(layer, Flatten):
+                layer.lead = 2  # the layers see (K, N, ...) blocks
         self._arena = arena
 
     @property
@@ -112,7 +134,11 @@ class Sequential:
     # ------------------------------------------------------------------
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
         """Run the stack; returns logits."""
-        out = x
+        return self._forward(np.asarray(x)[None], training)[0]
+
+    def _forward(self, xs: np.ndarray, training: bool) -> np.ndarray:
+        """The stack over a ``(K, N, ...)`` block of batches."""
+        out = xs
         if self.dtype != np.float64 and out.dtype != self.dtype:
             out = out.astype(self.dtype)
         for layer in self.layers:
@@ -176,12 +202,52 @@ class Sequential:
 
     def _forward_backward(self, x: np.ndarray, y: np.ndarray) -> float:
         """Forward+backward; leaves the flat gradient in the arena."""
-        logits = self.forward(x, training=True)
-        loss, dlogits = self.loss.forward(logits, y)
-        grad = dlogits
-        for layer in reversed(self.layers):
-            grad = layer.backward(grad)
-        return loss
+        xs, ys = np.asarray(x)[None], np.asarray(y)[None]
+        return float(self.cohort_pass(xs, ys, self._arena.g[None])[0])
+
+    def cohort_pass(
+        self, xs: np.ndarray, ys: np.ndarray, grads: np.ndarray
+    ) -> np.ndarray:
+        """One forward/backward over ``K`` stacked minibatches.
+
+        ``xs`` is ``(K, N, ...)`` and ``ys`` ``(K, N)``; row ``k`` of the
+        ``(K, d)`` arena-dtype block ``grads`` receives batch ``k``'s
+        flat gradient, equal bit for bit to
+        ``loss_and_flat_grad(xs[k], ys[k])``.  Returns the ``(K,)``
+        losses.  The parameters are read, never written.
+        """
+        if grads.shape != (len(xs), self.num_params) or grads.dtype != self.dtype:
+            raise ValueError(
+                f"grads must be ({len(xs)}, {self.num_params}) {self.dtype}, "
+                f"got {grads.shape} {grads.dtype}"
+            )
+        losses, grad = self.loss.forward(self._forward(xs, training=True), ys)
+        k = len(grads)
+        views = [grads[:, cols].reshape((k,) + shape) for cols, shape in self._columns]
+        at = len(views)
+        for i in range(len(self.layers) - 1, self._first - 1, -1):
+            layer = self.layers[i]
+            count = len(layer.params())
+            grad = layer.backward(
+                grad, views[at - count : at], input_grad=i > self._first
+            )
+            at -= count
+        return losses
+
+    def pass_rows(self, batch_shape: Tuple[int, ...]) -> int:
+        """How many minibatches of ``batch_shape`` one :meth:`cohort_pass`
+        takes: as many as keep the layers' footprints plus a gradient row
+        (8 bytes an element) under :data:`PASS_BYTES`, at least one.  With
+        two active :class:`Dropout` layers, one, so masks keep their
+        draw order."""
+        if sum(isinstance(l, Dropout) and l.rate > 0 for l in self.layers) > 1:
+            return 1
+        shape, per_sample = tuple(batch_shape[1:]), 0
+        for layer in self.layers:
+            shape, elements = layer.footprint(shape)
+            per_sample += elements
+        row_bytes = 8 * (batch_shape[0] * per_sample + self.num_params)
+        return max(1, PASS_BYTES // row_bytes)
 
     def evaluate_loss(
         self, x: np.ndarray, y: np.ndarray, batch_size: int = 256
@@ -215,7 +281,7 @@ class Sequential:
     @property
     def num_params(self) -> int:
         """Total scalar parameter count ``d``."""
-        return total_size(self._param_shapes)
+        return self._arena.size
 
     def get_flat_params(self) -> np.ndarray:
         """Copy of all parameters as one flat float64 vector."""

@@ -48,7 +48,9 @@ __all__ = [
     "ClientRoundTask",
     "ModelPool",
     "TrainingContext",
+    "apply_fault",
     "build_training_context",
+    "flaky_attempts",
     "run_client_round",
 ]
 
@@ -160,69 +162,69 @@ class ClientRoundResult:
     duration_seconds: float
 
 
-def _dropped(
-    client, task: ClientRoundTask, stats: Dict[str, int], start: float
-) -> ClientRoundResult:
-    return ClientRoundResult(
-        client_id=task.client_id,
-        update=None,
-        rng_state=client.rng.bit_generator.state,
-        stats=stats,
-        duration_seconds=time.perf_counter() - start,
-    )
+def flaky_attempts(
+    fault: Optional[ClientFault], policy: RetryPolicy, stats: Dict[str, int]
+) -> bool:
+    """Whether a client gets to its gradient pass: a flaky fault fails
+    ``fault.failures`` attempts first, retried under ``policy`` (the
+    failures draw no random numbers, so only the attempt that succeeds
+    consumes the client's RNG stream).  Retries and give-ups are counted
+    into ``stats``; no telemetry, no backoff wait."""
+    failures = fault.failures if fault is not None and fault.kind == "flaky" else 0
+    stats["retries"] += min(failures, policy.max_attempts - 1)
+    if failures < policy.max_attempts:
+        return True
+    stats["gave_up"] += 1
+    return False
+
+
+def apply_fault(
+    fault: Optional[ClientFault],
+    update: np.ndarray,
+    stats: Dict[str, int],
+    deadline: Optional[float] = None,
+    corruption_rng: Optional[np.random.Generator] = None,
+) -> Optional[np.ndarray]:
+    """``update`` after its crash, straggle (past ``deadline``) or
+    corrupt fault, counted into ``stats``: None when the update is lost,
+    ``update`` itself unless corrupted."""
+    if fault is None or fault.kind == "flaky":
+        return update
+    if fault.kind == "crash":
+        stats["crashes"] += 1
+        return None
+    if fault.kind == "straggle":
+        assert deadline is not None
+        if fault.delay_seconds > deadline:
+            stats["stragglers_dropped"] += 1
+            return None
+        stats["stragglers_met"] += 1
+        return update
+    if fault.kind == "corrupt":
+        stats["corrupted"] += 1
+        assert fault.mode is not None and corruption_rng is not None
+        return corrupt_update(update, fault.mode, corruption_rng)
+    raise AssertionError(f"unhandled fault kind {fault.kind}")  # pragma: no cover
 
 
 def run_client_round(context_key: str, task: ClientRoundTask) -> ClientRoundResult:
-    """Worker body: one client's fault-aware update for one round.
-
-    Replicates the serial ``FederatedSimulation._compute_update``
-    semantics step for step (flaky retry loop without telemetry, then
-    crash/straggle/corrupt post-processing), reading static state from
-    the installed :class:`TrainingContext`.
+    """Worker body: one client's fault-aware update for one round —
+    :func:`flaky_attempts`, the client's pass, :func:`apply_fault`, as
+    the serial round runs them, reading static state from the installed
+    :class:`TrainingContext`.
     """
     ctx: TrainingContext = get_context(context_key)
     client = ctx.clients[task.client_id]
     client.rng.bit_generator.state = task.rng_state
     stats = {key: 0 for key in FAULT_STAT_KEYS}
-    fault = task.fault
     start = time.perf_counter()
-    failures_left = fault.failures if fault is not None and fault.kind == "flaky" else 0
-    policy = ctx.retry_policy
     update: Optional[np.ndarray] = None
-    succeeded = False
-    attempts = 0
-    with ctx.models.borrow() as model:
-        for attempt in range(1, policy.max_attempts + 1):
-            attempts = attempt
-            if failures_left > 0:
-                # Same semantics as the serial path's TransientClientError,
-                # minus the exception machinery and telemetry.
-                failures_left -= 1
-                continue
+    if flaky_attempts(task.fault, ctx.retry_policy, stats):
+        with ctx.models.borrow() as model:
             update = client.compute_update(task.global_params, model)
-            succeeded = True
-            break
-    stats["retries"] += attempts - 1
-    if not succeeded:
-        stats["gave_up"] += 1
-        return _dropped(client, task, stats, start)
-    if fault is None or fault.kind == "flaky":
-        pass
-    elif fault.kind == "crash":
-        stats["crashes"] += 1
-        return _dropped(client, task, stats, start)
-    elif fault.kind == "straggle":
-        assert task.deadline is not None
-        if fault.delay_seconds > task.deadline:
-            stats["stragglers_dropped"] += 1
-            return _dropped(client, task, stats, start)
-        stats["stragglers_met"] += 1
-    elif fault.kind == "corrupt":
-        stats["corrupted"] += 1
-        assert fault.mode is not None and task.corruption_rng is not None
-        update = corrupt_update(update, fault.mode, task.corruption_rng)
-    else:  # pragma: no cover - FaultPlan only emits the four kinds above
-        raise AssertionError(f"unhandled fault kind {fault.kind}")
+        update = apply_fault(
+            task.fault, update, stats, task.deadline, task.corruption_rng
+        )
     return ClientRoundResult(
         client_id=task.client_id,
         update=update,

@@ -41,6 +41,7 @@ from repro.telemetry.core import current_telemetry
 __all__ = [
     "GradientStore",
     "RoundRows",
+    "round_block",
     "FullGradientStore",
     "SignGradientStore",
     "ModelCheckpointStore",
@@ -171,6 +172,18 @@ class RoundRows(Mapping):
 
     def __len__(self) -> int:
         return len(self.cids)
+
+
+def round_block(updates: Mapping[int, np.ndarray]) -> Optional[np.ndarray]:
+    """A round's updates as one ``(n, d)`` block, rows in the mapping's
+    order: a :class:`RoundRows` block as it is, any other mapping's flat
+    rows stacked; None when the rows differ in length."""
+    if isinstance(updates, RoundRows):
+        return updates.block
+    vectors = [np.asarray(g).ravel() for g in updates.values()]
+    if len({v.size for v in vectors}) != 1:
+        return None
+    return np.stack(vectors)
 
 
 class GradientStore:
@@ -485,9 +498,9 @@ class SignGradientStore(_FreshMutexOnCopy, GradientStore):
     def put_round(self, round_index: int, updates: Dict[int, np.ndarray]) -> None:
         """Batched round commit: one vectorized ternarize+pack pass.
 
-        Stacks the round's gradients into a ``(num_clients, d)`` matrix
-        and encodes them through
-        :func:`repro.storage.sign_codec.encode_round` — each stored row
+        Encodes the round's ``(num_clients, d)`` matrix (a
+        :class:`RoundRows` block as it is; other mappings are stacked)
+        through :func:`repro.storage.sign_codec.encode_round` — each stored row
         is bitwise identical to what per-client :meth:`put` calls would
         produce, and the telemetry counters advance by the same totals
         (under a single ``storage_encode_seconds`` span).  Falls back to
@@ -495,20 +508,20 @@ class SignGradientStore(_FreshMutexOnCopy, GradientStore):
         """
         if not updates:
             return
-        vectors = [np.asarray(g).ravel() for g in updates.values()]
-        if len({v.size for v in vectors}) != 1:
+        block = round_block(updates)
+        if block is None:
             for client_id, gradient in updates.items():
                 self.put(round_index, client_id, gradient)
             return
         telemetry = current_telemetry()
         with telemetry.span("storage_encode_seconds"):
-            packed_rows, length = encode_round(np.stack(vectors), self.delta)
+            packed_rows, length = encode_round(block, self.delta)
         for client_id, row in zip(updates, packed_rows):
             # Row copies detach from the (n, bytes) batch matrix so a
             # later drop_client actually frees the payload.
             self._store((round_index, client_id), row.copy(), length)
         if telemetry.enabled:
-            n = len(vectors)
+            n = len(block)
             raw_bytes = length * 4 * n  # float32 equivalent — the §IV baseline
             telemetry.inc(
                 "storage_encoded_elements_total", length * n, backend="sign"

@@ -110,7 +110,7 @@ from repro.storage.sign_codec import (
     encode_round,
     packed_size_bytes,
 )
-from repro.storage.store import GradientStore, RoundRows
+from repro.storage.store import GradientStore, RoundRows, round_block
 from repro.telemetry.core import current_telemetry
 from repro.utils.serialization import fsync_dir, load_state, save_state_atomic
 
@@ -631,8 +631,8 @@ class TieredSignGradientStore(GradientStore):
         """
         if not updates:
             return
-        vectors = [np.asarray(g).ravel() for g in updates.values()]
-        if len({v.size for v in vectors}) != 1:
+        block = round_block(updates)
+        if block is None:
             for client_id, gradient in updates.items():
                 self.put(round_index, client_id, gradient)
             with self._lock:
@@ -641,7 +641,7 @@ class TieredSignGradientStore(GradientStore):
             return
         telemetry = current_telemetry()
         with telemetry.span("storage_encode_seconds"):
-            packed_rows, length = encode_round(np.stack(vectors), self.delta)
+            packed_rows, length = encode_round(block, self.delta)
         with self._lock:
             self._check_open()
             for client_id, row in zip(updates, packed_rows):
@@ -652,7 +652,7 @@ class TieredSignGradientStore(GradientStore):
             self._seal(round_index)
         self._maybe_spill()
         if telemetry.enabled:
-            n = len(vectors)
+            n = len(block)
             raw_bytes = length * 4 * n
             telemetry.inc(
                 "storage_encoded_elements_total", length * n, backend="tiered"

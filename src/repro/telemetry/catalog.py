@@ -76,7 +76,7 @@ _ALL_SPECS = [
     ),
     _spec(
         "fl_client_update_seconds", HISTOGRAM, "seconds", "repro.fl.simulation",
-        "One client's update compute, including retries and fault handling (span).",
+        "One client's update compute; on the serial path its share of the cohort pass.",
     ),
     _spec(
         "fl_client_update_bytes", HISTOGRAM, "bytes", "repro.fl.simulation",

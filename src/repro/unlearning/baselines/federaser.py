@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.fl.aggregation import AGGREGATORS
-from repro.fl.client import VehicleClient
+from repro.fl.client import VehicleClient, cohort_updates
 from repro.fl.history import TrainingRecord
 from repro.nn.model import Sequential
 from repro.storage.store import FullGradientStore
@@ -93,10 +93,10 @@ class FedEraserUnlearner(UnlearningMethod):
                 continue
             calibrated: List[np.ndarray] = []
             weights: List[float] = []
-            for cid in participants:
+            fresh = cohort_updates([clients[c] for c in participants], recovered, model)
+            calls += len(participants)
+            for cid, fresh_grad in zip(participants, fresh):
                 stored = record.gradients.get(t, cid)
-                fresh_grad = clients[cid].compute_update(recovered, model)
-                calls += 1
                 fresh_norm = float(np.linalg.norm(fresh_grad))
                 if fresh_norm < 1e-12:
                     calibrated.append(np.zeros_like(fresh_grad))

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence
 
 from repro.fl.aggregation import AGGREGATORS
-from repro.fl.client import VehicleClient
+from repro.fl.client import VehicleClient, cohort_updates
 from repro.fl.history import TrainingRecord
 from repro.nn.model import Sequential
 from repro.unlearning.base import (
@@ -69,19 +69,16 @@ class RetrainUnlearner(UnlearningMethod):
 
         fresh = model_factory()
         params = fresh.get_flat_params()
-        calls = 0
+        cohort = [clients[cid] for cid in remaining]
+        weights = [record.weight_of(cid) for cid in remaining]
         for _t in range(rounds):
-            gradients = []
-            weights = []
-            for cid in remaining:
-                gradients.append(clients[cid].compute_update(params, model))
-                weights.append(record.weight_of(cid))
-                calls += 1
+            # One cohort pass: row k is remaining[k]'s compute_update.
+            gradients = cohort_updates(cohort, params, model)
             params = params - record.learning_rate * aggregate(gradients, weights)
         return UnlearnResult(
             params=params,
             method=self.name,
             rounds_replayed=rounds,
-            client_gradient_calls=calls,
+            client_gradient_calls=rounds * len(remaining),
             stats={"num_remaining": len(remaining)},
         )

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import gc
 import glob
 import os
 
@@ -50,6 +51,14 @@ def pin_note() -> str:
 
 def pytest_report_header(config):
     return f"BLAS core: {blas_core()} (digest pins recorded on {PINS_CORE})"
+
+
+def pytest_collection_finish(session):
+    # Move everything collection built into the permanent generation, so
+    # tests that call gc.collect() (the forest accounting rules) walk
+    # only what the tests themselves allocate, not the whole session.
+    gc.collect()
+    gc.freeze()
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
