@@ -12,7 +12,7 @@ test:
 # Sweep the fault-injection scenarios over several seeds; with
 # CHAOS_SEEDS set, the forest-retirement liveness machine
 # (tests/test_replay_cow.py) also runs at its large step budget, and
-# five bit-for-bit property tests run at their large example budgets:
+# seven bit-for-bit property tests run at their large example budgets:
 # the replay cohort kernel's, the replay node's stacked form's and the
 # replay round path's — stored block slice or take, chunked kernel
 # tail, in-place FedAvg (tests/test_replay_cohort.py:
@@ -20,10 +20,15 @@ test:
 # test_node_form_matches_per_client_chain,
 # test_round_path_matches_per_client_chain) — the one-pass sign
 # encoder's (tests/test_storage_sign_codec.py:
-# test_one_pass_encoder_matches_ternarize_then_pack) and the training
+# test_one_pass_encoder_matches_ternarize_then_pack), the training
 # cohort pass's — row k of a stacked pass equals vehicle k's pass
 # alone (tests/test_cohort_pass.py:
-# test_cohort_rows_match_lone_passes).
+# test_cohort_rows_match_lone_passes) — and the synthetic datasets'
+# chunked renders — every batched image equals its lone render, which
+# equals the per-image renderer it replaced
+# (tests/test_datasets_synthetic.py:
+# test_chunked_batches_match_lone_renders,
+# test_lone_renders_match_per_image_references).
 chaos:
 	CHAOS_SEEDS=7,21,99 pytest tests/ -m chaos
 

@@ -10,11 +10,16 @@ shuffled minibatching, subsetting, and class bookkeeping.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
 __all__ = ["ArrayDataset", "train_test_split"]
+
+#: Bound on one float64 temporary of a synthetic generator's rendering
+#: chunk (a pass holds about four): twenty 28x28 eight-stroke digits,
+#: so a chunk's working set stays a few MiB whatever the dataset size.
+RENDER_BYTES = 1 << 20
 
 
 @dataclass
@@ -132,3 +137,37 @@ def train_test_split(
         dataset.subset(train_idx, name=f"{dataset.name}-train"),
         dataset.subset(test_idx, name=f"{dataset.name}-test"),
     )
+
+
+def check_render_args(image_size: int, noise_std: float) -> None:
+    """Reject a size or noise scale no image can be rendered with."""
+    if image_size < 1:
+        raise ValueError(f"image_size must be positive, got {image_size}")
+    if not noise_std >= 0.0:
+        raise ValueError(f"noise_std must be non-negative, got {noise_std}")
+
+
+def render_batched(
+    labels: np.ndarray,
+    images: np.ndarray,
+    draw: Callable[[int, np.ndarray], np.ndarray],
+    render: Callable[[int, np.ndarray, np.ndarray], None],
+    row_bytes: Callable[[int], int],
+) -> None:
+    """Fill ``images`` for a synthetic generator in chunked batches.
+
+    ``draw(label, image)`` runs once per sample, in order: it returns
+    the sample's parameter row and writes its pixel noise into
+    ``image``.  Then ``render(label, chunk, rows)`` runs per class over
+    as many samples as keep ``row_bytes(label)`` each under
+    :data:`RENDER_BYTES`, at least one, and overwrites the chunk.
+    """
+    rows = [draw(int(label), image) for label, image in zip(labels, images)]
+    for label in np.unique(labels):
+        idx = np.flatnonzero(labels == label)
+        step = max(1, RENDER_BYTES // row_bytes(int(label)))
+        for lo in range(0, len(idx), step):
+            chunk_idx = idx[lo : lo + step]
+            chunk = images[chunk_idx]
+            render(int(label), chunk, np.array([rows[i] for i in chunk_idx]))
+            images[chunk_idx] = chunk

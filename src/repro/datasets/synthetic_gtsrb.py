@@ -10,8 +10,11 @@ rotation, scale, translation, brightness/colour jitter, background
 variation, and pixel noise.
 
 All geometry is evaluated analytically on a transformed coordinate
-grid, so rendering is vectorized per image and needs no drawing
-library.
+grid, so rendering needs no drawing library and is vectorized per
+chunk: a loop draws each sample's random parameters in order, then one
+pass per sign class renders a chunk of samples at a time (bounded by
+:data:`~repro.datasets.base.RENDER_BYTES`).  Every image is bit for
+bit the one :func:`render_sign` draws alone.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.datasets.base import ArrayDataset
+from repro.datasets.base import ArrayDataset, check_render_args, render_batched
 
 __all__ = ["SIGN_CLASSES", "render_sign", "make_synthetic_gtsrb", "SignSpec"]
 
@@ -154,6 +157,64 @@ SIGN_CLASSES: Dict[int, SignSpec] = {
 }
 
 
+def _draw_sign(rng, out, noise_std, max_rotation_deg=10.0, max_shift=0.12):
+    """One sample's random parameters, drawn in the per-image order
+    (defaults as :func:`render_sign`'s); the pixel noise goes into
+    ``out``.
+
+    Returns the row cos and sin of the rotation, scale, x and y shift,
+    three background channels, brightness, three channel jitters.
+    """
+    theta = np.deg2rad(rng.uniform(-max_rotation_deg, max_rotation_deg))
+    scale = rng.uniform(0.85, 1.1)
+    shift_x = rng.uniform(-max_shift, max_shift)
+    shift_y = rng.uniform(-max_shift, max_shift)
+    bg_base = rng.uniform(0.25, 0.65)
+    background = [bg_base * f for f in rng.uniform(0.8, 1.2, size=3)]
+    brightness = rng.uniform(0.6, 1.15)
+    channel_jitter = rng.uniform(0.9, 1.1, size=3)
+    out[...] = rng.normal(0.0, noise_std, size=out.shape)
+    return np.array((np.cos(theta), np.sin(theta), scale, shift_x, shift_y,
+                     *background, brightness, *channel_jitter))
+
+
+def _render_signs(cls, out, params):
+    """Render ``len(out)`` signs of class ``cls`` into ``out``
+    ``(B, 3, size, size)`` in one pass.
+
+    ``params`` holds one :func:`_draw_sign` row per image, and ``out``
+    the pixel noise on entry.  With ``params=None`` the canonical sign
+    is rendered: no transform, lighting or noise.
+    """
+    spec = SIGN_CLASSES[cls]
+    coords = np.linspace(-1.0, 1.0, out.shape[-1])
+    gx, gy = np.meshgrid(coords, coords)
+    if params is None:
+        tx, ty = gx, gy
+        image = 0.45
+    else:
+        cos_t, sin_t, scale, shift_x, shift_y = params[:, :5].T[..., None, None]
+        tx = (cos_t * (gx - shift_x) - sin_t * (gy - shift_y)) / scale
+        ty = (sin_t * (gx - shift_x) + cos_t * (gy - shift_y)) / scale
+        image = params[:, 5:8, None, None]  # background, (B, 3, 1, 1)
+
+    outer = spec.outer(tx, ty)
+    inner = spec.inner(tx, ty)
+    glyph = spec.glyph(tx, ty) & inner
+    for mask, color in (
+        (outer, spec.border_color),
+        (inner, spec.fill_color),
+        (glyph, spec.glyph_color),
+    ):
+        image = np.where(mask[..., None, :, :], np.asarray(color)[:, None, None], image)
+
+    if params is not None:
+        image *= params[:, 8, None, None, None]
+        image *= params[:, 9:, None, None]
+        image += out
+    np.clip(image, 0.0, 1.0, out=out)
+
+
 def render_sign(
     cls: int,
     rng: Optional[np.random.Generator] = None,
@@ -168,50 +229,13 @@ def render_sign(
     """
     if cls not in SIGN_CLASSES:
         raise ValueError(f"class must be 0-{len(SIGN_CLASSES) - 1}, got {cls}")
-    spec = SIGN_CLASSES[cls]
-
-    coords = np.linspace(-1.0, 1.0, image_size)
-    gx, gy = np.meshgrid(coords, coords)
+    check_render_args(image_size, noise_std)
+    image = np.empty((1, 3, image_size, image_size))
+    params = None
     if rng is not None:
-        theta = np.deg2rad(rng.uniform(-max_rotation_deg, max_rotation_deg))
-        scale = rng.uniform(0.85, 1.1)
-        shift_x = rng.uniform(-max_shift, max_shift)
-        shift_y = rng.uniform(-max_shift, max_shift)
-        cos_t, sin_t = np.cos(theta), np.sin(theta)
-        tx = (cos_t * (gx - shift_x) - sin_t * (gy - shift_y)) / scale
-        ty = (sin_t * (gx - shift_x) + cos_t * (gy - shift_y)) / scale
-    else:
-        tx, ty = gx, gy
-
-    outer = spec.outer(tx, ty)
-    inner = spec.inner(tx, ty)
-    glyph = spec.glyph(tx, ty) & inner
-
-    if rng is not None:
-        bg_base = rng.uniform(0.25, 0.65)
-        background = np.stack(
-            [
-                np.full((image_size, image_size), bg_base * f)
-                for f in rng.uniform(0.8, 1.2, size=3)
-            ]
-        )
-    else:
-        background = np.full((3, image_size, image_size), 0.45)
-
-    image = background
-    for mask, color in (
-        (outer, spec.border_color),
-        (inner, spec.fill_color),
-        (glyph, spec.glyph_color),
-    ):
-        image = np.where(mask[None, :, :], np.asarray(color)[:, None, None], image)
-
-    if rng is not None:
-        brightness = rng.uniform(0.6, 1.15)
-        channel_jitter = rng.uniform(0.9, 1.1, size=(3, 1, 1))
-        image = image * brightness * channel_jitter
-        image = image + rng.normal(0.0, noise_std, size=image.shape)
-    return np.clip(image, 0.0, 1.0)
+        params = _draw_sign(rng, image, noise_std, max_rotation_deg, max_shift)[None]
+    _render_signs(cls, image, params)
+    return image[0]
 
 
 def make_synthetic_gtsrb(
@@ -225,7 +249,8 @@ def make_synthetic_gtsrb(
     """Generate a GTSRB-like dataset.
 
     Returns an :class:`ArrayDataset` with ``x`` of shape
-    ``(N, 3, image_size, image_size)``.
+    ``(N, 3, image_size, image_size)``.  Every sample equals
+    :func:`render_sign` with the same ``rng`` at its turn.
     """
     if num_samples <= 0:
         raise ValueError("num_samples must be positive")
@@ -233,10 +258,14 @@ def make_synthetic_gtsrb(
         raise ValueError(
             f"num_classes must be in [2, {len(SIGN_CLASSES)}], got {num_classes}"
         )
+    check_render_args(image_size, noise_std)
     labels = rng.integers(0, num_classes, size=num_samples)
     images = np.empty((num_samples, 3, image_size, image_size), dtype=np.float64)
-    for i, cls in enumerate(labels):
-        images[i] = render_sign(
-            int(cls), rng=rng, image_size=image_size, noise_std=noise_std
-        )
+    render_batched(
+        labels,
+        images,
+        lambda cls, out: _draw_sign(rng, out, noise_std),
+        _render_signs,
+        lambda cls: 8 * images[0].size,
+    )
     return ArrayDataset(x=images, y=labels, num_classes=num_classes, name=name)

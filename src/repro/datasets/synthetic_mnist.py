@@ -16,7 +16,10 @@ intensity is ``exp(-(d / width)^2)`` where ``d`` is its distance to the
 nearest segment — i.e. a Gaussian "ink brush" along the skeleton.
 Per-sample augmentation perturbs the segment endpoints and applies an
 affine transform to the pixel grid *before* evaluating distances, so
-rendering stays fully vectorized per image.
+rendering is vectorized per chunk: a loop draws each sample's random
+parameters in order, then one pass per digit class renders a chunk of
+samples at a time (bounded by :data:`~repro.datasets.base.RENDER_BYTES`).
+Every image is bit for bit the one :func:`render_digit` draws alone.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.datasets.base import ArrayDataset
+from repro.datasets.base import ArrayDataset, check_render_args, render_batched
 
 __all__ = ["DIGIT_STROKES", "render_digit", "make_synthetic_mnist"]
 
@@ -107,25 +110,91 @@ DIGIT_STROKES: Dict[int, List[Segment]] = {
 }
 
 
+#: Each digit's skeleton as ``(S, 4)`` rows of ``(ax, ay, bx, by)``.
+_SEGMENTS = {
+    digit: np.array([[ax, ay, bx, by] for (ax, ay), (bx, by) in strokes])
+    for digit, strokes in DIGIT_STROKES.items()
+}
+
+
 def _segment_distances(
     px: np.ndarray, py: np.ndarray, segments: np.ndarray
 ) -> np.ndarray:
     """Distance from each pixel to its nearest segment.
 
-    ``px, py`` are flat pixel coordinates; ``segments`` is ``(S, 4)``
-    rows of ``(ax, ay, bx, by)``.  Returns the per-pixel minimum
-    distance, vectorized over both pixels and segments.
+    ``px, py`` are ``(B, 1, P)`` pixel coordinates; ``segments`` is
+    ``(B, S, 4)`` rows of ``(ax, ay, bx, by)`` (either may broadcast
+    over ``B``).  Returns the ``(B, P)`` per-pixel minimum distance,
+    vectorized over samples, segments and pixels, one coordinate array
+    at a time.
     """
-    a = segments[:, 0:2][:, None, :]  # (S, 1, 2)
-    b = segments[:, 2:4][:, None, :]
-    p = np.stack([px, py], axis=-1)[None, :, :]  # (1, P, 2)
-    ab = b - a
-    ab_len2 = np.maximum((ab**2).sum(axis=-1), 1e-12)  # (S, 1)
-    t = ((p - a) * ab).sum(axis=-1) / ab_len2  # (S, P)
-    t = np.clip(t, 0.0, 1.0)
-    nearest = a + t[..., None] * ab  # (S, P, 2)
-    dist = np.sqrt(((p - nearest) ** 2).sum(axis=-1))  # (S, P)
-    return dist.min(axis=0)
+    ax, ay, bx, by = (segments[..., k, None] for k in range(4))  # (B, S, 1)
+    abx, aby = bx - ax, by - ay
+    ab_len2 = np.maximum(np.square(abx) + np.square(aby), 1e-12)
+    t = (px - ax) * abx
+    t += (py - ay) * aby
+    t /= ab_len2
+    np.clip(t, 0.0, 1.0, out=t)  # (B, S, P)
+    dx = px - (ax + t * abx)
+    t *= aby
+    t += ay
+    dy = np.subtract(py, t, out=t)
+    dist = np.square(dx, out=dx)
+    dist += np.square(dy, out=dy)
+    return np.sqrt(dist, out=dist).min(axis=1)
+
+
+def _draw_digit(rng, digit, out, noise_std, stroke_width=0.055, jitter=0.02,
+                max_rotation_deg=12.0, max_shift=0.06):
+    """One sample's random parameters, drawn in the per-image order
+    (defaults as :func:`render_digit`'s); the pixel noise goes into
+    ``out``.
+
+    Returns the row ``4S`` segment jitters, then stroke width, cos and
+    sin of the rotation, scale, x and y shift, and brightness.
+    """
+    jittered = rng.normal(0.0, jitter, size=_SEGMENTS[digit].size)
+    width = stroke_width * float(rng.uniform(0.8, 1.35))
+    theta = np.deg2rad(rng.uniform(-max_rotation_deg, max_rotation_deg))
+    scale = rng.uniform(0.9, 1.1)
+    shift_x = rng.uniform(-max_shift, max_shift)
+    shift_y = rng.uniform(-max_shift, max_shift)
+    brightness = rng.uniform(0.75, 1.0)
+    out[...] = rng.normal(0.0, noise_std, size=out.shape)
+    return np.concatenate(
+        (jittered, (width, np.cos(theta), np.sin(theta), scale, shift_x, shift_y, brightness))
+    )
+
+
+def _render_digits(digit, out, params, stroke_width=None):
+    """Render ``len(out)`` images of ``digit`` into ``out`` in one pass.
+
+    ``params`` holds one :func:`_draw_digit` row per image, and ``out``
+    the pixel noise on entry.  With ``params=None`` the canonical glyph
+    at ``stroke_width`` is rendered: no jitter, transform, brightness or
+    noise.
+    """
+    size = out.shape[-1]
+    coords = (np.arange(size) + 0.5) / size
+    gx, gy = np.meshgrid(coords, coords)  # gy varies along rows
+    px = gx.reshape(1, -1)
+    py = gy.reshape(1, -1)
+    segments = _SEGMENTS[digit]
+    width = stroke_width
+    if params is not None:
+        segments = segments + params[:, :-7].reshape(len(params), -1, 4)
+        width, cos_t, sin_t, scale, shift_x, shift_y, brightness = params[:, -7:].T[..., None]
+        cx = px - 0.5 - shift_x
+        cy = py - 0.5 - shift_y
+        px = (cos_t * cx - sin_t * cy) / scale + 0.5
+        py = (sin_t * cx + cos_t * cy) / scale + 0.5
+    dist = _segment_distances(px[:, None], py[:, None], segments)
+    dist /= width
+    image = np.exp(np.negative(np.square(dist, out=dist), out=dist), out=dist)
+    if params is not None:
+        image *= brightness
+        image += out.reshape(image.shape)
+    np.clip(image.reshape(out.shape), 0.0, 1.0, out=out)
 
 
 def render_digit(
@@ -145,37 +214,14 @@ def render_digit(
     """
     if digit not in DIGIT_STROKES:
         raise ValueError(f"digit must be 0-9, got {digit}")
-    segments = np.array(
-        [[ax, ay, bx, by] for (ax, ay), (bx, by) in DIGIT_STROKES[digit]],
-        dtype=np.float64,
-    )
-    width = stroke_width
+    check_render_args(image_size, noise_std)
+    image = np.empty((1, image_size, image_size))
+    params = None
     if rng is not None:
-        segments = segments + rng.normal(0.0, jitter, size=segments.shape)
-        width = stroke_width * float(rng.uniform(0.8, 1.35))
-
-    # Pixel grid in unit coordinates, transformed by a random affine.
-    coords = (np.arange(image_size) + 0.5) / image_size
-    gx, gy = np.meshgrid(coords, coords)  # gy varies along rows
-    px = gx.ravel()
-    py = gy.ravel()
-    if rng is not None:
-        theta = np.deg2rad(rng.uniform(-max_rotation_deg, max_rotation_deg))
-        scale = rng.uniform(0.9, 1.1)
-        shift_x = rng.uniform(-max_shift, max_shift)
-        shift_y = rng.uniform(-max_shift, max_shift)
-        cx = px - 0.5 - shift_x
-        cy = py - 0.5 - shift_y
-        cos_t, sin_t = np.cos(theta), np.sin(theta)
-        px = (cos_t * cx - sin_t * cy) / scale + 0.5
-        py = (sin_t * cx + cos_t * cy) / scale + 0.5
-
-    dist = _segment_distances(px, py, segments)
-    image = np.exp(-((dist / width) ** 2)).reshape(image_size, image_size)
-    if rng is not None:
-        image = image * rng.uniform(0.75, 1.0)
-        image = image + rng.normal(0.0, noise_std, size=image.shape)
-    return np.clip(image, 0.0, 1.0)
+        params = _draw_digit(rng, digit, image, noise_std, stroke_width, jitter,
+                             max_rotation_deg, max_shift)[None]
+    _render_digits(digit, image, params, stroke_width)
+    return image[0]
 
 
 def make_synthetic_mnist(
@@ -189,22 +235,28 @@ def make_synthetic_mnist(
     """Generate a balanced (or weighted) MNIST-like dataset.
 
     Returns an :class:`ArrayDataset` with ``x`` of shape
-    ``(N, 1, image_size, image_size)`` and labels 0-9.
+    ``(N, 1, image_size, image_size)`` and labels 0-9.  Every sample
+    equals :func:`render_digit` with the same ``rng`` at its turn.
     """
     if num_samples <= 0:
         raise ValueError("num_samples must be positive")
+    check_render_args(image_size, noise_std)
     num_classes = 10
     if class_weights is None:
         probs = np.full(num_classes, 1.0 / num_classes)
     else:
         probs = np.asarray(class_weights, dtype=np.float64)
-        if probs.shape != (num_classes,) or probs.min() < 0 or probs.sum() <= 0:
-            raise ValueError("class_weights must be 10 non-negative values")
+        # Written so NaN (and an infinite total) fails the test too.
+        if probs.shape != (num_classes,) or not 0 < probs.sum() < np.inf or not probs.min() >= 0:
+            raise ValueError("class_weights must be 10 finite non-negative values")
         probs = probs / probs.sum()
     labels = rng.choice(num_classes, size=num_samples, p=probs)
     images = np.empty((num_samples, 1, image_size, image_size), dtype=np.float64)
-    for i, digit in enumerate(labels):
-        images[i, 0] = render_digit(
-            int(digit), rng=rng, image_size=image_size, noise_std=noise_std
-        )
+    render_batched(
+        labels,
+        images,
+        lambda digit, out: _draw_digit(rng, digit, out, noise_std),
+        _render_digits,
+        lambda digit: 8 * len(_SEGMENTS[digit]) * image_size**2,
+    )
     return ArrayDataset(x=images, y=labels, num_classes=num_classes, name=name)

@@ -28,6 +28,10 @@ from repro.utils.rng import SeedSequenceTree
 #: another core may be a kernel difference, not a regression.
 PINS_CORE = "SkylakeX"
 
+#: The NumPy SIMD dispatch target those pins were recorded on.  NumPy's
+#: ``exp`` differs between targets, so pins over it are keyed by target.
+PINS_SIMD = "X86_V4"
+
 
 @functools.lru_cache(maxsize=None)
 def blas_core() -> str:
@@ -44,13 +48,34 @@ def blas_core() -> str:
     return "unknown"
 
 
+@functools.lru_cache(maxsize=None)
+def simd_target() -> str:
+    """The highest ``X86_V*`` SIMD level NumPy dispatches to at runtime,
+    as ``np.show_runtime()`` lists it (``NPY_DISABLE_CPU_FEATURES`` can
+    lower it), or ``unknown`` off x86."""
+    from numpy._core import _multiarray_umath as umath
+
+    levels = [
+        name
+        for name in umath.__cpu_baseline__ + umath.__cpu_dispatch__
+        if name.startswith("X86_V") and umath.__cpu_features__.get(name)
+    ]
+    return max(levels, default="unknown")
+
+
 def pin_note() -> str:
     """Failure message for a pinned-digest assertion."""
-    return f"runtime BLAS core {blas_core()}; pins recorded on {PINS_CORE}"
+    return (
+        f"runtime BLAS core {blas_core()}, SIMD target {simd_target()}; "
+        f"pins recorded on {PINS_CORE}, {PINS_SIMD}"
+    )
 
 
 def pytest_report_header(config):
-    return f"BLAS core: {blas_core()} (digest pins recorded on {PINS_CORE})"
+    return (
+        f"BLAS core: {blas_core()}, SIMD target: {simd_target()} "
+        f"(digest pins recorded on {PINS_CORE}, {PINS_SIMD})"
+    )
 
 
 def pytest_collection_finish(session):
