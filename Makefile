@@ -1,6 +1,6 @@
 # Convenience targets for the FUIoV reproduction.
 
-.PHONY: install test chaos bench bench-smoke bench-core bench-parallel bench-service bench-forest bench-slo bench-storage-scale bench-prefetch bench-live bench-report examples experiments telemetry-demo docs-lint clean
+.PHONY: install test chaos bench bench-smoke bench-core bench-service bench-forest bench-slo bench-storage-scale bench-prefetch bench-live bench-report examples experiments telemetry-demo docs-lint clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -39,11 +39,6 @@ bench:
 
 bench-smoke:
 	REPRO_SCALE=smoke pytest benchmarks/ --benchmark-only
-
-# Serial-vs-process baseline (bitwise identity asserted, speedup and
-# CPU count recorded into benchmarks/results/parallel.json).
-bench-parallel:
-	pytest benchmarks/test_bench_parallel.py --benchmark-only
 
 # Zero-copy numeric-core baseline: warm-step latency (legacy-emulated
 # vs arena, >=1.5x asserted), per-step allocation bytes and end-to-end

@@ -7,8 +7,8 @@ replay prefix cache.  Byte identity between the two is a hard
 assertion.  The amortized speedup is determined by replay-round counts
 — the forget vehicles join at staggered rounds, so the batch replays
 45 rounds where the cold path replays 144 — which makes the ≥2×
-speedup assertion substrate-independent (always on, unlike the
-CPU-gated parallel baseline).
+speedup assertion substrate-independent (always on, not gated on the
+host's CPU count).
 
 Also measured: requests/sec, the cache hit rate, and the dict-vs-mmap
 store open/read latency for the same record.  Everything lands in

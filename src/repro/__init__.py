@@ -10,8 +10,8 @@ The package is organized as one subpackage per subsystem:
 - :mod:`repro.fl` — vehicles, RSU server, FedAvg, the round loop
 - :mod:`repro.faults` — fault injection, update validation, retries
 - :mod:`repro.iov` — mobility, coverage, join/leave/dropout schedules
-- :mod:`repro.parallel` — pluggable serial/thread/process execution
-  engine for the round loop and recovery replay (bitwise-deterministic)
+- :mod:`repro.parallel` — the training round's worker count and
+  per-client fault handling (every worker count is bitwise identical)
 - :mod:`repro.unlearning` — the paper's scheme and all baselines
 - :mod:`repro.telemetry` — metrics registry, trace spans, exporters
   (contract in ``docs/METRICS.md``)

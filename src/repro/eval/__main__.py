@@ -9,11 +9,10 @@ Examples
     python -m repro.eval all --out results/
     python -m repro.eval storage --telemetry-dir telemetry/
 
-``--backend thread --workers 4`` (or ``process``) routes the training
-round loop through the :mod:`repro.parallel` execution engine — results
-are bitwise identical to the default serial run; only wall time
-changes.  The options are training-only: recovery replay runs one
-stacked kernel per replay node on every backend.
+``--workers 4`` splits each training round's cohort pass across four
+threads (:mod:`repro.parallel`) — results are bitwise identical to the
+default one-pass run; only wall time changes.  The option is
+training-only: recovery replay runs one stacked kernel per replay node.
 
 With ``--telemetry-dir`` the run is instrumented end to end: a JSONL
 event log (``events.jsonl``), a Prometheus text snapshot
@@ -34,7 +33,7 @@ import sys
 from repro.eval.config import available_scales
 from repro.eval.experiments import EXPERIMENT_RUNNERS
 from repro.eval.reporting import format_result
-from repro.parallel.policy import BACKENDS, default_execution, set_default_execution
+from repro.parallel.policy import set_default_execution
 from repro.storage import (
     SIGN_BACKENDS,
     set_default_cold_cache_blocks,
@@ -87,18 +86,11 @@ def main(argv=None) -> int:
         "(metric contract: docs/METRICS.md)",
     )
     parser.add_argument(
-        "--backend",
-        choices=list(BACKENDS),
-        default=None,
-        help="execution engine for the training round loop, training only "
-        "(default: serial; results are bitwise identical across backends)",
-    )
-    parser.add_argument(
         "--workers",
         type=int,
         default=None,
-        help="worker slots for the training thread/process backends "
-        "(default: 1)",
+        help="threads splitting each training round's cohort pass, training "
+        "only (default: 1; results are bitwise identical at every count)",
     )
     parser.add_argument(
         "--store",
@@ -132,12 +124,8 @@ def main(argv=None) -> int:
         configure()
 
     previous_execution = None
-    if args.backend is not None or args.workers is not None:
-        current = default_execution()
-        previous_execution = set_default_execution(
-            backend=args.backend if args.backend is not None else current.backend,
-            workers=args.workers if args.workers is not None else current.workers,
-        )
+    if args.workers is not None:
+        previous_execution = set_default_execution(args.workers)
 
     previous_store = None
     if args.store is not None:
@@ -175,9 +163,7 @@ def main(argv=None) -> int:
                 print(f"[saved {path}]")
     finally:
         if previous_execution is not None:
-            set_default_execution(
-                previous_execution.backend, previous_execution.workers
-            )
+            set_default_execution(previous_execution.workers)
         if previous_store is not None:
             set_default_sign_backend(previous_store)
         if previous_prefetch is not None:

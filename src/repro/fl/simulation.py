@@ -5,16 +5,16 @@ schedule into the round loop of §III-A, producing the
 :class:`~repro.fl.history.TrainingRecord` the unlearning methods
 consume.
 
-On the default serial path one scratch model computes each round's
-whole cohort in stacked passes (:func:`repro.fl.client.cohort_updates`,
-chunked under a fixed byte bound, so memory stays bounded in the number
-of vehicles), and the server takes the resulting gradient block as it
-is.  With ``backend="thread"`` or ``"process"`` the per-client compute
-fans out through
-:mod:`repro.parallel` instead — each worker borrows a private scratch
-model and the client's own RNG state travels with the task, so the
-resulting record is **bitwise identical to the serial run** (see the
-package docstring for the full determinism contract).
+One scratch model computes each round's whole cohort in stacked passes
+(:func:`repro.fl.client.cohort_updates`, chunked under a fixed byte
+bound, so memory stays bounded in the number of vehicles), and the
+server takes the resulting gradient block as it is.  With ``workers >
+1`` the round's vehicles split into ``workers`` contiguous chunks, each
+passed on its own scratch model (the simulation's own plus
+``workers - 1`` clones) on one thread pool; every row is bitwise the
+vehicle's own update, so the record is **bitwise identical to the
+one-pass run**.  The heavy kernels release the GIL, so the chunks
+overlap on the BLAS work.
 
 The loop is resilient by construction (the IoV premise is that things
 fail *constantly*):
@@ -39,16 +39,14 @@ per-client compute time and update size (``fl_client_update_seconds`` /
 ``fl_client_update_bytes``), participation and dropout counters, the
 latest eval accuracy, and per-kind fault-injection counts — see
 ``docs/METRICS.md``.  With the default null telemetry all of it is
-skipped at near-zero cost.  Parallel runs additionally report pool
-shape and timing (``fl_parallel_*``); workers themselves emit nothing —
-the parent re-emits per-client metrics from returned stats so serial
-and parallel runs produce identical counters.
+skipped at near-zero cost.  With ``workers > 1`` the pool's size and
+busy fraction are reported too (``fl_parallel_*``).
 """
 
 from __future__ import annotations
 
-import functools
 import time
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, Generator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -63,18 +61,11 @@ from repro.fl.events import ParticipationSchedule
 from repro.fl.history import TrainingRecord
 from repro.fl.journal import JournalSnapshot, RoundJournal
 from repro.fl.server import RsuServer
+from repro.nn.layers import Dropout
 from repro.nn.metrics import accuracy
 from repro.nn.model import Sequential
-from repro.parallel.executor import Executor, make_executor, pool_utilization
 from repro.parallel.policy import resolve_execution
-from repro.parallel.rounds import (
-    FAULT_STAT_KEYS,
-    ClientRoundTask,
-    apply_fault,
-    build_training_context,
-    flaky_attempts,
-    run_client_round,
-)
+from repro.parallel.rounds import FAULT_STAT_KEYS, apply_fault, flaky_attempts
 from repro.storage.store import GradientStore, RoundRows
 from repro.telemetry.core import current_telemetry
 from repro.utils.logging import get_logger
@@ -117,13 +108,14 @@ class FederatedSimulation:
     validator:
         Update-validation gate handed to the server; see
         :class:`~repro.fl.server.RsuServer`.
-    backend, workers:
-        Execution engine for the per-client round fan-out
-        (``serial``/``thread``/``process``); None falls back to the
-        process-wide default from
-        :func:`repro.parallel.policy.default_execution` (serial, 1
-        worker, unless the CLI's ``--backend``/``--workers`` changed
-        it).  Every backend produces a bitwise-identical record.
+    workers:
+        Threads splitting each round's cohort pass; None falls back to
+        the process-wide default from
+        :func:`repro.parallel.policy.default_execution` (1, unless the
+        CLI's ``--workers`` changed it).  Every count produces a
+        bitwise-identical record.  Above 1 the model must have no
+        active :class:`~repro.nn.layers.Dropout`: each thread's clone
+        would draw the same masks.
     """
 
     def __init__(
@@ -139,7 +131,6 @@ class FederatedSimulation:
         fault_plan: Optional[FaultPlan] = None,
         retry_policy: Optional[RetryPolicy] = None,
         validator: Optional[UpdateValidator] = None,
-        backend: Optional[str] = None,
         workers: Optional[int] = None,
     ):
         if not clients:
@@ -168,7 +159,15 @@ class FederatedSimulation:
         self.eval_every = eval_every
         self.fault_plan = fault_plan
         self.retry_policy = retry_policy or RetryPolicy(max_attempts=1)
-        self.execution = resolve_execution(backend, workers)
+        self.execution = resolve_execution(workers)
+        if self.execution.workers > 1:
+            for index, layer in enumerate(model.layers):
+                if isinstance(layer, Dropout) and layer.rate > 0:
+                    raise ValueError(
+                        f"workers={self.execution.workers} needs a model "
+                        f"without active dropout: layer {index} ({layer!r}) "
+                        "would repeat its masks on every thread's clone"
+                    )
         self.fault_stats: Dict[str, int] = {k: 0 for k in FAULT_STAT_KEYS}
         self._registered: set = set()
         self._left: set = set()
@@ -253,7 +252,7 @@ class FederatedSimulation:
         )
 
     # ------------------------------------------------------------------
-    # per-round update collection (serial and parallel paths)
+    # per-round update collection
     # ------------------------------------------------------------------
     def _round_faults(self, t: int, participants: List[int]) -> List[Tuple]:
         """Per participant ``(cid, fault, straggle deadline, corruption
@@ -313,17 +312,62 @@ class FederatedSimulation:
         elif telemetry.enabled:
             telemetry.observe("fl_client_update_bytes", update.nbytes)
 
-    def _collect_updates_serial(
-        self, t: int, participants: List[int], global_params: np.ndarray
+    def _cohort_pass(
+        self,
+        clients: List[VehicleClient],
+        global_params: np.ndarray,
+        models: List[Sequential],
+        pool: Optional[ThreadPoolExecutor],
+    ) -> Tuple[np.ndarray, List[float]]:
+        """The cohort's ``(K, d)`` update block and each row's share of
+        its pass time.  With a ``pool``, ``clients`` split into
+        ``len(models)`` contiguous chunks, chunk ``i`` passed on
+        ``models[i]``; the chunks' blocks stack in client order."""
+
+        def timed(part: List[VehicleClient], model: Sequential):
+            started = time.perf_counter()
+            block = cohort_updates(part, global_params, model)
+            return block, time.perf_counter() - started
+
+        n, k = len(clients), len(models)
+        chunks = [clients[n * i // k : n * (i + 1) // k] for i in range(k)]
+        if pool is None:
+            results = [timed(clients, models[0])]
+        else:
+            started = time.perf_counter()
+            results = list(pool.map(timed, chunks, models))
+            wall = time.perf_counter() - started
+            telemetry = current_telemetry()
+            if telemetry.enabled and wall > 0.0:
+                busy = sum(seconds for _, seconds in results)
+                telemetry.set_gauge(
+                    "fl_parallel_utilization", min(1.0, busy / (k * wall))
+                )
+        shares = [
+            seconds / len(part)
+            for part, (_, seconds) in zip(chunks, results)
+            for _ in part
+        ]
+        blocks = [block for block, _ in results]
+        return (blocks[0] if k == 1 else np.concatenate(blocks)), shares
+
+    def _collect_updates(
+        self,
+        t: int,
+        participants: List[int],
+        global_params: np.ndarray,
+        models: List[Sequential],
+        pool: Optional[ThreadPoolExecutor],
     ) -> Mapping[int, np.ndarray]:
-        """Reference inline path: the round's cohort in one pass.
+        """The round's updates: the cohort in one pass, or one pass per
+        chunk on ``pool``.
 
         Flaky retries run per client first (they draw no random
-        numbers); the survivors' gradients come from one
-        :func:`~repro.fl.client.cohort_updates` call — stacked passes,
-        each row bitwise the client's own ``compute_update`` — and
-        crash, straggle and corrupt then apply per row.  Each client's
-        ``fl_client_update_seconds`` is its share of the pass.  Returns
+        numbers); the survivors' gradients come from
+        :meth:`_cohort_pass` — stacked passes, each row bitwise the
+        client's own ``compute_update`` — and crash, straggle and
+        corrupt then apply per row.  Each client's
+        ``fl_client_update_seconds`` is its share of its pass.  Returns
         a :class:`~repro.storage.store.RoundRows` over the pass's block
         when no fault touched it, else a dict.
         """
@@ -333,15 +377,15 @@ class FederatedSimulation:
             for case in self._round_faults(t, participants)
             if flaky_attempts(case[1], self.retry_policy, stats[case[0]])
         ]
-        started = time.perf_counter()
-        block = cohort_updates(
-            [self.clients[case[0]] for case in ready], global_params, self.model
+        block, shares = self._cohort_pass(
+            [self.clients[case[0]] for case in ready], global_params, models, pool
         )
-        share = (time.perf_counter() - started) / max(1, len(ready))
         updates: Dict[int, np.ndarray] = {}
         seconds = dict.fromkeys(participants, 0.0)
         intact = True  # no fault dropped or replaced a row of the block
-        for row, (cid, fault, deadline, corruption_rng) in zip(block, ready):
+        for row, share, (cid, fault, deadline, corruption_rng) in zip(
+            block, shares, ready
+        ):
             update = apply_fault(fault, row, stats[cid], deadline, corruption_rng)
             intact &= update is row
             seconds[cid] = share
@@ -350,81 +394,6 @@ class FederatedSimulation:
         for cid in participants:
             self._account(t, cid, updates.get(cid), stats[cid], seconds[cid])
         return RoundRows(list(updates), block) if intact else updates
-
-    def _make_executor(self) -> Executor:
-        """Build the round-loop engine with its worker-side context."""
-        # Thread workers share the parent's address space and need one
-        # scratch model per concurrent task; each process worker builds
-        # its own single-model context through the pool initializer.
-        num_models = (
-            self.execution.workers if self.execution.backend == "thread" else 1
-        )
-        return make_executor(
-            self.execution.backend,
-            self.execution.workers,
-            context=(
-                build_training_context,
-                (self.clients, self.model, num_models, self.retry_policy),
-            ),
-        )
-
-    def _collect_updates_parallel(
-        self,
-        t: int,
-        participants: List[int],
-        global_params: np.ndarray,
-        executor: Executor,
-    ) -> Dict[int, np.ndarray]:
-        """Fan the round's client computes across the executor.
-
-        Builds one :class:`~repro.parallel.rounds.ClientRoundTask` per
-        participant (carrying the client's RNG state), merges results in
-        participant order, and re-emits the per-client telemetry the
-        workers withheld — so the record *and* the counters are
-        identical to :meth:`_collect_updates_serial`.
-        """
-        telemetry = current_telemetry()
-        tasks = [
-            ClientRoundTask(
-                client_id=cid,
-                round_index=t,
-                global_params=global_params,
-                rng_state=self.clients[cid].rng.bit_generator.state,
-                fault=fault,
-                deadline=deadline,
-                corruption_rng=corruption_rng,
-            )
-            for cid, fault, deadline, corruption_rng in self._round_faults(
-                t, participants
-            )
-        ]
-        fn = functools.partial(run_client_round, executor.context_key)
-        results, pool_stats = executor.run(fn, tasks)
-        updates: Dict[int, np.ndarray] = {}
-        busy_seconds = 0.0
-        for result in results:  # task order == participants order
-            cid = result.client_id
-            self.clients[cid].rng.bit_generator.state = result.rng_state
-            busy_seconds += result.duration_seconds
-            self._account(
-                t, cid, result.update, result.stats, result.duration_seconds
-            )
-            if result.update is not None:
-                updates[cid] = result.update
-        if telemetry.enabled:
-            telemetry.observe(
-                "fl_parallel_dispatch_seconds", pool_stats.dispatch_seconds
-            )
-            telemetry.observe(
-                "fl_parallel_gather_seconds", pool_stats.gather_seconds
-            )
-            telemetry.set_gauge(
-                "fl_parallel_utilization",
-                pool_utilization(
-                    busy_seconds, executor.workers, pool_stats.wall_seconds
-                ),
-            )
-        return updates
 
     # ------------------------------------------------------------------
     # journal plumbing
@@ -540,26 +509,21 @@ class FederatedSimulation:
             start_round = self._restore(snapshot)
             accuracy_history = list(snapshot.accuracy_history)
         telemetry = current_telemetry()
-        executor: Optional[Executor] = None
+        workers = self.execution.workers
+        models = [self.model]
+        pool: Optional[ThreadPoolExecutor] = None
         try:
-            if self.execution.backend != "serial":
-                executor = self._make_executor()
+            if workers > 1:
+                models += [self.model.clone() for _ in range(workers - 1)]
+                pool = ThreadPoolExecutor(max_workers=workers)
                 if telemetry.enabled:
-                    telemetry.set_gauge(
-                        "fl_parallel_workers", self.execution.workers
-                    )
+                    telemetry.set_gauge("fl_parallel_workers", workers)
             for t in range(start_round, num_rounds):
                 with telemetry.span("fl_round_seconds"):
                     participants = self._sync_membership(t)
-                    global_params = self.server.params
-                    if executor is None:
-                        updates = self._collect_updates_serial(
-                            t, participants, global_params
-                        )
-                    else:
-                        updates = self._collect_updates_parallel(
-                            t, participants, global_params, executor
-                        )
+                    updates = self._collect_updates(
+                        t, participants, self.server.params, models, pool
+                    )
                     if updates:
                         new_params = self.server.run_round(updates)
                     else:
@@ -590,8 +554,8 @@ class FederatedSimulation:
                     raise ServerKilledError(t)
                 yield t, new_params
         finally:
-            if executor is not None:
-                executor.close()
+            if pool is not None:
+                pool.shutdown()
         return TrainingRecord(
             checkpoints=self.server.checkpoints,
             gradients=self.server.gradients,

@@ -24,8 +24,8 @@ buffers (im2col patch matrices, col2im accumulators, pooling masks):
 a shape-keyed pool of scratch arrays that steady-state forward/backward
 passes reuse instead of reallocating.  Workspace contents are pure
 scratch — they are deliberately dropped on ``deepcopy``/``pickle`` so
-scratch models (:class:`~repro.parallel.rounds.ModelPool`) and process
-workers start with empty pools instead of shipping dead buffers.
+scratch models (the training fan-out's per-thread clones) and pickled
+copies start with empty pools instead of carrying dead buffers.
 
 :class:`BranchArena` extends the same layout idea across *models*: one
 contiguous ``(capacity, d)`` matrix whose rows are flat parameter

@@ -10,8 +10,7 @@ latency with compute:
 :class:`RoundPrefetcher`
     A bounded look-ahead pipeline: while the replay loop computes round
     ``t``, rounds ``t+1 .. t+depth`` decode on a background executor
-    (the ``repro.parallel`` thread engine, whose :meth:`submit
-    <repro.parallel.executor.Executor.submit>` API this module drives).
+    (a :class:`~concurrent.futures.ThreadPoolExecutor`).
     ``depth=0`` degenerates to the synchronous path — callers skip the
     prefetcher entirely, so the default behaviour is byte-for-byte the
     pre-pipeline code.  The prefetcher is cooperatively cancelled
@@ -51,12 +50,12 @@ from __future__ import annotations
 import threading
 import weakref
 from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.parallel.executor import Executor, make_executor
 from repro.storage.store import RoundRows
 from repro.telemetry.core import current_telemetry
 
@@ -385,12 +384,12 @@ class RoundPrefetcher:
         abandoned, so a deadline abort stops paying for look-ahead it
         will never consume.
     executor:
-        Optional externally-owned :class:`~repro.parallel.executor.Executor`
-        (the service's shared pool).  When omitted, a private
-        ``repro.parallel`` thread engine is built and torn down with
-        the prefetcher.
+        Optional externally-owned
+        :class:`~concurrent.futures.ThreadPoolExecutor` (the service's
+        shared pool).  When omitted, a private pool is built and shut
+        down with the prefetcher.
     workers:
-        Thread count for the private engine (ignored with ``executor``).
+        Thread count for the private pool (ignored with ``executor``).
         ``None`` (default) sizes it like a readahead queue —
         ``min(depth, 4)`` — so several in-flight rounds can block on
         storage concurrently when the backend's reads actually wait
@@ -404,7 +403,7 @@ class RoundPrefetcher:
         depth: int,
         cache: Optional[RoundDecodeCache] = None,
         cancel_check=None,
-        executor: Optional[Executor] = None,
+        executor: Optional[ThreadPoolExecutor] = None,
         workers: Optional[int] = None,
     ):
         if depth < 1:
@@ -437,7 +436,7 @@ class RoundPrefetcher:
         else:
             if workers is None:
                 workers = min(self.depth, 4)
-            self._executor = make_executor("thread", max(1, int(workers)))
+            self._executor = ThreadPoolExecutor(max(1, int(workers)))
             self._owns_executor = True
         self._top_up()
 
@@ -591,7 +590,7 @@ class RoundPrefetcher:
         for t in list(self._pins):
             self._release_pin(t)
         if self._owns_executor:
-            self._executor.close()
+            self._executor.shutdown()
         self._closed = True
 
     def __enter__(self) -> "RoundPrefetcher":

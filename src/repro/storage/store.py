@@ -53,7 +53,7 @@ __all__ = [
 # Process-wide default backend for derived sign-store views:
 # ``"dict"`` (in-memory SignGradientStore), ``"mmap"`` (round-major
 # on-disk MmapSignGradientStore), or ``"tiered"`` (hot/warm/cold
-# TieredSignGradientStore).  Mirrors the execution-policy idiom of
+# TieredSignGradientStore).  Mirrors the worker-count policy of
 # repro.parallel.policy; ``python -m repro.eval --store mmap`` (or
 # ``tiered``) flips it for a run.
 SIGN_BACKENDS = ("dict", "mmap", "tiered")

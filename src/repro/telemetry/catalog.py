@@ -76,7 +76,7 @@ _ALL_SPECS = [
     ),
     _spec(
         "fl_client_update_seconds", HISTOGRAM, "seconds", "repro.fl.simulation",
-        "One client's update compute; on the serial path its share of the cohort pass.",
+        "One client's update compute: its share of its cohort pass.",
     ),
     _spec(
         "fl_client_update_bytes", HISTOGRAM, "bytes", "repro.fl.simulation",
@@ -101,21 +101,12 @@ _ALL_SPECS = [
     ),
     _spec(
         "fl_parallel_workers", GAUGE, "workers", "repro.fl.simulation",
-        "Worker slots of the round-loop execution pool (thread/process "
-        "backends only).",
-    ),
-    _spec(
-        "fl_parallel_dispatch_seconds", HISTOGRAM, "seconds", "repro.fl.simulation",
-        "Submission of one round's client tasks to the execution pool.",
-    ),
-    _spec(
-        "fl_parallel_gather_seconds", HISTOGRAM, "seconds", "repro.fl.simulation",
-        "In-order collection of one round's client results from the pool.",
+        "Threads splitting each round's cohort pass (workers > 1 only).",
     ),
     _spec(
         "fl_parallel_utilization", GAUGE, "fraction", "repro.fl.simulation",
         "Busy-time fraction of the pool over the latest round: "
-        "Σ task seconds / (workers × wall).",
+        "Σ chunk seconds / (workers × wall).",
     ),
     # ----------------------------------------------------------------- fl.server
     _spec(

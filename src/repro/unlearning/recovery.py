@@ -79,6 +79,7 @@ import os
 import threading
 import weakref
 from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor
 from typing import (
     Callable,
     Dict,
@@ -94,7 +95,6 @@ import numpy as np
 from repro.fl.client import VehicleClient
 from repro.fl.history import TrainingRecord
 from repro.nn.model import Sequential
-from repro.parallel.executor import Executor
 from repro.storage.prefetch import RoundDecodeCache
 from repro.unlearning.base import ModelFactory, UnlearnResult, UnlearningMethod
 from repro.telemetry.core import current_telemetry
@@ -614,8 +614,8 @@ class SignRecoveryUnlearner(UnlearningMethod):
         so concurrent/successive requests over the same record resolve
         each round's decode once (the service wires its own in).
     prefetch_executor:
-        Optional externally-owned executor for the background decodes;
-        a private thread engine is built per replay when omitted.
+        Optional externally-owned thread pool for the background
+        decodes; a private one is built per replay when omitted.
     """
 
     name = "ours"
@@ -632,7 +632,7 @@ class SignRecoveryUnlearner(UnlearningMethod):
         cancel_check: Optional[Callable[[], None]] = None,
         prefetch_depth: Optional[int] = None,
         decode_cache: Optional[RoundDecodeCache] = None,
-        prefetch_executor: Optional[Executor] = None,
+        prefetch_executor: Optional[ThreadPoolExecutor] = None,
     ):
         if refresh_period < 1:
             raise ValueError("refresh_period must be >= 1")

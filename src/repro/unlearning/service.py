@@ -43,6 +43,7 @@ serving each request cold.
 from __future__ import annotations
 
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
@@ -53,7 +54,6 @@ from repro.defenses import DetectionReport, detect_malicious_clients
 from repro.fl.history import TrainingRecord
 from repro.fl.persistence import load_record, save_record
 from repro.nn.model import Sequential
-from repro.parallel.executor import Executor, make_executor
 from repro.storage.prefetch import RoundDecodeCache, default_prefetch_depth
 from repro.telemetry.core import current_telemetry
 from repro.unlearning.base import UnlearnResult
@@ -230,7 +230,7 @@ class UnlearningService:
     _decode_cache: Optional[RoundDecodeCache] = field(
         default=None, repr=False, compare=False
     )
-    _prefetch_executor: Optional[Executor] = field(
+    _prefetch_executor: Optional[ThreadPoolExecutor] = field(
         default=None, repr=False, compare=False
     )
     _lock: threading.RLock = field(
@@ -318,7 +318,7 @@ class UnlearningService:
                     raise busy
                 self._replay_cond.wait_for(lambda: not self._replays)
                 if self._prefetch_executor is not None:
-                    self._prefetch_executor.close()
+                    self._prefetch_executor.shutdown()
                     self._prefetch_executor = None
                 if self._decode_cache is not None:
                     self._decode_cache.clear()
@@ -353,7 +353,7 @@ class UnlearningService:
                     # Readahead-queue sizing: several in-flight rounds
                     # may block on storage concurrently (cold blocks,
                     # remote tiers).
-                    self._prefetch_executor = make_executor("thread", min(depth, 4))
+                    self._prefetch_executor = ThreadPoolExecutor(min(depth, 4))
         try:
             unlearner = SignRecoveryUnlearner(
                 clip_threshold=self.clip_threshold,

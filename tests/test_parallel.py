@@ -1,42 +1,40 @@
-"""The parallel execution engine's determinism contract.
+"""The training fan-out's determinism contract.
 
-``repro.parallel`` promises that the thread and process backends are
-*bitwise identical* to the serial reference — same training records,
-same accuracies, same fault bookkeeping — with only wall time allowed
-to differ.  These tests pin that contract:
+With ``workers > 1`` :class:`~repro.fl.simulation.FederatedSimulation`
+splits each round's cohort pass into contiguous chunks on a thread
+pool.  The promise is that the result is *bitwise identical* to the
+one-pass run — same training records, same accuracies, same fault
+bookkeeping — with only wall time allowed to differ.  These tests pin
+that contract:
 
-- executor unit behaviour (in-task-order results, worker contexts,
-  pool stats, utilization math);
-- the guard that the process-wide default stays ``serial``/1, so the
-  engine's existence cannot perturb seed-sensitive tests;
-- serial vs thread vs process equality for ``FederatedSimulation.run``
-  across seeds, with and without an active ``FaultPlan`` (including
-  dropped stragglers and flaky retries);
-- telemetry counter parity: the parallel path re-emits per-client
-  metrics from worker stats, so counters match the serial run;
+- the guard that the process-wide default stays at one worker, so the
+  fan-out cannot perturb seed-sensitive tests, and that one worker
+  builds no pool and no clone;
+- one worker vs 2 and 3 for ``FederatedSimulation.run`` across seeds,
+  with and without an active ``FaultPlan`` (including dropped
+  stragglers and flaky retries), with more workers than participants
+  (empty chunks) and with rounds nobody participates in;
+- the rejection of an active ``Dropout`` above one worker (each
+  thread's clone would repeat the masks);
+- telemetry counter parity and the ``fl_parallel_*`` gauges;
 - the batched sign codec (`pack_signs_batch` / `encode_round` /
   ``put_round``) against the per-vector reference, and the cached
   store ``nbytes`` against a from-scratch recount.
 """
 
-import os
-import time
+import sys
 
 import numpy as np
 import pytest
 
+import repro.fl.simulation as simulation
 from repro.datasets import make_synthetic_mnist, partition_iid, train_test_split
 from repro.faults import FaultPlan, RetryPolicy
 from repro.fl import FederatedSimulation, ParticipationSchedule, VehicleClient
-from repro.nn import mlp
+from repro.nn import Dense, Dropout, Flatten, ReLU, Sequential, mlp
 from repro.parallel import (
     ExecutionPolicy,
-    Executor,
-    PoolStats,
     default_execution,
-    get_context,
-    make_executor,
-    pool_utilization,
     resolve_execution,
     set_default_execution,
 )
@@ -56,10 +54,10 @@ NUM_CLIENTS = 6
 IMAGE = 6
 FEATURES = IMAGE * IMAGE
 
-BACKENDS = [("serial", 1), ("thread", 3), ("process", 2)]
+WORKERS = [2, 3]
 
 
-def build_sim(seed, rounds=None, schedule=None, **kwargs):
+def build_sim(seed, rounds=None, schedule=None, model=None, **kwargs):
     """A tiny but real FL setup, rebuilt identically from its seed."""
     tree = SeedSequenceTree(seed)
     data = make_synthetic_mnist(180, tree.rng("data"), image_size=IMAGE)
@@ -69,12 +67,26 @@ def build_sim(seed, rounds=None, schedule=None, **kwargs):
         VehicleClient(i, shards[i], tree.rng(f"c{i}"), batch_size=16)
         for i in range(NUM_CLIENTS)
     ]
-    model = mlp(tree.rng("model"), FEATURES, 10, hidden=6)
+    if model is None:
+        model = mlp(tree.rng("model"), FEATURES, 10, hidden=6)
     kwargs.setdefault("gradient_store", SignGradientStore())
     kwargs.setdefault("test_set", test)
     kwargs.setdefault("eval_every", 5)
     return model, FederatedSimulation(
         model, clients, 2e-3, schedule=schedule, **kwargs
+    )
+
+
+def dropout_mlp(rate):
+    rng = np.random.default_rng(4)
+    return Sequential(
+        [
+            Flatten(),
+            Dense(FEATURES, 6, rng=rng),
+            ReLU(),
+            Dropout(rate, np.random.default_rng(5)),
+            Dense(6, 10, rng=rng),
+        ]
     )
 
 
@@ -101,130 +113,45 @@ def assert_records_equal(a, b):
 class TestExecutionPolicy:
     def test_process_default_is_serial_single_worker(self):
         """The guard: nothing in the package may flip the default —
-        every test and experiment not asking for parallelism runs the
-        reference serial path."""
-        assert default_execution() == ExecutionPolicy(backend="serial", workers=1)
+        every test and experiment not asking for threads runs the
+        one-pass path."""
+        assert default_execution() == ExecutionPolicy(workers=1)
 
     def test_constructors_resolve_to_serial_by_default(self):
         _, sim = build_sim(3)
-        assert sim.execution == ExecutionPolicy(backend="serial", workers=1)
+        assert sim.execution == ExecutionPolicy(workers=1)
 
     def test_resolve_fills_unset_knobs_from_default(self):
-        previous = set_default_execution(backend="thread", workers=4)
+        previous = set_default_execution(workers=4)
         try:
-            assert resolve_execution() == ExecutionPolicy("thread", 4)
-            assert resolve_execution(workers=2) == ExecutionPolicy("thread", 2)
-            assert resolve_execution(backend="serial") == ExecutionPolicy("serial", 4)
+            assert resolve_execution() == ExecutionPolicy(4)
+            assert resolve_execution(workers=2) == ExecutionPolicy(2)
         finally:
-            set_default_execution(previous.backend, previous.workers)
-        assert default_execution() == ExecutionPolicy("serial", 1)
+            set_default_execution(previous.workers)
+        assert default_execution() == ExecutionPolicy(1)
 
     def test_set_default_reaches_constructors(self):
-        previous = set_default_execution(backend="thread", workers=2)
+        previous = set_default_execution(workers=2)
         try:
             _, sim = build_sim(3)
-            assert sim.execution == ExecutionPolicy("thread", 2)
+            assert sim.execution == ExecutionPolicy(2)
         finally:
-            set_default_execution(previous.backend, previous.workers)
+            set_default_execution(previous.workers)
 
     def test_invalid_policies_rejected(self):
-        with pytest.raises(ValueError):
-            ExecutionPolicy(backend="gpu")
-        with pytest.raises(ValueError):
-            ExecutionPolicy(workers=0)
-        with pytest.raises(ValueError):
-            make_executor("gpu", 1)
+        for workers in (0, -1):
+            with pytest.raises(ValueError):
+                ExecutionPolicy(workers=workers)
+            with pytest.raises(ValueError):
+                build_sim(3, workers=workers)
 
-
-# ----------------------------------------------------------------------
-# executor
-# ----------------------------------------------------------------------
-def _square(x):
-    return x * x
-
-
-def _delayed_identity(pair):
-    index, delay = pair
-    time.sleep(delay)
-    return index
-
-
-def _context_factory(base):
-    return {"base": base}
-
-
-def _read_context(key):
-    return get_context(key)["base"]
-
-
-class TestExecutor:
-    @pytest.mark.parametrize("backend,workers", BACKENDS)
-    def test_results_in_task_order(self, backend, workers):
-        with make_executor(backend, workers) as ex:
-            results, stats = ex.run(_square, list(range(10)))
-        assert results == [x * x for x in range(10)]
-        assert isinstance(stats, PoolStats)
-        assert stats.wall_seconds >= 0.0
-
-    def test_thread_results_ordered_despite_completion_order(self):
-        """Later-submitted tasks finish first; results stay task-ordered."""
-        pairs = [(i, 0.03 * (4 - i)) for i in range(5)]
-        with make_executor("thread", 5) as ex:
-            results, _ = ex.run(_delayed_identity, pairs)
-        assert results == [0, 1, 2, 3, 4]
-
-    @pytest.mark.parametrize("backend,workers", BACKENDS)
-    def test_worker_context_install_and_release(self, backend, workers):
-        ex = make_executor(backend, workers, context=(_context_factory, (7,)))
-        try:
-            assert ex.context_key is not None
-            results, _ = ex.run(_read_context, [ex.context_key] * 3)
-            assert results == [7, 7, 7]
-        finally:
-            ex.close()
-        if backend != "process":  # parent-side registry is cleared on close
-            with pytest.raises(RuntimeError):
-                get_context(ex.context_key)
-
-    def test_get_context_unknown_key_raises(self):
-        with pytest.raises(RuntimeError):
-            get_context("never-installed")
-
-    def test_executor_base_class_is_abstract(self):
-        ex = Executor(workers=1)
-        with pytest.raises(NotImplementedError):
-            ex.run(_square, [1])
-        with pytest.raises(NotImplementedError):
-            ex.submit(_square, 1)
-
-    @pytest.mark.parametrize("backend,workers", BACKENDS)
-    def test_submit_returns_future_with_result(self, backend, workers):
-        with make_executor(backend, workers) as ex:
-            future = ex.submit(_square, 6)
-            assert future.result(timeout=30) == 36
-
-    def test_serial_submit_resolves_inline(self):
-        with make_executor("serial", 1) as ex:
-            future = ex.submit(_square, 3)
-            # the serial engine runs the call before returning
-            assert future.done()
-            assert future.result() == 9
-
-    @pytest.mark.parametrize("backend,workers", [("serial", 1), ("thread", 2)])
-    def test_submit_propagates_exceptions(self, backend, workers):
-        def boom():
-            raise RuntimeError("task failed")
-
-        with make_executor(backend, workers) as ex:
-            future = ex.submit(boom)
-            with pytest.raises(RuntimeError, match="task failed"):
-                future.result(timeout=30)
-
-    def test_pool_utilization_math(self):
-        assert pool_utilization(2.0, 4, 1.0) == 0.5
-        assert pool_utilization(100.0, 1, 1.0) == 1.0  # clamped
-        assert pool_utilization(1.0, 4, 0.0) == 0.0
-        assert pool_utilization(1.0, 0, 1.0) == 0.0
+    def test_active_dropout_rejected_above_one_worker(self):
+        """Each thread's clone copies the layer's generator, so chunks
+        would draw the same masks and drift from the one-pass run."""
+        with pytest.raises(ValueError, match=r"layer 3 \(Dropout\(0\.5\)\)"):
+            build_sim(3, model=dropout_mlp(0.5), workers=2)
+        build_sim(3, model=dropout_mlp(0.5), workers=1)
+        build_sim(3, model=dropout_mlp(0.0), workers=2)
 
 
 # ----------------------------------------------------------------------
@@ -235,8 +162,8 @@ class TestTrainingIdentity:
     def test_clean_run_bitwise_identical_across_backends(self, seed):
         _, ref_sim = build_sim(seed)
         reference = ref_sim.run(8)
-        for backend, workers in BACKENDS[1:]:
-            _, sim = build_sim(seed, backend=backend, workers=workers)
+        for workers in WORKERS:
+            _, sim = build_sim(seed, workers=workers)
             record = sim.run(8)
             assert_records_equal(record, reference)
             assert record.accuracy_history == reference.accuracy_history
@@ -269,12 +196,11 @@ class TestTrainingIdentity:
         assert ref_sim.fault_stats["retries"] > 0
         assert ref_sim.fault_stats["crashes"] > 0
         assert ref_sim.fault_stats["corrupted"] > 0
-        for backend, workers in BACKENDS[1:]:
+        for workers in WORKERS:
             _, sim = build_sim(
                 seed,
                 fault_plan=plan(),
                 retry_policy=RetryPolicy(max_attempts=2),
-                backend=backend,
                 workers=workers,
             )
             record = sim.run(10)
@@ -282,11 +208,54 @@ class TestTrainingIdentity:
             assert sim.fault_stats == ref_sim.fault_stats
             assert record.accuracy_history == reference.accuracy_history
 
+    def test_empty_chunks_and_empty_rounds_bitwise_identical(self):
+        """More workers than participants (and than cores) leaves chunks
+        empty, and rounds 0–1 have no participant at all (everyone joins
+        at 2 or 3; round 4 loses everyone to dropouts)."""
+
+        def schedule():
+            return ParticipationSchedule.with_events(
+                range(NUM_CLIENTS),
+                joins={cid: 2 if cid < 3 else 3 for cid in range(NUM_CLIENTS)},
+                dropouts=[(4, cid) for cid in range(NUM_CLIENTS)],
+            )
+
+        _, ref_sim = build_sim(5, schedule=schedule())
+        reference = ref_sim.run(6)
+        assert reference.ledger.members_at(0) == []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # more thread switches inside the chunks
+        try:
+            for workers in (4, 8):
+                _, sim = build_sim(5, schedule=schedule(), workers=workers)
+                assert_records_equal(sim.run(6), reference)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_one_worker_builds_no_pool_and_no_clone(self, monkeypatch):
+        built = {"pools": 0, "clones": 0}
+        real_pool, real_clone = simulation.ThreadPoolExecutor, Sequential.clone
+
+        def pool(*args, **kwargs):
+            built["pools"] += 1
+            return real_pool(*args, **kwargs)
+
+        def clone(self):
+            built["clones"] += 1
+            return real_clone(self)
+
+        monkeypatch.setattr(simulation, "ThreadPoolExecutor", pool)
+        monkeypatch.setattr(Sequential, "clone", clone)
+        build_sim(3)[1].run(3)
+        assert built == {"pools": 0, "clones": 0}
+        build_sim(3, workers=3)[1].run(3)  # once per run, not per round
+        assert built == {"pools": 1, "clones": 2}
+
     def test_telemetry_counter_parity(self):
-        """The parent re-emits per-client metrics from worker stats, so
-        counters (not just results) match the serial run."""
+        """The round loop books every client after the pass, so counters
+        (not just results) match the one-pass run."""
         counters = {}
-        for backend, workers in [("serial", 1), ("thread", 3)]:
+        for workers in (1, 3):
             telemetry = Telemetry()
             plan = FaultPlan.random(
                 range(NUM_CLIENTS),
@@ -302,13 +271,12 @@ class TestTrainingIdentity:
                 31,
                 fault_plan=plan,
                 retry_policy=RetryPolicy(max_attempts=2),
-                backend=backend,
                 workers=workers,
             )
             with use_telemetry(telemetry):
                 sim.run(6)
             registry = telemetry.registry
-            counters[backend] = {
+            counters[workers] = {
                 name: registry.counter_value(name)
                 for name in (
                     "fl_dropouts_total",
@@ -316,31 +284,29 @@ class TestTrainingIdentity:
                     "faults_giveups_total",
                 )
             }
-            counters[backend]["update_count"] = registry.histogram(
+            counters[workers]["update_count"] = registry.histogram(
                 "fl_client_update_seconds"
             ).count
-            counters[backend]["update_bytes"] = registry.histogram(
+            counters[workers]["update_bytes"] = registry.histogram(
                 "fl_client_update_bytes"
             ).sum
-        assert counters["thread"] == counters["serial"]
-        assert counters["serial"]["faults_retries_total"] > 0
+        assert counters[3] == counters[1]
+        assert counters[1]["faults_retries_total"] > 0
 
     def test_parallel_pool_metrics_emitted_only_for_pool_backends(self):
-        for backend, workers, expect in [("serial", 1, False), ("thread", 2, True)]:
+        for workers in (1, 2):
             telemetry = Telemetry()
-            _, sim = build_sim(7, backend=backend, workers=workers)
+            _, sim = build_sim(7, workers=workers)
             with use_telemetry(telemetry):
                 sim.run(3)
             registry = telemetry.registry
-            dispatch = registry.histogram("fl_parallel_dispatch_seconds")
-            if expect:
+            if workers > 1:
                 assert registry.gauge_value("fl_parallel_workers") == workers
-                assert dispatch is not None and dispatch.count == 3
                 utilization = registry.gauge_value("fl_parallel_utilization")
                 assert 0.0 <= utilization <= 1.0
             else:
                 assert registry.gauge_value("fl_parallel_workers") is None
-                assert dispatch is None
+                assert registry.gauge_value("fl_parallel_utilization") is None
 
 
 # ----------------------------------------------------------------------
@@ -437,11 +403,8 @@ class TestCliPolicyPlumbing:
     def test_eval_main_installs_and_restores_policy(self, tmp_path, capsys):
         from repro.eval.__main__ import main
 
-        assert default_execution() == ExecutionPolicy("serial", 1)
-        code = main(
-            ["storage", "--scale", "smoke", "--backend", "thread",
-             "--workers", "2", "--quiet"]
-        )
+        assert default_execution() == ExecutionPolicy(1)
+        code = main(["storage", "--scale", "smoke", "--workers", "2", "--quiet"])
         assert code == 0
-        assert default_execution() == ExecutionPolicy("serial", 1)
+        assert default_execution() == ExecutionPolicy(1)
         capsys.readouterr()

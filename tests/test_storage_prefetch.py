@@ -14,6 +14,7 @@ during an active prefetch, and the shared decode cache's bookkeeping
 
 import hashlib
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ import pytest
 from repro.datasets import make_synthetic_mnist, partition_iid
 from repro.fl import FederatedSimulation, ParticipationSchedule, VehicleClient
 from repro.nn import mlp
-from repro.parallel.executor import make_executor
 from repro.storage import (
     MmapSignGradientStore,
     RoundDecodeCache,
@@ -323,7 +323,7 @@ class TestAbort:
         assert cache.pinned_entries == 0
 
     def test_external_executor_survives_close(self, any_store):
-        executor = make_executor("thread", 1)
+        executor = ThreadPoolExecutor(1)
         try:
             with RoundPrefetcher(
                 any_store, any_store.rounds(), depth=2, executor=executor
@@ -333,7 +333,7 @@ class TestAbort:
             future = executor.submit(lambda: 7)
             assert future.result(timeout=10) == 7
         finally:
-            executor.close()
+            executor.shutdown()
 
 
 # ----------------------------------------------------------------------
