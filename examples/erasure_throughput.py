@@ -9,8 +9,9 @@ previous one — request ``k`` replays only the rounds its own vehicle's
 history actually perturbs — while returning parameters byte-identical
 to serving every request cold.  The script prints the amortization
 table and the cold-vs-batch wall clock, then repeats the batch on the
-round-major mmap store (``with_sign_store(..., backend="mmap")``) to
-show the on-disk layout serves the same bytes.
+read-only on-disk store (``with_sign_store(..., backend="mmap")``) to
+show the on-disk layout serves the same bytes; the script exits
+non-zero when it does not.
 
 Run:  python examples/erasure_throughput.py
 """
@@ -91,7 +92,7 @@ def main() -> None:
         f"{cache.hits}/{cache.hits + cache.misses})"
     )
 
-    # Same batch served from the round-major on-disk layout.
+    # Same batch served from the read-only on-disk layout.
     mmap_service = UnlearningService(
         record=with_sign_store(record, delta=1e-6, backend="mmap"),
         model=model, clip_threshold=5.0,
@@ -105,6 +106,8 @@ def main() -> None:
         print(f"mmap store batch byte-identical to dict store: {identical}")
     finally:
         shutil.rmtree(mmap_service.record.gradients.directory, ignore_errors=True)
+    if not identical:
+        raise SystemExit("mmap store batch differs from the dict store batch")
 
 
 if __name__ == "__main__":

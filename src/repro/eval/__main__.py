@@ -36,7 +36,6 @@ from repro.eval.reporting import format_result
 from repro.parallel.policy import set_default_execution
 from repro.storage import (
     SIGN_BACKENDS,
-    set_default_cold_cache_blocks,
     set_default_prefetch_depth,
     set_default_sign_backend,
 )
@@ -97,8 +96,8 @@ def main(argv=None) -> int:
         choices=list(SIGN_BACKENDS),
         default=None,
         help="sign-store backend for unlearning runs: 'dict' (in-memory, "
-        "default), 'mmap' (round-major on-disk layout, zero-copy reads), or "
-        "'tiered' (hot/warm/cold tiers, bounded memory, compressed cold "
+        "default), or the on-disk layout read-only ('mmap') or appendable "
+        "('tiered': hot/warm/cold tiers, bounded memory, compressed cold "
         "rounds); recovered models are bitwise identical across backends",
     )
     parser.add_argument(
@@ -109,13 +108,6 @@ def main(argv=None) -> int:
         "a background thread while recovery computes (default: 0, the "
         "synchronous path); recovered models are bitwise identical at "
         "every depth",
-    )
-    parser.add_argument(
-        "--cold-cache-blocks",
-        type=int,
-        default=None,
-        help="tiered store only: decompressed cold round blocks kept in the "
-        "per-store LRU (default: 4; 0 disables caching)",
     )
     parser.add_argument("--quiet", action="store_true", help="suppress progress logs")
     args = parser.parse_args(argv)
@@ -134,10 +126,6 @@ def main(argv=None) -> int:
     previous_prefetch = None
     if args.prefetch_depth is not None:
         previous_prefetch = set_default_prefetch_depth(args.prefetch_depth)
-
-    previous_cold_cache = None
-    if args.cold_cache_blocks is not None:
-        previous_cold_cache = set_default_cold_cache_blocks(args.cold_cache_blocks)
 
     telemetry = None
     previous = None
@@ -168,8 +156,6 @@ def main(argv=None) -> int:
             set_default_sign_backend(previous_store)
         if previous_prefetch is not None:
             set_default_prefetch_depth(previous_prefetch)
-        if previous_cold_cache is not None:
-            set_default_cold_cache_blocks(previous_cold_cache)
         if telemetry is not None:
             set_telemetry(previous)
             telemetry.close()

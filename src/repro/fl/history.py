@@ -117,13 +117,13 @@ def with_sign_store(
     weights are shared (they are identical under both schemes).
 
     ``backend`` picks the storage substrate: ``"dict"`` (in-memory
-    :class:`~repro.storage.store.SignGradientStore`), ``"mmap"``
-    (round-major on-disk
-    :class:`~repro.storage.mmap_store.MmapSignGradientStore`), or
-    ``"tiered"`` (hot/warm/cold
-    :class:`~repro.storage.tiered.TieredSignGradientStore` with
-    bounded-memory ingestion and compressed cold rounds) — the on-disk
-    backends live under ``directory``, a fresh temp dir when omitted.
+    :class:`~repro.storage.store.SignGradientStore`), or the one
+    on-disk sign layout, read-only (``"mmap"``,
+    :class:`~repro.storage.tiered.MmapSignGradientStore`) or appendable
+    (``"tiered"``,
+    :class:`~repro.storage.tiered.TieredSignGradientStore`) — the
+    on-disk backends live under ``directory``, a fresh temp dir when
+    omitted.
     ``None`` defers to
     :func:`repro.storage.store.default_sign_backend`, which
     ``python -m repro.eval --store`` sets.  Decoded directions, and
@@ -141,22 +141,13 @@ def with_sign_store(
     for t in record.gradients.rounds():
         for cid in record.gradients.clients_at(t):
             sign.put(t, cid, record.gradients.get(t, cid))
-    if backend == "mmap":
-        from repro.storage.mmap_store import MmapSignGradientStore
+    if backend in ("mmap", "tiered"):
+        from repro.storage.tiered import MmapSignGradientStore, TieredSignGradientStore
 
         if directory is None:
-            directory = tempfile.mkdtemp(prefix="sign-mmap-")
-        sign = MmapSignGradientStore.from_store(sign, directory)
-    elif backend == "tiered":
-        from repro.storage.tiered import TieredSignGradientStore
-
-        if directory is None:
-            directory = tempfile.mkdtemp(prefix="sign-tiered-")
-        tiered = TieredSignGradientStore(directory, delta=delta)
-        for (t, cid), (packed, length) in sign.items():
-            tiered.put_encoded(t, cid, packed, length)
-        tiered.flush()
-        sign = tiered
+            directory = tempfile.mkdtemp(prefix=f"sign-{backend}-")
+        layout = MmapSignGradientStore if backend == "mmap" else TieredSignGradientStore
+        sign = layout.from_store(sign, directory)
     elif backend != "dict":
         raise ValueError(
             f"unknown sign backend {backend!r}; use 'dict', 'mmap', or 'tiered'"

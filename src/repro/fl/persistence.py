@@ -42,7 +42,6 @@ import numpy as np
 
 from repro.fl.history import TrainingRecord
 from repro.fl.membership import MembershipLedger
-from repro.storage.mmap_store import MmapSignGradientStore
 from repro.storage.tiered import TieredSignGradientStore
 from repro.storage.store import (
     FullGradientStore,
@@ -103,14 +102,11 @@ def store_to_arrays(
     """
     arrays: Dict[str, np.ndarray] = {}
     lengths: Dict[str, int] = {}
-    if isinstance(
-        store, (SignGradientStore, MmapSignGradientStore, TieredSignGradientStore)
-    ):
-        # All sign backends expose the same ((round, client),
-        # (packed, length)) items surface, so an mmap- or tiered-served
-        # record persists as kind "sign" and reloads as a dict store —
-        # the native restart path for the on-disk layouts is their own
-        # open().
+    if isinstance(store, (SignGradientStore, TieredSignGradientStore)):
+        # Both sign backends expose the same ((round, client),
+        # (packed, length)) items surface, so an on-disk-served record
+        # persists as kind "sign" and reloads as a dict store — the
+        # native restart path for the on-disk layout is its own open().
         for (t, cid), (packed, length) in store.items():
             arrays[f"g_{t}_{cid}"] = np.asarray(packed)
             lengths[f"g_{t}_{cid}"] = length

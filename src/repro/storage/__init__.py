@@ -13,7 +13,6 @@ from repro.storage.sign_codec import (
     ternarize,
     unpack_signs,
 )
-from repro.storage.mmap_store import MmapSignGradientStore
 from repro.storage.prefetch import (
     RoundDecodeCache,
     RoundPrefetcher,
@@ -21,11 +20,7 @@ from repro.storage.prefetch import (
     set_default_prefetch_depth,
 )
 from repro.storage.snapshot import SnapshotPin, SnapshotRegistry
-from repro.storage.tiered import (
-    TieredSignGradientStore,
-    default_cold_cache_blocks,
-    set_default_cold_cache_blocks,
-)
+from repro.storage.tiered import MmapSignGradientStore, TieredSignGradientStore
 from repro.storage.store import (
     SIGN_BACKENDS,
     FullGradientStore,
@@ -53,7 +48,6 @@ __all__ = [
     "TieredSignGradientStore",
     "decode_gradient",
     "decode_round",
-    "default_cold_cache_blocks",
     "default_prefetch_depth",
     "default_sign_backend",
     "encode_gradient",
@@ -62,7 +56,6 @@ __all__ = [
     "pack_signs",
     "pack_signs_batch",
     "packed_size_bytes",
-    "set_default_cold_cache_blocks",
     "set_default_prefetch_depth",
     "set_default_sign_backend",
     "storage_savings_ratio",

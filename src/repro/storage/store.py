@@ -51,9 +51,9 @@ __all__ = [
 ]
 
 # Process-wide default backend for derived sign-store views:
-# ``"dict"`` (in-memory SignGradientStore), ``"mmap"`` (round-major
-# on-disk MmapSignGradientStore), or ``"tiered"`` (hot/warm/cold
-# TieredSignGradientStore).  Mirrors the worker-count policy of
+# ``"dict"`` (in-memory SignGradientStore), or the on-disk sign layout
+# read-only (``"mmap"``, MmapSignGradientStore) or appendable
+# (``"tiered"``, TieredSignGradientStore).  Mirrors the worker-count policy of
 # repro.parallel.policy; ``python -m repro.eval --store mmap`` (or
 # ``tiered``) flips it for a run.
 SIGN_BACKENDS = ("dict", "mmap", "tiered")

@@ -1,11 +1,10 @@
-"""Tiered sign-gradient store: hot dict → warm mmap shards → cold zlib.
+"""The on-disk sign store: hot dict → warm mmap shards → cold zlib.
 
 The paper's recovery method only works because the RSU retains every
 client's sign-compressed update for every round.  At IoV scale that
 historical archive — not the model — is the dominant resource: one
-in-memory dict (:class:`~repro.storage.store.SignGradientStore`) or one
-immutable mmap shard set (:class:`~repro.storage.mmap_store.MmapSignGradientStore`)
-per record cannot hold a million vehicles times thousands of rounds.
+in-memory dict (:class:`~repro.storage.store.SignGradientStore`) per
+record cannot hold a million vehicles times thousands of rounds.
 :class:`TieredSignGradientStore` is the capacity answer — a single
 :class:`~repro.storage.store.GradientStore` whose records live in one
 of three tiers:
@@ -15,14 +14,12 @@ hot
     ingested.  Writes (``put`` / ``put_round``) always land here.  When
     the hot tier exceeds ``hot_budget_bytes``, sealed rounds (every
     round older than the newest, plus rounds committed whole through
-    ``put_round``) spill to the warm tier — synchronously by default,
-    or on a background thread with ``spill_mode="background"``.
+    ``put_round``) spill to the warm tier in the writing thread.
 warm
-    Round-major on-disk shards in the
-    :class:`~repro.storage.mmap_store.MmapSignGradientStore` block
-    layout: one contiguous block of packed 2-bit rows per round, served
-    through ``np.memmap`` with a per-round offset index (sorted client
-    ids + ``np.searchsorted``) — no read ever scans a shard.
+    Round-major on-disk shards: one contiguous block of packed 2-bit
+    rows per round, served through ``np.memmap`` with a per-round
+    offset index (sorted client ids + ``np.searchsorted``) — no read
+    ever scans a shard.
 cold
     Rounds older than ``cold_after`` rounds (measured from the newest
     round seen) are demoted during :meth:`compact`: the round's packed
@@ -31,18 +28,23 @@ cold
     LRU keeps the hottest decompressed blocks), so bulk replay reads
     stay one-pass.
 
+The warm/cold shard set is the only on-disk sign layout in the
+package: :meth:`TieredSignGradientStore.from_store` writes a whole dict
+store as one warm generation, and :class:`MmapSignGradientStore` is
+the read-only view of such a layout (writes raise; reads,
+``drop_client`` and ``compact`` are the tiered store's).
+
 Durability follows the RoundJournal discipline — every commit marker is
 written tmp + ``fsync`` + ``os.replace``, and the containing directory
 is fsynced after the rename so the commit survives power loss, not
 just a process crash:
 
-- a spill writes new immutable shard (``.bin``) and index
-  (``.idx.npz``) files, fsyncs them, then atomically rewrites
-  ``MANIFEST.json`` — the single commit point — to reference them.
-  The shard I/O happens outside the store lock (snapshot → write →
-  publish), so concurrent writers and readers are never blocked on
-  disk — in background mode the writer only ever waits when the hot
-  tier reaches twice its budget;
+- a spill (or :meth:`~TieredSignGradientStore.from_store`) writes new
+  immutable shard (``.bin``) and index (``.idx.npz``) files, fsyncs
+  them, then atomically rewrites ``MANIFEST.json`` — the single commit
+  point — to reference them.  The shard I/O happens outside the store
+  lock (snapshot → write → publish), so concurrent writers and readers
+  are never blocked on disk;
 - :meth:`compact` writes a complete new shard generation the same way
   and only then unlinks the old one (a round with no dead rows that
   keeps its codec is copied into it byte for byte);
@@ -99,7 +101,7 @@ import re
 import threading
 import zlib
 from collections import OrderedDict
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -110,17 +112,21 @@ from repro.storage.sign_codec import (
     encode_round,
     packed_size_bytes,
 )
-from repro.storage.store import GradientStore, RoundRows, round_block
+from repro.storage.store import (
+    GradientStore,
+    RoundRows,
+    SignGradientStore,
+    round_block,
+)
 from repro.telemetry.core import current_telemetry
 from repro.utils.serialization import fsync_dir, load_state, save_state_atomic
 
 __all__ = [
+    "MmapSignGradientStore",
     "TieredSignGradientStore",
     "TIER_HOT",
     "TIER_WARM",
     "TIER_COLD",
-    "default_cold_cache_blocks",
-    "set_default_cold_cache_blocks",
 ]
 
 TIER_HOT = "hot"
@@ -138,33 +144,8 @@ _DEFAULT_HOT_BUDGET = 64 * 1024 * 1024
 _CODEC_RAW = "raw"
 _CODEC_ZLIB = "zlib"
 
-# Process-wide default for the cold-block decompression LRU (whole
-# decompressed round blocks kept resident).  Mirrors the sign-backend
-# policy idiom of repro.storage.store; ``python -m repro.eval --store
-# tiered --cold-cache-blocks n`` flips it for a run.
+#: Whole decompressed cold round blocks kept resident by default.
 _DEFAULT_COLD_CACHE_BLOCKS = 4
-_default_cold_cache_blocks = _DEFAULT_COLD_CACHE_BLOCKS
-
-
-def default_cold_cache_blocks() -> int:
-    """Process-wide default size of the cold decompression LRU."""
-    return _default_cold_cache_blocks
-
-
-def set_default_cold_cache_blocks(blocks: int) -> int:
-    """Set the default cold-cache capacity; returns the previous value.
-
-    Consulted by :class:`TieredSignGradientStore` when the constructor
-    is not given an explicit ``cold_cache_blocks``; ``0`` disables
-    caching (every cold read re-inflates its block).
-    """
-    global _default_cold_cache_blocks
-    blocks = int(blocks)
-    if blocks < 0:
-        raise ValueError(f"cold_cache_blocks must be >= 0, got {blocks}")
-    previous = _default_cold_cache_blocks
-    _default_cold_cache_blocks = blocks
-    return previous
 
 #: Spill/compaction commit points at which tests may inject a
 #: SIGKILL-style crash (see ``_maybe_crash``).  "manifest-tmp-written"
@@ -252,6 +233,32 @@ def _starts_of(lengths: np.ndarray) -> np.ndarray:
     return starts
 
 
+def _seal_shard(fh, path: str, arrays: Dict[str, np.ndarray], meta_rounds) -> None:
+    """Make a finished shard and its index durable (still unreferenced)."""
+    fh.flush()
+    os.fsync(fh.fileno())
+    fh.close()
+    save_state_atomic(path + _IDX_SUFFIX, arrays, {"rounds": meta_rounds})
+
+
+def _round_specs(store: SignGradientStore) -> Iterator[dict]:
+    """One warm block spec per round of ``store``, built as it is asked for."""
+    for t in store.rounds():
+        rows = store.encoded_round(t)
+        if not rows:
+            continue
+        cids = sorted(rows)
+        stored = b"".join(bytes(rows[c][0]) for c in cids)
+        yield {
+            "round": t,
+            "clients": np.array(cids, dtype=np.int64),
+            "lengths": np.array([rows[c][1] for c in cids], dtype=np.int64),
+            "raw_bytes": len(stored),
+            "codec": _CODEC_RAW,
+            "stored": stored,
+        }
+
+
 class TieredSignGradientStore(GradientStore):
     """Hot/warm/cold sign store under one ``GradientStore`` contract.
 
@@ -277,15 +284,10 @@ class TieredSignGradientStore(GradientStore):
         current tier.
     shard_bytes:
         Target shard file size; a round block never spans shards.
-    spill_mode:
-        ``"sync"`` (spill inline in the writing thread) or
-        ``"background"`` (a daemon thread drains sealed rounds; the
-        writer only blocks when the hot tier reaches twice its budget).
     cold_cache_blocks:
         Capacity (in whole round blocks) of the cold-tier
-        decompression LRU; ``0`` disables it, ``None`` (default)
-        defers to :func:`default_cold_cache_blocks`.  Hit/miss/evict
-        traffic feeds the ``storage_tier_cold_cache_*`` telemetry and
+        decompression LRU; ``0`` disables it.  Hit/miss/evict traffic
+        feeds the ``storage_tier_cold_cache_*`` telemetry and
         :meth:`stats`.
     """
 
@@ -299,8 +301,7 @@ class TieredSignGradientStore(GradientStore):
         hot_budget_bytes: int = _DEFAULT_HOT_BUDGET,
         cold_after: Optional[int] = None,
         shard_bytes: int = _DEFAULT_SHARD_BYTES,
-        spill_mode: str = "sync",
-        cold_cache_blocks: Optional[int] = None,
+        cold_cache_blocks: int = _DEFAULT_COLD_CACHE_BLOCKS,
     ) -> None:
         if delta < 0:
             raise ValueError(f"delta must be non-negative, got {delta}")
@@ -310,12 +311,6 @@ class TieredSignGradientStore(GradientStore):
             raise ValueError("shard_bytes must be positive")
         if cold_after is not None and cold_after < 1:
             raise ValueError("cold_after must be >= 1 (or None)")
-        if spill_mode not in ("sync", "background"):
-            raise ValueError(
-                f"spill_mode must be 'sync' or 'background', got {spill_mode!r}"
-            )
-        if cold_cache_blocks is None:
-            cold_cache_blocks = default_cold_cache_blocks()
         if cold_cache_blocks < 0:
             raise ValueError(
                 f"cold_cache_blocks must be >= 0, got {cold_cache_blocks}"
@@ -325,7 +320,6 @@ class TieredSignGradientStore(GradientStore):
         self.hot_budget_bytes = int(hot_budget_bytes)
         self.cold_after = cold_after
         self.shard_bytes = int(shard_bytes)
-        self.spill_mode = spill_mode
         self.cold_cache_blocks = int(cold_cache_blocks)
 
         self._lock = threading.RLock()
@@ -366,8 +360,6 @@ class TieredSignGradientStore(GradientStore):
         #: Test hook: called with a crash-point name at every commit
         #: point (see ``CRASH_POINTS``); raising simulates a SIGKILL.
         self._crash_hook: Optional[Callable[[str], None]] = None
-        self._spill_thread: Optional[threading.Thread] = None
-        self._spill_wakeup = threading.Event()
         self._closed = False
 
         os.makedirs(directory, exist_ok=True)
@@ -378,11 +370,6 @@ class TieredSignGradientStore(GradientStore):
             # a valid (empty) layout — open() after a crash-before-
             # first-spill then finds a well-formed store.
             self._write_manifest([])
-        if spill_mode == "background":
-            self._spill_thread = threading.Thread(
-                target=self._background_loop, daemon=True
-            )
-            self._spill_thread.start()
 
     # ------------------------------------------------------------------
     # construction / layout
@@ -391,8 +378,8 @@ class TieredSignGradientStore(GradientStore):
     def open(cls, directory: str, **kwargs) -> "TieredSignGradientStore":
         """Open an existing layout; raises ``FileNotFoundError`` if none.
 
-        ``kwargs`` override operational knobs (budget, horizon, spill
-        mode); ``delta`` always comes from the manifest.
+        ``kwargs`` override operational knobs (budget, horizon, shard
+        size); ``delta`` always comes from the manifest.
         """
         manifest_path = os.path.join(directory, _MANIFEST)
         if not os.path.exists(manifest_path):
@@ -401,6 +388,35 @@ class TieredSignGradientStore(GradientStore):
             manifest = json.load(fh)
         kwargs.pop("delta", None)
         return cls(directory, delta=float(manifest["delta"]), **kwargs)
+
+    @classmethod
+    def from_store(
+        cls,
+        store: SignGradientStore,
+        directory: str,
+        shard_bytes: int = _DEFAULT_SHARD_BYTES,
+    ) -> "TieredSignGradientStore":
+        """Write ``store``'s records into ``directory`` and open the result.
+
+        The records become one warm generation: each round one block of
+        its packed rows in ascending client order (the
+        :meth:`clients_at` order), written a round at a time through
+        the shard writer and published by one manifest commit.
+        ``directory`` may hold an empty layout (what a build killed
+        before its commit leaves), but not one with shards.
+        """
+        if not isinstance(store, SignGradientStore):
+            raise TypeError(
+                f"from_store expects a SignGradientStore, got {type(store).__name__}"
+            )
+        writer = TieredSignGradientStore(
+            directory, delta=store.delta, shard_bytes=shard_bytes
+        )
+        if writer._shard_names:
+            raise FileExistsError(f"{directory!r} already holds a sign layout")
+        names, _ = writer._write_shard_files(_round_specs(store))
+        writer._write_manifest(names)
+        return cls.open(directory, shard_bytes=shard_bytes)
 
     def _manifest_path(self) -> str:
         return os.path.join(self.directory, _MANIFEST)
@@ -610,16 +626,7 @@ class TieredSignGradientStore(GradientStore):
             self._max_round = max(self._max_round, round_index)
         self._maybe_spill()
         if telemetry.enabled:
-            raw_bytes = length * 4
-            telemetry.inc("storage_encoded_elements_total", length, backend="tiered")
-            telemetry.inc("storage_put_bytes_total", packed.nbytes, backend="tiered")
-            telemetry.inc("storage_raw_bytes_total", raw_bytes, backend="tiered")
-            if raw_bytes:
-                telemetry.set_gauge(
-                    "storage_compression_ratio",
-                    packed.nbytes / raw_bytes,
-                    backend="tiered",
-                )
+            self._count_encode(telemetry, length, packed.nbytes)
 
     def put_round(self, round_index: int, updates: Dict[int, np.ndarray]) -> None:
         """Batched round commit; the whole round is sealed afterwards.
@@ -652,21 +659,18 @@ class TieredSignGradientStore(GradientStore):
             self._seal(round_index)
         self._maybe_spill()
         if telemetry.enabled:
-            n = len(block)
-            raw_bytes = length * 4 * n
-            telemetry.inc(
-                "storage_encoded_elements_total", length * n, backend="tiered"
+            self._count_encode(telemetry, length * len(block), packed_rows.nbytes)
+
+    def _count_encode(self, telemetry, elements: int, packed_bytes: int) -> None:
+        backend = self.telemetry_backend
+        raw_bytes = elements * 4
+        telemetry.inc("storage_encoded_elements_total", elements, backend=backend)
+        telemetry.inc("storage_put_bytes_total", packed_bytes, backend=backend)
+        telemetry.inc("storage_raw_bytes_total", raw_bytes, backend=backend)
+        if raw_bytes:
+            telemetry.set_gauge(
+                "storage_compression_ratio", packed_bytes / raw_bytes, backend=backend
             )
-            telemetry.inc(
-                "storage_put_bytes_total", packed_rows.nbytes, backend="tiered"
-            )
-            telemetry.inc("storage_raw_bytes_total", raw_bytes, backend="tiered")
-            if raw_bytes:
-                telemetry.set_gauge(
-                    "storage_compression_ratio",
-                    packed_rows.nbytes / raw_bytes,
-                    backend="tiered",
-                )
 
     def put_encoded(
         self, round_index: int, client_id: int, packed: np.ndarray, length: int
@@ -743,18 +747,6 @@ class TieredSignGradientStore(GradientStore):
             t for t in self._hot if t < self._max_round or t in self._sealed
         )
 
-    def _inline_spill_needed(self) -> bool:
-        """Under ``_lock``: must the calling writer spill right now?"""
-        if self._hot_nbytes <= self.hot_budget_bytes:
-            self._update_gauges()
-            return False
-        if self.spill_mode == "background":
-            self._spill_wakeup.set()
-            # Hard cap: past twice the budget the writer spills inline
-            # rather than letting the hot tier outgrow the worker.
-            return self._hot_nbytes > 2 * self.hot_budget_bytes
-        return True
-
     def _maybe_spill(self) -> None:
         """Run any spill the last write made necessary.
 
@@ -769,7 +761,8 @@ class TieredSignGradientStore(GradientStore):
         """
         for last_resort in (False, True):
             with self._lock:
-                if not self._inline_spill_needed():
+                if self._hot_nbytes <= self.hot_budget_bytes:
+                    self._update_gauges()
                     return
                 rounds = self._spillable()
                 if last_resort or not rounds:
@@ -777,21 +770,6 @@ class TieredSignGradientStore(GradientStore):
             if not rounds:
                 return
             self._spill_rounds(rounds)
-
-    def _background_loop(self) -> None:
-        while True:
-            self._spill_wakeup.wait()
-            self._spill_wakeup.clear()
-            with self._lock:
-                if self._closed:
-                    return
-                rounds = (
-                    self._spillable()
-                    if self._hot_nbytes > self.hot_budget_bytes
-                    else []
-                )
-            if rounds:
-                self._spill_rounds(rounds)
 
     # ------------------------------------------------------------------
     # spill
@@ -968,54 +946,53 @@ class TieredSignGradientStore(GradientStore):
             self._write_tombstones()
 
     def _write_shard_files(
-        self, specs: List[dict]
+        self, specs: Iterable[dict]
     ) -> Tuple[List[str], List[Tuple[int, int]]]:
         """Write round blocks into new shard (.bin + .idx.npz) files.
 
-        Returns ``(shard_names, placements)`` where ``placements[i]``
-        is ``(local_shard_index, offset)`` for ``specs[i]``.  Files are
-        fsynced but unreferenced until the caller publishes a manifest.
+        ``specs`` is consumed one block at a time (it may be a
+        generator), so no more than one round's bytes need be in hand.
+        A block never spans shards: a new shard starts when the current
+        one would pass ``shard_bytes``.  Returns ``(shard_names,
+        placements)`` where ``placements[i]`` is ``(local_shard_index,
+        offset)`` for the ``i``-th spec.  Files are fsynced but
+        unreferenced until the caller publishes a manifest.
         """
         names: List[str] = []
         placements: List[Tuple[int, int]] = []
-        groups: List[List[int]] = []
-        sizes: List[int] = []
-        for i, spec in enumerate(specs):
-            stored = spec["stored"]
-            if not groups or (
-                sizes[-1] and sizes[-1] + len(stored) > self.shard_bytes
-            ):
-                groups.append([])
-                sizes.append(0)
-            placements.append((len(groups) - 1, sizes[-1]))
-            groups[-1].append(i)
-            sizes[-1] += len(stored)
-        for group in groups:
-            name = _SHARD_FMT.format(gen=self._generation, seq=self._next_seq)
-            self._next_seq += 1
-            names.append(name)
-            path = os.path.join(self.directory, name)
-            with open(path, "wb") as fh:
-                for i in group:
-                    fh.write(specs[i]["stored"])
-                fh.flush()
-                os.fsync(fh.fileno())
-            arrays: Dict[str, np.ndarray] = {}
-            meta_rounds: Dict[str, dict] = {}
-            for i in group:
-                spec = specs[i]
+        shard = None  # (file, path, index arrays, round meta) being written
+        size = 0
+        try:
+            for spec in specs:
+                stored = spec["stored"]
+                if shard is None or (size and size + len(stored) > self.shard_bytes):
+                    if shard is not None:
+                        _seal_shard(*shard)
+                    name = _SHARD_FMT.format(gen=self._generation, seq=self._next_seq)
+                    self._next_seq += 1
+                    names.append(name)
+                    path = os.path.join(self.directory, name)
+                    shard = (open(path, "wb"), path, {}, {})
+                    size = 0
+                fh, _, arrays, meta_rounds = shard
+                fh.write(stored)
                 t = spec["round"]
                 arrays[f"clients_{t}"] = spec["clients"]
                 arrays[f"lengths_{t}"] = spec["lengths"]
                 meta_rounds[str(t)] = {
-                    "offset": placements[i][1],
-                    "stored_bytes": len(spec["stored"]),
+                    "offset": size,
+                    "stored_bytes": len(stored),
                     "raw_bytes": spec["raw_bytes"],
                     "codec": spec["codec"],
                 }
-            save_state_atomic(
-                path + _IDX_SUFFIX, arrays, {"rounds": meta_rounds}
-            )
+                placements.append((len(names) - 1, size))
+                size += len(stored)
+            if shard is not None:
+                _seal_shard(*shard)
+                shard = None
+        finally:
+            if shard is not None:
+                shard[0].close()
         self._maybe_crash("after-shard-write")
         return names, placements
 
@@ -1033,14 +1010,10 @@ class TieredSignGradientStore(GradientStore):
             self._spill_rounds(rounds)
 
     def close(self) -> None:
-        """Flush, stop the background spiller, release memmaps."""
+        """Flush, then release the memmaps."""
         self.flush()
         with self._lock:
             self._closed = True
-        self._spill_wakeup.set()
-        if self._spill_thread is not None:
-            self._spill_thread.join(timeout=5.0)
-        with self._lock:
             self._shard_maps = [None] * len(self._shard_names)
             self._cold_cache.clear()
 
@@ -1196,7 +1169,9 @@ class TieredSignGradientStore(GradientStore):
                     decoded = decode_gradient(row, length)
         if telemetry.enabled:
             telemetry.inc(
-                "storage_decoded_elements_total", int(length), backend="tiered"
+                "storage_decoded_elements_total",
+                int(length),
+                backend=self.telemetry_backend,
             )
         return decoded
 
@@ -1225,10 +1200,9 @@ class TieredSignGradientStore(GradientStore):
                 rows = block[first : first + n * width].reshape(n, width)
                 out = RoundRows(dr.clients, decode_round(rows, length))
         if telemetry.enabled:
-            telemetry.inc(
-                "storage_decoded_elements_total", length * n, backend="tiered"
-            )
-            telemetry.inc("storage_bulk_decode_rounds_total", 1, backend="tiered")
+            backend = self.telemetry_backend
+            telemetry.inc("storage_decoded_elements_total", length * n, backend=backend)
+            telemetry.inc("storage_bulk_decode_rounds_total", 1, backend=backend)
         return out
 
     def encoded_round(
@@ -1479,3 +1453,25 @@ class TieredSignGradientStore(GradientStore):
                 self._write_tombstones()
             self._update_gauges()
             return removed
+
+
+class MmapSignGradientStore(TieredSignGradientStore):
+    """Read-only view of a sign layout: the training history, served.
+
+    Build one with :meth:`from_store` or map an existing one with
+    :meth:`open`.  History is immutable once training ends, so every
+    write raises; reads, :meth:`drop_client` (tombstone pairs) and
+    :meth:`compact` are the tiered store's.  Decode telemetry carries
+    ``backend="mmap"``.
+    """
+
+    telemetry_backend = "mmap"
+
+    def _read_only(self, *args, **kwargs) -> None:
+        """Always raises: the view takes no writes."""
+        raise NotImplementedError(
+            "MmapSignGradientStore is read-only; write new records through "
+            "SignGradientStore and re-run from_store"
+        )
+
+    put = put_round = put_encoded = _read_only

@@ -166,16 +166,6 @@ _ALL_SPECS = [
         "Whole-round cohorts decoded in one bulk LUT pass (get_round).",
         labels=("backend",),
     ),
-    # --------------------------------------------------------- storage.mmap_store
-    _spec(
-        "storage_mmap_open_seconds", HISTOGRAM, "seconds", "repro.storage.mmap_store",
-        "Opening a round-major mmap sign layout: manifest parse + shard "
-        "memmaps (span).",
-    ),
-    _spec(
-        "storage_mmap_round_reads_total", COUNTER, "rounds", "repro.storage.mmap_store",
-        "Round blocks served zero-copy from the mmap layout.",
-    ),
     # ------------------------------------------------------------- storage.tiered
     _spec(
         "storage_tier_spill_seconds", HISTOGRAM, "seconds", "repro.storage.tiered",

@@ -9,8 +9,8 @@ that were never spilled are the one permissible loss (they were never
 durable); rounds that reached a shard can never be lost or corrupted.
 These tests inject a crash at every declared
 :data:`~repro.storage.tiered.CRASH_POINTS` hook during spill and
-compaction (and at the manifest swap of the mmap store's ``compact``)
-and assert exactly that.
+compaction (and at the manifest rename of the read-only view's
+``compact``, which is the tiered store's) and assert exactly that.
 
 Seeds come from the ``CHAOS_SEEDS`` environment variable, same harness
 as :mod:`tests.test_chaos` — ``make chaos`` sweeps several.
@@ -232,7 +232,7 @@ def test_crash_between_tmp_write_and_rename_mmap_compact(seed, tmp_path, monkeyp
     real_replace = os.replace
 
     def crash_on_manifest(src, dst):
-        if os.path.basename(dst) == "manifest.json":
+        if os.path.basename(dst) == "MANIFEST.json":
             raise _InjectedCrash(dst)
         return real_replace(src, dst)
 
@@ -249,9 +249,11 @@ def test_crash_between_tmp_write_and_rename_mmap_compact(seed, tmp_path, monkeyp
     # retry on the reopened store completes and reclaims bytes
     disk_before = reopened.disk_bytes()
     stats = reopened.compact()
-    assert stats["removed_rows"] > 0
+    assert stats["reclaimed_bytes"] > 0
     assert reopened.disk_bytes() < disk_before
+    assert reopened.stats()["tombstone_pairs"] == 0
     assert _snapshot(reopened) == pre
+    assert _snapshot(MmapSignGradientStore.open(directory)) == pre
 
 
 @pytest.mark.parametrize("seed", CHAOS_SEEDS)
@@ -266,6 +268,7 @@ def test_mmap_compact_orphans_swept_on_reopen(seed, tmp_path, monkeypatch):
     directory = str(tmp_path / "mmap")
     store = MmapSignGradientStore.from_store(reference, directory)
     old_names = set(store._shard_names)
+    old_names |= {name + ".idx.npz" for name in old_names}
     reference.drop_client(2)
     store.drop_client(2)
     pre = _snapshot(reference)
@@ -273,7 +276,7 @@ def test_mmap_compact_orphans_swept_on_reopen(seed, tmp_path, monkeypatch):
     real_replace = os.replace
 
     def crash_on_manifest(src, dst):
-        if os.path.basename(dst) == "manifest.json":
+        if os.path.basename(dst) == "MANIFEST.json":
             raise _InjectedCrash(dst)
         return real_replace(src, dst)
 
@@ -288,17 +291,19 @@ def test_mmap_compact_orphans_swept_on_reopen(seed, tmp_path, monkeypatch):
         if f.startswith("shard_") and f not in old_names
     ]
     assert orphans, "crash point should have left unreferenced shards behind"
-    # the aborted manifest tmp was cleaned up on the way out
-    assert not [f for f in os.listdir(directory) if f.startswith(".manifest-")]
+    # like a SIGKILL, the crash left the manifest tmp behind
+    assert "MANIFEST.json.tmp" in os.listdir(directory)
 
     reopened = MmapSignGradientStore.open(directory)
     assert _snapshot(reopened) == pre
+    live = set(reopened._shard_names)
+    live |= {name + ".idx.npz" for name in live}
     leftover = [
         f
         for f in os.listdir(directory)
-        if f.startswith("shard_") and f not in set(reopened._shard_names)
+        if (f.startswith("shard_") and f not in live) or f.endswith(".tmp")
     ]
-    assert leftover == [], "open() must sweep unreferenced shard files"
+    assert leftover == [], "open() must sweep unreferenced shard and tmp files"
 
 
 @pytest.mark.parametrize("seed", CHAOS_SEEDS)

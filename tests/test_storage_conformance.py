@@ -6,12 +6,21 @@ backend (dict, mmap, tiered, and a tiered variant whose rounds have
 been demoted to the compressed cold tier), all against the dict store
 as the reference.  Any future backend gets added to ``BACKENDS`` and
 inherits the whole suite, so read surfaces can't silently drift.
+
+mmap and tiered are one on-disk layout, read-only or appendable; the
+checks at the end cover what only that layout has: ``from_store``
+(shard rollover, durability before publish), the read-only view's
+refused writes, and accounting across a restart.
 """
+
+import json
+import os
 
 import numpy as np
 import pytest
 
 from repro.storage import (
+    FullGradientStore,
     MmapSignGradientStore,
     RoundDecodeCache,
     SignGradientStore,
@@ -322,3 +331,142 @@ class TestRestart:
         backend["reference"].drop_client(3)
         backend["store"].drop_client(3)
         _assert_same_view(backend["reference"], backend["reopen"]())
+
+    def test_nbytes_survives_reopen_after_drop(self, backend):
+        if backend["reopen"] is None:
+            pytest.skip("in-memory backend has no restart path")
+        backend["reference"].drop_client(3)
+        backend["store"].drop_client(3)
+        reopened = backend["reopen"]()
+        assert reopened.nbytes() == reopened.recount_nbytes()
+        assert reopened.nbytes() == backend["store"].nbytes()
+        if backend["name"] != "tiered-cold":  # cold blocks count compressed
+            assert reopened.nbytes() == backend["reference"].nbytes()
+
+
+#: The two classes over the one on-disk layout: read-only and appendable.
+ON_DISK = {"mmap": MmapSignGradientStore, "tiered": TieredSignGradientStore}
+
+
+def _published_files(directory):
+    """The manifest's name and every shard/index file it references."""
+    name = next(n for n in ("MANIFEST.json", "manifest.json")
+                if os.path.exists(os.path.join(directory, n)))
+    with open(os.path.join(directory, name), encoding="utf-8") as fh:
+        shards = json.load(fh)["shards"]
+    files = list(shards)
+    files += [n + ".idx.npz" for n in shards
+              if os.path.exists(os.path.join(directory, n + ".idx.npz"))]
+    return name, shards, files
+
+
+@pytest.mark.parametrize("layout", sorted(ON_DISK))
+class TestFromStore:
+    """``from_store`` writes a dict store as one warm generation."""
+
+    def test_sharding_splits_rounds(self, layout, rng, tmp_path):
+        reference = _reference_store(rng)
+        directory = str(tmp_path / "sharded")
+        store = ON_DISK[layout].from_store(reference, directory, shard_bytes=32)
+        assert len(_published_files(directory)[1]) > 1
+        _assert_same_view(reference, store)
+        _assert_same_view(reference, ON_DISK[layout].open(directory))
+
+    def test_rejects_full_store(self, layout, tmp_path):
+        with pytest.raises(TypeError):
+            ON_DISK[layout].from_store(FullGradientStore(), str(tmp_path / "x"))
+        with pytest.raises(ValueError):
+            ON_DISK[layout].from_store(
+                SignGradientStore(), str(tmp_path / "y"), shard_bytes=0
+            )
+
+    def test_refuses_a_directory_holding_a_layout(self, layout, rng, tmp_path):
+        reference = _reference_store(rng)
+        directory = str(tmp_path / "layout")
+        ON_DISK[layout].from_store(reference, directory)
+        with pytest.raises(FileExistsError):
+            ON_DISK[layout].from_store(reference, directory)
+        _assert_same_view(reference, ON_DISK[layout].open(directory))
+
+    def test_fills_a_build_killed_before_its_commit(
+        self, layout, rng, tmp_path, monkeypatch
+    ):
+        """A build killed before its manifest commit leaves an empty
+        layout and unreferenced shards; building again fills it."""
+        reference = _reference_store(rng)
+        directory = str(tmp_path / "layout")
+        commits = []
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if os.path.basename(dst) == "MANIFEST.json":
+                commits.append(dst)
+                if len(commits) == 2:  # the first publishes the empty layout
+                    raise RuntimeError("killed before the manifest commit")
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(RuntimeError):
+            ON_DISK[layout].from_store(reference, directory)
+        monkeypatch.undo()
+        assert ON_DISK[layout].open(directory).rounds() == []
+        store = ON_DISK[layout].from_store(reference, directory)
+        _assert_same_view(reference, store)
+        assert not [n for n in os.listdir(directory) if n.endswith(".tmp")]
+
+    def test_published_files_fsynced_before_manifest(
+        self, layout, rng, tmp_path, monkeypatch
+    ):
+        """A power loss right after the manifest rename must not publish
+        a shard, index or manifest whose bytes never reached the disk:
+        each was fsynced before the rename."""
+        synced = set()
+        publishes = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            synced.add(os.fstat(fd).st_ino)
+            return real_fsync(fd)
+
+        def replace(src, dst):
+            if os.path.basename(dst) in ("MANIFEST.json", "manifest.json"):
+                publishes.append((os.stat(src).st_ino, set(synced)))
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        directory = str(tmp_path / "layout")
+        ON_DISK[layout].from_store(_reference_store(rng), directory, shard_bytes=32)
+        monkeypatch.undo()
+
+        manifest_inode, synced_then = publishes[-1]
+        assert manifest_inode in synced_then
+        name, shards, files = _published_files(directory)
+        assert len(shards) > 1
+        for path in (os.path.join(directory, f) for f in files):
+            assert os.stat(path).st_ino in synced_then, path
+
+
+class TestReadOnlyLayout:
+    """The read-only view refuses every write and stays unchanged."""
+
+    def build(self, rng, tmp_path):
+        reference = _reference_store(rng)
+        directory = str(tmp_path / "layout")
+        return reference, MmapSignGradientStore.from_store(reference, directory)
+
+    def test_put_raises(self, rng, tmp_path):
+        reference, store = self.build(rng, tmp_path)
+        with pytest.raises(NotImplementedError):
+            store.put(0, 0, np.zeros(4))
+        _assert_same_view(reference, store)
+
+    def test_put_round_raises(self, rng, tmp_path):
+        reference, store = self.build(rng, tmp_path)
+        packed, length = reference.items()[0][1]
+        with pytest.raises(NotImplementedError):
+            store.put_round(0, {0: np.zeros(4)})
+        with pytest.raises(NotImplementedError):
+            store.put_encoded(9, 0, packed, length)
+        _assert_same_view(reference, store)
+        _assert_same_view(reference, MmapSignGradientStore.open(store.directory))

@@ -3,7 +3,7 @@
 The contract under test (`docs/ARCHITECTURE.md`, "Storage tiering"):
 
 - ingestion is bounded-memory — the hot tier never exceeds its byte
-  budget once a round can spill, in sync and background mode alike;
+  budget once a round can spill;
 - every tier transition (hot→warm spill, warm→cold demotion,
   compaction, reopen) preserves reads bit-for-bit;
 - ``drop_client`` tombstones are durable and compaction physically
@@ -101,29 +101,14 @@ class TestBoundedIngestion:
         assert store.tier_bytes()[TIER_HOT] <= 32
         _assert_same_view(reference, store)
 
-    def test_background_spill_mode(self, rng, tmp_path):
+    def test_spill_io_does_not_block_writers(self, rng, tmp_path):
+        # while one thread's spill is parked inside shard file I/O, a
+        # writer on another thread gets in and out of put() without
+        # waiting for the disk
         store = TieredSignGradientStore(
-            str(tmp_path / "t"),
-            delta=DELTA,
-            hot_budget_bytes=256,
-            spill_mode="background",
+            str(tmp_path / "t"), delta=DELTA, hot_budget_bytes=1 << 20
         )
         reference = _fill(store, rng, num_rounds=8)
-        store.flush()  # deterministic drain for the assertion
-        assert store.tier_rounds()[TIER_HOT] == 0
-        _assert_same_view(reference, store)
-        store.close()
-
-    def test_background_spill_does_not_block_writers(self, rng, tmp_path):
-        # the whole point of spill_mode="background": while the spill
-        # thread is parked inside shard file I/O, a writer must get in
-        # and out of put() without waiting for the disk
-        store = TieredSignGradientStore(
-            str(tmp_path / "t"),
-            delta=DELTA,
-            hot_budget_bytes=1024,
-            spill_mode="background",
-        )
         entered = threading.Event()
         gate = threading.Event()
 
@@ -133,33 +118,30 @@ class TestBoundedIngestion:
                 gate.wait(timeout=30)
 
         store._crash_hook = park_in_io
-        # ~75 B/round: 15 rounds exceed the 1 KiB budget (waking the
-        # spiller) but stay under the 2 KiB hard cap (no inline spill)
-        reference = _fill(store, rng, num_rounds=15)
-        assert entered.wait(timeout=30), "background spill never started"
+        spiller = threading.Thread(target=store.flush)
+        spiller.start()
+        assert entered.wait(timeout=30), "spill never reached its shard I/O"
 
         done = threading.Event()
         extra = rng.normal(size=DIM)
 
         def write():
-            reference.put(99, 1, extra)
             store.put(99, 1, extra)
             done.set()
 
         writer = threading.Thread(target=write)
         writer.start()
         try:
-            assert done.wait(timeout=10), (
-                "put() blocked behind an in-flight background spill"
-            )
+            assert done.wait(timeout=10), "put() blocked behind an in-flight spill"
         finally:
             gate.set()
-            store._crash_hook = None
             writer.join(timeout=10)
+            spiller.join(timeout=30)
+            store._crash_hook = None
+        reference.put(99, 1, extra)
         store.flush()
         assert store.tier_rounds()[TIER_HOT] == 0
         _assert_same_view(reference, store)
-        store.close()
 
     def test_overlay_respill(self, rng, tmp_path):
         # write to a round that already spilled: the hot overlay wins
@@ -525,21 +507,9 @@ class TestColdCache:
         assert stats["cold_cache_evictions"] >= 1
         _assert_same_view(reference, store)
 
-    def test_default_policy_reaches_constructor(self, rng, tmp_path):
-        from repro.storage import (
-            default_cold_cache_blocks,
-            set_default_cold_cache_blocks,
-        )
-
-        previous = set_default_cold_cache_blocks(0)
-        try:
-            store = TieredSignGradientStore(
-                str(tmp_path / "ccp"), delta=DELTA, hot_budget_bytes=64
-            )
-            assert store.cold_cache_blocks == 0
-        finally:
-            set_default_cold_cache_blocks(previous)
-        assert default_cold_cache_blocks() == previous
+    def test_capacity_defaults_to_four_and_rejects_negative(self, tmp_path):
+        default = TieredSignGradientStore(str(tmp_path / "ccd"), delta=DELTA)
+        assert default.cold_cache_blocks == 4
         explicit = TieredSignGradientStore(
             str(tmp_path / "cce"), delta=DELTA, cold_cache_blocks=9
         )
