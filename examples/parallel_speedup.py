@@ -39,7 +39,7 @@ WORKERS = 2
 SEED = 7
 
 
-def build_sim(workers=None):
+def build_sim(workers=1):
     """Rebuild the identical workload for whichever worker count we time."""
     tree = SeedSequenceTree(SEED)
     data = make_synthetic_mnist(300, tree.rng("data"), image_size=IMAGE)
@@ -64,7 +64,7 @@ def build_sim(workers=None):
     return model, sim
 
 
-def run_pipeline(workers=None):
+def run_pipeline(workers=1):
     """Train, then unlearn client 2; return (record, result, seconds)."""
     start = time.perf_counter()
     model, sim = build_sim(workers=workers)

@@ -10,12 +10,15 @@ The package is organized as one subpackage per subsystem:
 - :mod:`repro.fl` — vehicles, RSU server, FedAvg, the round loop
 - :mod:`repro.faults` — fault injection, update validation, retries
 - :mod:`repro.iov` — mobility, coverage, join/leave/dropout schedules
-- :mod:`repro.parallel` — the training round's worker count and
-  per-client fault handling (every worker count is bitwise identical)
 - :mod:`repro.unlearning` — the paper's scheme and all baselines
 - :mod:`repro.telemetry` — metrics registry, trace spans, exporters
   (contract in ``docs/METRICS.md``)
 - :mod:`repro.eval` — experiment runners for every table and figure
+
+No module holds a process-wide default: a run's training workers, sign
+store backend and replay prefetch depth are constructor arguments, and
+the experiment runners read them from
+:class:`~repro.eval.config.ExperimentConfig`.
 
 Quickstart::
 
@@ -36,7 +39,6 @@ from repro import (  # noqa: F401
     fl,
     iov,
     nn,
-    parallel,
     storage,
     telemetry,
     unlearning,
@@ -51,7 +53,6 @@ __all__ = [
     "fl",
     "iov",
     "nn",
-    "parallel",
     "storage",
     "telemetry",
     "unlearning",

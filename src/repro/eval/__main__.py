@@ -10,9 +10,13 @@ Examples
     python -m repro.eval storage --telemetry-dir telemetry/
 
 ``--workers 4`` splits each training round's cohort pass across four
-threads (:mod:`repro.parallel`) — results are bitwise identical to the
-default one-pass run; only wall time changes.  The option is
-training-only: recovery replay runs one stacked kernel per replay node.
+threads — results are bitwise identical to the default one-pass run;
+only wall time changes.  The option is training-only: recovery replay
+runs one stacked kernel per replay node.  ``--workers``, ``--store``
+and ``--prefetch-depth`` reach the runners as
+:class:`~repro.eval.config.ExperimentConfig` fields (``train_workers``,
+``sign_backend``, ``prefetch_depth``); only the flags given are passed,
+so the rest keep the config's defaults.
 
 With ``--telemetry-dir`` the run is instrumented end to end: a JSONL
 event log (``events.jsonl``), a Prometheus text snapshot
@@ -33,12 +37,7 @@ import sys
 from repro.eval.config import available_scales
 from repro.eval.experiments import EXPERIMENT_RUNNERS
 from repro.eval.reporting import format_result
-from repro.parallel.policy import set_default_execution
-from repro.storage import (
-    SIGN_BACKENDS,
-    set_default_prefetch_depth,
-    set_default_sign_backend,
-)
+from repro.storage import SIGN_BACKENDS
 from repro.telemetry import (
     JsonlSink,
     Telemetry,
@@ -115,17 +114,12 @@ def main(argv=None) -> int:
     if not args.quiet:
         configure()
 
-    previous_execution = None
-    if args.workers is not None:
-        previous_execution = set_default_execution(args.workers)
-
-    previous_store = None
-    if args.store is not None:
-        previous_store = set_default_sign_backend(args.store)
-
-    previous_prefetch = None
-    if args.prefetch_depth is not None:
-        previous_prefetch = set_default_prefetch_depth(args.prefetch_depth)
+    flags = {
+        "train_workers": args.workers,
+        "sign_backend": args.store,
+        "prefetch_depth": args.prefetch_depth,
+    }
+    overrides = {field: value for field, value in flags.items() if value is not None}
 
     telemetry = None
     previous = None
@@ -142,7 +136,7 @@ def main(argv=None) -> int:
             if telemetry is not None:
                 telemetry.emit_event("experiment_start", experiment=name)
             runner = EXPERIMENT_RUNNERS[name]
-            result = runner(scale=args.scale, seed=args.seed)
+            result = runner(scale=args.scale, seed=args.seed, **overrides)
             print(format_result(result))
             print()
             if args.out:
@@ -150,12 +144,6 @@ def main(argv=None) -> int:
                 save_json(path, result)
                 print(f"[saved {path}]")
     finally:
-        if previous_execution is not None:
-            set_default_execution(previous_execution.workers)
-        if previous_store is not None:
-            set_default_sign_backend(previous_store)
-        if previous_prefetch is not None:
-            set_default_prefetch_depth(previous_prefetch)
         if telemetry is not None:
             set_telemetry(previous)
             telemetry.close()

@@ -13,6 +13,12 @@ Profiles are selected by the ``REPRO_SCALE`` environment variable or an
 explicit argument.  Hyperparameters not dictated by the paper (model
 widths, learning rate in our gradient-scale convention) were calibrated
 once per profile and are fixed here; see EXPERIMENTS.md.
+
+Three fields choose *how* a run executes, never what it computes:
+``train_workers``, ``sign_backend`` and ``prefetch_depth``.  Records and
+recovered models are bitwise identical at every value; ``python -m
+repro.eval`` sets them from ``--workers``, ``--store`` and
+``--prefetch-depth``.
 """
 
 from __future__ import annotations
@@ -20,6 +26,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
+
+from repro.storage.store import SIGN_BACKENDS
 
 __all__ = ["ExperimentConfig", "config_for", "available_scales", "current_scale"]
 
@@ -92,6 +100,11 @@ class ExperimentConfig:
     backdoor_trigger_size: int = 3
     backdoor_poison_fraction: float = 0.2
 
+    # execution (bitwise-neutral: only wall time and storage change)
+    train_workers: int = 1  # threads splitting a training round's cohort pass
+    sign_backend: str = "dict"  # one of SIGN_BACKENDS
+    prefetch_depth: int = 0  # replay look-ahead rounds; 0 = synchronous
+
     # misc
     metadata: Dict[str, str] = field(default_factory=dict)
 
@@ -106,6 +119,14 @@ class ExperimentConfig:
             raise ValueError("need at least 2 clients")
         if not 0 <= self.forget_join_round < self.num_rounds:
             raise ValueError("forget_join_round must be inside the training horizon")
+        if self.train_workers < 1:
+            raise ValueError(f"train_workers must be >= 1, got {self.train_workers}")
+        if self.sign_backend not in SIGN_BACKENDS:
+            raise ValueError(
+                f"unknown sign_backend {self.sign_backend!r}; use one of {SIGN_BACKENDS}"
+            )
+        if self.prefetch_depth < 0:
+            raise ValueError(f"prefetch_depth must be >= 0, got {self.prefetch_depth}")
 
     def with_overrides(self, **kwargs) -> "ExperimentConfig":
         """Functional update (used by sweeps and ablations)."""

@@ -9,6 +9,11 @@ benchmark assertions read from one source of truth.
 Runners share training runs within themselves (one FL training per
 dataset/attack; all methods and sweep points reuse it) — exactly the
 comparison protocol of §V.
+
+Every runner forwards extra keyword arguments to
+:func:`~repro.eval.config.config_for`, so a caller (the CLI's
+``--workers`` / ``--store`` / ``--prefetch-depth``) sets config fields
+without each runner naming them.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import numpy as np
 from repro.attacks import attack_success_rate
 from repro.eval.config import ExperimentConfig, config_for
 from repro.eval.workloads import Workload, build_workload, train_workload
-from repro.fl import ParticipationSchedule, with_sign_store
+from repro.fl import ParticipationSchedule, TrainingRecord, with_sign_store
 from repro.iov import IovScenario, generate_iov_schedule
 from repro.nn import accuracy
 from repro.storage import packed_size_bytes, storage_savings_ratio
@@ -97,11 +102,24 @@ def _asr(workload: Workload, params: np.ndarray) -> float:
     raise RuntimeError("workload has no attack to measure")
 
 
-def _ours(config: ExperimentConfig, **overrides) -> SignRecoveryUnlearner:
+def _sign_view(
+    record: TrainingRecord, config: ExperimentConfig, delta: Optional[float] = None
+) -> TrainingRecord:
+    """``record``'s sign-store view on the config's backend, at the
+    config's ``δ`` unless ``delta`` is given."""
+    return with_sign_store(
+        record,
+        delta=config.delta if delta is None else delta,
+        backend=config.sign_backend,
+    )
+
+
+def _ours(config: ExperimentConfig, **knobs) -> SignRecoveryUnlearner:
     return SignRecoveryUnlearner(
-        clip_threshold=overrides.get("clip_threshold", config.clip_threshold),
-        buffer_size=overrides.get("buffer_size", config.buffer_size),
-        refresh_period=overrides.get("refresh_period", config.refresh_period),
+        clip_threshold=knobs.get("clip_threshold", config.clip_threshold),
+        buffer_size=knobs.get("buffer_size", config.buffer_size),
+        refresh_period=knobs.get("refresh_period", config.refresh_period),
+        prefetch_depth=config.prefetch_depth,
     )
 
 
@@ -113,6 +131,7 @@ def run_table1(
     seed: int = 2024,
     datasets: Sequence[str] = ("mnist", "gtsrb"),
     include_federaser: bool = False,
+    **overrides,
 ) -> Dict[str, Any]:
     """Reproduce Table I: post-unlearning global accuracy per method.
 
@@ -122,11 +141,11 @@ def run_table1(
     timer = Timer()
     rows: Dict[str, Dict[str, float]] = {}
     for dataset in datasets:
-        config = config_for(dataset, scale, seed=seed)
+        config = config_for(dataset, scale, seed=seed, **overrides)
         workload = build_workload(config)
         with timer.section(f"train-{dataset}"):
             record = train_workload(workload)
-        sign_record = with_sign_store(record, delta=config.delta)
+        sign_record = _sign_view(record, config)
         clients = workload.remaining_client_map()
         results: Dict[str, float] = {"trained": _accuracy(workload, record.final_params())}
 
@@ -192,6 +211,7 @@ def run_fig1(
     scale: Optional[str] = None,
     seed: int = 2024,
     attacks: Sequence[str] = ("label_flip", "backdoor"),
+    **overrides,
 ) -> Dict[str, Any]:
     """Reproduce Fig. 1: ASR at the three pipeline stages on MNIST.
 
@@ -200,10 +220,10 @@ def run_fig1(
     """
     series: Dict[str, Dict[str, float]] = {}
     for attack in attacks:
-        config = config_for("mnist", scale, seed=seed, attack=attack)
+        config = config_for("mnist", scale, seed=seed, attack=attack, **overrides)
         workload = build_workload(config)
         record = train_workload(workload)
-        sign_record = with_sign_store(record, delta=config.delta)
+        sign_record = _sign_view(record, config)
 
         before = _asr(workload, record.final_params())
         acc_before = _accuracy(workload, record.final_params())
@@ -245,15 +265,16 @@ def run_fig2(
     scale: Optional[str] = None,
     seed: int = 2024,
     l_values: Sequence[float] = (0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 50.0),
+    **overrides,
 ) -> Dict[str, Any]:
     """Reproduce Fig. 2: recovered accuracy vs clipping threshold ``L``
     (δ fixed at the paper's 1e-6).  The reproduced *shape* is an
     interior optimum: small ``L`` starves the recovery step, large ``L``
     amplifies estimation error."""
-    config = config_for("mnist", scale, seed=seed)
+    config = config_for("mnist", scale, seed=seed, **overrides)
     workload = build_workload(config)
     record = train_workload(workload)
-    sign_record = with_sign_store(record, delta=config.delta)
+    sign_record = _sign_view(record, config)
     points: List[Dict[str, float]] = []
     for l_value in l_values:
         result = _ours(config, clip_threshold=float(l_value)).unlearn(
@@ -281,16 +302,17 @@ def run_fig3(
     scale: Optional[str] = None,
     seed: int = 2024,
     delta_values: Sequence[float] = (1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-2, 1e-1, 0.5),
+    **overrides,
 ) -> Dict[str, Any]:
     """Reproduce Fig. 3: recovered accuracy vs sign threshold ``δ``
     (``L`` fixed).  Shape: flat/slightly-rising plateau for tiny δ,
     collapse once δ zeroes a significant mass of gradient elements."""
-    config = config_for("mnist", scale, seed=seed)
+    config = config_for("mnist", scale, seed=seed, **overrides)
     workload = build_workload(config)
     record = train_workload(workload)
     points: List[Dict[str, float]] = []
     for delta in delta_values:
-        sign_record = with_sign_store(record, delta=float(delta))
+        sign_record = _sign_view(record, config, delta=float(delta))
         result = _ours(config).unlearn(
             sign_record, workload.forget_ids, workload.model
         )
@@ -323,14 +345,15 @@ def run_fig3(
 def run_storage(
     scale: Optional[str] = None,
     seed: int = 2024,
+    **overrides,
 ) -> Dict[str, Any]:
     """Quantify the §IV storage claim on a real training record:
     bytes held by the sign store vs a full float32 store, plus the
     closed-form ratio for the paper-profile model sizes."""
-    config = config_for("mnist", scale, seed=seed)
+    config = config_for("mnist", scale, seed=seed, **overrides)
     workload = build_workload(config)
     record = train_workload(workload)
-    sign_record = with_sign_store(record, delta=config.delta)
+    sign_record = _sign_view(record, config)
     full_bytes = record.gradients.nbytes()
     sign_bytes = sign_record.gradients.nbytes()
     num_params = workload.model.num_params
@@ -360,21 +383,21 @@ def _shared_sweep(
     seed: int,
     name: str,
     variants: Dict[str, Dict[str, Any]],
-    config_overrides: Optional[Dict[str, Any]] = None,
+    **overrides,
 ) -> Dict[str, Any]:
     """Train once, run ours under each variant of its hyperparameters."""
-    config = config_for("mnist", scale, seed=seed, **(config_overrides or {}))
+    config = config_for("mnist", scale, seed=seed, **overrides)
     workload = build_workload(config)
     record = train_workload(workload)
-    sign_record = with_sign_store(record, delta=config.delta)
+    sign_record = _sign_view(record, config)
     measured = {}
-    for label, overrides in variants.items():
-        result = _ours(config, **overrides).unlearn(
+    for label, knobs in variants.items():
+        result = _ours(config, **knobs).unlearn(
             sign_record, workload.forget_ids, workload.model
         )
         measured[label] = {
             "accuracy": _accuracy(workload, result.params),
-            **{k: float(v) for k, v in overrides.items()},
+            **{k: float(v) for k, v in knobs.items()},
         }
     return {
         "experiment": name,
@@ -385,7 +408,9 @@ def _shared_sweep(
     }
 
 
-def run_ablation_clipping(scale: Optional[str] = None, seed: int = 2024) -> Dict[str, Any]:
+def run_ablation_clipping(
+    scale: Optional[str] = None, seed: int = 2024, **overrides
+) -> Dict[str, Any]:
     """Clipping on (paper) vs effectively off (huge L)."""
     return _shared_sweep(
         scale, seed, "ablation_clipping",
@@ -394,10 +419,13 @@ def run_ablation_clipping(scale: Optional[str] = None, seed: int = 2024) -> Dict
             "clipped_tuned_L": {"clip_threshold": 5.0},
             "unclipped": {"clip_threshold": 1e9},
         },
+        **overrides,
     )
 
 
-def run_ablation_refresh(scale: Optional[str] = None, seed: int = 2024) -> Dict[str, Any]:
+def run_ablation_refresh(
+    scale: Optional[str] = None, seed: int = 2024, **overrides
+) -> Dict[str, Any]:
     """Vector-pair refresh period (paper: 21)."""
     return _shared_sweep(
         scale, seed, "ablation_refresh",
@@ -407,25 +435,31 @@ def run_ablation_refresh(scale: Optional[str] = None, seed: int = 2024) -> Dict[
             "every_60": {"refresh_period": 60},
             "never": {"refresh_period": 10**9},
         },
+        **overrides,
     )
 
 
-def run_ablation_buffer(scale: Optional[str] = None, seed: int = 2024) -> Dict[str, Any]:
+def run_ablation_buffer(
+    scale: Optional[str] = None, seed: int = 2024, **overrides
+) -> Dict[str, Any]:
     """L-BFGS buffer size s (paper: 2)."""
     return _shared_sweep(
         scale, seed, "ablation_buffer",
         {f"s={s}": {"buffer_size": s} for s in (1, 2, 4, 8)},
+        **overrides,
     )
 
 
-def run_ablation_sign(scale: Optional[str] = None, seed: int = 2024) -> Dict[str, Any]:
+def run_ablation_sign(
+    scale: Optional[str] = None, seed: int = 2024, **overrides
+) -> Dict[str, Any]:
     """Sign-direction recovery (2-bit storage) vs the same recovery
     machinery running on full stored gradients — the storage/accuracy
     trade at the heart of the paper."""
-    config = config_for("mnist", scale, seed=seed)
+    config = config_for("mnist", scale, seed=seed, **overrides)
     workload = build_workload(config)
     record = train_workload(workload)
-    sign_record = with_sign_store(record, delta=config.delta)
+    sign_record = _sign_view(record, config)
     measured = {}
     r = _ours(config).unlearn(sign_record, workload.forget_ids, workload.model)
     measured["sign_store"] = {
@@ -450,13 +484,14 @@ def run_ablation_dropout(
     scale: Optional[str] = None,
     seed: int = 2024,
     dropout_rates: Sequence[float] = (0.0, 0.1, 0.3),
+    **overrides,
 ) -> Dict[str, Any]:
     """Robustness of server-only recovery to transient dropouts during
     the original training (missing gradients at some rounds)."""
     measured = {}
     trained = {}
     for rate in dropout_rates:
-        config = config_for("mnist", scale, seed=seed)
+        config = config_for("mnist", scale, seed=seed, **overrides)
         tree = SeedSequenceTree(seed)
         schedule = ParticipationSchedule.random_dropouts(
             client_ids=range(config.num_clients),
@@ -467,7 +502,7 @@ def run_ablation_dropout(
         )
         workload = build_workload(config, schedule=schedule)
         record = train_workload(workload)
-        sign_record = with_sign_store(record, delta=config.delta)
+        sign_record = _sign_view(record, config)
         result = _ours(config).unlearn(
             sign_record, workload.forget_ids, workload.model
         )
@@ -491,13 +526,14 @@ def run_ablation_dropout(
 def run_dynamic_iov(
     scale: Optional[str] = None,
     seed: int = 2024,
+    **overrides,
 ) -> Dict[str, Any]:
     """End-to-end dynamic scenario: vehicles join/leave/drop out
     according to the mobility + coverage model; a vehicle that joined
     mid-way is forgotten; recovery runs with *no* client help even
     though several vehicles have left FL (the setting FedRecover-style
     baselines cannot handle, §II Challenge II)."""
-    config = config_for("mnist", scale, seed=seed)
+    config = config_for("mnist", scale, seed=seed, **overrides)
     tree = SeedSequenceTree(seed)
     scenario = IovScenario(
         num_vehicles=config.num_clients,
@@ -517,7 +553,7 @@ def run_dynamic_iov(
             schedule.join_rounds[cid] = max(0, config.num_rounds - 2)
     workload = build_workload(config, schedule=schedule)
     record = train_workload(workload)
-    sign_record = with_sign_store(record, delta=config.delta)
+    sign_record = _sign_view(record, config)
     result = _ours(config).unlearn(sign_record, workload.forget_ids, workload.model)
     left = [cid for cid in schedule.client_ids() if schedule.leave_rounds.get(cid) is not None]
     return {
@@ -539,6 +575,7 @@ def run_dynamic_iov(
 def run_detection(
     scale: Optional[str] = None,
     seed: int = 2024,
+    **overrides,
 ) -> Dict[str, Any]:
     """Close the paper's §I loop — "once the attacker is detected" —
     with the history-based detector: train under a backdoor attack,
@@ -547,13 +584,13 @@ def run_detection(
     pipeline for the detected set."""
     from repro.defenses import detect_malicious_clients
 
-    config = config_for("mnist", scale, seed=seed, attack="backdoor")
+    config = config_for("mnist", scale, seed=seed, attack="backdoor", **overrides)
     workload = build_workload(config)
     record = train_workload(workload)
     report = detect_malicious_clients(record)
     precision, recall = report.precision_recall(workload.forget_ids)
 
-    sign_record = with_sign_store(record, delta=config.delta)
+    sign_record = _sign_view(record, config)
     asr_before = _asr(workload, record.final_params())
     measured: Dict[str, Any] = {
         "precision": precision,
@@ -581,6 +618,7 @@ def run_verification(
     scale: Optional[str] = None,
     seed: int = 2024,
     canary_fraction: float = 0.3,
+    **overrides,
 ) -> Dict[str, Any]:
     """Verify erasure with a canary membership-inference test.
 
@@ -595,7 +633,7 @@ def run_verification(
     from repro.eval.verification import verify_unlearning
     from repro.fl import VehicleClient
 
-    config = config_for("mnist", scale, seed=seed)
+    config = config_for("mnist", scale, seed=seed, **overrides)
     workload = build_workload(config)
     tree = SeedSequenceTree(seed)
     canary_rng = tree.rng("canaries")
@@ -634,7 +672,7 @@ def run_verification(
     control = _ArrayDataset(x=control.x, y=control_y, num_classes=control.num_classes)
 
     record = train_workload(workload)
-    sign_record = with_sign_store(record, delta=config.delta)
+    sign_record = _sign_view(record, config)
     result = _ours(config).unlearn(sign_record, workload.forget_ids, workload.model)
     report = verify_unlearning(
         workload.model,
@@ -672,6 +710,7 @@ def run_noniid(
     scale: Optional[str] = None,
     seed: int = 2024,
     alphas: Sequence[float] = (100.0, 1.0, 0.3),
+    **overrides,
 ) -> Dict[str, Any]:
     """Recovery quality under label-skewed client data (Dirichlet α):
     the paper evaluates IID only; this sweep shows how the server-only
@@ -681,7 +720,7 @@ def run_noniid(
 
     measured: Dict[str, Dict[str, float]] = {}
     for alpha in alphas:
-        config = config_for("mnist", scale, seed=seed)
+        config = config_for("mnist", scale, seed=seed, **overrides)
         workload = build_workload(config)
         tree = SeedSequenceTree(seed)
         shards = partition_dirichlet(
@@ -697,7 +736,7 @@ def run_noniid(
         ]
         workload.record = None
         record = train_workload(workload)
-        sign_record = with_sign_store(record, delta=config.delta)
+        sign_record = _sign_view(record, config)
         result = _ours(config).unlearn(sign_record, workload.forget_ids, workload.model)
         measured[f"alpha={alpha}"] = {
             "trained": _accuracy(workload, record.final_params()),
@@ -717,6 +756,7 @@ def run_noniid(
 def run_cost(
     scale: Optional[str] = None,
     seed: int = 2024,
+    **overrides,
 ) -> Dict[str, Any]:
     """Quantify the paper's §I motivation — "reducing vehicle-side
     overhead" — by accounting each method's unlearning-time costs:
@@ -726,10 +766,10 @@ def run_cost(
     - RSU->vehicle download bytes (the model the client computes at),
     - server gradient-storage bytes the method *requires*.
     """
-    config = config_for("mnist", scale, seed=seed)
+    config = config_for("mnist", scale, seed=seed, **overrides)
     workload = build_workload(config)
     record = train_workload(workload)
-    sign_record = with_sign_store(record, delta=config.delta)
+    sign_record = _sign_view(record, config)
     clients = workload.remaining_client_map()
     d = workload.model.num_params
     grad_bytes = 4 * d
@@ -773,17 +813,19 @@ def run_cost(
     }
 
 
-def run_ablation_hessian(scale: Optional[str] = None, seed: int = 2024) -> Dict[str, Any]:
+def run_ablation_hessian(
+    scale: Optional[str] = None, seed: int = 2024, **overrides
+) -> Dict[str, Any]:
     """Per-client Hessians (the paper) vs one shared Hessian
     (DeltaGrad's design) — reproduces the paper's §II claim that a
     shared approximate Hessian "is ineffective for model recovery in
     FL"."""
     from repro.unlearning import DeltaGradUnlearner
 
-    config = config_for("mnist", scale, seed=seed)
+    config = config_for("mnist", scale, seed=seed, **overrides)
     workload = build_workload(config)
     record = train_workload(workload)
-    sign_record = with_sign_store(record, delta=config.delta)
+    sign_record = _sign_view(record, config)
     r_ours = _ours(config).unlearn(sign_record, workload.forget_ids, workload.model)
     r_shared = DeltaGradUnlearner(
         clip_threshold=config.clip_threshold,
@@ -806,6 +848,7 @@ def run_robust_agg(
     scale: Optional[str] = None,
     seed: int = 2024,
     aggregators: Sequence[str] = ("fedavg", "median", "trimmed_mean"),
+    **overrides,
 ) -> Dict[str, Any]:
     """Recovery under Byzantine-robust aggregation rules.
 
@@ -816,10 +859,10 @@ def run_robust_agg(
     recovery should still restore most of the trained accuracy."""
     measured: Dict[str, Dict[str, float]] = {}
     for aggregator in aggregators:
-        config = config_for("mnist", scale, seed=seed, aggregator=aggregator)
+        config = config_for("mnist", scale, seed=seed, aggregator=aggregator, **overrides)
         workload = build_workload(config)
         record = train_workload(workload)
-        sign_record = with_sign_store(record, delta=config.delta)
+        sign_record = _sign_view(record, config)
         result = _ours(config).unlearn(sign_record, workload.forget_ids, workload.model)
         measured[aggregator] = {
             "trained": _accuracy(workload, record.final_params()),
@@ -837,6 +880,7 @@ def run_recovery_trace(
     scale: Optional[str] = None,
     seed: int = 2024,
     trace_points: int = 12,
+    **overrides,
 ) -> Dict[str, Any]:
     """Accuracy along the recovery trajectory.
 
@@ -845,10 +889,10 @@ def run_recovery_trace(
     the convergence view FedRecover-style evaluations plot.  The
     qualitative expectation: a steep climb out of the backtracked
     state followed by a plateau near the trained accuracy."""
-    config = config_for("mnist", scale, seed=seed)
+    config = config_for("mnist", scale, seed=seed, **overrides)
     workload = build_workload(config)
     record = train_workload(workload)
-    sign_record = with_sign_store(record, delta=config.delta)
+    sign_record = _sign_view(record, config)
 
     total = record.num_rounds - config.forget_join_round
     stride = max(1, total // trace_points)
@@ -866,6 +910,7 @@ def run_recovery_trace(
         buffer_size=config.buffer_size,
         refresh_period=config.refresh_period,
         round_callback=callback,
+        prefetch_depth=config.prefetch_depth,
     )
     result = unlearner.unlearn(sign_record, workload.forget_ids, workload.model)
     return {
@@ -884,6 +929,7 @@ def run_recovery_trace(
 def run_communication(
     scale: Optional[str] = None,
     seed: int = 2024,
+    **overrides,
 ) -> Dict[str, Any]:
     """Analytic V2I communication budget for the paper-profile models.
 
@@ -894,7 +940,7 @@ def run_communication(
     from repro.iov import V2iLink, payload_bytes, round_time
     from repro.nn import gtsrb_cnn, mnist_cnn
 
-    config = config_for("mnist", scale, seed=seed)
+    config = config_for("mnist", scale, seed=seed, **overrides)
     tree = SeedSequenceTree(seed)
     models = {
         "mnist_cnn": mnist_cnn(tree.rng("m1")).num_params,
@@ -937,6 +983,7 @@ def run_serve(
     workers: int = 2,
     burst_size: Optional[int] = None,
     deadline_seconds: Optional[float] = None,
+    **overrides,
 ) -> Dict[str, Any]:
     """Drive the erasure daemon through a three-phase load story.
 
@@ -967,7 +1014,7 @@ def run_serve(
     from repro.storage import SignGradientStore
     from repro.unlearning import UnlearningService
 
-    config = config_for("mnist", scale, seed=seed)
+    config = config_for("mnist", scale, seed=seed, **overrides)
     defaults = {
         "smoke": (120.0, 0.4),
         "ci": (250.0, 1.0),
@@ -993,13 +1040,14 @@ def run_serve(
     )
     workload = build_workload(config, schedule=schedule)
     record = train_workload(workload)
-    sign_record = with_sign_store(record, delta=config.delta)
+    sign_record = _sign_view(record, config)
     service = UnlearningService(
         record=sign_record,
         model=workload.model,
         clip_threshold=config.clip_threshold,
         buffer_size=config.buffer_size,
         refresh_period=config.refresh_period,
+        prefetch_depth=config.prefetch_depth,
     )
     daemon = ErasureDaemon(
         service,
@@ -1047,7 +1095,7 @@ def run_serve(
     # ------------------------------------------------------------------
     # Phase 4: mixed live traffic — train and erase concurrently.
     # ------------------------------------------------------------------
-    live_config = config_for("mnist", scale, seed=seed + 3)
+    live_config = config_for("mnist", scale, seed=seed + 3, **overrides)
     live_workload = build_workload(live_config)
     live_sim = FederatedSimulation(
         model=live_workload.model,
@@ -1056,6 +1104,7 @@ def run_serve(
         schedule=live_workload.schedule,
         gradient_store=SignGradientStore(),
         aggregator=live_config.aggregator,
+        workers=live_config.train_workers,
     )
     session = LiveTrainingSession(live_sim, live_config.num_rounds, paced=True)
     live_service = UnlearningService(
@@ -1064,6 +1113,7 @@ def run_serve(
         clip_threshold=live_config.clip_threshold,
         buffer_size=live_config.buffer_size,
         refresh_period=live_config.refresh_period,
+        prefetch_depth=live_config.prefetch_depth,
     ).bind_live(session)
     live_daemon = ErasureDaemon(
         live_service,

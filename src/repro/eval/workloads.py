@@ -212,6 +212,7 @@ def train_workload(workload: Workload) -> TrainingRecord:
         aggregator=config.aggregator,
         test_set=workload.test_set,
         eval_every=max(1, config.num_rounds // 4),
+        workers=config.train_workers,
     )
     workload.record = sim.run(config.num_rounds)
     return workload.record

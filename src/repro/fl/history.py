@@ -10,13 +10,21 @@ testable property.
 
 from __future__ import annotations
 
+import shutil
+import tempfile
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 import numpy as np
 
 from repro.fl.membership import MembershipLedger
-from repro.storage.store import GradientStore, ModelCheckpointStore
+from repro.storage.store import (
+    SIGN_BACKENDS,
+    GradientStore,
+    ModelCheckpointStore,
+    SignGradientStore,
+)
 
 __all__ = ["TrainingRecord", "with_sign_store"]
 
@@ -104,7 +112,7 @@ class TrainingRecord:
 def with_sign_store(
     record: TrainingRecord,
     delta: float = 1e-6,
-    backend: Optional[str] = None,
+    backend: str = "dict",
     directory: Optional[str] = None,
 ) -> TrainingRecord:
     """Derive a record whose gradient store holds 2-bit sign directions.
@@ -116,42 +124,37 @@ def with_sign_store(
     element-wise on the uploaded gradient.  Checkpoints, ledger and
     weights are shared (they are identical under both schemes).
 
-    ``backend`` picks the storage substrate: ``"dict"`` (in-memory
+    ``backend`` (one of :data:`~repro.storage.store.SIGN_BACKENDS`)
+    picks the storage substrate: ``"dict"`` (in-memory
     :class:`~repro.storage.store.SignGradientStore`), or the one
     on-disk sign layout, read-only (``"mmap"``,
     :class:`~repro.storage.tiered.MmapSignGradientStore`) or appendable
     (``"tiered"``,
-    :class:`~repro.storage.tiered.TieredSignGradientStore`) — the
-    on-disk backends live under ``directory``, a fresh temp dir when
-    omitted.
-    ``None`` defers to
-    :func:`repro.storage.store.default_sign_backend`, which
-    ``python -m repro.eval --store`` sets.  Decoded directions, and
-    therefore recovered parameters, are bitwise identical across
+    :class:`~repro.storage.tiered.TieredSignGradientStore`).  The
+    on-disk backends live under ``directory``; when it is omitted they
+    get a fresh temp dir, removed once the store is garbage-collected
+    (a caller's ``directory`` is never removed).  Decoded directions,
+    and therefore recovered parameters, are bitwise identical across
     backends.
     """
-    import tempfile
-
-    from repro.storage.store import SignGradientStore, default_sign_backend
-
-    if backend is None:
-        backend = default_sign_backend()
-
+    if backend not in SIGN_BACKENDS:
+        raise ValueError(
+            f"unknown sign backend {backend!r}; use one of {SIGN_BACKENDS}"
+        )
     sign = SignGradientStore(delta=delta)
     for t in record.gradients.rounds():
         for cid in record.gradients.clients_at(t):
             sign.put(t, cid, record.gradients.get(t, cid))
-    if backend in ("mmap", "tiered"):
+    if backend != "dict":
         from repro.storage.tiered import MmapSignGradientStore, TieredSignGradientStore
 
-        if directory is None:
-            directory = tempfile.mkdtemp(prefix=f"sign-{backend}-")
         layout = MmapSignGradientStore if backend == "mmap" else TieredSignGradientStore
-        sign = layout.from_store(sign, directory)
-    elif backend != "dict":
-        raise ValueError(
-            f"unknown sign backend {backend!r}; use 'dict', 'mmap', or 'tiered'"
-        )
+        if directory is not None:
+            sign = layout.from_store(sign, directory)
+        else:
+            directory = tempfile.mkdtemp(prefix=f"sign-{backend}-")
+            sign = layout.from_store(sign, directory)
+            weakref.finalize(sign, shutil.rmtree, directory, True)
     return TrainingRecord(
         checkpoints=record.checkpoints,
         gradients=sign,

@@ -52,7 +52,12 @@ from typing import Callable, Dict, Generator, List, Mapping, Optional, Sequence,
 import numpy as np
 
 from repro.datasets.base import ArrayDataset
-from repro.faults.injection import ServerKilledError
+from repro.faults.injection import (
+    FAULT_STAT_KEYS,
+    ServerKilledError,
+    apply_fault,
+    flaky_attempts,
+)
 from repro.faults.plan import FaultPlan
 from repro.faults.retry import RetryPolicy
 from repro.faults.validation import QuarantineEvent, UpdateValidator
@@ -64,8 +69,6 @@ from repro.fl.server import RsuServer
 from repro.nn.layers import Dropout
 from repro.nn.metrics import accuracy
 from repro.nn.model import Sequential
-from repro.parallel.policy import resolve_execution
-from repro.parallel.rounds import FAULT_STAT_KEYS, apply_fault, flaky_attempts
 from repro.storage.store import GradientStore, RoundRows
 from repro.telemetry.core import current_telemetry
 from repro.utils.logging import get_logger
@@ -109,13 +112,11 @@ class FederatedSimulation:
         Update-validation gate handed to the server; see
         :class:`~repro.fl.server.RsuServer`.
     workers:
-        Threads splitting each round's cohort pass; None falls back to
-        the process-wide default from
-        :func:`repro.parallel.policy.default_execution` (1, unless the
-        CLI's ``--workers`` changed it).  Every count produces a
-        bitwise-identical record.  Above 1 the model must have no
-        active :class:`~repro.nn.layers.Dropout`: each thread's clone
-        would draw the same masks.
+        Threads splitting each round's cohort pass (default 1: one
+        pass, no pool).  Every count produces a bitwise-identical
+        record.  Above 1 the model must have no active
+        :class:`~repro.nn.layers.Dropout`: each thread's clone would
+        draw the same masks.
     """
 
     def __init__(
@@ -131,7 +132,7 @@ class FederatedSimulation:
         fault_plan: Optional[FaultPlan] = None,
         retry_policy: Optional[RetryPolicy] = None,
         validator: Optional[UpdateValidator] = None,
-        workers: Optional[int] = None,
+        workers: int = 1,
     ):
         if not clients:
             raise ValueError("need at least one client")
@@ -159,12 +160,14 @@ class FederatedSimulation:
         self.eval_every = eval_every
         self.fault_plan = fault_plan
         self.retry_policy = retry_policy or RetryPolicy(max_attempts=1)
-        self.execution = resolve_execution(workers)
-        if self.execution.workers > 1:
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
+        self.workers = workers
+        if workers > 1:
             for index, layer in enumerate(model.layers):
                 if isinstance(layer, Dropout) and layer.rate > 0:
                     raise ValueError(
-                        f"workers={self.execution.workers} needs a model "
+                        f"workers={workers} needs a model "
                         f"without active dropout: layer {index} ({layer!r}) "
                         "would repeat its masks on every thread's clone"
                     )
@@ -509,7 +512,7 @@ class FederatedSimulation:
             start_round = self._restore(snapshot)
             accuracy_history = list(snapshot.accuracy_history)
         telemetry = current_telemetry()
-        workers = self.execution.workers
+        workers = self.workers
         models = [self.model]
         pool: Optional[ThreadPoolExecutor] = None
         try:

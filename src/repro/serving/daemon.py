@@ -153,13 +153,6 @@ class ErasureDaemon:
         path bypasses ``retry_policy`` — a transient fault fails the
         group's remaining members, and client retries re-execute
         against the salvaged forest.
-    prefetch_depth:
-        When not ``None``, overrides the service's replay data-path
-        look-ahead (:mod:`repro.storage.prefetch`) for every request
-        this daemon serves; ``0`` forces the synchronous path.
-        :meth:`stop` drains the service's prefetch resources (decode
-        thread pool + shared round cache) after the workers exit, so a
-        stopped daemon leaves no background decode threads behind.
     """
 
     def __init__(
@@ -175,10 +168,7 @@ class ErasureDaemon:
         clock: Callable[[], float] = time.monotonic,
         idempotency_capacity: int = 4096,
         fusion_width: int = 1,
-        prefetch_depth: Optional[int] = None,
     ):
-        if prefetch_depth is not None and prefetch_depth < 0:
-            raise ValueError("prefetch_depth must be >= 0")
         if capacity < 0:
             raise ValueError("capacity must be >= 0")
         if workers < 1:
@@ -192,9 +182,6 @@ class ErasureDaemon:
         if idempotency_capacity < 1:
             raise ValueError("idempotency_capacity must be >= 1")
         self.service = service
-        if prefetch_depth is not None:
-            service.prefetch_depth = prefetch_depth
-        self.prefetch_depth = prefetch_depth
         self.capacity = capacity
         self.workers = workers
         self.default_deadline_seconds = default_deadline_seconds
@@ -245,7 +232,10 @@ class ErasureDaemon:
         inline when no workers were ever started, so the drain contract
         holds deterministically either way); ``mode="abort"`` fails
         every queued request with ``RejectedError("shutdown")``.
-        In-flight requests always run to completion.
+        In-flight requests always run to completion.  Once the workers
+        exit, the service's prefetch resources (decode thread pool and
+        shared round cache) are drained, so a stopped daemon leaves no
+        background decode threads behind.
         """
         if mode not in ("drain", "abort"):
             raise ValueError(f"mode must be 'drain' or 'abort', got {mode!r}")

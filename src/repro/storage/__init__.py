@@ -13,12 +13,7 @@ from repro.storage.sign_codec import (
     ternarize,
     unpack_signs,
 )
-from repro.storage.prefetch import (
-    RoundDecodeCache,
-    RoundPrefetcher,
-    default_prefetch_depth,
-    set_default_prefetch_depth,
-)
+from repro.storage.prefetch import RoundDecodeCache, RoundPrefetcher
 from repro.storage.snapshot import SnapshotPin, SnapshotRegistry
 from repro.storage.tiered import MmapSignGradientStore, TieredSignGradientStore
 from repro.storage.store import (
@@ -28,9 +23,7 @@ from repro.storage.store import (
     ModelCheckpointStore,
     RoundRows,
     SignGradientStore,
-    default_sign_backend,
     make_gradient_store,
-    set_default_sign_backend,
 )
 
 __all__ = [
@@ -48,16 +41,12 @@ __all__ = [
     "TieredSignGradientStore",
     "decode_gradient",
     "decode_round",
-    "default_prefetch_depth",
-    "default_sign_backend",
     "encode_gradient",
     "encode_round",
     "make_gradient_store",
     "pack_signs",
     "pack_signs_batch",
     "packed_size_bytes",
-    "set_default_prefetch_depth",
-    "set_default_sign_backend",
     "storage_savings_ratio",
     "ternarize",
     "unpack_signs",

@@ -34,9 +34,11 @@ it produces.  A decode failure is reported as ``None`` (not cached),
 and the replay loop falls back to its per-client damage-isolating
 reads exactly as the synchronous path does.
 
-The process-wide default depth (:func:`default_prefetch_depth`, set by
-``python -m repro.eval --prefetch-depth``) mirrors the sign-backend
-policy idiom of :mod:`repro.storage.store`; the default is ``0`` (off).
+The depth is a constructor argument of
+:class:`~repro.unlearning.recovery.SignRecoveryUnlearner` and
+:class:`~repro.unlearning.service.UnlearningService` (``python -m
+repro.eval --prefetch-depth`` passes it down); the default is ``0``
+(off).
 
 Telemetry (see ``docs/METRICS.md``): ``storage_prefetch_hits_total`` /
 ``storage_prefetch_misses_total`` / ``storage_prefetch_stall_seconds``
@@ -63,36 +65,7 @@ __all__ = [
     "PrefetchStats",
     "RoundDecodeCache",
     "RoundPrefetcher",
-    "default_prefetch_depth",
-    "set_default_prefetch_depth",
 ]
-
-# Process-wide default look-ahead depth for replay prefetching.  0
-# disables the pipeline (the synchronous pre-pipeline data path);
-# ``python -m repro.eval --prefetch-depth k`` flips it for a run.
-_default_prefetch_depth = 0
-
-
-def default_prefetch_depth() -> int:
-    """The process-wide replay prefetch depth (0 = synchronous)."""
-    return _default_prefetch_depth
-
-
-def set_default_prefetch_depth(depth: int) -> int:
-    """Set the default prefetch depth; returns the previous value.
-
-    Consulted by :class:`~repro.unlearning.recovery.SignRecoveryUnlearner`
-    when no explicit ``prefetch_depth`` is passed — recovered
-    parameters are bitwise identical at every depth, only wall time
-    changes.
-    """
-    global _default_prefetch_depth
-    depth = int(depth)
-    if depth < 0:
-        raise ValueError(f"prefetch depth must be >= 0, got {depth}")
-    previous = _default_prefetch_depth
-    _default_prefetch_depth = depth
-    return previous
 
 
 def _freeze(decoded: RoundRows) -> RoundRows:

@@ -46,40 +46,15 @@ __all__ = [
     "SignGradientStore",
     "ModelCheckpointStore",
     "make_gradient_store",
-    "default_sign_backend",
-    "set_default_sign_backend",
 ]
 
-# Process-wide default backend for derived sign-store views:
-# ``"dict"`` (in-memory SignGradientStore), or the on-disk sign layout
-# read-only (``"mmap"``, MmapSignGradientStore) or appendable
-# (``"tiered"``, TieredSignGradientStore).  Mirrors the worker-count policy of
-# repro.parallel.policy; ``python -m repro.eval --store mmap`` (or
-# ``tiered``) flips it for a run.
+# Backends of a derived sign-store view
+# (:func:`repro.fl.history.with_sign_store`): ``"dict"`` (in-memory
+# SignGradientStore), or the on-disk sign layout read-only (``"mmap"``,
+# MmapSignGradientStore) or appendable (``"tiered"``,
+# TieredSignGradientStore).  ``python -m repro.eval --store`` picks one
+# per run.
 SIGN_BACKENDS = ("dict", "mmap", "tiered")
-_default_sign_backend = "dict"
-
-
-def default_sign_backend() -> str:
-    """The process-wide sign-store backend (one of ``SIGN_BACKENDS``)."""
-    return _default_sign_backend
-
-
-def set_default_sign_backend(kind: str) -> str:
-    """Set the default sign-store backend; returns the previous value.
-
-    Consulted by :func:`repro.fl.history.with_sign_store` when no
-    explicit ``backend`` is passed — recovered parameters are bitwise
-    identical across backends, only the storage substrate changes.
-    """
-    global _default_sign_backend
-    if kind not in SIGN_BACKENDS:
-        raise ValueError(
-            f"unknown sign backend {kind!r}; use one of {SIGN_BACKENDS}"
-        )
-    previous = _default_sign_backend
-    _default_sign_backend = kind
-    return previous
 
 
 class RoundRows(Mapping):

@@ -70,7 +70,7 @@ from repro.fl.aggregation import AGGREGATORS, fedavg
 from repro.fl.history import TrainingRecord
 from repro.nn.arena import BranchArena
 from repro.nn.optim import SGD
-from repro.storage.prefetch import RoundPrefetcher, default_prefetch_depth
+from repro.storage.prefetch import RoundPrefetcher
 from repro.storage.store import RoundRows
 from repro.telemetry.core import current_telemetry
 from repro.unlearning.backtrack import backtrack
@@ -451,11 +451,7 @@ def _run_group(
         if resumed_from is not None
         else min(node.resume for node in active)
     )
-    depth = (
-        unlearner.prefetch_depth
-        if unlearner.prefetch_depth is not None
-        else default_prefetch_depth()
-    )
+    depth = unlearner.prefetch_depth
     prefetcher: Optional[RoundPrefetcher] = None
     if depth > 0 and getattr(record.gradients, "supports_bulk_round", False):
         # Pipeline the shared read: one prefetcher serves every branch,

@@ -605,10 +605,8 @@ class SignRecoveryUnlearner(UnlearningMethod):
         Look-ahead window of the replay data-path pipeline
         (:mod:`repro.storage.prefetch`): while round ``t`` computes,
         rounds ``t+1 .. t+depth`` bulk-decode on a background thread.
-        ``0`` is the synchronous path (no pipeline); ``None`` (default)
-        defers to :func:`repro.storage.prefetch.default_prefetch_depth`,
-        which ``python -m repro.eval --prefetch-depth`` sets.  Recovered
-        parameters are bitwise identical at every depth.
+        ``0`` (the default) is the synchronous path (no pipeline).
+        Recovered parameters are bitwise identical at every depth.
     decode_cache:
         Optional shared :class:`~repro.storage.prefetch.RoundDecodeCache`
         so concurrent/successive requests over the same record resolve
@@ -630,7 +628,7 @@ class SignRecoveryUnlearner(UnlearningMethod):
         checkpoint_every: int = 5,
         prefix_cache: Optional[ReplayForest] = None,
         cancel_check: Optional[Callable[[], None]] = None,
-        prefetch_depth: Optional[int] = None,
+        prefetch_depth: int = 0,
         decode_cache: Optional[RoundDecodeCache] = None,
         prefetch_executor: Optional[ThreadPoolExecutor] = None,
     ):
@@ -638,7 +636,7 @@ class SignRecoveryUnlearner(UnlearningMethod):
             raise ValueError("refresh_period must be >= 1")
         if checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
-        if prefetch_depth is not None and prefetch_depth < 0:
+        if prefetch_depth < 0:
             raise ValueError("prefetch_depth must be >= 0")
         self.clip_threshold = clip_threshold
         self.buffer_size = buffer_size

@@ -54,7 +54,7 @@ from repro.defenses import DetectionReport, detect_malicious_clients
 from repro.fl.history import TrainingRecord
 from repro.fl.persistence import load_record, save_record
 from repro.nn.model import Sequential
-from repro.storage.prefetch import RoundDecodeCache, default_prefetch_depth
+from repro.storage.prefetch import RoundDecodeCache
 from repro.telemetry.core import current_telemetry
 from repro.unlearning.base import UnlearnResult
 from repro.unlearning.forest import fused_unlearn
@@ -187,9 +187,8 @@ class UnlearningService:
         LRU capacity of the service's replay prefix cache.
     prefetch_depth:
         Replay data-path look-ahead (:mod:`repro.storage.prefetch`)
-        applied to every replay this service runs.  ``None`` (default)
-        defers to :func:`repro.storage.prefetch.default_prefetch_depth`;
-        ``0`` forces the synchronous path.  Recovered parameters are
+        applied to every replay this service runs; ``0`` (the default)
+        is the synchronous path.  Recovered parameters are
         byte-identical at every depth.
     decode_cache_bytes:
         Byte budget of the service's shared per-round decode cache, so
@@ -218,7 +217,7 @@ class UnlearningService:
     buffer_size: int = 2
     refresh_period: int = 21
     cache_max_entries: int = 8
-    prefetch_depth: Optional[int] = None
+    prefetch_depth: int = 0
     decode_cache_bytes: int = 64 * 1024 * 1024
     merge_mode: str = "replay"
     max_commit_retries: int = 8
@@ -238,6 +237,8 @@ class UnlearningService:
     )
 
     def __post_init__(self) -> None:
+        if self.prefetch_depth < 0:
+            raise ValueError("prefetch_depth must be >= 0")
         if self._prefix_cache is None:
             self._prefix_cache = ReplayForest(
                 max_entries=self.cache_max_entries
@@ -339,8 +340,6 @@ class UnlearningService:
         tears the decode pool down under a replay — live replays hold
         no service lock."""
         depth = self.prefetch_depth
-        if depth is None:
-            depth = default_prefetch_depth()
         with self._replay_cond:
             self._replays += 1
             if depth > 0:
@@ -360,7 +359,7 @@ class UnlearningService:
                 buffer_size=self.buffer_size,
                 refresh_period=self.refresh_period,
                 prefix_cache=self._prefix_cache,
-                prefetch_depth=max(depth, 0),
+                prefetch_depth=depth,
                 decode_cache=self._decode_cache if depth > 0 else None,
                 prefetch_executor=self._prefetch_executor if depth > 0 else None,
             )
@@ -874,7 +873,7 @@ class UnlearningService:
         clip_threshold: float = 1.0,
         buffer_size: int = 2,
         refresh_period: int = 21,
-        prefetch_depth: Optional[int] = None,
+        prefetch_depth: int = 0,
     ) -> "UnlearningService":
         """Resume a service from a persisted record."""
         record = load_record(directory)

@@ -20,7 +20,6 @@ PACKAGES = [
     "repro.fl",
     "repro.iov",
     "repro.nn",
-    "repro.parallel",
     "repro.serving",
     "repro.storage",
     "repro.telemetry",

@@ -70,6 +70,30 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(forget_join_round=999, num_rounds=10)
 
+    def test_execution_fields(self):
+        cfg = ExperimentConfig()
+        assert (cfg.train_workers, cfg.sign_backend, cfg.prefetch_depth) == (1, "dict", 0)
+        for bad in ({"train_workers": 0}, {"sign_backend": "sqlite"}, {"prefetch_depth": -1}):
+            with pytest.raises(ValueError):
+                ExperimentConfig(**bad)
+
+    def test_every_runner_forwards_overrides(self, monkeypatch):
+        """Each runner hands its extra keyword arguments to
+        ``config_for`` — the CLI's only way to reach the config."""
+        import repro.eval.experiments as experiments
+
+        class Seen(Exception):
+            pass
+
+        def config_for_spy(*args, **overrides):
+            raise Seen(overrides)
+
+        monkeypatch.setattr(experiments, "config_for", config_for_spy)
+        for name, runner in experiments.EXPERIMENT_RUNNERS.items():
+            with pytest.raises(Seen) as seen:
+                runner(scale="smoke", prefetch_depth=3)
+            assert seen.value.args[0].get("prefetch_depth") == 3, name
+
     def test_env_scale(self, monkeypatch):
         from repro.eval.config import current_scale
 

@@ -8,6 +8,7 @@ empty and mixed-length builds, damage detected on open, tombstones
 against disk bytes, compaction, persistence and ``with_sign_store``.
 """
 
+import gc
 import os
 
 import numpy as np
@@ -192,20 +193,22 @@ class TestWithSignStoreBackend:
         assert isinstance(mmap_record.gradients, MmapSignGradientStore)
         _assert_same_view(dict_record.gradients, mmap_record.gradients)
 
-    def test_default_backend_policy(self, small_fl):
-        import shutil
+    @pytest.mark.parametrize("backend", ["mmap", "tiered"])
+    def test_own_temp_directory_removed_with_store(self, small_fl, tmp_path, backend):
+        """A layout ``with_sign_store`` put in a temp dir of its own goes
+        when the store is collected; a caller's directory stays."""
+        record = with_sign_store(small_fl["record"], backend=backend)
+        owned = record.gradients.directory
+        assert os.listdir(owned)
+        del record
+        gc.collect()
+        assert not os.path.exists(owned)
 
-        from repro.storage import set_default_sign_backend
-
-        previous = set_default_sign_backend("mmap")
-        record = None
-        try:
-            record = with_sign_store(small_fl["record"])
-            assert isinstance(record.gradients, MmapSignGradientStore)
-        finally:
-            set_default_sign_backend(previous)
-            if record is not None:
-                shutil.rmtree(record.gradients.directory, ignore_errors=True)
+        given = tmp_path / "given"
+        record = with_sign_store(small_fl["record"], backend=backend, directory=str(given))
+        del record
+        gc.collect()
+        assert os.listdir(given)
 
     def test_unknown_backend_raises(self, small_fl):
         with pytest.raises(ValueError):

@@ -28,10 +28,9 @@ from repro.storage import (
     RoundPrefetcher,
     SignGradientStore,
     TieredSignGradientStore,
-    default_prefetch_depth,
-    set_default_prefetch_depth,
 )
 from repro.unlearning.recovery import SignRecoveryUnlearner
+from repro.unlearning.service import UnlearningService
 from repro.utils.rng import SeedSequenceTree
 
 from tests.conftest import pin_note
@@ -103,20 +102,16 @@ class _FlakyStore:
 # depth policy
 # ----------------------------------------------------------------------
 class TestDepthPolicy:
-    def test_default_is_synchronous(self):
-        assert default_prefetch_depth() == 0
+    def test_default_is_synchronous(self, small_fl):
+        assert SignRecoveryUnlearner().prefetch_depth == 0
+        service = UnlearningService(record=small_fl["record"], model=small_fl["model"])
+        assert service.prefetch_depth == 0
 
-    def test_set_returns_previous_and_round_trips(self):
-        previous = set_default_prefetch_depth(3)
-        try:
-            assert default_prefetch_depth() == 3
-        finally:
-            assert set_default_prefetch_depth(previous) == 3
-        assert default_prefetch_depth() == previous
-
-    def test_negative_depth_rejected(self):
+    def test_negative_depth_rejected(self, small_fl):
         with pytest.raises(ValueError):
-            set_default_prefetch_depth(-1)
+            UnlearningService(
+                record=small_fl["record"], model=small_fl["model"], prefetch_depth=-3
+            )
 
     def test_prefetcher_requires_positive_depth(self, rng, tmp_path):
         store = _dict_store(rng, tmp_path)
@@ -194,25 +189,6 @@ class TestIdentity:
             )
             assert got.params.tobytes() == baseline.params.tobytes()
             assert got.stats == baseline.stats
-
-    def test_recovery_depth_from_global_default(self, small_fl, tmp_path):
-        from repro.fl.history import with_sign_store
-
-        record = with_sign_store(
-            small_fl["record"],
-            delta=0.05,
-            backend="tiered",
-            directory=str(tmp_path / "rec"),
-        )
-        model = small_fl["model"]
-        forget = [small_fl["forget_id"]]
-        baseline = SignRecoveryUnlearner().unlearn(record, forget, model)
-        previous = set_default_prefetch_depth(3)
-        try:
-            got = SignRecoveryUnlearner().unlearn(record, forget, model)
-        finally:
-            set_default_prefetch_depth(previous)
-        assert got.params.tobytes() == baseline.params.tobytes()
 
     def test_prefetched_tiered_replay_matches_pinned_digest(self, tmp_path):
         """A depth-4 prefetching replay over a warm + cold tiered record

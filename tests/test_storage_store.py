@@ -6,15 +6,15 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.eval import ExperimentConfig
+from repro.fl.history import with_sign_store
 from repro.storage import (
     FullGradientStore,
     GradientStore,
     ModelCheckpointStore,
     SignGradientStore,
-    default_sign_backend,
     encode_gradient,
     make_gradient_store,
-    set_default_sign_backend,
 )
 
 
@@ -221,21 +221,17 @@ class TestGetRound:
 
 
 class TestSignBackendPolicy:
-    def test_default_is_dict(self):
-        assert default_sign_backend() == "dict"
+    def test_default_is_dict(self, small_fl):
+        record = with_sign_store(small_fl["record"])
+        assert type(record.gradients) is SignGradientStore
 
-    def test_set_returns_previous_and_roundtrips(self):
-        previous = set_default_sign_backend("mmap")
-        try:
-            assert previous == "dict"
-            assert default_sign_backend() == "mmap"
-        finally:
-            set_default_sign_backend(previous)
-        assert default_sign_backend() == "dict"
-
-    def test_unknown_backend_raises(self):
+    def test_unknown_backend_raises(self, small_fl):
+        """``with_sign_store`` and the experiment config both check the
+        name against ``SIGN_BACKENDS``."""
         with pytest.raises(ValueError):
-            set_default_sign_backend("sqlite")
+            with_sign_store(small_fl["record"], backend="sqlite")
+        with pytest.raises(ValueError):
+            ExperimentConfig(sign_backend="sqlite")
 
 
 class TestMakeGradientStore:
