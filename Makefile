@@ -28,7 +28,13 @@ test:
 # equals the per-image renderer it replaced
 # (tests/test_datasets_synthetic.py:
 # test_chunked_batches_match_lone_renders,
-# test_lone_renders_match_per_image_references).
+# test_lone_renders_match_per_image_references) — and three more at
+# 400 examples (tests/test_storage_round_major.py): the in-memory
+# stores' round-major container against a per-row model
+# (ContainerMachine), a reader that never sees a torn round while a
+# writer appends and drops (test_reader_never_sees_a_torn_round), and
+# the ledger's participants memo against a brute-force scan
+# (LedgerMachine).
 chaos:
 	CHAOS_SEEDS=7,21,99 pytest tests/ -m chaos
 

@@ -110,6 +110,13 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--quiet", action="store_true", help="suppress progress logs")
     args = parser.parse_args(argv)
+    # Usage errors (exit 2) rather than a traceback from the config.
+    if args.workers is not None and args.workers < 1:
+        parser.error(f"--workers must be at least 1, got {args.workers}")
+    if args.prefetch_depth is not None and args.prefetch_depth < 0:
+        parser.error(
+            f"--prefetch-depth must be at least 0, got {args.prefetch_depth}"
+        )
 
     if not args.quiet:
         configure()

@@ -18,6 +18,7 @@ without each runner naming them.
 
 from __future__ import annotations
 
+import tempfile
 from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -1006,12 +1007,14 @@ def run_serve(
     against it through a :class:`~repro.fl.live.LiveTrainingSession` —
     one seeded :func:`~repro.serving.loadgen.mixed_schedule` interleaves
     train-round arrivals (dispatched as round permits) with erasure
-    arrivals, and the summary reports snapshot/merge accounting.
+    arrivals, and the summary reports snapshot/merge accounting.  That
+    simulation trains on a tiered store under ``sign_backend="tiered"``
+    and on ``dict`` otherwise; the phase row's ``store`` names which.
     """
     from repro.fl import FederatedSimulation, LiveTrainingSession, VehicleClient
     from repro.serving import ErasureDaemon, LoadGenerator, mass_gdpr_schedule, steady_schedule
     from repro.serving.loadgen import mixed_schedule
-    from repro.storage import SignGradientStore
+    from repro.storage import SignGradientStore, TieredSignGradientStore
     from repro.unlearning import UnlearningService
 
     config = config_for("mnist", scale, seed=seed, **overrides)
@@ -1097,12 +1100,19 @@ def run_serve(
     # ------------------------------------------------------------------
     live_config = config_for("mnist", scale, seed=seed + 3, **overrides)
     live_workload = build_workload(live_config)
+    # Training appends rounds, which the read-only mmap layout cannot
+    # take: only --store tiered trains on disk, and the row says which.
+    live_backend = "tiered" if live_config.sign_backend == "tiered" else "dict"
+    live_store = SignGradientStore()
+    if live_backend == "tiered":
+        live_dir = tempfile.TemporaryDirectory(prefix="sign-tiered-")
+        live_store = TieredSignGradientStore(live_dir.name)
     live_sim = FederatedSimulation(
         model=live_workload.model,
         clients=live_workload.clients,
         learning_rate=live_config.learning_rate,
         schedule=live_workload.schedule,
-        gradient_store=SignGradientStore(),
+        gradient_store=live_store,
         aggregator=live_config.aggregator,
         workers=live_config.train_workers,
     )
@@ -1143,6 +1153,7 @@ def run_serve(
                 label="mixed",
             ).as_dict()
         )
+        phases[-1]["store"] = live_backend
     finally:
         session.release_pacing()
         live_daemon.stop(mode="drain")
@@ -1161,6 +1172,9 @@ def run_serve(
         "deferred_drops": session.registry.deferred_total,
         "erased_clients": [float(c) for c in live_service.erased_clients],
     }
+    if live_backend == "tiered":
+        live_store.close()
+        live_dir.cleanup()
 
     return {
         "experiment": "serve",

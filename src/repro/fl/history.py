@@ -143,8 +143,7 @@ def with_sign_store(
         )
     sign = SignGradientStore(delta=delta)
     for t in record.gradients.rounds():
-        for cid in record.gradients.clients_at(t):
-            sign.put(t, cid, record.gradients.get(t, cid))
+        sign.put_round(t, record.gradients.get_round(t))
     if backend != "dict":
         from repro.storage.tiered import MmapSignGradientStore, TieredSignGradientStore
 

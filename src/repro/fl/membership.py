@@ -9,7 +9,8 @@ unlearning scheme needs:
 - :meth:`MembershipLedger.join_round` — the backtracking target ``F``.
 - :meth:`MembershipLedger.participants_at` — which gradients exist at a
   given historical round (a vehicle that was joined but dropped out
-  contributed nothing that round).
+  contributed nothing that round).  Memoised per round; a join, leave
+  or dropout at round ``r`` forgets the memo from ``r`` on.
 
 Rounds are 0-based throughout the codebase: round ``t`` updates
 ``w_t -> w_{t+1}``.
@@ -19,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
+
+import numpy as np
 
 __all__ = ["MembershipLedger", "ClientRecord"]
 
@@ -48,6 +51,12 @@ class MembershipLedger:
 
     def __init__(self) -> None:
         self._records: Dict[int, ClientRecord] = {}
+        # participant_ids memo, indexed by round: a mutation truncates it
+        # at its round, which past the end (the round being trained) is free.
+        self._participants: List[Optional[np.ndarray]] = []
+
+    def _invalidate(self, round_index: int) -> None:
+        del self._participants[max(round_index, 0) :]
 
     # ------------------------------------------------------------------
     # mutation (called by the simulation as events occur)
@@ -63,6 +72,7 @@ class MembershipLedger:
         if round_index < 0:
             raise ValueError("round_index must be non-negative")
         self._records[client_id] = ClientRecord(client_id, round_index)
+        self._invalidate(round_index)
 
     def leave(self, client_id: int, round_index: int) -> None:
         """Register that ``client_id`` left before ``round_index``."""
@@ -72,11 +82,13 @@ class MembershipLedger:
         if round_index <= record.join_round:
             raise ValueError("leave round must be after the join round")
         record.leave_round = round_index
+        self._invalidate(round_index)
 
     def record_dropout(self, client_id: int, round_index: int) -> None:
         """Mark a transient dropout (no gradient that round)."""
         record = self._require(client_id)
         record.dropout_rounds.add(round_index)
+        self._invalidate(round_index)
 
     # ------------------------------------------------------------------
     # queries
@@ -141,9 +153,23 @@ class MembershipLedger:
 
     def participants_at(self, round_index: int) -> List[int]:
         """Sorted ids of clients that contributed at ``round_index``."""
-        return sorted(
-            cid for cid, rec in self._records.items() if rec.participated(round_index)
-        )
+        return self.participant_ids(round_index).tolist()
+
+    def participant_ids(self, round_index: int) -> np.ndarray:
+        """:meth:`participants_at` as an ascending read-only int64 array,
+        memoised per round.  Reads may overlap one another, not a
+        mutation (live replays read a copy of the ledger)."""
+        memo = self._participants
+        ids = memo[round_index] if 0 <= round_index < len(memo) else None
+        if ids is None:
+            records = self._records.items()
+            found = (c for c, rec in records if rec.participated(round_index))
+            ids = np.array(sorted(found), dtype=np.int64)
+            ids.flags.writeable = False
+            if round_index >= 0:
+                memo.extend([None] * (round_index + 1 - len(memo)))
+                memo[round_index] = ids
+        return ids
 
     def members_at(self, round_index: int) -> List[int]:
         """Sorted ids of clients that were members (even if dropped out)."""

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-import networkx as nx
 import numpy as np
 
 __all__ = ["RoadNetwork", "Vehicle", "simulate_positions"]
@@ -48,6 +47,8 @@ class RoadNetwork:
         self.rows = rows
         self.cols = cols
         self.block_length = block_length
+        import networkx as nx  # a large import: only road networks load it
+
         self.graph = nx.grid_2d_graph(rows, cols)
         for u, v in self.graph.edges:
             self.graph.edges[u, v]["length"] = block_length
@@ -66,6 +67,8 @@ class RoadNetwork:
         self, src: Tuple[int, int], dst: Tuple[int, int]
     ) -> List[Tuple[int, int]]:
         """Shortest sequence of intersections from src to dst."""
+        import networkx as nx
+
         return nx.shortest_path(self.graph, src, dst, weight="length")
 
     @property

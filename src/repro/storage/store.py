@@ -7,8 +7,9 @@ During FL training the RSU records, per round:
 
 The paper's scheme stores only the 2-bit gradient *direction*
 (:class:`SignGradientStore`); the FedRecover baseline stores full
-float32 gradients (:class:`FullGradientStore`).  Both implement the
-same interface so the unlearning algorithms are backend-agnostic, and
+float32 gradients (:class:`FullGradientStore`).  Both are one
+round-major container — per round an ascending id array and one block
+of rows — behind the interface the unlearning algorithms share, and
 both account their exact byte usage for the storage benchmark.
 
 Telemetry: every ``put``/``get`` times the codec work
@@ -24,14 +25,12 @@ from __future__ import annotations
 
 import threading
 from collections.abc import Mapping
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.storage.sign_codec import (
-    decode_gradient,
     decode_round,
-    encode_gradient,
     encode_round,
     packed_size_bytes,
     unpack_signs,
@@ -161,6 +160,45 @@ def round_block(updates: Mapping[int, np.ndarray]) -> Optional[np.ndarray]:
     return np.stack(vectors)
 
 
+def _encoded_row(packed: np.ndarray, length: int) -> np.ndarray:
+    """A ``(packed, length)`` payload checked, as a flat copy detached
+    from the caller's array (``put_encoded`` on every sign backend)."""
+    packed = np.asarray(packed, dtype=np.uint8)
+    if length < 0:
+        raise ValueError("length must be non-negative")
+    if packed.size != packed_size_bytes(length):
+        raise ValueError(
+            f"packed payload of {packed.size} bytes cannot hold {length} "
+            "2-bit elements"
+        )
+    return packed.reshape(-1).copy()
+
+
+#: A stored round: ``(cids, block, length)``, or for a round whose rows
+#: differ in length ``(cids, [row, ...], [length, ...])``; ids ascending.
+_Block = Tuple[np.ndarray, object, object]
+
+
+def _entries(block: _Block) -> Iterator[Tuple[int, np.ndarray, int]]:
+    """A stored round's ``(cid, row, length)`` triples, ids ascending."""
+    cids, rows, length = block
+    lengths = length if isinstance(length, list) else [length] * len(cids)
+    return zip(cids.tolist(), rows, lengths)
+
+
+def _assemble(rows: Dict[int, Tuple[np.ndarray, int]]) -> _Block:
+    """``{client: (row, length)}`` as a stored round: one stacked block
+    when the rows share one length, else lists."""
+    ids = sorted(rows)
+    payload = [rows[c][0] for c in ids]
+    lengths = [rows[c][1] for c in ids]
+    cids = np.array(ids, dtype=np.int64)
+    cids.flags.writeable = False
+    if len(set(lengths)) == 1 and len({p.shape for p in payload}) == 1:
+        return cids, np.stack(payload), lengths[0]
+    return cids, payload, lengths
+
+
 class GradientStore:
     """Interface for per-round, per-client gradient records."""
 
@@ -186,8 +224,8 @@ class GradientStore:
 
         Equivalent to calling :meth:`put` per client in the dict's
         iteration order; backends may override it with a batched encode
-        (see :meth:`SignGradientStore.put_round`).  The server's round
-        commit goes through here.
+        (the in-memory stores keep the encoded block as the round).  The
+        server's round commit goes through here.
         """
         for client_id, gradient in updates.items():
             self.put(round_index, client_id, gradient)
@@ -199,8 +237,24 @@ class GradientStore:
         ``{-1, 0, +1}``; for a full store it is the gradient itself.
         Always float64, so callers may do float arithmetic on it (the
         L-BFGS seeding's ``get(j) - g_anchor``); only the bulk
-        :meth:`get_round` hands out int8 sign rows.
+        :meth:`get_round` hands out int8 sign rows.  The base
+        implementation decodes the stored row :meth:`_row` gives.
         """
+        entry = self._row(round_index, client_id)
+        if entry is None:
+            raise KeyError(f"no gradient for client {client_id} at round {round_index}")
+        row, length = entry
+        telemetry = current_telemetry()
+        with telemetry.span("storage_decode_seconds"):
+            decoded = self._decode(row, length).astype(np.float64, copy=False)
+        if telemetry.enabled:
+            telemetry.inc(
+                "storage_decoded_elements_total", length, backend=self.telemetry_backend
+            )
+        return decoded
+
+    def _row(self, t: int, cid: int) -> Optional[Tuple[np.ndarray, int]]:
+        """The stored ``(row, length)`` of one record, or None."""
         raise NotImplementedError
 
     def encoded_round(
@@ -222,49 +276,67 @@ class GradientStore:
         """Decode one whole round as ``{client_id: vector}`` rows of one
         block (:class:`RoundRows`; empty for a round with no records).
 
-        The base implementation batches the round through one
-        :func:`~repro.storage.sign_codec.decode_round` pass when the
-        backend exposes :meth:`encoded_round` payloads (per-row
-        :func:`~repro.storage.sign_codec.unpack_signs` when payload
-        lengths differ); sign rows come back as **int8**, equal in
-        value to per-client :meth:`get`, which returns float64.  A
-        backend without encoded payloads falls back to a per-client
-        :meth:`get` loop.  Backends with a genuinely batched read path
-        set ``supports_bulk_round``.
+        The stored round (:meth:`_stored_round`) decodes in one
+        :func:`~repro.storage.sign_codec.decode_round` pass (per-row
+        :func:`~repro.storage.sign_codec.unpack_signs` when lengths
+        differ); sign rows come back as **int8**, equal in value to
+        per-client :meth:`get`, which returns float64.  A backend with
+        no stored round to give falls back to a per-client :meth:`get`
+        loop.  Backends with a genuinely batched read path set
+        ``supports_bulk_round``.
         """
+        block = self._stored_round(round_index)
+        if block is None:
+            ids = self.clients_at(round_index)
+            return RoundRows.of({cid: self.get(round_index, cid) for cid in ids})
+        cids, rows, length = block
+        telemetry = current_telemetry()
+        with telemetry.span("storage_decode_seconds"):
+            if isinstance(rows, np.ndarray):
+                out = RoundRows(cids, self._decode(rows, length))
+                elements = length * len(cids)
+            else:
+                decoded = [self._decode(r, n) for r, n in zip(rows, length)]
+                out = RoundRows(cids, None, ragged=decoded)
+                elements = sum(length)
+        if telemetry.enabled:
+            backend = self.telemetry_backend
+            telemetry.inc("storage_decoded_elements_total", elements, backend=backend)
+            telemetry.inc("storage_bulk_decode_rounds_total", 1, backend=backend)
+        return out
+
+    def _stored_round(self, round_index: int) -> Optional[_Block]:
+        """The round as stored rows for :meth:`get_round`, here from the
+        :meth:`encoded_round` payloads; None when there are none."""
         try:
             encoded = self.encoded_round(round_index)
         except Exception:
-            encoded = None
+            return None
         if not encoded:
-            ids = self.clients_at(round_index)
-            return RoundRows.of({cid: self.get(round_index, cid) for cid in ids})
-        cids = sorted(encoded)
-        entries = [encoded[cid] for cid in cids]
+            return None
+        return _assemble({c: (np.ravel(p), n) for c, (p, n) in encoded.items()})
+
+    def _decode(self, rows: np.ndarray, length: int) -> np.ndarray:
+        """A stored sign row (1-D) or block (2-D) as int8 directions."""
+        if rows.ndim == 2:
+            return decode_round(rows, length)
+        return unpack_signs(rows, length)
+
+    def _count_encode(self, elements: int, stored_bytes: int) -> None:
+        """Put telemetry: elements and stored bytes, against their float32
+        equivalent (the §IV baseline)."""
         telemetry = current_telemetry()
-        backend = getattr(self, "telemetry_backend", "sign")
-        lengths = {length for _, length in entries}
-        with telemetry.span("storage_decode_seconds"):
-            if len(lengths) == 1:
-                block = np.stack([np.ravel(packed) for packed, _ in entries])
-                out = RoundRows(cids, decode_round(block, lengths.pop()))
-            else:
-                out = RoundRows.of(
-                    {
-                        cid: unpack_signs(np.ravel(packed), length)
-                        for cid, (packed, length) in zip(cids, entries)
-                    }
-                )
-        if telemetry.enabled:
-            telemetry.inc(
-                "storage_decoded_elements_total",
-                sum(length for _, length in entries),
-                backend=backend,
+        if not telemetry.enabled:
+            return
+        backend = self.telemetry_backend
+        raw_bytes = elements * 4
+        telemetry.inc("storage_encoded_elements_total", elements, backend=backend)
+        telemetry.inc("storage_put_bytes_total", stored_bytes, backend=backend)
+        telemetry.inc("storage_raw_bytes_total", raw_bytes, backend=backend)
+        if raw_bytes:
+            telemetry.set_gauge(
+                "storage_compression_ratio", stored_bytes / raw_bytes, backend=backend
             )
-            telemetry.inc(
-                "storage_bulk_decode_rounds_total", 1, backend=backend
-            )
-        return out
 
     def has(self, round_index: int, client_id: int) -> bool:
         """Whether a record exists."""
@@ -302,11 +374,32 @@ class GradientStore:
         raise NotImplementedError
 
 
-class _FreshMutexOnCopy:
-    """``copy.deepcopy``/``pickle`` support for the in-memory stores: a
-    ``threading.Lock`` can be neither copied nor pickled, so the state
-    travels without ``_mutex`` and the copy gets a new one."""
+class _RoundMajorStore(GradientStore):
+    """The in-memory stores' one container: the record kept round-major.
 
+    A round is an ascending read-only int64 id array and one block of
+    rows sharing one ``length`` (lists when lengths differ).
+    :meth:`put_round` keeps its encoded block as it is; a row written
+    alone waits in the round's pending map until the round's next read.
+    A client → rounds index answers :meth:`has` and names the blocks
+    :meth:`drop_client` rebuilds without the client's row.  Writes hold
+    ``_mutex`` and replace a round's entry rather than edit it, so a
+    reader never holds a torn round.  ``get`` and ``has`` take no lock:
+    a merged block is published before its pending map goes, a row is
+    stored before its index entry, and a drop removes the entry first.
+    """
+
+    supports_bulk_round = True
+
+    def __init__(self) -> None:
+        self._blocks: Dict[int, _Block] = {}
+        self._pending: Dict[int, Dict[int, Tuple[np.ndarray, int]]] = {}
+        self._client_rounds: Dict[int, Set[int]] = {}
+        self._nbytes = 0
+        self._mutex = threading.Lock()
+
+    # A lock can be neither copied nor pickled: ``copy.deepcopy`` and
+    # ``pickle`` move the state without it and the copy makes its own.
     def __getstate__(self) -> Dict:
         state = self.__dict__.copy()
         del state["_mutex"]
@@ -316,100 +409,156 @@ class _FreshMutexOnCopy:
         self.__dict__.update(state)
         self._mutex = threading.Lock()
 
+    # The codec (with ``_decode``): a (n, d) block to stored rows and
+    # their length; a stored row as ``items`` hands it out.
+    def _encode(self, block: np.ndarray) -> Tuple[np.ndarray, int]:
+        raise NotImplementedError
 
-class FullGradientStore(_FreshMutexOnCopy, GradientStore):
-    """Float32 full-gradient store — the FedRecover/FedEraser baseline."""
-
-    supports_bulk_round = True
-    telemetry_backend = "full"
-
-    def __init__(self) -> None:
-        self._records: Dict[Tuple[int, int], np.ndarray] = {}
-        self._nbytes = 0
-        # Index + mutex make concurrent replay reads safe against the
-        # live round loop's writes (see SignGradientStore for the full
-        # rationale — the two stores share the scheme).
-        self._mutex = threading.Lock()
-        self._round_clients: Dict[int, List[int]] = {}
-        self._client_rounds: Dict[int, List[int]] = {}
+    def _payload(self, row: np.ndarray, length: int) -> object:
+        return row, length
 
     def put(self, round_index: int, client_id: int, gradient: np.ndarray) -> None:
-        telemetry = current_telemetry()
-        with telemetry.span("storage_encode_seconds"):
-            stored = np.asarray(gradient, dtype=np.float32).copy()
-        key = (round_index, client_id)
-        with self._mutex:
-            previous = self._records.get(key)
-            if previous is not None:
-                self._nbytes -= previous.nbytes
-            else:
-                self._round_clients.setdefault(round_index, []).append(client_id)
-                self._client_rounds.setdefault(client_id, []).append(round_index)
-            self._records[key] = stored
-            self._nbytes += stored.nbytes
-        if telemetry.enabled:
-            telemetry.inc(
-                "storage_encoded_elements_total", stored.size, backend="full"
-            )
-            telemetry.inc("storage_put_bytes_total", stored.nbytes, backend="full")
-            telemetry.inc("storage_raw_bytes_total", stored.nbytes, backend="full")
-            telemetry.set_gauge("storage_compression_ratio", 1.0, backend="full")
+        self.put_round(round_index, {client_id: np.ravel(gradient)})
 
-    def get(self, round_index: int, client_id: int) -> np.ndarray:
-        key = (round_index, client_id)
-        if key not in self._records:
-            raise KeyError(f"no gradient for client {client_id} at round {round_index}")
-        telemetry = current_telemetry()
-        with telemetry.span("storage_decode_seconds"):
-            decoded = self._records[key].astype(np.float64)
-        if telemetry.enabled:
-            telemetry.inc(
-                "storage_decoded_elements_total", decoded.size, backend="full"
-            )
-        return decoded
+    def put_round(self, round_index: int, updates: Dict[int, np.ndarray]) -> None:
+        """One encode pass over the round's stacked updates (a
+        :class:`RoundRows` block as it is), stored as the round's block
+        when the round is new; each row is bitwise what a per-client
+        :meth:`put` stores.  Updates that differ in length go one by one."""
+        if not updates:
+            return
+        block = round_block(updates)
+        if block is None:
+            super().put_round(round_index, updates)
+            return
+        with current_telemetry().span("storage_encode_seconds"):
+            rows, length = self._encode(block)
+        self._put_block(round_index, list(updates), rows, length)
+        self._count_encode(block.size, rows.nbytes)
+
+    def _put_block(self, t: int, ids, block: np.ndarray, length: int) -> None:
+        """``block`` (row ``i`` is client ``ids[i]``) as round ``t``'s
+        block when the round is new, else into its pending map."""
+        cids = np.array(ids, dtype=np.int64)
+        with self._mutex:
+            if t in self._blocks or t in self._pending:
+                pending = self._pending.setdefault(t, {})
+                for cid, row in zip(cids.tolist(), block):
+                    if t in self._client_rounds.get(cid, ()):  # a re-put
+                        self._nbytes -= self._row(t, cid)[0].nbytes
+                    pending[cid] = (row, length)
+                    self._client_rounds.setdefault(cid, set()).add(t)
+            else:
+                if not (cids[1:] > cids[:-1]).all():
+                    order = np.argsort(cids)
+                    cids, block = cids[order], block[order]
+                cids.flags.writeable = False
+                self._blocks[t] = (cids, block, length)
+                for cid in cids.tolist():
+                    self._client_rounds.setdefault(cid, set()).add(t)
+            self._nbytes += block.nbytes
+
+    def _row(self, t: int, cid: int) -> Optional[Tuple[np.ndarray, int]]:
+        """``cid``'s ``(row, length)`` at ``t`` or None, lock-free."""
+        entry = self._pending.get(t, {}).get(cid)
+        block = self._blocks.get(t)
+        if entry is not None or block is None:
+            return entry
+        cids, rows, length = block
+        i = int(cids.searchsorted(cid))
+        if i == len(cids) or cids[i] != cid:
+            return None
+        return rows[i], (length[i] if isinstance(length, list) else length)
+
+    def _settle(self, t: int) -> Optional[_Block]:
+        """Round ``t`` with its pending rows merged in (mutex held)."""
+        pending = self._pending.get(t)
+        block = self._blocks.get(t)
+        if pending is None:
+            return block
+        rows = {} if block is None else {c: (r, n) for c, r, n in _entries(block)}
+        rows.update(pending)
+        block = self._blocks[t] = _assemble(rows)
+        del self._pending[t]  # only once the block holds the rows
+        return block
+
+    def _stored_round(self, t: int) -> Optional[_Block]:
+        with self._mutex:
+            return self._settle(t)
 
     def has(self, round_index: int, client_id: int) -> bool:
-        return (round_index, client_id) in self._records
+        return round_index in self._client_rounds.get(client_id, ())
 
     def rounds(self) -> List[int]:
         with self._mutex:
-            return sorted(t for t, ids in self._round_clients.items() if ids)
+            return sorted(set(self._blocks) | set(self._pending))
 
     def clients_at(self, round_index: int) -> List[int]:
-        with self._mutex:
-            return sorted(self._round_clients.get(round_index, ()))
+        block = self._stored_round(round_index)
+        return [] if block is None else block[0].tolist()
 
-    def items(self) -> List[Tuple[Tuple[int, int], np.ndarray]]:
-        """Sorted ``((round, client), float32 gradient)`` pairs."""
+    def _rows(self) -> Iterator[Tuple[Tuple[int, int], np.ndarray, int]]:
+        """Every ``((round, client), row, length)``, sorted (mutex held)."""
+        for t in sorted(set(self._blocks) | set(self._pending)):
+            for cid, row, n in _entries(self._settle(t)):
+                yield (t, cid), row, n
+
+    def items(self) -> List[Tuple[Tuple[int, int], object]]:
         with self._mutex:
-            return sorted(self._records.items())
+            return [(key, self._payload(row, n)) for key, row, n in self._rows()]
 
     def nbytes(self) -> int:
-        # Maintained incrementally at put/drop time: O(1) instead of a
-        # full scan, which matters once per-round journaling polls it.
+        # Kept at put/drop time: O(1), for the per-round journal's polls.
         return int(self._nbytes)
 
     def recount_nbytes(self) -> int:
-        """Recompute the byte total from the records — the accounting
-        oracle the incremental ``nbytes`` cache is tested against."""
+        """The byte total recounted from the rows — the oracle the
+        incremental ``nbytes`` is tested against."""
         with self._mutex:
-            return int(sum(g.nbytes for g in self._records.values()))
+            return int(sum(row.nbytes for _, row, _ in self._rows()))
 
     def drop_client(self, client_id: int) -> int:
         with self._mutex:
-            rounds = self._client_rounds.pop(client_id, [])
+            rounds = self._client_rounds.pop(client_id, set())
             for t in rounds:
-                self._nbytes -= self._records.pop((t, client_id)).nbytes
-                ids = self._round_clients.get(t)
-                if ids is not None:
-                    ids.remove(client_id)
-                    if not ids:
-                        del self._round_clients[t]
+                block = self._settle(t)
+                cids, rows, length = block
+                i = int(cids.searchsorted(client_id))
+                self._nbytes -= rows[i].nbytes
+                if isinstance(rows, np.ndarray) and len(cids) > 1:
+                    kept = np.concatenate((cids[:i], cids[i + 1 :]))
+                    kept.flags.writeable = False
+                    rows = np.concatenate((rows[:i], rows[i + 1 :]))
+                    self._blocks[t] = (kept, rows, length)
+                    continue
+                rest = {c: (r, n) for c, r, n in _entries(block) if c != client_id}
+                if rest:
+                    self._blocks[t] = _assemble(rest)
+                else:
+                    del self._blocks[t]
             return len(rounds)
 
 
-class SignGradientStore(_FreshMutexOnCopy, GradientStore):
-    """The paper's store: δ-thresholded direction, 2 bits per element.
+class FullGradientStore(_RoundMajorStore):
+    """Float32 full-gradient store — the FedRecover/FedEraser baseline;
+    a round is one float32 ``(n, d)`` block."""
+
+    telemetry_backend = "full"
+
+    def _encode(self, block: np.ndarray) -> Tuple[np.ndarray, int]:
+        return block.astype(np.float32), block.shape[1]  # a copy: ours
+
+    def _decode(self, rows: np.ndarray, length: int) -> np.ndarray:
+        return rows.astype(np.float64)
+
+    def _payload(self, row: np.ndarray, length: int) -> np.ndarray:
+        return row
+
+
+class SignGradientStore(_RoundMajorStore):
+    """The paper's store: δ-thresholded direction, 2 bits per element; a
+    round is one packed uint8 ``(n, ⌈d/4⌉)`` block from
+    :func:`~repro.storage.sign_codec.encode_round`.
 
     Parameters
     ----------
@@ -418,99 +567,14 @@ class SignGradientStore(_FreshMutexOnCopy, GradientStore):
         ``|g| <= delta`` are stored as 0.
     """
 
-    supports_bulk_round = True
-
     def __init__(self, delta: float = 1e-6):
         if delta < 0:
             raise ValueError(f"delta must be non-negative, got {delta}")
+        super().__init__()
         self.delta = delta
-        self._records: Dict[Tuple[int, int], Tuple[np.ndarray, int]] = {}
-        self._nbytes = 0
-        # Concurrent-read support for the live-traffic path: a pinned
-        # replay reads rounds below its watermark while the round loop
-        # keeps appending new rounds (and an erasure commit may drop a
-        # client).  Readers resolve cohorts through these indexes and
-        # per-key dict gets instead of iterating ``_records``, and every
-        # structural mutation happens under ``_mutex`` — so a reader
-        # never observes a dict mid-resize or an index mid-edit.
-        self._mutex = threading.Lock()
-        self._round_clients: Dict[int, List[int]] = {}
-        self._client_rounds: Dict[int, List[int]] = {}
 
-    def _store(self, key: Tuple[int, int], packed: np.ndarray, length: int) -> None:
-        # Single choke point for payload normalization and byte
-        # accounting.  Payloads are stored flat (1-D contiguous uint8):
-        # a reshaped or padded payload slipped in through put_encoded
-        # would otherwise make the incremental nbytes cache diverge
-        # from a recount after a drop-then-reinsert of the same key.
-        packed = np.ascontiguousarray(packed, dtype=np.uint8).reshape(-1)
-        with self._mutex:
-            previous = self._records.pop(key, None)
-            if previous is not None:
-                self._nbytes -= previous[0].nbytes
-            else:
-                self._round_clients.setdefault(key[0], []).append(key[1])
-                self._client_rounds.setdefault(key[1], []).append(key[0])
-            self._records[key] = (packed, length)
-            self._nbytes += packed.nbytes
-
-    def put(self, round_index: int, client_id: int, gradient: np.ndarray) -> None:
-        telemetry = current_telemetry()
-        with telemetry.span("storage_encode_seconds"):
-            packed, length = encode_gradient(np.asarray(gradient).ravel(), self.delta)
-        self._store((round_index, client_id), packed, length)
-        if telemetry.enabled:
-            raw_bytes = length * 4  # float32 equivalent — the §IV baseline
-            telemetry.inc("storage_encoded_elements_total", length, backend="sign")
-            telemetry.inc("storage_put_bytes_total", packed.nbytes, backend="sign")
-            telemetry.inc("storage_raw_bytes_total", raw_bytes, backend="sign")
-            if raw_bytes:
-                telemetry.set_gauge(
-                    "storage_compression_ratio", packed.nbytes / raw_bytes,
-                    backend="sign",
-                )
-
-    def put_round(self, round_index: int, updates: Dict[int, np.ndarray]) -> None:
-        """Batched round commit: one vectorized ternarize+pack pass.
-
-        Encodes the round's ``(num_clients, d)`` matrix (a
-        :class:`RoundRows` block as it is; other mappings are stacked)
-        through :func:`repro.storage.sign_codec.encode_round` — each stored row
-        is bitwise identical to what per-client :meth:`put` calls would
-        produce, and the telemetry counters advance by the same totals
-        (under a single ``storage_encode_seconds`` span).  Falls back to
-        per-client puts when the updates differ in length.
-        """
-        if not updates:
-            return
-        block = round_block(updates)
-        if block is None:
-            for client_id, gradient in updates.items():
-                self.put(round_index, client_id, gradient)
-            return
-        telemetry = current_telemetry()
-        with telemetry.span("storage_encode_seconds"):
-            packed_rows, length = encode_round(block, self.delta)
-        for client_id, row in zip(updates, packed_rows):
-            # Row copies detach from the (n, bytes) batch matrix so a
-            # later drop_client actually frees the payload.
-            self._store((round_index, client_id), row.copy(), length)
-        if telemetry.enabled:
-            n = len(block)
-            raw_bytes = length * 4 * n  # float32 equivalent — the §IV baseline
-            telemetry.inc(
-                "storage_encoded_elements_total", length * n, backend="sign"
-            )
-            telemetry.inc(
-                "storage_put_bytes_total", packed_rows.nbytes, backend="sign"
-            )
-            telemetry.inc("storage_raw_bytes_total", raw_bytes, backend="sign")
-            if raw_bytes:
-                telemetry.set_gauge(
-                    "storage_compression_ratio",
-                    packed_rows.nbytes / raw_bytes,
-                    backend="sign",
-                )
+    def _encode(self, block: np.ndarray) -> Tuple[np.ndarray, int]:
+        return encode_round(block, self.delta)
 
     def put_encoded(
         self, round_index: int, client_id: int, packed: np.ndarray, length: int
@@ -521,85 +585,16 @@ class SignGradientStore(_FreshMutexOnCopy, GradientStore):
         decoded direction through :meth:`put` would re-threshold against
         ``delta`` and is needlessly lossy for ``delta >= 1``.
         """
-        packed = np.asarray(packed, dtype=np.uint8)
-        if length < 0:
-            raise ValueError("length must be non-negative")
-        if packed.size != packed_size_bytes(length):
-            raise ValueError(
-                f"packed payload of {packed.size} bytes cannot hold {length} "
-                "2-bit elements"
-            )
-        # reshape(-1) flattens multi-dimensional payloads; the copy
-        # detaches from the caller's array either way.
-        self._store((round_index, client_id), packed.reshape(-1).copy(), int(length))
-
-    def get(self, round_index: int, client_id: int) -> np.ndarray:
-        key = (round_index, client_id)
-        if key not in self._records:
-            raise KeyError(f"no gradient for client {client_id} at round {round_index}")
-        packed, length = self._records[key]
-        telemetry = current_telemetry()
-        with telemetry.span("storage_decode_seconds"):
-            decoded = decode_gradient(packed, length)
-        if telemetry.enabled:
-            telemetry.inc("storage_decoded_elements_total", length, backend="sign")
-        return decoded
+        row = _encoded_row(packed, length)
+        self._put_block(round_index, [client_id], row[None, :], int(length))
 
     def encoded_round(
         self, round_index: int
     ) -> Optional[Dict[int, Tuple[np.ndarray, int]]]:
-        """Raw ``{client: (packed, length)}`` payloads of one round."""
-        with self._mutex:
-            ids = list(self._round_clients.get(round_index, ()))
-        out: Dict[int, Tuple[np.ndarray, int]] = {}
-        for cid in ids:
-            # Per-key get is atomic; a concurrent drop just makes the
-            # entry absent, same as a historical dropout.
-            rec = self._records.get((round_index, cid))
-            if rec is not None:
-                out[cid] = rec
-        return out
-
-    def has(self, round_index: int, client_id: int) -> bool:
-        return (round_index, client_id) in self._records
-
-    def rounds(self) -> List[int]:
-        with self._mutex:
-            return sorted(t for t, ids in self._round_clients.items() if ids)
-
-    def clients_at(self, round_index: int) -> List[int]:
-        with self._mutex:
-            return sorted(self._round_clients.get(round_index, ()))
-
-    def items(self) -> List[Tuple[Tuple[int, int], Tuple[np.ndarray, int]]]:
-        """Sorted ``((round, client), (packed, length))`` pairs."""
-        with self._mutex:
-            return sorted(self._records.items())
-
-    def nbytes(self) -> int:
-        # Maintained incrementally by _store/drop_client: O(1) instead
-        # of a scan over every packed payload.
-        return int(self._nbytes)
-
-    def recount_nbytes(self) -> int:
-        """Recompute the byte total from the records — the accounting
-        oracle the incremental ``nbytes`` cache is tested against."""
-        with self._mutex:
-            return int(
-                sum(packed.nbytes for packed, _ in self._records.values())
-            )
-
-    def drop_client(self, client_id: int) -> int:
-        with self._mutex:
-            rounds = self._client_rounds.pop(client_id, [])
-            for t in rounds:
-                self._nbytes -= self._records.pop((t, client_id))[0].nbytes
-                ids = self._round_clients.get(t)
-                if ids is not None:
-                    ids.remove(client_id)
-                    if not ids:
-                        del self._round_clients[t]
-            return len(rounds)
+        """Raw ``{client: (packed, length)}`` payloads of one round (row
+        views of its block)."""
+        block = self._stored_round(round_index)
+        return {} if block is None else {c: (r, n) for c, r, n in _entries(block)}
 
 
 class ModelCheckpointStore:

@@ -106,16 +106,14 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.storage.sign_codec import (
-    decode_gradient,
-    decode_round,
     encode_gradient,
     encode_round,
     packed_size_bytes,
 )
 from repro.storage.store import (
     GradientStore,
-    RoundRows,
     SignGradientStore,
+    _encoded_row,
     round_block,
 )
 from repro.telemetry.core import current_telemetry
@@ -625,8 +623,7 @@ class TieredSignGradientStore(GradientStore):
             self._insert_hot(round_index, client_id, packed, length)
             self._max_round = max(self._max_round, round_index)
         self._maybe_spill()
-        if telemetry.enabled:
-            self._count_encode(telemetry, length, packed.nbytes)
+        self._count_encode(length, packed.nbytes)
 
     def put_round(self, round_index: int, updates: Dict[int, np.ndarray]) -> None:
         """Batched round commit; the whole round is sealed afterwards.
@@ -658,37 +655,16 @@ class TieredSignGradientStore(GradientStore):
             self._max_round = max(self._max_round, round_index)
             self._seal(round_index)
         self._maybe_spill()
-        if telemetry.enabled:
-            self._count_encode(telemetry, length * len(block), packed_rows.nbytes)
-
-    def _count_encode(self, telemetry, elements: int, packed_bytes: int) -> None:
-        backend = self.telemetry_backend
-        raw_bytes = elements * 4
-        telemetry.inc("storage_encoded_elements_total", elements, backend=backend)
-        telemetry.inc("storage_put_bytes_total", packed_bytes, backend=backend)
-        telemetry.inc("storage_raw_bytes_total", raw_bytes, backend=backend)
-        if raw_bytes:
-            telemetry.set_gauge(
-                "storage_compression_ratio", packed_bytes / raw_bytes, backend=backend
-            )
+        self._count_encode(length * len(block), packed_rows.nbytes)
 
     def put_encoded(
         self, round_index: int, client_id: int, packed: np.ndarray, length: int
     ) -> None:
         """Insert an already-encoded ``(packed, length)`` payload verbatim."""
-        packed = np.asarray(packed, dtype=np.uint8)
-        if length < 0:
-            raise ValueError("length must be non-negative")
-        if packed.size != packed_size_bytes(length):
-            raise ValueError(
-                f"packed payload of {packed.size} bytes cannot hold {length} "
-                "2-bit elements"
-            )
+        row = _encoded_row(packed, length)
         with self._lock:
             self._check_open()
-            self._insert_hot(
-                round_index, client_id, packed.reshape(-1).copy(), int(length)
-            )
+            self._insert_hot(round_index, client_id, row, int(length))
             self._max_round = max(self._max_round, round_index)
         self._maybe_spill()
 
@@ -1144,66 +1120,42 @@ class TieredSignGradientStore(GradientStore):
         if telemetry.enabled:
             telemetry.inc("storage_tier_hits_total", 1, tier=tier)
 
-    def get(self, round_index: int, client_id: int) -> np.ndarray:
-        telemetry = current_telemetry()
+    def _row(self, t: int, cid: int) -> Optional[Tuple[np.ndarray, int]]:
+        """``cid``'s packed ``(row, length)`` at ``t`` for the base
+        class's ``get`` — the hot row, or a view of its disk block."""
         with self._lock:
-            hot_round = self._hot.get(round_index)
-            if hot_round is not None and client_id in hot_round:
-                packed, length = hot_round[client_id]
+            hot_round = self._hot.get(t)
+            if hot_round is not None and cid in hot_round:
                 self._tier_hit(TIER_HOT)
-                with telemetry.span("storage_decode_seconds"):
-                    decoded = decode_gradient(packed, length)
-            else:
-                dr = self._disk.get(round_index)
-                pos = dr.position_of(client_id) if dr is not None else -1
-                if pos < 0:
-                    raise KeyError(
-                        f"no gradient for client {client_id} at round {round_index}"
-                    )
-                length = int(dr.lengths[pos])
-                self._tier_hit(dr.tier)
-                with telemetry.span("storage_decode_seconds"):
-                    block = self._round_block(round_index, dr)
-                    start = int(dr.starts[pos])
-                    row = block[start : start + packed_size_bytes(length)]
-                    decoded = decode_gradient(row, length)
-        if telemetry.enabled:
-            telemetry.inc(
-                "storage_decoded_elements_total",
-                int(length),
-                backend=self.telemetry_backend,
-            )
-        return decoded
+                return hot_round[cid]
+            dr = self._disk.get(t)
+            pos = dr.position_of(cid) if dr is not None else -1
+            if pos < 0:
+                return None
+            self._tier_hit(dr.tier)
+            length, start = int(dr.lengths[pos]), int(dr.starts[pos])
+            block = self._round_block(t, dr)
+            return block[start : start + packed_size_bytes(length)], length
 
-    def get_round(self, round_index: int) -> RoundRows:
-        """Decode one whole round; bitwise identical to the dict store's
-        ``get_round`` (int8 rows, equal in value to the float64
-        :meth:`get`).  A round that is one gap-free disk block of one
-        row length decodes straight from a zero-copy view of it in one
-        LUT pass; any other round (hot rows, mixed lengths, gaps) goes
-        through the base class's batched :meth:`encoded_round` decode."""
+    def _stored_round(self, round_index: int):
+        """The round for the base class's one-pass ``get_round`` decode:
+        a round that is one gap-free disk block of one row length as a
+        zero-copy ``(n, width)`` view of it; any other round (hot rows,
+        mixed lengths, gaps) from the :meth:`encoded_round` payloads."""
         with self._lock:
             dr = self._disk.get(round_index)
             lengths = set() if dr is None else set(dr.lengths.tolist())
-            if len(lengths) != 1 or self._hot.get(round_index):
-                return GradientStore.get_round(self, round_index)
-            n, length = len(dr.clients), lengths.pop()
-            width, first = packed_size_bytes(length), int(dr.starts[0])
-            # Homogeneous widths and strictly increasing starts: end points
-            # n − 1 rows apart mean the rows are gap-free.
-            if int(dr.starts[-1]) - first != (n - 1) * width:
-                return GradientStore.get_round(self, round_index)
-            telemetry = current_telemetry()
-            self._tier_hit(dr.tier)
-            with telemetry.span("storage_decode_seconds"):
-                block = self._round_block(round_index, dr)
-                rows = block[first : first + n * width].reshape(n, width)
-                out = RoundRows(dr.clients, decode_round(rows, length))
-        if telemetry.enabled:
-            backend = self.telemetry_backend
-            telemetry.inc("storage_decoded_elements_total", length * n, backend=backend)
-            telemetry.inc("storage_bulk_decode_rounds_total", 1, backend=backend)
-        return out
+            if len(lengths) == 1 and not self._hot.get(round_index):
+                n, length = len(dr.clients), lengths.pop()
+                width, first = packed_size_bytes(length), int(dr.starts[0])
+                # Homogeneous widths and strictly increasing starts: end
+                # points n − 1 rows apart mean the rows are gap-free.
+                if int(dr.starts[-1]) - first == (n - 1) * width:
+                    self._tier_hit(dr.tier)
+                    block = self._round_block(round_index, dr)
+                    rows = block[first : first + n * width].reshape(n, width)
+                    return dr.clients, rows, length
+        return super()._stored_round(round_index)
 
     def encoded_round(
         self, round_index: int

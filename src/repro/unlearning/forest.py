@@ -525,9 +525,11 @@ def _run_group(
             # share their effective sets, so only a round where someone
             # takes part for the first time since F can split them
             # (without a forest to say which, every round is checked).
-            participants_t = record.ledger.participants_at(t)
-            p_set = set(participants_t)
+            participants_t = record.ledger.participant_ids(t)
             for node in list(live) if joined else ():
+                if len(node.members) == 1:
+                    continue  # nobody to part from
+                p_set = frozenset(participants_t.tolist())
                 parts: Dict[FrozenSet[int], List[int]] = {}
                 for m in node.members:
                     parts.setdefault(forget_of[m] & p_set, []).append(m)
@@ -573,7 +575,8 @@ def _run_group(
             # any read; the rest share one read of w_t and the cohort.
             reading: List[Tuple[_ExecNode, int]] = []
             for node in live:
-                participating = len(participants_t) - len(node.union & p_set)
+                forgotten = found_in(node.union_ids, participants_t)
+                participating = participants_t.size - int(forgotten.sum())
                 if participating:
                     reading.append((node, participating))
                 else:
@@ -602,6 +605,7 @@ def _run_group(
                 # No bulk read, or a damaged round block: per-client reads
                 # isolate the broken entries.
                 entries: Dict[int, np.ndarray] = {}
+                p_set = frozenset(participants_t.tolist())
                 for cid in sorted(set().union(*(p_set - n.union for n, _ in reading))):
                     try:
                         entries[cid] = record.gradients.get(t, cid)
@@ -609,7 +613,7 @@ def _run_group(
                         pass
                 rows = RoundRows.of(entries)
             # Block positions of this round's participants' rows.
-            listed = np.flatnonzero(found_in(np.array(participants_t), rows.cids))
+            listed = np.flatnonzero(found_in(participants_t, rows.cids))
 
             ready: List[Tuple[_ExecNode, np.ndarray]] = []
             for node, participating in reading:

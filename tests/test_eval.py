@@ -94,6 +94,35 @@ class TestConfig:
                 runner(scale="smoke", prefetch_depth=3)
             assert seen.value.args[0].get("prefetch_depth") == 3, name
 
+    @pytest.mark.parametrize(
+        "backend, trained_on, store_type",
+        [("tiered", "tiered", "TieredSignGradientStore"),
+         ("mmap", "dict", "SignGradientStore")],
+    )
+    def test_serve_live_phase_trains_on_the_store_flag(
+        self, monkeypatch, backend, trained_on, store_type
+    ):
+        """``run_serve``'s mixed live phase trains on a tiered store for
+        ``tiered``; the read-only ``mmap`` layout cannot take appends, so
+        that phase trains on ``dict`` and its row says so."""
+        from repro.eval.experiments import run_serve
+        from repro.fl import FederatedSimulation
+
+        stores = []
+        init = FederatedSimulation.__init__
+
+        def spy_init(sim, *args, **kwargs):
+            init(sim, *args, **kwargs)
+            stores.append(type(sim.server.gradients).__name__)
+
+        monkeypatch.setattr(FederatedSimulation, "__init__", spy_init)
+        result = run_serve(scale="smoke", sign_backend=backend)
+        mixed = result["measured"][-1]
+        assert mixed["label"] == "mixed"
+        assert mixed["store"] == trained_on
+        assert stores[-1] == store_type
+        assert all("store" not in row for row in result["measured"][:-1])
+
     def test_env_scale(self, monkeypatch):
         from repro.eval.config import current_scale
 

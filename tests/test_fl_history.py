@@ -93,6 +93,23 @@ class TestCliMain:
         assert backends == ["dict"]
         capsys.readouterr()
 
+    @pytest.mark.parametrize("flag, value", [("--workers", "0"), ("--prefetch-depth", "-1")])
+    def test_out_of_range_flag_is_a_usage_error(self, flag, value, capsys, monkeypatch):
+        """A value the config would refuse stops argparse with exit code
+        2 and names the flag, before any runner starts."""
+        import repro.eval.__main__ as cli
+
+        started = []
+        monkeypatch.setitem(
+            cli.EXPERIMENT_RUNNERS, "storage", lambda **kw: started.append(kw)
+        )
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["storage", "--scale", "smoke", "--quiet", flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert flag in err and "must be at least" in err
+        assert started == []
+
     def test_flags_reach_constructors_and_keep_output(self, tmp_path, capsys, monkeypatch):
         """``--workers`` / ``--store`` / ``--prefetch-depth`` arrive at the
         simulation, the sign store and the unlearner, and the written

@@ -1,5 +1,10 @@
 """Tests for the IoV mobility/connectivity/scenario stack."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,6 +20,19 @@ from repro.iov import (
     schedule_from_connectivity,
     simulate_positions,
 )
+
+
+def test_import_repro_loads_neither_networkx_nor_scipy():
+    """networkx is imported by a :class:`RoadNetwork` when one is built,
+    not by ``import repro``; nothing in the package uses scipy."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, repro; print(sorted({'networkx', 'scipy'} & set(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        check=True,
+    ).stdout
+    assert out.strip() == "[]"
 
 
 class TestRoadNetwork:

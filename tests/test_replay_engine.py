@@ -241,6 +241,9 @@ class _OnlyFiveAt:
             return [5]
         return self._inner.participants_at(t)
 
+    def participant_ids(self, t):
+        return np.array(self.participants_at(t), dtype=np.int64)
+
     def __getattr__(self, name):
         return getattr(self._inner, name)
 
