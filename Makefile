@@ -29,9 +29,10 @@ test:
 # (tests/test_datasets_synthetic.py:
 # test_chunked_batches_match_lone_renders,
 # test_lone_renders_match_per_image_references) — and three more at
-# 400 examples (tests/test_storage_round_major.py): the in-memory
-# stores' round-major container against a per-row model
-# (ContainerMachine), a reader that never sees a torn round while a
+# 400 examples (tests/test_storage_round_major.py): the round-major
+# container against a per-row model (ContainerMachine; kinds sign,
+# full and tiered, the last with spill, flush, compact and reopen
+# steps), a reader that never sees a torn round while a
 # writer appends and drops (test_reader_never_sees_a_torn_round), and
 # the ledger's participants memo against a brute-force scan
 # (LedgerMachine).

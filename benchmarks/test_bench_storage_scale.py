@@ -93,7 +93,7 @@ def _run_sweep(scale):
         tracemalloc.stop()
 
         # hot-tier latency while the newest rounds are still hot
-        hot_rounds = [t for t in store.rounds() if t in store._hot][-4:]
+        hot_rounds = store._hot.rounds()[-4:]  # the composed hot-tier store
         hot_latency = _timed_reads(store, hot_rounds)
 
         store.flush()

@@ -174,6 +174,13 @@ def _encoded_row(packed: np.ndarray, length: int) -> np.ndarray:
     return packed.reshape(-1).copy()
 
 
+def _positions(cids: np.ndarray, client_ids: List[int]) -> List[int]:
+    """Ascending positions in the sorted ``cids`` of the ``client_ids``
+    present there."""
+    index = cids.searchsorted(client_ids).tolist()
+    return sorted({i for i, c in zip(index, client_ids) if i < len(cids) and cids.item(i) == c})
+
+
 #: A stored round: ``(cids, block, length)``, or for a round whose rows
 #: differ in length ``(cids, [row, ...], [length, ...])``; ids ascending.
 _Block = Tuple[np.ndarray, object, object]
@@ -257,21 +264,6 @@ class GradientStore:
         """The stored ``(row, length)`` of one record, or None."""
         raise NotImplementedError
 
-    def encoded_round(
-        self, round_index: int
-    ) -> "Optional[Dict[int, Tuple[np.ndarray, int]]]":
-        """One round's raw ``{client_id: (packed, length)}`` payloads.
-
-        Optional codec hook: sign backends return their 2-bit payloads
-        without decoding, which lets the base :meth:`get_round`
-        fallback batch the whole cohort through one
-        :func:`~repro.storage.sign_codec.decode_round` LUT pass even
-        when the backend does not advertise ``supports_bulk_round``.
-        The base implementation returns ``None`` (no encoded view
-        available); backends without sign payloads leave it that way.
-        """
-        return None
-
     def get_round(self, round_index: int) -> RoundRows:
         """Decode one whole round as ``{client_id: vector}`` rows of one
         block (:class:`RoundRows`; empty for a round with no records).
@@ -306,15 +298,9 @@ class GradientStore:
         return out
 
     def _stored_round(self, round_index: int) -> Optional[_Block]:
-        """The round as stored rows for :meth:`get_round`, here from the
-        :meth:`encoded_round` payloads; None when there are none."""
-        try:
-            encoded = self.encoded_round(round_index)
-        except Exception:
-            return None
-        if not encoded:
-            return None
-        return _assemble({c: (np.ravel(p), n) for c, (p, n) in encoded.items()})
+        """The round as stored rows for :meth:`get_round`; None when the
+        backend keeps none to give (or the round is empty)."""
+        return None
 
     def _decode(self, rows: np.ndarray, length: int) -> np.ndarray:
         """A stored sign row (1-D) or block (2-D) as int8 directions."""
@@ -421,20 +407,29 @@ class _RoundMajorStore(GradientStore):
         self.put_round(round_index, {client_id: np.ravel(gradient)})
 
     def put_round(self, round_index: int, updates: Dict[int, np.ndarray]) -> None:
-        """One encode pass over the round's stacked updates (a
-        :class:`RoundRows` block as it is), stored as the round's block
-        when the round is new; each row is bitwise what a per-client
-        :meth:`put` stores.  Updates that differ in length go one by one."""
+        """The round's updates encoded (:meth:`_encoded`), stored as the
+        round's block when the round is new; each row is bitwise what a
+        per-client :meth:`put` stores."""
+        for ids, rows, length in self._encoded(updates):
+            self._put_block(round_index, ids, rows, length)
+
+    def _encoded(
+        self, updates: Dict[int, np.ndarray]
+    ) -> Iterator[Tuple[List[int], np.ndarray, int]]:
+        """``(ids, rows, length)`` from one encode pass over the round's
+        stacked updates (a :class:`RoundRows` block as it is); updates
+        that differ in length are encoded one by one."""
         if not updates:
             return
         block = round_block(updates)
         if block is None:
-            super().put_round(round_index, updates)
+            for client_id, gradient in updates.items():
+                yield from self._encoded({client_id: np.ravel(gradient)})
             return
         with current_telemetry().span("storage_encode_seconds"):
             rows, length = self._encode(block)
-        self._put_block(round_index, list(updates), rows, length)
         self._count_encode(block.size, rows.nbytes)
+        yield list(updates), rows, length
 
     def _put_block(self, t: int, ids, block: np.ndarray, length: int) -> None:
         """``block`` (row ``i`` is client ``ids[i]``) as round ``t``'s
@@ -521,22 +516,44 @@ class _RoundMajorStore(GradientStore):
         with self._mutex:
             rounds = self._client_rounds.pop(client_id, set())
             for t in rounds:
-                block = self._settle(t)
-                cids, rows, length = block
-                i = int(cids.searchsorted(client_id))
-                self._nbytes -= rows[i].nbytes
-                if isinstance(rows, np.ndarray) and len(cids) > 1:
-                    kept = np.concatenate((cids[:i], cids[i + 1 :]))
-                    kept.flags.writeable = False
-                    rows = np.concatenate((rows[:i], rows[i + 1 :]))
-                    self._blocks[t] = (kept, rows, length)
-                    continue
-                rest = {c: (r, n) for c, r, n in _entries(block) if c != client_id}
-                if rest:
-                    self._blocks[t] = _assemble(rest)
-                else:
-                    del self._blocks[t]
+                self._drop_at(t, [int(self._settle(t)[0].searchsorted(client_id))])
             return len(rounds)
+
+    def drop_rows(self, round_index: int, client_ids: List[int]) -> int:
+        """Delete the rows of ``client_ids`` at ``round_index``; returns
+        the rows removed."""
+        with self._mutex:
+            block = self._settle(round_index)
+            if block is None:
+                return 0
+            at = _positions(block[0], client_ids)
+            for i in at:
+                rounds = self._client_rounds[int(block[0][i])]
+                rounds.discard(round_index)
+                if not rounds:
+                    del self._client_rounds[int(block[0][i])]
+            return self._drop_at(round_index, at)
+
+    def _drop_at(self, t: int, at: List[int]) -> int:
+        """Settled round ``t`` rebuilt without its rows at ascending
+        positions ``at`` (mutex held, their index entries already gone);
+        the round goes when no row is left."""
+        if not at:
+            return 0
+        block = self._blocks[t]
+        cids, rows, length = block
+        self._nbytes -= sum(rows[i].nbytes for i in at)
+        if len(at) == len(cids):
+            del self._blocks[t]
+        elif isinstance(rows, np.ndarray):
+            kept = np.delete(cids, at)
+            kept.flags.writeable = False
+            self._blocks[t] = (kept, np.delete(rows, at, axis=0), length)
+        else:
+            gone = set(at)
+            rest = {c: (r, n) for i, (c, r, n) in enumerate(_entries(block)) if i not in gone}
+            self._blocks[t] = _assemble(rest)
+        return len(at)
 
 
 class FullGradientStore(_RoundMajorStore):
@@ -587,14 +604,6 @@ class SignGradientStore(_RoundMajorStore):
         """
         row = _encoded_row(packed, length)
         self._put_block(round_index, [client_id], row[None, :], int(length))
-
-    def encoded_round(
-        self, round_index: int
-    ) -> Optional[Dict[int, Tuple[np.ndarray, int]]]:
-        """Raw ``{client: (packed, length)}`` payloads of one round (row
-        views of its block)."""
-        block = self._stored_round(round_index)
-        return {} if block is None else {c: (r, n) for c, r, n in _entries(block)}
 
 
 class ModelCheckpointStore:

@@ -1,4 +1,4 @@
-"""The on-disk sign store: hot dict → warm mmap shards → cold zlib.
+"""The on-disk sign store: hot blocks → warm mmap shards → cold zlib.
 
 The paper's recovery method only works because the RSU retains every
 client's sign-compressed update for every round.  At IoV scale that
@@ -10,11 +10,16 @@ record cannot hold a million vehicles times thousands of rounds.
 of three tiers:
 
 hot
-    A bounded in-memory dict holding the rounds currently being
-    ingested.  Writes (``put`` / ``put_round``) always land here.  When
-    the hot tier exceeds ``hot_budget_bytes``, sealed rounds (every
-    round older than the newest, plus rounds committed whole through
-    ``put_round``) spill to the warm tier in the writing thread.
+    A bounded in-memory :class:`~repro.storage.store.SignGradientStore`
+    — the round-major container itself, one packed block per round —
+    holding the rounds currently being ingested.  Writes (``put`` /
+    ``put_round`` / ``put_encoded``) always land here, encoded before
+    the store lock is taken.  When the hot
+    tier exceeds ``hot_budget_bytes``, sealed rounds (every round older
+    than the newest, plus rounds committed whole through ``put_round``)
+    spill to the warm tier in the writing thread: each round's stored
+    block, merged with any live disk rows of the round, goes to the one
+    shard writer as it is.
 warm
     Round-major on-disk shards: one contiguous block of packed 2-bit
     rows per round, served through ``np.memmap`` with a per-round
@@ -40,9 +45,11 @@ is fsynced after the rename so the commit survives power loss, not
 just a process crash:
 
 - a spill (or :meth:`~TieredSignGradientStore.from_store`) writes new
-  immutable shard (``.bin``) and index (``.idx.npz``) files, fsyncs
-  them, then atomically rewrites ``MANIFEST.json`` — the single commit
-  point — to reference them.  The shard I/O happens outside the store
+  immutable shard (``.bin``) and index (``.idx.npz``: one ``clients``
+  and one ``lengths`` array per shard, with each round's row count in
+  its metadata, so opening a layout is O(shards) archive reads) files,
+  fsyncs them, then atomically rewrites ``MANIFEST.json`` — the single
+  commit point — to reference them.  The shard I/O happens outside the store
   lock (snapshot → write → publish), so concurrent writers and readers
   are never blocked on disk;
 - :meth:`compact` writes a complete new shard generation the same way
@@ -78,7 +85,8 @@ Capacity model (bytes per client per round, ``d`` gradient elements):
 =====  ==============================================================
 tier   stored bytes / client / round
 =====  ==============================================================
-hot    ``ceil(d/4)`` payload + ~100 B dict/ndarray overhead
+hot    ``ceil(d/4)`` in the round's block + ~130 B: the 8 B id, the rest
+       the client → rounds index (tracemalloc, 20 rounds, CPython 3.11)
 warm   ``ceil(d/4)`` in the shard + ~16 B index (id + length)
 cold   ``ceil(d/4) / r`` where ``r`` is the zlib RLE ratio on the packed
        block — ≥2× for the sparse sign patterns δ-thresholding yields
@@ -105,16 +113,15 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.storage.sign_codec import (
-    encode_gradient,
-    encode_round,
-    packed_size_bytes,
-)
+from repro.storage.sign_codec import packed_size_bytes
 from repro.storage.store import (
     GradientStore,
     SignGradientStore,
+    _assemble,
+    _Block,
     _encoded_row,
-    round_block,
+    _entries,
+    _positions,
 )
 from repro.telemetry.core import current_telemetry
 from repro.utils.serialization import fsync_dir, load_state, save_state_atomic
@@ -136,7 +143,7 @@ _TOMBSTONES = "tombstones.json"
 _SHARD_FMT = "shard_{gen:06d}_{seq:05d}.bin"
 _IDX_SUFFIX = ".idx.npz"
 _SHARD_RE = re.compile(r"^shard_(\d{6})_(\d{5})\.bin$")
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 _DEFAULT_SHARD_BYTES = 64 * 1024 * 1024
 _DEFAULT_HOT_BUDGET = 64 * 1024 * 1024
 _CODEC_RAW = "raw"
@@ -172,7 +179,7 @@ class _DiskRound:
     )
 
     def __init__(self, shard, offset, stored_bytes, raw_bytes, codec,
-                 clients, lengths, starts):
+                 clients, lengths):
         self.shard = shard
         self.offset = offset
         self.stored_bytes = stored_bytes
@@ -180,7 +187,13 @@ class _DiskRound:
         self.codec = codec
         self.clients = clients
         self.lengths = lengths
-        self.starts = starts
+        self.starts = _starts_of(lengths)
+
+    @classmethod
+    def placed(cls, spec: dict, shard: int, offset: int) -> "_DiskRound":
+        """The index of a block spec written at ``offset`` in ``shard``."""
+        return cls(shard, offset, len(spec["stored"]), spec["raw_bytes"],
+                   spec["codec"], spec["clients"], spec["lengths"])
 
     @property
     def tier(self) -> str:
@@ -208,10 +221,18 @@ class _DiskRound:
             return pos
         return -1
 
-    def delete_position(self, pos: int) -> None:
-        self.clients = np.delete(self.clients, pos)
-        self.lengths = np.delete(self.lengths, pos)
-        self.starts = np.delete(self.starts, pos)
+    def remove(self, client_ids: List[int]) -> Tuple[List[int], int]:
+        """Delete the entries of ``client_ids`` present; returns their
+        ids and the packed bytes their rows occupy."""
+        at = _positions(self.clients, client_ids)
+        if not at:
+            return [], 0
+        gone = self.clients[at].tolist()
+        dead = int(((self.lengths[at] + 3) // 4).sum())
+        self.clients = np.delete(self.clients, at)
+        self.lengths = np.delete(self.lengths, at)
+        self.starts = np.delete(self.starts, at)
+        return gone, dead
 
 
 def _deflate(block: bytes) -> bytes:
@@ -231,30 +252,53 @@ def _starts_of(lengths: np.ndarray) -> np.ndarray:
     return starts
 
 
-def _seal_shard(fh, path: str, arrays: Dict[str, np.ndarray], meta_rounds) -> None:
-    """Make a finished shard and its index durable (still unreferenced)."""
+def _seal_shard(fh, path: str, rounds: List[dict], clients, lengths) -> None:
+    """Make a finished shard and its index durable (still unreferenced):
+    one ``clients`` and one ``lengths`` array for the whole shard, each
+    round's ``rows`` of them in the order ``rounds`` lists."""
     fh.flush()
     os.fsync(fh.fileno())
     fh.close()
-    save_state_atomic(path + _IDX_SUFFIX, arrays, {"rounds": meta_rounds})
+    arrays = {"clients": np.concatenate(clients), "lengths": np.concatenate(lengths)}
+    save_state_atomic(path + _IDX_SUFFIX, arrays, {"rounds": rounds})
+
+
+def _merge(disk: Optional[_Block], hot: Optional[_Block]) -> Optional[_Block]:
+    """One round from its disk and hot rows: the disk rows minus the ids
+    a hot row shadows, plus the hot rows; None when neither has any."""
+    if disk is None or hot is None:
+        return hot if disk is None else disk
+    rows = {cid: (row, n) for cid, row, n in _entries(disk)}
+    rows.update((cid, (row, n)) for cid, row, n in _entries(hot))
+    return _assemble(rows)
+
+
+def _round_spec(t: int, block: _Block) -> dict:
+    """A stored round as a raw warm block spec: its rows end to end in
+    ascending client order."""
+    cids, rows, length = block
+    if isinstance(rows, np.ndarray):
+        stored = rows.tobytes()
+        lengths = np.full(len(cids), length, dtype=np.int64)
+    else:
+        stored = b"".join(row.tobytes() for row in rows)
+        lengths = np.asarray(length, dtype=np.int64)
+    return {
+        "round": t,
+        "clients": np.asarray(cids, dtype=np.int64),
+        "lengths": lengths,
+        "raw_bytes": len(stored),
+        "codec": _CODEC_RAW,
+        "stored": stored,
+    }
 
 
 def _round_specs(store: SignGradientStore) -> Iterator[dict]:
     """One warm block spec per round of ``store``, built as it is asked for."""
     for t in store.rounds():
-        rows = store.encoded_round(t)
-        if not rows:
-            continue
-        cids = sorted(rows)
-        stored = b"".join(bytes(rows[c][0]) for c in cids)
-        yield {
-            "round": t,
-            "clients": np.array(cids, dtype=np.int64),
-            "lengths": np.array([rows[c][1] for c in cids], dtype=np.int64),
-            "raw_bytes": len(stored),
-            "codec": _CODEC_RAW,
-            "stored": stored,
-        }
+        block = store._stored_round(t)
+        if block is not None:
+            yield _round_spec(t, block)
 
 
 class TieredSignGradientStore(GradientStore):
@@ -328,8 +372,10 @@ class TieredSignGradientStore(GradientStore):
         #: shard files are being written.  Ordering: always acquired
         #: BEFORE ``_lock``, never while holding it.
         self._maintenance_lock = threading.Lock()
-        self._hot: Dict[int, Dict[int, Tuple[np.ndarray, int]]] = {}
-        self._hot_nbytes = 0
+        #: The hot tier: the rounds being ingested, one packed block per
+        #: round.  Its mutex is taken only under ``_lock``.
+        self._hot = SignGradientStore(delta=self.delta)
+        self._hot.telemetry_backend = self.telemetry_backend
         self._sealed: set = set()
         self._max_round = -1
         self._disk: Dict[int, _DiskRound] = {}
@@ -344,7 +390,7 @@ class TieredSignGradientStore(GradientStore):
         #: sidecar (a re-put resurrected a pair); the next spill syncs.
         self._tombstones_dirty = False
         #: (client, round) pairs whose durable disk row was removed
-        #: from the in-memory index by a hot overlay (``_insert_hot``)
+        #: from the in-memory index by a hot overlay (``_overlay``)
         #: but whose bytes are still on disk.  ``drop_client`` must
         #: tombstone these too — the index no longer knows about the
         #: row, yet a crash before the round respills would otherwise
@@ -416,9 +462,6 @@ class TieredSignGradientStore(GradientStore):
         writer._write_manifest(names)
         return cls.open(directory, shard_bytes=shard_bytes)
 
-    def _manifest_path(self) -> str:
-        return os.path.join(self.directory, _MANIFEST)
-
     def _load_layout(self) -> None:
         """Rebuild the disk index from MANIFEST.json + per-shard indices.
 
@@ -426,7 +469,7 @@ class TieredSignGradientStore(GradientStore):
         crash between shard writes and the manifest commit leaves
         behind — and re-applies persisted tombstone pairs.
         """
-        with open(self._manifest_path(), "r", encoding="utf-8") as fh:
+        with open(os.path.join(self.directory, _MANIFEST), "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
         if manifest.get("format_version") != _FORMAT_VERSION:
             raise ValueError(
@@ -455,14 +498,15 @@ class TieredSignGradientStore(GradientStore):
                 raise ValueError(f"{_MANIFEST}: shard {name!r} is missing")
             arrays, meta = load_state(bin_path + _IDX_SUFFIX)
             shard_size = os.path.getsize(bin_path)
-            for key, spec in meta["rounds"].items():
-                t = int(key)
-                clients = np.asarray(arrays[f"clients_{t}"], dtype=np.int64)
-                lengths = np.asarray(arrays[f"lengths_{t}"], dtype=np.int64)
-                if len(clients) != len(lengths):
-                    raise ValueError(
-                        f"{name}{_IDX_SUFFIX}: round {t}: clients/lengths mismatch"
-                    )
+            clients = np.asarray(arrays["clients"], dtype=np.int64)
+            lengths = np.asarray(arrays["lengths"], dtype=np.int64)
+            counts = [int(spec["rows"]) for spec in meta["rounds"]]
+            if (len(clients) != len(lengths) or sum(counts) != len(clients)
+                    or min(counts, default=0) < 0):
+                raise ValueError(f"{name}{_IDX_SUFFIX}: clients/lengths mismatch")
+            end = 0
+            for spec, n in zip(meta["rounds"], counts):
+                t = int(spec["round"])
                 offset = int(spec["offset"])
                 stored = int(spec["stored_bytes"])
                 if offset < 0 or offset + stored > shard_size:
@@ -475,15 +519,10 @@ class TieredSignGradientStore(GradientStore):
                     # A later shard supersedes an earlier copy of the
                     # round (overlay re-spill); the old block is dead.
                     self._dead_disk_bytes += previous.stored_bytes
+                start, end = end, end + n
                 self._disk[t] = _DiskRound(
-                    shard=shard_index,
-                    offset=offset,
-                    stored_bytes=stored,
-                    raw_bytes=int(spec.get("raw_bytes", stored)),
-                    codec=str(spec.get("codec", _CODEC_RAW)),
-                    clients=clients,
-                    lengths=lengths,
-                    starts=_starts_of(lengths),
+                    shard_index, offset, stored, int(spec["raw_bytes"]),
+                    str(spec["codec"]), clients[start:end], lengths[start:end],
                 )
 
         tomb_path = os.path.join(self.directory, _TOMBSTONES)
@@ -494,13 +533,8 @@ class TieredSignGradientStore(GradientStore):
             for cid, t in payload.get("pairs", []):
                 self._tombstones.add((int(cid), int(t)))
         for cid, t in sorted(self._tombstones):
-            dr = self._disk.get(t)
-            if dr is None:
-                continue
-            pos = dr.position_of(cid)
-            if pos >= 0:
-                self._dead_disk_bytes += packed_size_bytes(int(dr.lengths[pos]))
-                dr.delete_position(pos)
+            if t in self._disk:
+                self._unindex(self._disk[t], [cid])
         if self._disk:
             self._max_round = max(self._max_round, max(self._disk))
 
@@ -535,31 +569,30 @@ class TieredSignGradientStore(GradientStore):
             "generation": self._generation,
             "shards": list(shard_names),
         }
-        path = self._manifest_path()
+        self._replace_json(_MANIFEST, payload, "manifest-tmp-written")
+
+    def _write_tombstones(self) -> None:
+        """Persist the (client, round) deletion pairs atomically."""
+        payload = {"pairs": sorted([c, t] for c, t in self._tombstones)}
+        self._replace_json(_TOMBSTONES, payload)
+        self._tombstones_dirty = False
+
+    def _replace_json(self, name: str, payload: dict, crash_point: str = "") -> None:
+        """``payload`` as the layout's ``name``: a fsynced tmp file
+        renamed into place."""
+        path = os.path.join(self.directory, name)
         tmp = path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
             json.dump(payload, fh)
             fh.flush()
             os.fsync(fh.fileno())
-        self._maybe_crash("manifest-tmp-written")
+        if crash_point:
+            self._maybe_crash(crash_point)
         os.replace(tmp, path)
         # The rename itself must survive power loss, not just the file
         # contents — this also makes the earlier shard/index renames in
         # the same directory durable.
         fsync_dir(self.directory)
-
-    def _write_tombstones(self) -> None:
-        """Persist the (client, round) deletion pairs atomically."""
-        payload = {"pairs": sorted([c, t] for c, t in self._tombstones)}
-        path = os.path.join(self.directory, _TOMBSTONES)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-        fsync_dir(self.directory)
-        self._tombstones_dirty = False
 
     # ------------------------------------------------------------------
     # shard access
@@ -613,17 +646,7 @@ class TieredSignGradientStore(GradientStore):
     # writes
     # ------------------------------------------------------------------
     def put(self, round_index: int, client_id: int, gradient: np.ndarray) -> None:
-        telemetry = current_telemetry()
-        with telemetry.span("storage_encode_seconds"):
-            packed, length = encode_gradient(
-                np.asarray(gradient).ravel(), self.delta
-            )
-        with self._lock:
-            self._check_open()
-            self._insert_hot(round_index, client_id, packed, length)
-            self._max_round = max(self._max_round, round_index)
-        self._maybe_spill()
-        self._count_encode(length, packed.nbytes)
+        self._write(round_index, self._hot._encoded({client_id: np.ravel(gradient)}))
 
     def put_round(self, round_index: int, updates: Dict[int, np.ndarray]) -> None:
         """Batched round commit; the whole round is sealed afterwards.
@@ -633,95 +656,67 @@ class TieredSignGradientStore(GradientStore):
         steady-state ingestion memory track ``hot_budget_bytes`` rather
         than history size.
         """
-        if not updates:
-            return
-        block = round_block(updates)
-        if block is None:
-            for client_id, gradient in updates.items():
-                self.put(round_index, client_id, gradient)
-            with self._lock:
-                self._seal(round_index)
-            self._maybe_spill()
-            return
-        telemetry = current_telemetry()
-        with telemetry.span("storage_encode_seconds"):
-            packed_rows, length = encode_round(block, self.delta)
-        with self._lock:
-            self._check_open()
-            for client_id, row in zip(updates, packed_rows):
-                # Row copies detach from the batch matrix so later
-                # drops actually free the payload.
-                self._insert_hot(round_index, client_id, row.copy(), length)
-            self._max_round = max(self._max_round, round_index)
-            self._seal(round_index)
-        self._maybe_spill()
-        self._count_encode(length * len(block), packed_rows.nbytes)
+        if updates:
+            self._write(round_index, self._hot._encoded(updates), seal=True)
 
     def put_encoded(
         self, round_index: int, client_id: int, packed: np.ndarray, length: int
     ) -> None:
         """Insert an already-encoded ``(packed, length)`` payload verbatim."""
         row = _encoded_row(packed, length)
+        self._write(round_index, [([client_id], row[None, :], int(length))])
+
+    def _write(self, t: int, blocks: Iterable, seal: bool = False) -> None:
+        """Encoded ``(ids, rows, length)`` blocks into the hot store with
+        their overlay bookkeeping, under ``_lock``; then any spill they
+        made necessary.  The encode runs first, outside the lock."""
+        blocks = list(blocks)
         with self._lock:
             self._check_open()
-            self._insert_hot(round_index, client_id, row, int(length))
-            self._max_round = max(self._max_round, round_index)
+            for ids, rows, length in blocks:
+                self._hot._put_block(t, ids, rows, length)
+                self._overlay(t, ids)
+            self._max_round = max(self._max_round, t)
+            if seal:
+                self._sealed.add(t)
         self._maybe_spill()
 
     def _check_open(self) -> None:
         if self._closed:
             raise RuntimeError("store is closed")
 
-    def _insert_hot(
-        self, t: int, cid: int, packed: np.ndarray, length: int
-    ) -> None:
-        packed = np.ascontiguousarray(packed, dtype=np.uint8).reshape(-1)
-        hot_round = self._hot.setdefault(t, {})
-        previous = hot_round.get(cid)
-        if previous is not None:
-            self._hot_nbytes -= previous[0].nbytes
-        hot_round[cid] = (packed, length)
-        self._hot_nbytes += packed.nbytes
+    def _unindex(self, dr: _DiskRound, cids) -> List[int]:
+        """Delete ``cids``' entries from a disk round's index; their bytes
+        stay on disk, dead, until compaction.  Returns the ids removed."""
+        gone, dead = dr.remove(cids)
+        self._dead_disk_bytes += dead
+        return gone
+
+    def _overlay(self, t: int, cids: List[int]) -> None:
+        """Bookkeeping for hot rows just written at round ``t``."""
         # The hot write supersedes any on-disk row for (t, cid): delete
         # it from the in-memory index (volatile — an unflushed overlay
         # lost in a crash correctly resurrects the old durable row).
-        dr = self._disk.get(t)
-        if dr is not None:
-            pos = dr.position_of(cid)
-            if pos >= 0:
-                self._dead_disk_bytes += packed_size_bytes(int(dr.lengths[pos]))
-                dr.delete_position(pos)
-                # The durable row's bytes are still on disk; remember
-                # the pair so drop_client can tombstone it even though
-                # the index entry is gone.
-                self._shadowed.add((cid, t))
+        # The durable row's bytes are still on disk; remember the pair
+        # so drop_client can tombstone it even though the index entry
+        # is gone.
+        if t in self._disk:
+            self._shadowed.update((cid, t) for cid in self._unindex(self._disk[t], cids))
         # A re-put of a dropped (client, round) resurrects it — match
         # the dict store's drop-then-put semantics.  The sidecar is not
         # rewritten here (the overlay is volatile anyway); the dirty
         # flag makes the next spill sync it, so the re-put IS durable
-        # once flush() returns.
-        if (cid, t) in self._tombstones:
-            self._tombstones.discard((cid, t))
+        # once flush() returns.  The tombstoned disk row still
+        # physically exists until compaction; if the client is dropped
+        # again before this round respills, the pair must be
+        # re-tombstoned, so it is shadowed.
+        revived = set()
+        if self._tombstones:
+            revived = self._tombstones.intersection((cid, t) for cid in cids)
+        if revived:
+            self._tombstones -= revived
             self._tombstones_dirty = True
-            # The tombstoned disk row still physically exists until
-            # compaction; if the client is dropped again before this
-            # round respills, the pair must be re-tombstoned.
-            self._shadowed.add((cid, t))
-
-    def _seal(self, t: int) -> None:
-        if t in self._hot:
-            self._sealed.add(t)
-
-    def seal_round(self, round_index: int) -> None:
-        """Mark a hot round complete (spill-eligible) explicitly."""
-        with self._lock:
-            self._seal(round_index)
-        self._maybe_spill()
-
-    def _spillable(self) -> List[int]:
-        return sorted(
-            t for t in self._hot if t < self._max_round or t in self._sealed
-        )
+            self._shadowed |= revived
 
     def _maybe_spill(self) -> None:
         """Run any spill the last write made necessary.
@@ -730,19 +725,21 @@ class TieredSignGradientStore(GradientStore):
         under the lock, performs shard I/O outside it, and re-acquires
         it to publish, so concurrent writers block only for the cheap
         snapshot/publish sections — never for the disk writes.  Two
-        passes: sealed rounds first, then (if the hot tier is still
-        over budget) everything, so a single in-flight round larger
-        than the whole budget spills mid-round as a last resort (later
-        writes overlay it).
+        passes: sealed rounds (every round older than the newest, plus
+        rounds committed whole through ``put_round``) first, then (if
+        the hot tier is still over budget) everything, so a single
+        in-flight round larger than the whole budget spills mid-round
+        as a last resort (later writes overlay it).
         """
         for last_resort in (False, True):
             with self._lock:
-                if self._hot_nbytes <= self.hot_budget_bytes:
+                if self._hot.nbytes() <= self.hot_budget_bytes:
                     self._update_gauges()
                     return
-                rounds = self._spillable()
+                hot = self._hot.rounds()
+                rounds = [t for t in hot if t < self._max_round or t in self._sealed]
                 if last_resort or not rounds:
-                    rounds = sorted(self._hot)
+                    rounds = hot
             if not rounds:
                 return
             self._spill_rounds(rounds)
@@ -750,48 +747,21 @@ class TieredSignGradientStore(GradientStore):
     # ------------------------------------------------------------------
     # spill
     # ------------------------------------------------------------------
-    def _merged_round_entries(
-        self, t: int
-    ) -> Tuple[np.ndarray, np.ndarray, List[bytes], int]:
-        """Live rows of round ``t`` across disk + hot, sorted by client.
-
-        Returns ``(clients, lengths, row_payloads, raw_bytes)``.
-        """
-        rows: Dict[int, Tuple[bytes, int]] = {}
-        dr = self._disk.get(t)
-        if dr is not None and len(dr.clients):
-            block = self._round_block(t, dr)
-            for i, cid in enumerate(dr.clients):
-                start = int(dr.starts[i])
-                width = packed_size_bytes(int(dr.lengths[i]))
-                rows[int(cid)] = (
-                    bytes(block[start : start + width]),
-                    int(dr.lengths[i]),
-                )
-        for cid, (packed, length) in self._hot.get(t, {}).items():
-            rows[int(cid)] = (packed.tobytes(), int(length))
-        clients = np.array(sorted(rows), dtype=np.int64)
-        lengths = np.array([rows[int(c)][1] for c in clients], dtype=np.int64)
-        payloads = [rows[int(c)][0] for c in clients]
-        raw_bytes = sum(len(p) for p in payloads)
-        return clients, lengths, payloads, raw_bytes
-
     def _spill_rounds(self, rounds: List[int]) -> None:
         """Move hot rounds into new warm shards; crash-safe, decoupled.
 
         Three steps under the maintenance lock (which serializes the
         two manifest writers, spill and compaction):
 
-        1. snapshot — under ``_lock``, copy the rounds' merged payloads
-           (disk block + hot overlay) and the current shard list;
+        1. snapshot — under ``_lock``, take each round's hot block and
+           its merge with the round's live disk rows (:func:`_merge`),
+           and the current shard list;
         2. I/O — WITHOUT ``_lock``: write shard + index files, publish
            the manifest (old shard list + new names).  Writers and
            readers proceed concurrently against the old state;
         3. publish — under ``_lock`` again, swap the new blocks into
            the in-memory index, reconciling anything that raced the
-           I/O: an overlay written mid-spill keeps shadowing its
-           just-spilled row, and a client dropped mid-spill is
-           tombstoned so the freshly durable row cannot resurrect it.
+           I/O (:meth:`_publish_spill`).
 
         An injected crash before the manifest replace leaves both disk
         and memory at the old state.
@@ -799,26 +769,14 @@ class TieredSignGradientStore(GradientStore):
         telemetry = current_telemetry()
         with self._maintenance_lock, telemetry.span("storage_tier_spill_seconds"):
             with self._lock:
-                rounds = sorted(t for t in set(rounds) if t in self._hot)
                 specs = []
-                for t in rounds:
-                    clients, lengths, payloads, raw = self._merged_round_entries(t)
-                    if not len(clients):
+                for t in sorted(set(rounds)):
+                    hot = self._hot._stored_round(t)
+                    if hot is None:
                         continue
-                    specs.append(
-                        {
-                            "round": t,
-                            "clients": clients,
-                            "lengths": lengths,
-                            "raw_bytes": raw,
-                            "codec": _CODEC_RAW,
-                            "stored": b"".join(payloads),
-                            # exact hot tuples at snapshot time, so the
-                            # publish step can tell a consumed entry
-                            # from one overwritten mid-spill
-                            "hot_entries": dict(self._hot.get(t, {})),
-                        }
-                    )
+                    spec = _round_spec(t, _merge(self._disk_block(t), hot))
+                    spec["hot"] = hot
+                    specs.append(spec)
                 if not specs:
                     return
                 manifest_base = list(self._shard_names)
@@ -843,81 +801,59 @@ class TieredSignGradientStore(GradientStore):
 
         The shard files hold the snapshot-time rows; only the shard
         list (frozen by the maintenance lock) and the hot/tombstone
-        state can have moved since.
+        state can have moved since.  A snapshot hot row was consumed by
+        the spill when the hot store still holds it with the same bytes
+        (an unchanged round is still the very same block); it leaves
+        the hot tier.  One missing from the hot store was dropped while
+        the spill ran, and its freshly durable copy is tombstoned.  Any
+        row still hot — overwritten mid-spill, or written mid-spill over
+        a row the spill read from disk — keeps shadowing its spilled
+        copy.
         """
         base = len(self._shard_names)
         self._shard_names.extend(new_names)
         self._shard_maps.extend([None] * len(new_names))
         spilled = set()
         newly_shadowed = set()
-        pairs_changed = False
+        tombstoned = set()
+        # disk-sourced rows whose client was dropped mid-spill: the drop
+        # deleted them from the OLD index (their tombstone pairs stay)
+        late = self._tombstones - snap_tombstones
         for spec, (local_shard, offset) in zip(specs, placements):
             t = spec["round"]
             spilled.add(t)
             previous = self._disk.get(t)
             if previous is not None:
                 self._dead_disk_bytes += previous.stored_bytes
-            dr = _DiskRound(
-                shard=base + local_shard,
-                offset=offset,
-                stored_bytes=len(spec["stored"]),
-                raw_bytes=spec["raw_bytes"],
-                codec=_CODEC_RAW,
-                clients=spec["clients"],
-                lengths=spec["lengths"],
-                starts=_starts_of(spec["lengths"]),
-            )
-            hot_round = self._hot.get(t, {})
-            for cid, entry in spec["hot_entries"].items():
-                current = hot_round.get(cid)
-                if current is entry:
-                    # unchanged since the snapshot: consumed by the spill
-                    del hot_round[cid]
-                    self._hot_nbytes -= entry[0].nbytes
-                    continue
-                pos = dr.position_of(cid)
-                if pos >= 0:
-                    self._dead_disk_bytes += packed_size_bytes(int(dr.lengths[pos]))
-                    dr.delete_position(pos)
-                if current is None:
-                    # dropped while the spill ran; the new shard holds
-                    # the row durably, so it needs a tombstone
-                    self._tombstones.add((cid, t))
-                    pairs_changed = True
-                else:
-                    # overwritten while the spill ran: the newer hot
-                    # row keeps shadowing the just-spilled copy
-                    newly_shadowed.add((cid, t))
-            # disk-sourced rows whose client was dropped mid-spill:
-            # the drop deleted them from the OLD index; delete them
-            # from the new one too (their tombstone pairs stay)
-            for cid, _t in [
-                p
-                for p in self._tombstones
-                if p[1] == t and p not in snap_tombstones
-            ]:
-                pos = dr.position_of(cid)
-                if pos >= 0:
-                    self._dead_disk_bytes += packed_size_bytes(int(dr.lengths[pos]))
-                    dr.delete_position(pos)
-            self._disk[t] = dr
-            if not hot_round:
-                self._hot.pop(t, None)
-                self._sealed.discard(t)
+            dr = self._disk[t] = _DiskRound.placed(spec, base + local_shard, offset)
+            snap = spec["hot"]
+            consumed, dropped = [], []
+            if self._hot._stored_round(t) is snap:  # untouched since the snapshot
+                consumed = snap[0].tolist()
+            else:
+                for cid, row, n in _entries(snap):
+                    now = self._hot._row(t, cid)
+                    if now is None:
+                        dropped.append(cid)
+                    elif now[1] == n and np.array_equal(now[0], row):
+                        consumed.append(cid)
+            self._hot.drop_rows(t, consumed)
+            tombstoned.update((cid, t) for cid in dropped)
+            self._unindex(dr, dropped + [cid for cid, u in late if u == t])
+            still_hot = self._unindex(dr, self._hot.clients_at(t))
+            newly_shadowed.update((cid, t) for cid in still_hot)
+        self._tombstones |= tombstoned
+        self._sealed.intersection_update(self._hot.rounds())
         # Spilled rounds were rewritten without their snapshot-time
         # dead rows, so those tombstone pairs are resolved (pairs added
         # mid-spill reference the new shard and stay); shadowed rows
         # are superseded by the new round copies, except the ones a
         # mid-spill overlay just re-shadowed.
-        resolved = {
-            p
-            for p in self._tombstones
-            if p[1] in spilled and p in snap_tombstones
-        }
+        resolved = {p for p in snap_tombstones & self._tombstones if p[1] in spilled}
         self._shadowed = {
             p for p in self._shadowed if p[1] not in spilled
         } | newly_shadowed
-        if resolved or pairs_changed or self._tombstones_dirty:
+        if resolved or tombstoned or self._tombstones_dirty:
             self._tombstones -= resolved
             self._write_tombstones()
 
@@ -936,7 +872,7 @@ class TieredSignGradientStore(GradientStore):
         """
         names: List[str] = []
         placements: List[Tuple[int, int]] = []
-        shard = None  # (file, path, index arrays, round meta) being written
+        shard = None  # (file, path, round meta, clients, lengths) being written
         size = 0
         try:
             for spec in specs:
@@ -948,19 +884,20 @@ class TieredSignGradientStore(GradientStore):
                     self._next_seq += 1
                     names.append(name)
                     path = os.path.join(self.directory, name)
-                    shard = (open(path, "wb"), path, {}, {})
+                    shard = (open(path, "wb"), path, [], [], [])
                     size = 0
-                fh, _, arrays, meta_rounds = shard
+                fh, _, meta_rounds, clients, lengths = shard
                 fh.write(stored)
-                t = spec["round"]
-                arrays[f"clients_{t}"] = spec["clients"]
-                arrays[f"lengths_{t}"] = spec["lengths"]
-                meta_rounds[str(t)] = {
+                meta_rounds.append({
+                    "round": spec["round"],
+                    "rows": len(spec["clients"]),
                     "offset": size,
                     "stored_bytes": len(stored),
                     "raw_bytes": spec["raw_bytes"],
                     "codec": spec["codec"],
-                }
+                })
+                clients.append(spec["clients"])
+                lengths.append(spec["lengths"])
                 placements.append((len(names) - 1, size))
                 size += len(stored)
             if shard is not None:
@@ -979,9 +916,8 @@ class TieredSignGradientStore(GradientStore):
         guarantee covers everything written before the call.
         """
         with self._lock:
-            for t in list(self._hot):
-                self._sealed.add(t)
-            rounds = sorted(self._hot)
+            rounds = self._hot.rounds()
+            self._sealed.update(rounds)
         if rounds:
             self._spill_rounds(rounds)
 
@@ -1034,30 +970,18 @@ class TieredSignGradientStore(GradientStore):
                         codec = _CODEC_ZLIB if old else _CODEC_RAW
                     if codec == _CODEC_ZLIB and dr.codec != _CODEC_ZLIB:
                         demoted += 1
-                    widths = (dr.lengths + 3) // 4
-                    raw_bytes = int(widths.sum())
-                    if dr.raw_bytes == raw_bytes and codec == dr.codec:
+                    live_bytes = int(((dr.lengths + 3) // 4).sum())
+                    if dr.raw_bytes == live_bytes and codec == dr.codec:
                         # Untouched round: pass its stored bytes through.
                         data = self._shard_data(dr.shard)
                         stored = bytes(data[dr.offset : dr.offset + dr.stored_bytes])
-                    else:
-                        block = self._round_block(t, dr)
-                        if dr.raw_bytes != raw_bytes:  # drop the dead rows
-                            spans = zip(dr.starts.tolist(), widths.tolist())
-                            block = np.concatenate([block[s : s + w] for s, w in spans])
-                        stored = bytes(block)
+                        spec = dict(round=t, clients=dr.clients, lengths=dr.lengths,
+                                    raw_bytes=dr.raw_bytes, codec=codec, stored=stored)
+                    else:  # its live rows, end to end
+                        spec = _round_spec(t, self._disk_block(t))
                         if codec == _CODEC_ZLIB:
-                            stored = _deflate(stored)
-                    specs.append(
-                        {
-                            "round": t,
-                            "clients": dr.clients.copy(),
-                            "lengths": dr.lengths.copy(),
-                            "raw_bytes": raw_bytes,
-                            "codec": codec,
-                            "stored": stored,
-                        }
-                    )
+                            spec.update(codec=codec, stored=_deflate(spec["stored"]))
+                    specs.append(spec)
                 self._generation += 1
                 new_names, placements = self._write_shard_files(specs)
                 self._write_manifest(new_names)
@@ -1069,16 +993,7 @@ class TieredSignGradientStore(GradientStore):
                 self._disk = {}
                 self._cold_cache.clear()
                 for spec, (local_shard, offset) in zip(specs, placements):
-                    self._disk[spec["round"]] = _DiskRound(
-                        shard=local_shard,
-                        offset=offset,
-                        stored_bytes=len(spec["stored"]),
-                        raw_bytes=spec["raw_bytes"],
-                        codec=spec["codec"],
-                        clients=spec["clients"],
-                        lengths=spec["lengths"],
-                        starts=_starts_of(spec["lengths"]),
-                    )
+                    self._disk[spec["round"]] = _DiskRound.placed(spec, local_shard, offset)
                 self._dead_disk_bytes = 0
                 if self._tombstones or self._tombstones_dirty:
                     # Every pair referenced a pre-compaction disk row;
@@ -1113,7 +1028,7 @@ class TieredSignGradientStore(GradientStore):
         return stats
 
     # ------------------------------------------------------------------
-    # reads — every path is index-backed (hot dict / searchsorted)
+    # reads — every path is index-backed (hot blocks / searchsorted)
     # ------------------------------------------------------------------
     def _tier_hit(self, tier: str) -> None:
         telemetry = current_telemetry()
@@ -1124,10 +1039,10 @@ class TieredSignGradientStore(GradientStore):
         """``cid``'s packed ``(row, length)`` at ``t`` for the base
         class's ``get`` — the hot row, or a view of its disk block."""
         with self._lock:
-            hot_round = self._hot.get(t)
-            if hot_round is not None and cid in hot_round:
+            row = self._hot._row(t, cid)
+            if row is not None:
                 self._tier_hit(TIER_HOT)
-                return hot_round[cid]
+                return row
             dr = self._disk.get(t)
             pos = dr.position_of(cid) if dr is not None else -1
             if pos < 0:
@@ -1137,79 +1052,60 @@ class TieredSignGradientStore(GradientStore):
             block = self._round_block(t, dr)
             return block[start : start + packed_size_bytes(length)], length
 
-    def _stored_round(self, round_index: int):
-        """The round for the base class's one-pass ``get_round`` decode:
-        a round that is one gap-free disk block of one row length as a
-        zero-copy ``(n, width)`` view of it; any other round (hot rows,
-        mixed lengths, gaps) from the :meth:`encoded_round` payloads."""
-        with self._lock:
-            dr = self._disk.get(round_index)
-            lengths = set() if dr is None else set(dr.lengths.tolist())
-            if len(lengths) == 1 and not self._hot.get(round_index):
-                n, length = len(dr.clients), lengths.pop()
-                width, first = packed_size_bytes(length), int(dr.starts[0])
-                # Homogeneous widths and strictly increasing starts: end
-                # points n − 1 rows apart mean the rows are gap-free.
-                if int(dr.starts[-1]) - first == (n - 1) * width:
-                    self._tier_hit(dr.tier)
-                    block = self._round_block(round_index, dr)
-                    rows = block[first : first + n * width].reshape(n, width)
-                    return dr.clients, rows, length
-        return super()._stored_round(round_index)
+    def _disk_block(self, t: int) -> Optional[_Block]:
+        """Disk round ``t``'s live rows as a stored round, or None.
 
-    def encoded_round(
-        self, round_index: int
-    ) -> Dict[int, Tuple[np.ndarray, int]]:
-        """Raw ``{client: (packed, length)}`` payloads of one round.
-
-        Disk rows are views of the warm memmap (or the cold block's
-        decompressed buffer, which the view keeps alive past any LRU
-        eviction); hot entries shadow disk rows exactly like
-        :meth:`get`.  The codec hook the base-class ``get_round``
-        fallback batches through one LUT pass.
+        A gap-free block of one row length is a zero-copy ``(n, width)``
+        view of the warm memmap (or of the cold block's decompressed
+        buffer, which the view keeps alive past any LRU eviction);
+        other rounds of one row length are gathered into one block, and
+        mixed lengths come as a row list.
         """
+        dr = self._disk.get(t)
+        if dr is None or not len(dr.clients):
+            return None
+        block = self._round_block(t, dr)
+        length = int(dr.lengths[0])
+        if not (dr.lengths == length).all():
+            widths = ((dr.lengths + 3) // 4).tolist()
+            rows = [block[s : s + w] for s, w in zip(dr.starts.tolist(), widths)]
+            return dr.clients, rows, dr.lengths.tolist()
+        n, width, first = len(dr.clients), packed_size_bytes(length), int(dr.starts[0])
+        # Homogeneous widths and strictly increasing starts: end points
+        # n − 1 rows apart mean the rows are gap-free.
+        if int(dr.starts[-1]) - first == (n - 1) * width:
+            return dr.clients, block[first : first + n * width].reshape(n, width), length
+        return dr.clients, block[dr.starts[:, None] + np.arange(width)], length
+
+    def _stored_round(self, round_index: int) -> Optional[_Block]:
+        """The round for the base class's one-pass ``get_round`` decode:
+        its disk rows merged with its hot rows (:func:`_merge`)."""
         with self._lock:
-            out: Dict[int, Tuple[np.ndarray, int]] = {}
-            dr = self._disk.get(round_index)
-            if dr is not None and len(dr.clients):
-                self._tier_hit(dr.tier)
-                block = self._round_block(round_index, dr)
-                for i, cid in enumerate(dr.clients):
-                    length = int(dr.lengths[i])
-                    start = int(dr.starts[i])
-                    out[int(cid)] = (
-                        block[start : start + packed_size_bytes(length)],
-                        length,
-                    )
-            hot_round = self._hot.get(round_index)
-            if hot_round:
+            disk = self._disk_block(round_index)
+            hot = self._hot._stored_round(round_index)
+            if disk is not None:
+                self._tier_hit(self._disk[round_index].tier)
+            if hot is not None:
                 self._tier_hit(TIER_HOT)
-                for cid, rec in hot_round.items():
-                    out[int(cid)] = rec
-            return out
+            return _merge(disk, hot)
 
     def has(self, round_index: int, client_id: int) -> bool:
         with self._lock:
-            hot_round = self._hot.get(round_index)
-            if hot_round is not None and client_id in hot_round:
+            if self._hot.has(round_index, client_id):
                 return True
             dr = self._disk.get(round_index)
             return dr is not None and dr.position_of(client_id) >= 0
 
     def rounds(self) -> List[int]:
         with self._lock:
-            live = {t for t, h in self._hot.items() if h}
-            live |= {t for t, dr in self._disk.items() if len(dr.clients)}
-            return sorted(live)
+            live = {t for t, dr in self._disk.items() if len(dr.clients)}
+            return sorted(live.union(self._hot.rounds()))
 
     def clients_at(self, round_index: int) -> List[int]:
         with self._lock:
-            out = set()
             dr = self._disk.get(round_index)
-            if dr is not None:
-                out.update(int(c) for c in dr.clients)
-            out.update(self._hot.get(round_index, {}))
-            return sorted(out)
+            disk = [] if dr is None else dr.clients.tolist()
+            return sorted(set(disk).union(self._hot.clients_at(round_index)))
 
     def items(self) -> List[Tuple[Tuple[int, int], Tuple[np.ndarray, int]]]:
         """Sorted ``((round, client), (packed, length))`` pairs.
@@ -1219,25 +1115,13 @@ class TieredSignGradientStore(GradientStore):
         are decompressed on the way out).  Treat payloads as read-only.
         """
         with self._lock:
-            out: List[Tuple[Tuple[int, int], Tuple[np.ndarray, int]]] = []
-            for t in self.rounds():
-                dr = self._disk.get(t)
-                hot_round = self._hot.get(t, {})
-                per_round: Dict[int, Tuple[np.ndarray, int]] = {}
-                if dr is not None and len(dr.clients):
-                    block = self._round_block(t, dr)
-                    for i, cid in enumerate(dr.clients):
-                        length = int(dr.lengths[i])
-                        start = int(dr.starts[i])
-                        per_round[int(cid)] = (
-                            block[start : start + packed_size_bytes(length)],
-                            length,
-                        )
-                for cid, (packed, length) in hot_round.items():
-                    per_round[int(cid)] = (packed, length)
-                for cid in sorted(per_round):
-                    out.append(((t, cid), per_round[cid]))
-            return out
+            return [
+                ((t, cid), (row, n))
+                for t in self.rounds()
+                for cid, row, n in _entries(
+                    _merge(self._disk_block(t), self._hot._stored_round(t))
+                )
+            ]
 
     # ------------------------------------------------------------------
     # accounting
@@ -1250,29 +1134,19 @@ class TieredSignGradientStore(GradientStore):
         zlib stream is not row-addressable) or its last row dies.
         """
         with self._lock:
-            total = self._hot_nbytes
-            for dr in self._disk.values():
-                total += dr.live_payload_bytes()
-            return int(total)
+            disk = sum(dr.live_payload_bytes() for dr in self._disk.values())
+            return int(self._hot.nbytes() + disk)
 
     def recount_nbytes(self) -> int:
         """Recompute :meth:`nbytes` from raw payloads — the accounting
         oracle the index-derived total is tested against."""
         with self._lock:
-            total = 0
-            for hot_round in self._hot.values():
-                total += sum(p.nbytes for p, _ in hot_round.values())
+            total = self._hot.recount_nbytes()
             for t, dr in self._disk.items():
-                if not len(dr.clients):
-                    continue
                 if dr.codec == _CODEC_ZLIB:
-                    total += dr.stored_bytes
-                else:
-                    block = self._round_block(t, dr)
-                    for i in range(len(dr.clients)):
-                        width = packed_size_bytes(int(dr.lengths[i]))
-                        start = int(dr.starts[i])
-                        total += block[start : start + width].nbytes
+                    total += dr.stored_bytes if len(dr.clients) else 0
+                elif len(dr.clients):
+                    total += sum(row.nbytes for _, row, _ in _entries(self._disk_block(t)))
             return int(total)
 
     def disk_bytes(self) -> int:
@@ -1298,7 +1172,7 @@ class TieredSignGradientStore(GradientStore):
                 else:
                     warm += dr.live_payload_bytes()
             return {
-                TIER_HOT: int(self._hot_nbytes),
+                TIER_HOT: self._hot.nbytes(),
                 TIER_WARM: int(warm),
                 TIER_COLD: int(cold),
             }
@@ -1306,7 +1180,7 @@ class TieredSignGradientStore(GradientStore):
     def tier_rounds(self) -> Dict[str, int]:
         """Round counts per tier (a hot overlay counts the round hot)."""
         with self._lock:
-            hot = {t for t, h in self._hot.items() if h}
+            hot = set(self._hot.rounds())
             warm = sum(
                 1
                 for t, dr in self._disk.items()
@@ -1371,24 +1245,11 @@ class TieredSignGradientStore(GradientStore):
         reclaimed by the next :meth:`compact`.
         """
         with self._lock:
-            removed = 0
-            for t in list(self._hot):
-                hot_round = self._hot[t]
-                entry = hot_round.pop(client_id, None)
-                if entry is not None:
-                    self._hot_nbytes -= entry[0].nbytes
-                    removed += 1
-                if not hot_round:
-                    del self._hot[t]
-                    self._sealed.discard(t)
+            removed = self._hot.drop_client(client_id)
+            self._sealed.intersection_update(self._hot.rounds())
             dropped_pairs = False
             for t, dr in self._disk.items():
-                pos = dr.position_of(client_id)
-                if pos >= 0:
-                    self._dead_disk_bytes += packed_size_bytes(
-                        int(dr.lengths[pos])
-                    )
-                    dr.delete_position(pos)
+                if self._unindex(dr, [client_id]):
                     self._tombstones.add((client_id, t))
                     dropped_pairs = True
                     removed += 1

@@ -174,7 +174,7 @@ _ALL_SPECS = [
     ),
     _spec(
         "storage_tier_spills_total", COUNTER, "rounds", "repro.storage.tiered",
-        "Sealed rounds spilled from the hot dict tier into warm shards.",
+        "Sealed rounds spilled from the hot block tier into warm shards.",
     ),
     _spec(
         "storage_tier_compact_seconds", HISTOGRAM, "seconds", "repro.storage.tiered",
@@ -191,7 +191,7 @@ _ALL_SPECS = [
     ),
     _spec(
         "storage_tier_hits_total", COUNTER, "reads", "repro.storage.tiered",
-        "Point/round reads answered per tier (hot dict, warm mmap, cold "
+        "Point/round reads answered per tier (hot blocks, warm mmap, cold "
         "inflate).",
         labels=("tier",),
     ),

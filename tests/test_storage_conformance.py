@@ -140,9 +140,10 @@ class TestReadSurface:
 
 class TestBulkFallbackParity:
     """The base-class ``get_round`` (one batched ``decode_round`` pass
-    over ``encoded_round``) must be bitwise identical to each backend's
-    native bulk read *and* to the per-client ``get`` loop — the three
-    paths a replay can take depending on flags and fault fallbacks."""
+    over the backend's ``_stored_round``) must be bitwise identical to
+    each backend's native bulk read *and* to the per-client ``get``
+    loop — the three paths a replay can take depending on flags and
+    fault fallbacks."""
 
     def test_base_batched_decode_matches_native_bulk(self, backend):
         store = backend["store"]

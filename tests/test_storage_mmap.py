@@ -4,11 +4,13 @@
 from a dict store and then only read.  The read, drop, accounting and
 restart contract it shares with every sign backend lives in
 ``tests/test_storage_conformance.py``; this module holds what is left:
-empty and mixed-length builds, damage detected on open, tombstones
-against disk bytes, compaction, persistence and ``with_sign_store``.
+empty and mixed-length builds, damage detected on open, the one
+index pair per shard, tombstones against disk bytes, compaction,
+persistence and ``with_sign_store``.
 """
 
 import gc
+import json
 import os
 
 import numpy as np
@@ -17,6 +19,7 @@ import pytest
 from repro.fl.history import with_sign_store
 from repro.fl.persistence import load_record, save_record, store_to_arrays
 from repro.storage import MmapSignGradientStore, SignGradientStore
+from repro.utils.serialization import load_state, save_state_atomic
 
 
 @pytest.fixture
@@ -90,6 +93,52 @@ class TestOpen:
                     fh.truncate(max(os.path.getsize(path) - 8, 1))
         with pytest.raises(ValueError, match="past shard end"):
             MmapSignGradientStore.open(mmap_store.directory)
+
+
+    def test_unsupported_format_raises(self, mmap_store):
+        # a layout with per-round index members (format 1) no longer opens
+        path = os.path.join(mmap_store.directory, "MANIFEST.json")
+        with open(path, encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        manifest["format_version"] = 1
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh)
+        with pytest.raises(ValueError, match="unsupported format"):
+            MmapSignGradientStore.open(mmap_store.directory)
+
+    @pytest.mark.parametrize("case", ["too-many", "negative"])
+    def test_row_counts_must_cover_the_index(self, mmap_store, case):
+        (name,) = [n for n in os.listdir(mmap_store.directory) if n.endswith(".idx.npz")]
+        path = os.path.join(mmap_store.directory, name)
+        arrays, meta = load_state(path)
+        rounds = meta["rounds"]
+        if case == "negative":  # the counts still sum to the arrays' length
+            rounds[1]["rows"] += rounds[0]["rows"] + 1
+            rounds[0]["rows"] = -1
+        else:
+            rounds[0]["rows"] += 1
+        save_state_atomic(path, arrays, meta)
+        with pytest.raises(ValueError, match="clients/lengths mismatch"):
+            MmapSignGradientStore.open(mmap_store.directory)
+
+
+class TestIndexLayout:
+    def test_one_index_pair_per_shard(self, rng, tmp_path):
+        # opening parses one clients and one lengths array per shard,
+        # whatever the number of rounds in it
+        store = SignGradientStore(delta=1e-6)
+        for t in range(50):
+            store.put_round(
+                t, {c: rng.normal(size=33) * 1e-3 for c in range(t % 4, 6 + t % 3)}
+            )
+        directory = str(tmp_path / "layout")
+        MmapSignGradientStore.from_store(store, directory)
+        (name,) = [n for n in os.listdir(directory) if n.endswith(".idx.npz")]
+        arrays, meta = load_state(os.path.join(directory, name))
+        assert sorted(arrays) == ["clients", "lengths"]
+        assert [spec["round"] for spec in meta["rounds"]] == list(range(50))
+        assert sum(spec["rows"] for spec in meta["rounds"]) == len(arrays["clients"])
+        _assert_same_view(store, MmapSignGradientStore.open(directory))
 
 
 class TestNbytesAccounting:

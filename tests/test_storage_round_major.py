@@ -3,11 +3,16 @@
 - **Container.**  :class:`SignGradientStore` and
   :class:`FullGradientStore` keep each round as one block (ids
   ascending, rows of one length; a list for a round whose rows differ in
-  length).  A state machine drives either store through any mix of
-  ``put``, ``put_round``, ``put_encoded``, re-puts, ``drop_client`` and
-  every read, against a per-row reference model built with the per-row
-  codec: rows, ids, ``items``, and ``nbytes() == recount_nbytes()``
-  equal to the model's bytes after every step.
+  length), and :class:`TieredSignGradientStore` keeps its hot rounds in
+  a composed :class:`SignGradientStore`.  A state machine drives any of
+  the three through any mix of ``put``, ``put_round``, ``put_encoded``,
+  re-puts, ``drop_client`` and every read — the tiered store, with a hot
+  budget of a few rows, also through spills, ``flush``,
+  ``compact(cold_after=k)`` and ``close`` + ``open`` — against a
+  per-row reference model built with the per-row codec: rows, ids,
+  ``items``, ``rounds`` and ``clients_at`` equal the model's after every
+  step, ``nbytes() == recount_nbytes()`` always, and both equal the
+  model's bytes while no round is cold.
 - **No torn round.**  A reader thread calls ``get_round`` and ``get``
   while a writer appends rounds and rows and drops clients; every round
   it sees has its rows aligned with its ids and holds every row written
@@ -22,7 +27,9 @@ Tier-1 runs each at a small example budget; ``make chaos`` (which sets
 from __future__ import annotations
 
 import os
+import shutil
 import sys
+import tempfile
 import threading
 
 import numpy as np
@@ -38,7 +45,7 @@ from hypothesis.stateful import (
 )
 
 from repro.fl import MembershipLedger
-from repro.storage import FullGradientStore, SignGradientStore
+from repro.storage import FullGradientStore, SignGradientStore, TieredSignGradientStore
 from repro.storage.sign_codec import encode_gradient, pack_signs, unpack_signs
 
 #: ``make chaos`` (which sets CHAOS_SEEDS) runs the machines at length.
@@ -50,6 +57,8 @@ CLIENTS = st.integers(0, 5)
 #: 5, 6 and 8 elements all pack into two bytes; 9 takes three.
 LENGTHS = st.sampled_from([5, 6, 8, 9])
 SEEDS = st.integers(0, 2**32 - 1)
+#: The tiered store's hot budget: a few packed rows, so writes spill.
+HOT_BUDGET = 8
 
 
 def gradient(seed: int, length: int) -> np.ndarray:
@@ -65,7 +74,7 @@ def make_store(kind: str):
 def expected_row(kind: str, g: np.ndarray):
     """``(value get_round returns, stored bytes, items payload)`` of one
     gradient through the per-row codec."""
-    if kind == "sign":
+    if kind != "full":
         packed, length = encode_gradient(g, DELTA)
         return unpack_signs(packed, length), packed.nbytes, (packed, length)
     stored = g.astype(np.float32)
@@ -75,11 +84,22 @@ def expected_row(kind: str, g: np.ndarray):
 class ContainerMachine(RuleBasedStateMachine):
     """Random writes and reads on one store against a per-row model."""
 
-    @initialize(kind=st.sampled_from(["sign", "full"]))
+    @initialize(kind=st.sampled_from(["sign", "full", "tiered"]))
     def build(self, kind):
         self.kind = kind
-        self.store = make_store(kind)
+        if kind == "tiered":
+            self.directory = tempfile.mkdtemp(prefix="container-")
+            self.store = TieredSignGradientStore(
+                self.directory, delta=DELTA, hot_budget_bytes=HOT_BUDGET
+            )
+        else:
+            self.store = make_store(kind)
         self.model = {}  # (t, cid) -> (row, nbytes, payload)
+
+    def teardown(self):
+        if getattr(self, "kind", None) == "tiered":
+            self.store.close()
+            shutil.rmtree(self.directory, ignore_errors=True)
 
     def record(self, t, cid, g):
         self.model[(t, cid)] = expected_row(self.kind, g)
@@ -106,7 +126,7 @@ class ContainerMachine(RuleBasedStateMachine):
         for cid, g in updates.items():
             self.record(t, cid, g)
 
-    @precondition(lambda self: self.kind == "sign")
+    @precondition(lambda self: self.kind != "full")
     @rule(t=ROUNDS, cid=CLIENTS, length=LENGTHS, seed=SEEDS)
     def put_encoded(self, t, cid, length, seed):
         signs = np.random.default_rng(seed).integers(-1, 2, size=length).astype(np.int8)
@@ -121,12 +141,32 @@ class ContainerMachine(RuleBasedStateMachine):
         for key in gone:
             del self.model[key]
 
+    @precondition(lambda self: self.kind == "tiered")
+    @rule()
+    def flush(self):
+        self.store.flush()
+        assert self.store.tier_rounds()["hot"] == 0
+
+    @precondition(lambda self: self.kind == "tiered")
+    @rule(k=st.integers(1, 4))
+    def compact(self, k):
+        self.store.compact(cold_after=k)
+        assert self.store.stats()["tombstone_pairs"] == 0
+
+    @precondition(lambda self: self.kind == "tiered")
+    @rule()
+    def reopen(self):
+        self.store.close()
+        self.store = TieredSignGradientStore.open(
+            self.directory, hot_budget_bytes=HOT_BUDGET
+        )
+
     @rule(t=st.integers(0, 5))
     def get_round(self, t):
         rows = self.store.get_round(t)
         ids = sorted(c for (r, c) in self.model if r == t)
         assert list(rows) == ids and rows.cids.tolist() == ids
-        dtype = np.int8 if self.kind == "sign" else np.float64
+        dtype = np.float64 if self.kind == "full" else np.int8
         shapes = {self.model[(t, c)][0].shape for c in ids}
         if len(shapes) <= 1:
             assert rows.block is not None and len(rows.block) == len(ids)
@@ -150,30 +190,29 @@ class ContainerMachine(RuleBasedStateMachine):
         assert value.dtype == np.float64
         np.testing.assert_array_equal(value, self.model[(t, cid)][0])
 
-    @rule()
-    def items(self):
-        items = self.store.items()
-        assert [key for key, _ in items] == sorted(self.model)
-        for key, payload in items:
-            want = self.model[key][2]
-            if self.kind == "sign":
-                assert payload[1] == want[1]
-                np.testing.assert_array_equal(payload[0], want[0])
-            else:
-                np.testing.assert_array_equal(payload, want)
-
     @invariant()
-    def bytes_and_index_agree(self):
+    def view_matches_model(self):
         store = getattr(self, "store", None)
         if store is None:
             return
         want = sum(nbytes for _, nbytes, _ in self.model.values())
-        assert store.nbytes() == want
-        assert store.recount_nbytes() == want
+        assert store.nbytes() == store.recount_nbytes()
+        if self.kind != "tiered" or not store.tier_bytes()["cold"]:
+            assert store.nbytes() == want
         rounds = sorted({t for t, _ in self.model})
         assert store.rounds() == rounds
         for t in rounds:
             assert store.clients_at(t) == sorted(c for (r, c) in self.model if r == t)
+            self.get_round(t)
+        items = store.items()
+        assert [key for key, _ in items] == sorted(self.model)
+        for key, payload in items:
+            want = self.model[key][2]
+            if self.kind == "full":
+                np.testing.assert_array_equal(payload, want)
+            else:
+                assert payload[1] == want[1]
+                np.testing.assert_array_equal(payload[0], want[0])
 
 
 ContainerMachine.TestCase.settings = settings(

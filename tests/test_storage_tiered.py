@@ -4,6 +4,11 @@ The contract under test (`docs/ARCHITECTURE.md`, "Storage tiering"):
 
 - ingestion is bounded-memory — the hot tier never exceeds its byte
   budget once a round can spill;
+- a spill parked between its shard writes and its manifest commit
+  reconciles what raced it — a re-put row of a spilling round, a
+  dropped client whose row was hot, a dropped client whose row the
+  spill read from disk — in the live view, after a crash and after
+  ``close`` + ``open``;
 - every tier transition (hot→warm spill, warm→cold demotion,
   compaction, reopen) preserves reads bit-for-bit;
 - ``drop_client`` tombstones are durable and compaction physically
@@ -60,6 +65,51 @@ def _assert_same_view(reference, store):
         for cid in expected:
             np.testing.assert_array_equal(bulk[cid], expected[cid])
             np.testing.assert_array_equal(store.get(t, cid), reference.get(t, cid))
+
+
+def _clone(reference):
+    """An independent dict store holding ``reference``'s rows."""
+    copy = SignGradientStore(delta=DELTA)
+    for (t, cid), (packed, length) in reference.items():
+        copy.put_encoded(t, cid, packed, length)
+    return copy
+
+
+def _during_spill(store, action):
+    """Run ``action`` while a ``flush`` on another thread is parked
+    between its shard writes and its manifest commit."""
+    entered = threading.Event()
+    gate = threading.Event()
+
+    def park_in_io(point):
+        if point == "after-shard-write":
+            entered.set()
+            gate.wait(timeout=30)
+
+    store._crash_hook = park_in_io
+    spiller = threading.Thread(target=store.flush)
+    spiller.start()
+    try:
+        assert entered.wait(timeout=30), "spill never reached its shard I/O"
+        action()
+    finally:
+        gate.set()
+        spiller.join(timeout=30)
+        store._crash_hook = None
+    assert not spiller.is_alive()
+
+
+def _assert_three_views(store, directory, reference, durable):
+    """The view once the spill has published, after a crash (a second
+    open with the store still open: only durable rows survive), and
+    after ``close`` + ``open``."""
+    _assert_same_view(reference, store)
+    assert store.nbytes() == store.recount_nbytes() == reference.nbytes()
+    _assert_same_view(durable, TieredSignGradientStore.open(directory))
+    store.close()
+    reopened = TieredSignGradientStore.open(directory)
+    _assert_same_view(reference, reopened)
+    assert reopened.nbytes() == reopened.recount_nbytes() == reference.nbytes()
 
 
 class TestBoundedIngestion:
@@ -142,6 +192,99 @@ class TestBoundedIngestion:
         store.flush()
         assert store.tier_rounds()[TIER_HOT] == 0
         _assert_same_view(reference, store)
+
+    def test_encode_does_not_block_readers(self, rng, tmp_path):
+        # while one thread's put_round is parked inside its encode, a
+        # reader on another thread gets a round without waiting for it
+        store = TieredSignGradientStore(
+            str(tmp_path / "t"), delta=DELTA, hot_budget_bytes=1 << 20
+        )
+        reference = _fill(store, rng, num_rounds=4)
+        entered = threading.Event()
+        gate = threading.Event()
+        encode = store._hot._encode
+
+        def park_in_encode(block):
+            entered.set()
+            gate.wait(timeout=30)
+            return encode(block)
+
+        store._hot._encode = park_in_encode
+        extra = {1: rng.normal(size=DIM), 2: rng.normal(size=DIM)}
+        writer = threading.Thread(target=store.put_round, args=(9, extra))
+        writer.start()
+        assert entered.wait(timeout=30), "put_round never reached its encode"
+        done = threading.Event()
+
+        def read():
+            store.get_round(0)
+            done.set()
+
+        reader = threading.Thread(target=read)
+        reader.start()
+        try:
+            assert done.wait(timeout=10), "get_round() blocked behind an encode"
+        finally:
+            gate.set()
+            reader.join(timeout=10)
+            writer.join(timeout=30)
+            store._hot._encode = encode
+        reference.put_round(9, extra)
+        _assert_same_view(reference, store)
+
+    def test_put_into_spilling_round_mid_spill(self, rng, tmp_path):
+        # a re-put of a row whose round is being spilled: the newer row
+        # must win over the just-spilled copy, and a crash before it
+        # respills must fall back to the durable (older) row
+        directory = str(tmp_path / "t")
+        store = TieredSignGradientStore(directory, delta=DELTA, hot_budget_bytes=1 << 20)
+        durable = _fill(store, rng, num_rounds=8)
+        reference = _clone(durable)
+        g = rng.normal(size=DIM)
+        reference.put(2, 3, g)
+        _during_spill(store, lambda: store.put(2, 3, g))
+        _assert_three_views(store, directory, reference, durable)
+
+    def test_drop_hot_client_mid_spill(self, rng, tmp_path):
+        # client 3's rows are hot in every spilling round when it is
+        # dropped: the freshly written shard rows must be tombstoned
+        directory = str(tmp_path / "t")
+        store = TieredSignGradientStore(directory, delta=DELTA, hot_budget_bytes=1 << 20)
+        reference = _fill(store, rng, num_rounds=8)
+        reference.drop_client(3)
+        _during_spill(store, lambda: store.drop_client(3))
+        _assert_three_views(store, directory, reference, reference)
+
+    def test_drop_disk_client_mid_spill(self, rng, tmp_path):
+        # round 0 respills as its disk rows plus one hot overlay row;
+        # client 2's row in it came from disk and is dropped mid-spill
+        directory = str(tmp_path / "t")
+        store = TieredSignGradientStore(directory, delta=DELTA, hot_budget_bytes=1 << 20)
+        reference = _fill(store, rng, num_rounds=8)
+        store.flush()
+        g = rng.normal(size=DIM)
+        reference.put(0, 3, g)
+        store.put(0, 3, g)
+        reference.drop_client(2)
+        _during_spill(store, lambda: store.drop_client(2))
+        _assert_three_views(store, directory, reference, reference)
+
+    def test_put_over_disk_row_mid_spill(self, rng, tmp_path):
+        # round 0 respills as its disk rows plus one hot overlay row;
+        # client 4's row in it came from disk and is re-put mid-spill:
+        # the new row shadows the spilled copy and counts once
+        directory = str(tmp_path / "t")
+        store = TieredSignGradientStore(directory, delta=DELTA, hot_budget_bytes=1 << 20)
+        reference = _fill(store, rng, num_rounds=8)
+        store.flush()
+        g = rng.normal(size=DIM)
+        reference.put(0, 3, g)
+        store.put(0, 3, g)
+        durable = _clone(reference)
+        g = rng.normal(size=DIM)
+        reference.put(0, 4, g)
+        _during_spill(store, lambda: store.put(0, 4, g))
+        _assert_three_views(store, directory, reference, durable)
 
     def test_overlay_respill(self, rng, tmp_path):
         # write to a round that already spilled: the hot overlay wins
