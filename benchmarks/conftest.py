@@ -4,7 +4,10 @@ Experiment benchmarks run each table/figure regeneration exactly once
 (``benchmark.pedantic(rounds=1)``) — the measured quantity is the
 wall-clock cost of reproducing that artifact at the selected scale —
 and write the result record to ``benchmarks/results/<name>.json`` so
-EXPERIMENTS.md can be refreshed from the same source.
+EXPERIMENTS.md can be refreshed from the same source.  Runs at any
+other scale than the default write to the git-ignored
+``benchmarks/out/<scale>/`` instead, so a smoke pass never rewrites the
+tracked records.
 
 The whole benchmark session runs with telemetry enabled (registry
 only, no event sinks), and every saved record embeds the registry
@@ -29,11 +32,12 @@ from repro.telemetry import Telemetry, set_telemetry
 from repro.utils.serialization import save_json
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
+DEFAULT_SCALE = "ci"
 
 
 @pytest.fixture(scope="session")
 def scale() -> str:
-    return current_scale(default="ci")
+    return current_scale(default=DEFAULT_SCALE)
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -46,12 +50,15 @@ def telemetry():
 
 
 @pytest.fixture(scope="session")
-def save_result(telemetry):
+def save_result(telemetry, scale):
     """Writer for experiment result records (telemetry snapshot attached)."""
+    directory = RESULTS_DIR
+    if scale != DEFAULT_SCALE:
+        directory = os.path.join(os.path.dirname(__file__), "out", scale)
 
     def _save(name: str, record: dict) -> None:
         record = dict(record)
         record["telemetry"] = telemetry.registry.snapshot()
-        save_json(os.path.join(RESULTS_DIR, f"{name}.json"), record)
+        save_json(os.path.join(directory, f"{name}.json"), record)
 
     return _save

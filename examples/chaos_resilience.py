@@ -13,10 +13,10 @@ and shows the resilience machinery holding the line:
 2. The server's :class:`~repro.faults.UpdateValidator` quarantines
    every mangled update before aggregation; quarantined vehicles are
    recorded as round dropouts in the membership ledger.
-3. A :class:`~repro.fl.RoundJournal` atomically snapshots each
-   completed round; after the kill, a *fresh* process resumes from the
-   journal and finishes training — the record is bitwise identical to
-   an uninterrupted run.
+3. A :class:`~repro.fl.RoundJournal` appends each completed round to
+   its round log and commits it with one marker swap; after the kill, a
+   *fresh* process resumes from the journal and finishes training — the
+   record is bitwise identical to an uninterrupted run.
 4. Unlearning then proceeds from the battle-scarred record, with the
    recovery replay itself checkpointed so it too can survive a crash.
 

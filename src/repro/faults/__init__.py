@@ -17,15 +17,16 @@ record files on disk.  This package provides both sides of that coin:
   :class:`RetryPolicy` retries transient client failures with capped
   exponential backoff.
 
-The round journal and crash-safe persistence that complete the story
-live in :mod:`repro.fl.journal` and :mod:`repro.fl.persistence`.
+The round journal and the crash-safe record that complete the story
+live in :mod:`repro.fl.journal` and :mod:`repro.fl.persistence`: one
+append-only round log per record directory, CRC-checked per entry and
+committed by an atomic marker swap.
 """
 
 from repro.faults.injection import (
     ClientCrashError,
     ServerKilledError,
     TransientClientError,
-    corrupt_npz_entry,
     corrupt_update,
     truncate_file,
 )
@@ -49,7 +50,6 @@ __all__ = [
     "TransientClientError",
     "UpdateValidator",
     "ValidationResult",
-    "corrupt_npz_entry",
     "corrupt_update",
     "truncate_file",
 ]

@@ -14,9 +14,8 @@ Three failure surfaces are modelled:
   :class:`~repro.fl.simulation.FederatedSimulation` runs around each
   training round's cohort pass: flaky retries before it, crash /
   straggle / corrupt on every row after it.
-- **Disk corruption** — :func:`truncate_file` and
-  :func:`corrupt_npz_entry` damage persisted records the way a crashed
-  writer or bad sector does, for testing
+- **Disk corruption** — :func:`truncate_file` tears a persisted
+  record's file the way a crashed writer does, for testing
   :class:`~repro.fl.persistence.RecordCorruptionError` handling.
 
 Injectors never touch global state: every randomized corruption takes
@@ -28,7 +27,6 @@ reproducible per fault site).
 from __future__ import annotations
 
 import os
-import zipfile
 from typing import TYPE_CHECKING, Dict, Optional
 
 import numpy as np
@@ -47,7 +45,6 @@ __all__ = [
     "corrupt_update",
     "flaky_attempts",
     "truncate_file",
-    "corrupt_npz_entry",
 ]
 
 
@@ -193,27 +190,3 @@ def truncate_file(path: str, keep_fraction: float = 0.5) -> int:
     with open(path, "r+b") as fh:
         fh.truncate(keep)
     return keep
-
-
-def corrupt_npz_entry(path: str, entry: str, rng: np.random.Generator) -> None:
-    """Flip bytes inside one member of an ``.npz`` archive.
-
-    Rewrites the archive with ``entry``'s compressed payload replaced by
-    random bytes of the same length — the member is still listed but no
-    longer decodes, which is what a bad sector under an intact directory
-    table looks like.
-    """
-    member = entry if entry.endswith(".npy") else entry + ".npy"
-    with zipfile.ZipFile(path, "r") as zf:
-        names = zf.namelist()
-        if member not in names:
-            raise KeyError(f"{path} has no entry {entry!r} (members: {names})")
-        payloads = {name: zf.read(name) for name in names}
-    payloads[member] = rng.integers(0, 256, size=len(payloads[member])).astype(
-        np.uint8
-    ).tobytes()
-    tmp = path + ".tmp"
-    with zipfile.ZipFile(tmp, "w", compression=zipfile.ZIP_STORED) as zf:
-        for name, blob in payloads.items():
-            zf.writestr(name, blob)
-    os.replace(tmp, path)

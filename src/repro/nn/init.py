@@ -18,7 +18,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-__all__ = ["he_normal", "xavier_uniform", "zeros"]
+__all__ = ["he_normal", "zeros"]
 
 
 def _deliver(values: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
@@ -42,20 +42,6 @@ def he_normal(
         raise ValueError(f"fan_in must be positive, got {fan_in}")
     std = np.sqrt(2.0 / fan_in)
     return _deliver(rng.normal(0.0, std, size=shape), out)
-
-
-def xavier_uniform(
-    rng: np.random.Generator,
-    shape: Tuple[int, ...],
-    fan_in: int,
-    fan_out: int,
-    out: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Glorot uniform initialization, suited to tanh/linear layers."""
-    if fan_in <= 0 or fan_out <= 0:
-        raise ValueError(f"fans must be positive, got {fan_in}, {fan_out}")
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return _deliver(rng.uniform(-limit, limit, size=shape), out)
 
 
 def zeros(shape: Tuple[int, ...], out: Optional[np.ndarray] = None) -> np.ndarray:

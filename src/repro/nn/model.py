@@ -16,7 +16,7 @@ buffer and one contiguous flat gradient buffer.  Every layer's
 ``weight``/``bias``/``grad_*`` array is a reshaped *view* into those
 buffers (see :meth:`repro.nn.layers.Layer.adopt_views`), so:
 
-- ``get_flat_params()``/``get_flat_grads()`` are a single ``copy()``;
+- ``get_flat_params()`` is a single ``copy()``;
 - ``set_flat_params()`` is a single ``np.copyto`` — the layers see the
   new values through their views with zero per-layer work;
 - ``loss_and_flat_grad()`` never concatenates: the backward pass wrote
@@ -308,13 +308,6 @@ class Sequential:
             )
         np.copyto(self._arena.w, vector.reshape(-1), casting="same_kind")
 
-    def get_flat_grads(self) -> np.ndarray:
-        """Copy of the current gradient buffers as one flat float64 vector."""
-        g = self._arena.g
-        if self.dtype == np.float64:
-            return g.copy()
-        return g.astype(np.float64)
-
     def get_flat_grads_view(self) -> np.ndarray:
         """Read-only zero-copy view of the flat gradients (arena dtype).
 
@@ -351,10 +344,6 @@ class Sequential:
     # ------------------------------------------------------------------
     # convenience
     # ------------------------------------------------------------------
-    def clone_params(self) -> np.ndarray:
-        """Alias for :meth:`get_flat_params` (reads better at call sites)."""
-        return self.get_flat_params()
-
     def workspace_nbytes(self) -> int:
         """Bytes currently held by all layer scratch workspaces."""
         return int(

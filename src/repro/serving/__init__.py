@@ -12,7 +12,7 @@ not an offline batch job.  This package turns the library-call
   idempotent request keys so retries never double-erase.
 - :class:`CircuitBreaker` — the closed/open/half-open fuse.
 - :mod:`repro.serving.loadgen` — deterministic open-loop arrival
-  schedules (steady, rush-hour wave, mass-GDPR burst) for the SLO
+  schedules (steady, mass-GDPR burst, mixed train/erase) for the SLO
   harness (``make bench-slo``).
 - :mod:`repro.serving.slo` — p50/p95/p99 latency, req/s, and shed-rate
   accounting in the run-table schema.
@@ -30,7 +30,6 @@ from repro.serving.loadgen import (
     SCHEDULES,
     mass_gdpr_schedule,
     mixed_schedule,
-    rush_hour_schedule,
     steady_schedule,
 )
 from repro.serving.requests import (
@@ -61,6 +60,5 @@ __all__ = [
     "mass_gdpr_schedule",
     "mixed_schedule",
     "percentile",
-    "rush_hour_schedule",
     "steady_schedule",
 ]

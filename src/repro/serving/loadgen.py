@@ -8,8 +8,6 @@ load run is reproducible arrival-for-arrival:
 
 - :func:`steady_schedule` — Poisson arrivals at a fixed rate (normal
   RSU traffic: departures trickling in).
-- :func:`rush_hour_schedule` — a triangular rate wave from ``base`` up
-  to ``peak`` and back (the morning wave of vehicles leaving coverage).
 - :func:`mass_gdpr_schedule` — a steady trickle with one instantaneous
   burst of simultaneous arrivals (a fleet operator bulk-exercising the
   right to be forgotten).
@@ -42,7 +40,6 @@ __all__ = [
     "SCHEDULES",
     "mass_gdpr_schedule",
     "mixed_schedule",
-    "rush_hour_schedule",
     "steady_schedule",
 ]
 
@@ -109,42 +106,6 @@ def steady_schedule(
     times = times[times < duration_seconds]
     if times.size == 0:
         times = np.array([duration_seconds / 2.0])
-    return _mix_requests(
-        times, population, rng, batch_fraction, duplicate_fraction, key_prefix
-    )
-
-
-def rush_hour_schedule(
-    base_rate: float,
-    peak_rate: float,
-    duration_seconds: float,
-    population: Sequence[int],
-    seed: int = 0,
-    batch_fraction: float = 0.2,
-    duplicate_fraction: float = 0.5,
-    key_prefix: str = "rush",
-) -> List[Arrival]:
-    """A triangular rate wave: base → peak at mid-run → base.
-
-    Implemented by thinning a Poisson stream at ``peak_rate`` with the
-    triangular intensity profile, the textbook non-homogeneous-Poisson
-    construction — deterministic under the seed.
-    """
-    if not 0 < base_rate <= peak_rate:
-        raise ValueError("need 0 < base_rate <= peak_rate")
-    rng = np.random.default_rng(seed)
-    n = max(1, int(round(peak_rate * duration_seconds)))
-    gaps = rng.exponential(1.0 / peak_rate, size=2 * n)
-    times = np.cumsum(gaps)
-    times = times[times < duration_seconds]
-    mid = duration_seconds / 2.0
-    intensity = base_rate + (peak_rate - base_rate) * (
-        1.0 - np.abs(times - mid) / mid
-    )
-    keep = rng.random(times.size) < intensity / peak_rate
-    times = times[keep]
-    if times.size == 0:
-        times = np.array([mid])
     return _mix_requests(
         times, population, rng, batch_fraction, duplicate_fraction, key_prefix
     )
@@ -257,7 +218,6 @@ def mixed_schedule(
 
 SCHEDULES: Dict[str, Callable] = {
     "steady": steady_schedule,
-    "rush_hour": rush_hour_schedule,
     "mass_gdpr": mass_gdpr_schedule,
     "mixed": mixed_schedule,
 }

@@ -341,8 +341,8 @@ class GradientStore:
 
         The payload is backend-native — the float32 gradient for a full
         store, the ``(packed, length)`` tuple for a sign store — which
-        is what persistence and the round journal need to serialize a
-        store without reaching into its internals.  Payloads are the
+        is what a caller needs to compare or copy a store without
+        reaching into its internals.  Payloads are the
         stored objects; treat them as read-only.
         """
         raise NotImplementedError
@@ -503,7 +503,7 @@ class _RoundMajorStore(GradientStore):
             return [(key, self._payload(row, n)) for key, row, n in self._rows()]
 
     def nbytes(self) -> int:
-        # Kept at put/drop time: O(1), for the per-round journal's polls.
+        # Kept at put/drop time: O(1), for the tiered hot budget's polls.
         return int(self._nbytes)
 
     def recount_nbytes(self) -> int:
@@ -642,6 +642,12 @@ class ModelCheckpointStore:
     def rounds(self) -> List[int]:
         """Sorted rounds with a stored checkpoint."""
         return sorted(self._checkpoints)
+
+    def items(self) -> List[Tuple[int, np.ndarray]]:
+        """``(round, params)`` pairs, sorted, as stored (float32).  A
+        ``put`` always stores a new array, so the round log tells a
+        changed checkpoint by identity; treat them as read-only."""
+        return sorted(self._checkpoints.items())
 
     def latest(self) -> Tuple[int, np.ndarray]:
         """``(round, params)`` of the newest checkpoint."""

@@ -39,9 +39,10 @@ store as one warm generation, and :class:`MmapSignGradientStore` is
 the read-only view of such a layout (writes raise; reads,
 ``drop_client`` and ``compact`` are the tiered store's).
 
-Durability follows the RoundJournal discipline — every commit marker is
-written tmp + ``fsync`` + ``os.replace``, and the containing directory
-is fsynced after the rename so the commit survives power loss, not
+Durability: every commit marker is written tmp + ``fsync`` +
+``os.replace``, and the containing directory is fsynced after the
+rename (as for a record directory's ``COMMIT`` marker,
+:mod:`repro.fl.persistence`), so the commit survives power loss, not
 just a process crash:
 
 - a spill (or :meth:`~TieredSignGradientStore.from_store`) writes new
@@ -396,6 +397,10 @@ class TieredSignGradientStore(GradientStore):
         #: row, yet a crash before the round respills would otherwise
         #: resurrect the dropped client's durable data on :meth:`open`.
         self._shadowed: set = set()
+        #: Clients dropped since the last spill snapshot: a row one of
+        #: them re-put into a spilling round shadows a spilled copy that
+        #: is already dead.
+        self._spill_drops: set = set()
         self._dead_disk_bytes = 0
         self._cold_cache: "OrderedDict[int, np.ndarray]" = OrderedDict()
         self._cold_cache_hits = 0
@@ -781,6 +786,7 @@ class TieredSignGradientStore(GradientStore):
                     return
                 manifest_base = list(self._shard_names)
                 snap_tombstones = set(self._tombstones)
+                self._spill_drops.clear()
             new_names, placements = self._write_shard_files(specs)
             self._write_manifest(manifest_base + new_names)
             self._maybe_crash("after-manifest-replace")
@@ -808,7 +814,9 @@ class TieredSignGradientStore(GradientStore):
         the spill ran, and its freshly durable copy is tombstoned.  Any
         row still hot — overwritten mid-spill, or written mid-spill over
         a row the spill read from disk — keeps shadowing its spilled
-        copy.
+        copy; when its client was dropped mid-spill before the re-put,
+        that copy is tombstoned too, or a reopen would resurrect the
+        dropped row.
         """
         base = len(self._shard_names)
         self._shard_names.extend(new_names)
@@ -842,6 +850,8 @@ class TieredSignGradientStore(GradientStore):
             self._unindex(dr, dropped + [cid for cid, u in late if u == t])
             still_hot = self._unindex(dr, self._hot.clients_at(t))
             newly_shadowed.update((cid, t) for cid in still_hot)
+            # dropped, then re-put: the spilled copy predates the drop
+            tombstoned.update((cid, t) for cid in still_hot if cid in self._spill_drops)
         self._tombstones |= tombstoned
         self._sealed.intersection_update(self._hot.rounds())
         # Spilled rounds were rewritten without their snapshot-time
@@ -1246,6 +1256,7 @@ class TieredSignGradientStore(GradientStore):
         """
         with self._lock:
             removed = self._hot.drop_client(client_id)
+            self._spill_drops.add(client_id)
             self._sealed.intersection_update(self._hot.rounds())
             dropped_pairs = False
             for t, dr in self._disk.items():

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.fl.history import with_sign_store
-from repro.fl.persistence import load_record, save_record, store_to_arrays
+from repro.fl.persistence import load_record, save_record
 from repro.storage import MmapSignGradientStore, SignGradientStore
 from repro.utils.serialization import load_state, save_state_atomic
 
@@ -214,15 +214,19 @@ class TestGetRoundSemantics:
 
 
 class TestPersistenceIntegration:
-    def test_store_to_arrays_emits_sign_kind(self, sign_store, mmap_store):
-        kind, arrays, lengths, delta = store_to_arrays(mmap_store)
-        ref_kind, ref_arrays, ref_lengths, ref_delta = store_to_arrays(sign_store)
-        assert kind == ref_kind == "sign"
-        assert delta == ref_delta
-        assert lengths == ref_lengths
-        assert set(arrays) == set(ref_arrays)
-        for name in arrays:
-            np.testing.assert_array_equal(arrays[name], ref_arrays[name])
+    def test_saved_record_matches_dict_reference(self, small_fl, tmp_path):
+        reference = with_sign_store(small_fl["record"], backend="dict").gradients
+        mmap_record = with_sign_store(
+            small_fl["record"], backend="mmap", directory=str(tmp_path / "layout")
+        )
+        save_record(mmap_record, str(tmp_path / "saved"))
+        loaded = load_record(str(tmp_path / "saved")).gradients
+        assert loaded.delta == reference.delta
+        items, expected = loaded.items(), reference.items()
+        assert [k for k, _ in items] == [k for k, _ in expected]
+        for (_, (packed, n)), (_, (ref_packed, ref_n)) in zip(items, expected):
+            np.testing.assert_array_equal(packed, ref_packed)
+            assert n == ref_n
 
     def test_record_round_trip(self, small_fl, tmp_path):
         mmap_record = with_sign_store(

@@ -31,7 +31,7 @@ import pytest
 
 from repro.faults import ClientFault, FaultPlan
 from repro.fl import with_sign_store
-from repro.fl.persistence import load_record, save_record, store_to_arrays
+from repro.fl.persistence import load_record, save_record
 from repro.serving.daemon import ErasureDaemon
 from repro.storage import SignGradientStore, TieredSignGradientStore, tiered
 from repro.storage.tiered import TIER_COLD, TIER_HOT, TIER_WARM
@@ -269,6 +269,49 @@ class TestBoundedIngestion:
         _during_spill(store, lambda: store.drop_client(2))
         _assert_three_views(store, directory, reference, reference)
 
+    def test_drop_then_put_into_spilling_round_mid_spill(self, rng, tmp_path):
+        # client 3 is dropped while its round-2 row is being spilled,
+        # then re-put there with new bytes: the spilled copy is dead,
+        # so a crash before the re-put respills must not bring back the
+        # pre-drop row
+        directory = str(tmp_path / "t")
+        store = TieredSignGradientStore(directory, delta=DELTA, hot_budget_bytes=1 << 20)
+        reference = _fill(store, rng, num_rounds=8)
+        reference.drop_client(3)
+        durable = _clone(reference)
+        g = rng.normal(size=DIM)
+        reference.put(2, 3, g)
+
+        def drop_then_put():
+            store.drop_client(3)
+            store.put(2, 3, g)
+
+        _during_spill(store, drop_then_put)
+        _assert_three_views(store, directory, reference, durable)
+
+    def test_drop_then_put_over_disk_row_mid_spill(self, rng, tmp_path):
+        # the same race on a row the spill read from disk: round 0
+        # respills as its disk rows plus one hot overlay row, and client
+        # 2 is dropped and re-put at round 0 while it is being written
+        directory = str(tmp_path / "t")
+        store = TieredSignGradientStore(directory, delta=DELTA, hot_budget_bytes=1 << 20)
+        reference = _fill(store, rng, num_rounds=8)
+        store.flush()
+        g = rng.normal(size=DIM)
+        reference.put(0, 3, g)
+        store.put(0, 3, g)
+        reference.drop_client(2)
+        durable = _clone(reference)
+        g = rng.normal(size=DIM)
+        reference.put(0, 2, g)
+
+        def drop_then_put():
+            store.drop_client(2)
+            store.put(0, 2, g)
+
+        _during_spill(store, drop_then_put)
+        _assert_three_views(store, directory, reference, durable)
+
     def test_put_over_disk_row_mid_spill(self, rng, tmp_path):
         # round 0 respills as its disk rows plus one hot overlay row;
         # client 4's row in it came from disk and is re-put mid-spill:
@@ -419,18 +462,22 @@ class TestTombstonesAndCompaction:
 
 
 class TestPersistence:
-    def test_store_to_arrays_emits_sign_kind(self, rng, tmp_path):
-        store = TieredSignGradientStore(str(tmp_path / "t"), delta=DELTA)
-        reference = _fill(store, rng)
-        store.flush()
-        store.compact(cold_after=2)
-        kind, arrays, lengths, delta = store_to_arrays(store)
-        ref_kind, ref_arrays, ref_lengths, ref_delta = store_to_arrays(reference)
-        assert kind == ref_kind == "sign"
-        assert delta == ref_delta and lengths == ref_lengths
-        assert set(arrays) == set(ref_arrays)
-        for name in arrays:
-            np.testing.assert_array_equal(arrays[name], ref_arrays[name])
+    def test_saved_record_matches_dict_reference(self, small_fl, tmp_path):
+        # warm and cold rounds both go through the one stored-block path
+        reference = with_sign_store(small_fl["record"], backend="dict").gradients
+        tiered_record = with_sign_store(
+            small_fl["record"], backend="tiered", directory=str(tmp_path / "layout")
+        )
+        tiered_record.gradients.compact(cold_after=2)
+        assert tiered_record.gradients.tier_rounds()[TIER_COLD] > 0
+        save_record(tiered_record, str(tmp_path / "saved"))
+        loaded = load_record(str(tmp_path / "saved")).gradients
+        assert loaded.delta == reference.delta
+        items, expected = loaded.items(), reference.items()
+        assert [k for k, _ in items] == [k for k, _ in expected]
+        for (_, (packed, n)), (_, (ref_packed, ref_n)) in zip(items, expected):
+            np.testing.assert_array_equal(packed, ref_packed)
+            assert n == ref_n
 
     def test_record_round_trip(self, small_fl, tmp_path):
         tiered_record = with_sign_store(
