@@ -180,6 +180,32 @@ def test_crash_before_the_erasure_loses_nothing_but_the_erasure(seed, tmp_path):
     assert_no_resurrection(resumed_record, outcome)
 
 
+def test_live_erasure_leaves_no_erased_rows_on_disk(tmp_path):
+    """The first journal commit after a live erasure writes a new log:
+    none of the erased vehicle's rows, nor the checkpoint the erasure
+    overwrote, is left anywhere in the journal's directory."""
+    seed = CHAOS_SEEDS[0]
+    _, plain = build_sim(seed)
+    unerased = plain.run(ERASE_AT)
+    rows = [
+        payload[0].tobytes()
+        for (t, cid), payload in unerased.gradients.items()
+        if cid == TARGET
+    ]
+    assert rows
+    overwritten = dict(unerased.checkpoints.items())[ERASE_AT].tobytes()
+
+    directory = tmp_path / "j"
+    record, outcome = run_live_erasure(seed, journal=RoundJournal(str(directory)))
+    assert_no_resurrection(record, outcome)
+    assert sorted(os.listdir(directory)) == ["COMMIT", "rounds-1.log"]
+    on_disk = b"".join(
+        (directory / name).read_bytes() for name in os.listdir(directory)
+    )
+    assert not [row for row in rows if row in on_disk]
+    assert overwritten not in on_disk
+
+
 # ----------------------------------------------------------------------
 # erasure under churn
 # ----------------------------------------------------------------------
