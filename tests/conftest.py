@@ -12,6 +12,7 @@ import functools
 import gc
 import glob
 import os
+from typing import Dict
 
 import numpy as np
 import pytest
@@ -23,14 +24,14 @@ from repro.storage import FullGradientStore
 from repro.utils.rng import SeedSequenceTree
 
 
-#: The OpenBLAS core the suite's byte-pinned digests were recorded on.
-#: Float reductions differ between BLAS kernels, so a pin that fails on
-#: another core may be a kernel difference, not a regression.
-PINS_CORE = "SkylakeX"
-
-#: The NumPy SIMD dispatch target those pins were recorded on.  NumPy's
-#: ``exp`` differs between targets, so pins over it are keyed by target.
+#: The NumPy SIMD dispatch target the byte-pinned digests were recorded
+#: on.  NumPy's ``exp`` differs between targets, so pins over it are
+#: keyed by target.
 PINS_SIMD = "X86_V4"
+
+#: Set to ``1`` to print the runtime core's digest pins instead of
+#: checking them (see :class:`CorePins`).
+RECORD_PINS = "REPRO_RECORD_PINS"
 
 
 @functools.lru_cache(maxsize=None)
@@ -63,18 +64,70 @@ def simd_target() -> str:
     return max(levels, default="unknown")
 
 
+class CorePins:
+    """One test module's byte-pinned digests, a table per OpenBLAS core.
+
+    Float reductions differ between BLAS kernels, so each core has its
+    own values.  ``pins[name]`` is the value recorded on the runtime
+    core; on a core with no table the test fails and names the command
+    that records one.  With ``REPRO_RECORD_PINS=1`` a lookup returns a
+    stand-in that equals whatever it is compared with and keeps it; the
+    session then prints each module's table and fails, since nothing
+    was checked.
+    """
+
+    #: module -> name -> value seen while recording.
+    recorded: Dict[str, Dict[str, object]] = {}
+
+    def __init__(self, module: str, tables: Dict[str, Dict[str, object]]):
+        self.module = module
+        self.tables = tables
+
+    def __getitem__(self, name: str):
+        if os.environ.get(RECORD_PINS) == "1":
+            return _Recorded(self.recorded.setdefault(self.module, {}), name)
+        core = blas_core()
+        if core not in self.tables:
+            path = self.module.replace(".", "/") + ".py"
+            pytest.fail(
+                f"no digest pins in {self.module} for BLAS core {core} "
+                f"(recorded on {', '.join(self.tables)}); record them with "
+                f"`{RECORD_PINS}=1 OPENBLAS_CORETYPE={core} PYTHONPATH=src "
+                f"python -m pytest -q {path}` at a commit whose pins pass on "
+                "a recorded core"
+            )
+        return self.tables[core][name]
+
+
+class _Recorded:
+    """A pin being recorded: equal to the first value it is compared
+    with, which it keeps; a different value later is an error."""
+
+    __hash__ = None
+
+    def __init__(self, table: Dict[str, object], name: str):
+        self.table = table
+        self.name = name
+
+    def __eq__(self, other):
+        seen = self.table.setdefault(self.name, other)
+        if seen != other:
+            raise AssertionError(f"pin {self.name!r} read {seen!r}, then {other!r}")
+        return True
+
+
 def pin_note() -> str:
     """Failure message for a pinned-digest assertion."""
     return (
         f"runtime BLAS core {blas_core()}, SIMD target {simd_target()}; "
-        f"pins recorded on {PINS_CORE}, {PINS_SIMD}"
+        f"pins keyed by core, recorded on {PINS_SIMD}"
     )
 
 
 def pytest_report_header(config):
     return (
         f"BLAS core: {blas_core()}, SIMD target: {simd_target()} "
-        f"(digest pins recorded on {PINS_CORE}, {PINS_SIMD})"
+        f"(digest pins keyed by core, recorded on {PINS_SIMD})"
     )
 
 
@@ -89,6 +142,16 @@ def pytest_collection_finish(session):
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if config.get_verbosity() < 0:  # -q drops the report header
         terminalreporter.write_line(pytest_report_header(config))
+    for module, table in sorted(CorePins.recorded.items()):
+        terminalreporter.write_line(f"{module}: {blas_core()!r}: {{")
+        for name, value in table.items():
+            terminalreporter.write_line(f"    {name!r}: {value!r},")
+        terminalreporter.write_line("}")
+
+
+def pytest_sessionfinish(session, exitstatus):
+    if os.environ.get(RECORD_PINS) == "1":
+        session.exitstatus = pytest.ExitCode.TESTS_FAILED
 
 
 @pytest.fixture

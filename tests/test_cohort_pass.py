@@ -36,7 +36,7 @@ from repro.nn import Sequential, mlp, tiny_cnn
 from repro.nn.layers import Dense, Dropout, Flatten, Tanh
 from repro.storage import SignGradientStore
 from repro.utils.rng import SeedSequenceTree
-from tests.conftest import pin_note
+from tests.conftest import CorePins, pin_note
 
 #: ``make chaos`` (which sets CHAOS_SEEDS) runs the property at length.
 CHAOS = "CHAOS_SEEDS" in os.environ
@@ -221,14 +221,24 @@ def pinned_simulation(seed, model="mlp", dtype="float64", ragged=False,
     return sim, sim.run(rounds)
 
 
-#: Recorded before the cohort pass, when each vehicle ran its own.
-PINS = {
-    "faults": "49fe4bd8e786ae7d6af20da2156acf99b0b477b1c3973af3a082edfea5361290",
-    "ragged": "4e73bf223ca0eb31dd207981324b50c4cdf0dbea72d0294e8362eab071065568",
-    "local_steps": "7d8320fa3c1236dc12fe4424148011c873efcd2f222265001281eaab7965768b",
-    "float32": "951165545b2435d13ec699ac5070dd8e5763ee10e3a59b79a549fc3b3fa391d8",
-    "tiny_cnn": "154fe3a005bc057ca17c8a9ef3aaf65c4b5846f6db881e9d66569712e0235911",
-}
+#: Recorded before the cohort pass, when each vehicle ran its own.  The
+#: Haswell table was recorded at the commit that keyed these pins by core.
+PINS = CorePins(__name__, {
+    "SkylakeX": {
+        "faults": "49fe4bd8e786ae7d6af20da2156acf99b0b477b1c3973af3a082edfea5361290",
+        "ragged": "4e73bf223ca0eb31dd207981324b50c4cdf0dbea72d0294e8362eab071065568",
+        "local_steps": "7d8320fa3c1236dc12fe4424148011c873efcd2f222265001281eaab7965768b",
+        "float32": "951165545b2435d13ec699ac5070dd8e5763ee10e3a59b79a549fc3b3fa391d8",
+        "tiny_cnn": "154fe3a005bc057ca17c8a9ef3aaf65c4b5846f6db881e9d66569712e0235911",
+    },
+    "Haswell": {
+        "faults": "49fe4bd8e786ae7d6af20da2156acf99b0b477b1c3973af3a082edfea5361290",
+        "ragged": "4e73bf223ca0eb31dd207981324b50c4cdf0dbea72d0294e8362eab071065568",
+        "local_steps": "7d8320fa3c1236dc12fe4424148011c873efcd2f222265001281eaab7965768b",
+        "float32": "47c1b851a3846f11f52bda1f83fba84b633ddcae916d333c1b4946053dc3bb6c",
+        "tiny_cnn": "154fe3a005bc057ca17c8a9ef3aaf65c4b5846f6db881e9d66569712e0235911",
+    },
+})
 CASES = {
     "faults": dict(seed=3, faults=True, rounds=12),
     "ragged": dict(seed=4, ragged=True),

@@ -32,7 +32,7 @@ from repro.unlearning import SignRecoveryUnlearner
 from repro.unlearning.lbfgs import LbfgsBuffer, compact_form_matrices, compact_hvp
 from repro.utils.rng import SeedSequenceTree
 
-from tests.conftest import pin_note
+from tests.conftest import CorePins, pin_note
 
 
 def sha(arr: np.ndarray) -> str:
@@ -325,16 +325,33 @@ class TestSatellites:
 # ----------------------------------------------------------------------
 # bitwise golden equivalence vs the pre-arena implementation
 # ----------------------------------------------------------------------
-GOLDEN_FINAL_PARAMS = "088f1b3ac91ff38a770787c10511f86a330e49d72ff7b6c361dee7b4c16e043d"
-GOLDEN_ACCURACY = [0.066666666667, 0.083333333333, 0.083333333333]
-GOLDEN_CHECKPOINTS = "97ec5b46630b9e306bfc80eb54737e02076dacb9c99fac6135caed5f1b076c2c"
-GOLDEN_RECOVERED = "d9794241d03b376e7a315454194088bfccdae590d595ba9912363f7a860834c3"
-
-GOLDEN_CNN_W0 = "babd10f2ff4e997d3309c996dd7ec45f9dc1200edb6589ecc1f04fd66d5f390f"
-GOLDEN_CNN_LOSS = 2.4234254925390237
-GOLDEN_CNN_GRAD = "006bc6e5e34e21b3bf33127443f2c6074a6321b8a432d80eca054196aff2e9c6"
-GOLDEN_CNN_LOSS2 = 2.62931824182229
-GOLDEN_CNN_GRAD2 = "16872a9fbabf51c9c3012c67fef1ad8347d758811963e87bb2bbf3d37b95e003"
+#: The SkylakeX table holds the pre-arena goldens.  No pre-arena code
+#: ran on Haswell: its table was recorded from the arena implementation
+#: at the commit that keyed these pins by core.
+GOLDEN = CorePins(__name__, {
+    "SkylakeX": {
+        "final_params": "088f1b3ac91ff38a770787c10511f86a330e49d72ff7b6c361dee7b4c16e043d",
+        "accuracy": [0.066666666667, 0.083333333333, 0.083333333333],
+        "checkpoints": "97ec5b46630b9e306bfc80eb54737e02076dacb9c99fac6135caed5f1b076c2c",
+        "recovered": "d9794241d03b376e7a315454194088bfccdae590d595ba9912363f7a860834c3",
+        "cnn_w0": "babd10f2ff4e997d3309c996dd7ec45f9dc1200edb6589ecc1f04fd66d5f390f",
+        "cnn_loss": 2.4234254925390237,
+        "cnn_grad": "006bc6e5e34e21b3bf33127443f2c6074a6321b8a432d80eca054196aff2e9c6",
+        "cnn_loss2": 2.62931824182229,
+        "cnn_grad2": "16872a9fbabf51c9c3012c67fef1ad8347d758811963e87bb2bbf3d37b95e003",
+    },
+    "Haswell": {
+        "final_params": "088f1b3ac91ff38a770787c10511f86a330e49d72ff7b6c361dee7b4c16e043d",
+        "accuracy": [0.066666666667, 0.083333333333, 0.083333333333],
+        "checkpoints": "97ec5b46630b9e306bfc80eb54737e02076dacb9c99fac6135caed5f1b076c2c",
+        "recovered": "1a7cc00e1bff59749f19b7b7aedc28450a53423d2043cc4215e1411092c6c67a",
+        "cnn_w0": "babd10f2ff4e997d3309c996dd7ec45f9dc1200edb6589ecc1f04fd66d5f390f",
+        "cnn_loss": 2.423425492539023,
+        "cnn_grad": "8c6ffcdbec3ad09a0f8231c33ab0d2aa4eb1d9502912e7727f2d544d79dc872e",
+        "cnn_loss2": 2.62931824182229,
+        "cnn_grad2": "116150642890255b13a86e5939ea95daec2d989d54b6ef54a86be4da3a613e4c",
+    },
+})
 
 
 class TestGoldenEquivalence:
@@ -364,16 +381,16 @@ class TestGoldenEquivalence:
             eval_every=2,
         )
         record = sim.run(NUM_ROUNDS)
-        assert sha(record.params_at(NUM_ROUNDS)) == GOLDEN_FINAL_PARAMS, pin_note()
+        assert sha(record.params_at(NUM_ROUNDS)) == GOLDEN["final_params"], pin_note()
         accuracy = [round(a, 12) for a in record.accuracy_history]
-        assert accuracy == GOLDEN_ACCURACY, pin_note()
+        assert accuracy == GOLDEN["accuracy"], pin_note()
         digest = hashlib.sha256()
         for t in range(NUM_ROUNDS + 1):
             digest.update(np.ascontiguousarray(record.params_at(t)).tobytes())
-        assert digest.hexdigest() == GOLDEN_CHECKPOINTS, pin_note()
+        assert digest.hexdigest() == GOLDEN["checkpoints"], pin_note()
 
         result = SignRecoveryUnlearner(refresh_period=2).unlearn(record, [1], model)
-        assert sha(result.params) == GOLDEN_RECOVERED, pin_note()
+        assert sha(result.params) == GOLDEN["recovered"], pin_note()
         assert result.rounds_replayed == 4
         assert result.stats["forget_round"] == 2
 
@@ -383,14 +400,14 @@ class TestGoldenEquivalence:
         x = rng.normal(size=(8, 1, 12, 12))
         y = rng.integers(0, 4, size=8)
         w0 = cnn.get_flat_params()
-        assert sha(w0) == GOLDEN_CNN_W0, pin_note()
+        assert sha(w0) == GOLDEN["cnn_w0"], pin_note()
         loss, grad = cnn.loss_and_flat_grad(x, y)
-        assert float(loss) == GOLDEN_CNN_LOSS, pin_note()
-        assert sha(grad) == GOLDEN_CNN_GRAD, pin_note()
+        assert float(loss) == GOLDEN["cnn_loss"], pin_note()
+        assert sha(grad) == GOLDEN["cnn_grad"], pin_note()
         cnn.set_flat_params(w0 - 0.05 * grad)
         loss2, grad2 = cnn.loss_and_flat_grad(x, y)
-        assert float(loss2) == GOLDEN_CNN_LOSS2, pin_note()
-        assert sha(grad2) == GOLDEN_CNN_GRAD2, pin_note()
+        assert float(loss2) == GOLDEN["cnn_loss2"], pin_note()
+        assert sha(grad2) == GOLDEN["cnn_grad2"], pin_note()
 
 
 # ----------------------------------------------------------------------

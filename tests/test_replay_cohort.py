@@ -40,7 +40,7 @@ from repro.unlearning.estimator import (
 )
 from repro.unlearning.forest import fused_unlearn
 from tests.test_service_cache import CLIP, build_record
-from tests.conftest import pin_note
+from tests.conftest import CorePins, pin_note
 
 #: Vehicle 4 joins at round 2, one round before the erased vehicle 5:
 #: seeded from round 3, its buffer holds one pair, vehicles 0-3 hold two
@@ -65,10 +65,21 @@ LADDER_SETS = [
     frozenset({20, 9}),
 ]
 
-#: Recorded with the per-client Eq. 6/7 chain; the kernel must not move them.
-PINNED_COLD = "88499054bf419195dfa9ea48ff0682ae0b305d4622b56809280654e88a3d62ae"
-PINNED_COLD_PAIRS = (13, 14)  # (accepted, rejected)
-PINNED_LADDER = "1d7b8e10c608a8c7801bf081551d8bf8d1aa684f84ecc353c8846d74d65ee316"
+#: Recorded with the per-client Eq. 6/7 chain; the kernel must not move
+#: them.  ``cold_pairs`` is (accepted, rejected).  The Haswell table was
+#: recorded at the commit that keyed these pins by core.
+PINS = CorePins(__name__, {
+    "SkylakeX": {
+        "cold": "88499054bf419195dfa9ea48ff0682ae0b305d4622b56809280654e88a3d62ae",
+        "cold_pairs": (13, 14),
+        "ladder": "1d7b8e10c608a8c7801bf081551d8bf8d1aa684f84ecc353c8846d74d65ee316",
+    },
+    "Haswell": {
+        "cold": "718980c793f1eff3ef97e3262d3a03c23d6790ef907b01fb2a867394429b027b",
+        "cold_pairs": (13, 14),
+        "ladder": "a3d6df3b3b7f22270678a4710e94d04b35a9a8ebf1c3bb8f1e1b787ab5b79c7c",
+    },
+})
 
 
 def sha(*arrays):
@@ -100,8 +111,8 @@ class TestPinnedDigests:
         assert (
             result.stats["pairs_accepted"],
             result.stats["pairs_rejected"],
-        ) == PINNED_COLD_PAIRS, pin_note()
-        assert sha(result.params) == PINNED_COLD, pin_note()
+        ) == PINS["cold_pairs"], pin_note()
+        assert sha(result.params) == PINS["cold"], pin_note()
 
     def test_float64_rows_give_the_same_digest(self):
         record, model = cold_record()
@@ -112,7 +123,7 @@ class TestPinnedDigests:
         result = SignRecoveryUnlearner(
             clip_threshold=CLIP, refresh_period=3
         ).unlearn(record, [5], model)
-        assert sha(result.params) == PINNED_COLD, pin_note()
+        assert sha(result.params) == PINS["cold"], pin_note()
 
     def test_int8_rows_are_what_the_bulk_path_reads(self):
         record, _ = cold_record()
@@ -133,7 +144,7 @@ class TestPinnedDigests:
         assert all(o.error is None for o in outcomes)
         assert (stats.executed_node_rounds, stats.member_rounds) == (122, 136)
         assert stats.forks > 0 and stats.shared_rounds > 0
-        assert sha(*(o.result.params for o in outcomes)) == PINNED_LADDER, pin_note()
+        assert sha(*(o.result.params for o in outcomes)) == PINS["ladder"], pin_note()
 
 
 # ----------------------------------------------------------------------
@@ -601,7 +612,7 @@ class TestNodeFormStaysCurrent:
         result = SignRecoveryUnlearner(clip_threshold=CLIP, refresh_period=3).unlearn(
             record, [5], model
         )
-        assert sha(result.params) == PINNED_COLD, pin_note()
+        assert sha(result.params) == PINS["cold"], pin_note()
         assert form_spy.count(True) == 3 and len(form_spy) == 9
 
     def test_after_fork(self, form_spy):

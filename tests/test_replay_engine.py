@@ -40,31 +40,53 @@ from repro.unlearning import (
 )
 from repro.utils.serialization import load_state
 
-from tests.conftest import pin_note
+from tests.conftest import CorePins, pin_note
 from tests.test_fl_live import build_sim
 from tests.test_service_cache import CLIP, JOINS, build_record
 
-#: Recorded while ``unlearn`` ran its own serial round loop.
-PINS = {
-    "checkpoint": (7, "4752cb625e12258fd3cbb1941b6addef3189e3cab9f2414091bceadc4f2de18a"),
-    "resumed": (7, "89a6fdd6bf9c59dd8bc987b15c681cce1fba66dafabb76cdd11fbca7f221a840"),
-    "callback_rounds_healthy": [3, 4, 5, 6, 7, 8, 9, 10, 11],
-    "callback_healthy": "c4868560609ce0e63066c0b8836e6b081c40d6e0588798e83c3bfd8d55639764",
-    "callback_rounds_damaged": [3, 4, 6, 7, 8, 9, 10, 11],
-    "callback_damaged": "f8ef1b6ff41384212680e682c7a29ea54e5b861065e91c55be6ce102e66e17cf",
-    "abort_retry_0": (
-        5, 3, "a085c1d50de3e2b1e8eaf016b5b270e6f6b8c13d130870e9dc099f78566a925a"
-    ),
-    "abort_retry_2": (
-        5, 3, "a085c1d50de3e2b1e8eaf016b5b270e6f6b8c13d130870e9dc099f78566a925a"
-    ),
-    "live": "64d3d89b89ac8f8df84364dc24c94cf3c5017d64ea7762b6952ba70073399804",
-    # What the serial loop reported on the damaged records.
-    "damaged_single": (1, 0),
-    "damaged_fused": [(1, 0), (1, 0)],
-    "salvaged": [(6, [5]), (9, [5]), (9, [5, 6])],
-    "salvaged_retry": [6, 6],
-}
+#: Recorded while ``unlearn`` ran its own serial round loop.  The Haswell
+#: table was recorded at the commit that keyed these pins by core.
+PINS = CorePins(__name__, {
+    "SkylakeX": {
+        "checkpoint": (7, "4752cb625e12258fd3cbb1941b6addef3189e3cab9f2414091bceadc4f2de18a"),
+        "resumed": (7, "89a6fdd6bf9c59dd8bc987b15c681cce1fba66dafabb76cdd11fbca7f221a840"),
+        "callback_rounds_healthy": [3, 4, 5, 6, 7, 8, 9, 10, 11],
+        "callback_healthy": "c4868560609ce0e63066c0b8836e6b081c40d6e0588798e83c3bfd8d55639764",
+        "callback_rounds_damaged": [3, 4, 6, 7, 8, 9, 10, 11],
+        "callback_damaged": "f8ef1b6ff41384212680e682c7a29ea54e5b861065e91c55be6ce102e66e17cf",
+        "abort_retry_0": (
+            5, 3, "a085c1d50de3e2b1e8eaf016b5b270e6f6b8c13d130870e9dc099f78566a925a"
+        ),
+        "abort_retry_2": (
+            5, 3, "a085c1d50de3e2b1e8eaf016b5b270e6f6b8c13d130870e9dc099f78566a925a"
+        ),
+        "live": "64d3d89b89ac8f8df84364dc24c94cf3c5017d64ea7762b6952ba70073399804",
+        # What the serial loop reported on the damaged records.
+        "damaged_single": (1, 0),
+        "damaged_fused": [(1, 0), (1, 0)],
+        "salvaged": [(6, [5]), (9, [5]), (9, [5, 6])],
+        "salvaged_retry": [6, 6],
+    },
+    "Haswell": {
+        "checkpoint": (7, "960d045ff88e01c0c67c2df208d546aebd68366abf71eb70763e5be7f825928f"),
+        "resumed": (7, "f3a5ca18c3084cdf95ff7c796510cc984d35933ced446c767cf6badc9a6cf74a"),
+        "callback_rounds_healthy": [3, 4, 5, 6, 7, 8, 9, 10, 11],
+        "callback_healthy": "a3d20f6acd5ee4c4269a6c1ae20515a310bd8982a4873362d2151d9d8652c0fc",
+        "callback_rounds_damaged": [3, 4, 6, 7, 8, 9, 10, 11],
+        "callback_damaged": "63222de633712967077d0159087dc4999499a3b38287061988ce088bf3bff919",
+        "abort_retry_0": (
+            5, 3, "ec6e320050a9503111c2f6d18a2fb8242b81b006b9364e96a80f59ed58187839"
+        ),
+        "abort_retry_2": (
+            5, 3, "ec6e320050a9503111c2f6d18a2fb8242b81b006b9364e96a80f59ed58187839"
+        ),
+        "live": "3f6ea395254153b82a1c3ea74de9da03e337849435443a569430ef938a45edd1",
+        "damaged_single": (1, 0),
+        "damaged_fused": [(1, 0), (1, 0)],
+        "salvaged": [(6, [5]), (9, [5]), (9, [5, 6])],
+        "salvaged_retry": [6, 6],
+    },
+})
 
 
 def digest(result, *extra):

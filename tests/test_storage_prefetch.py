@@ -33,7 +33,7 @@ from repro.unlearning.recovery import SignRecoveryUnlearner
 from repro.unlearning.service import UnlearningService
 from repro.utils.rng import SeedSequenceTree
 
-from tests.conftest import pin_note
+from tests.conftest import CorePins, pin_note
 
 DELTA = 1e-6
 DIM = 41
@@ -219,15 +219,24 @@ class TestIdentity:
         result = SignRecoveryUnlearner(
             refresh_period=3, prefetch_depth=4
         ).unlearn(record, [3], model)
-        assert result.rounds_replayed == PINNED_REPLAY_ROUNDS, pin_note()
+        assert result.rounds_replayed == PINS["rounds"], pin_note()
         digest = hashlib.sha256(result.params.tobytes()).hexdigest()
-        assert digest == PINNED_REPLAY, pin_note()
+        assert digest == PINS["replay"], pin_note()
 
 
 # Recovered parameters of the pinned tiered replay above, recorded with
-# float64 bulk rows; the row dtype must not move them.
-PINNED_REPLAY = "ea928bd96c0cae864bfff431afba57fb0447586f56a9655d4427d0ce305912b9"
-PINNED_REPLAY_ROUNDS = 10
+# float64 bulk rows; the row dtype must not move them.  The Haswell
+# table was recorded at the commit that keyed these pins by core.
+PINS = CorePins(__name__, {
+    "SkylakeX": {
+        "replay": "ea928bd96c0cae864bfff431afba57fb0447586f56a9655d4427d0ce305912b9",
+        "rounds": 10,
+    },
+    "Haswell": {
+        "replay": "de548ef112f0b7940cff784a162c7058c56ac9df4fb03494f4ccec693e25085f",
+        "rounds": 10,
+    },
+})
 
 
 # ----------------------------------------------------------------------
