@@ -56,10 +56,6 @@ class Workload:
     backdoor: Optional[BackdoorAttack] = None
     record: Optional[TrainingRecord] = field(default=None, repr=False)
 
-    def client_map(self) -> Dict[int, VehicleClient]:
-        """``client_id -> client`` for the baseline unlearners."""
-        return {c.client_id: c for c in self.clients}
-
     def remaining_client_map(self) -> Dict[int, VehicleClient]:
         """Online clients after the forget set is gone."""
         forget = set(self.forget_ids)

@@ -30,7 +30,7 @@ copies start with empty pools instead of carrying dead buffers.
 :class:`BranchArena` extends the same layout idea across *models*: one
 contiguous ``(capacity, d)`` matrix whose rows are flat parameter
 vectors of sibling replay branches (the replay forest's fused
-execution, :mod:`repro.unlearning.forest`).  Rows are acquired and
+execution, :mod:`repro.unlearning.engine`).  Rows are acquired and
 released like slots; each live branch mutates its own row *view*
 in place, and the fused SGD step over all sibling branches is one
 stacked element-wise pass.  Element-wise ufuncs are applied per

@@ -29,7 +29,7 @@ request loop built for sustained load:
 - **Batch fusion** — with ``fusion_width > 1``, a worker coalesces
   consecutive single-vehicle requests from the queue front and serves
   them as ONE replay-forest execution
-  (:func:`repro.unlearning.forest.fused_unlearn`): shared prefix
+  (:func:`repro.unlearning.engine.fused_unlearn`): shared prefix
   rounds run once, branches fork only at divergence, and every ticket
   still gets its own deadline, its own response, and byte-identical
   parameters.  See ``docs/REPLAY.md`` for the cost model.

@@ -300,109 +300,110 @@ _ALL_SPECS = [
         "L2 distance between the clipped estimate (Eq. 6+7) and the stored "
         "direction it was estimated from, per estimate.",
     ),
-    # -------------------------------------------------------- unlearning.recovery
+    # --------------------------------------------------------- unlearning.engine
     _spec(
-        "recovery_rounds_total", COUNTER, "rounds", "repro.unlearning.recovery",
+        "recovery_rounds_total", COUNTER, "rounds", "repro.unlearning.engine",
         "Recovery rounds replayed (a model step was taken).",
     ),
     _spec(
-        "recovery_round_seconds", HISTOGRAM, "seconds", "repro.unlearning.recovery",
+        "recovery_round_seconds", HISTOGRAM, "seconds", "repro.unlearning.engine",
         "Wall time of one executed node-round's Eq. 6/7 estimates, "
         "aggregate and step (span): one observation per tree node per "
         "replayed round; skipped rounds are not observed.",
     ),
     _spec(
-        "recovery_rounds_skipped_total", COUNTER, "rounds", "repro.unlearning.recovery",
+        "recovery_rounds_skipped_total", COUNTER, "rounds", "repro.unlearning.engine",
         "Replay rounds skipped (no remaining participant, damaged "
         "checkpoint, or no decodable entry).",
     ),
     _spec(
-        "recovery_missing_entries_total", COUNTER, "records", "repro.unlearning.recovery",
+        "recovery_missing_entries_total", COUNTER, "records", "repro.unlearning.engine",
         "Per-(round, client) gradient entries missing or undecodable during "
         "replay.",
     ),
     _spec(
-        "recovery_displacement_norm", GAUGE, "l2norm", "repro.unlearning.recovery",
+        "recovery_displacement_norm", GAUGE, "l2norm", "repro.unlearning.engine",
         "‖w̄_t − w_t‖₂ — recovered-vs-historical model displacement at the "
         "latest replayed round (the Eq. 6 input).",
     ),
     _spec(
-        "recovery_progress", GAUGE, "fraction", "repro.unlearning.recovery",
+        "recovery_progress", GAUGE, "fraction", "repro.unlearning.engine",
         "Completed fraction of the replay window [F, T).",
     ),
     _spec(
-        "recovery_checkpoints_total", COUNTER, "checkpoints", "repro.unlearning.recovery",
+        "recovery_checkpoints_total", COUNTER, "checkpoints", "repro.unlearning.engine",
         "Replay-state checkpoints committed to disk.",
     ),
+    # --------------------------------------------------------- unlearning.forest
     _spec(
-        "recovery_cache_hits_total", COUNTER, "requests", "repro.unlearning.recovery",
+        "recovery_cache_hits_total", COUNTER, "requests", "repro.unlearning.forest",
         "Erasure requests that resumed from a cached replay prefix.",
     ),
     _spec(
-        "recovery_cache_misses_total", COUNTER, "requests", "repro.unlearning.recovery",
+        "recovery_cache_misses_total", COUNTER, "requests", "repro.unlearning.forest",
         "Erasure requests that found no reusable replay prefix.",
     ),
     _spec(
         "recovery_cache_evictions_total", COUNTER, "entries",
-        "repro.unlearning.recovery",
+        "repro.unlearning.forest",
         "Prefix-cache entries evicted by the LRU cap.",
     ),
     _spec(
         "recovery_cache_rounds_saved_total", COUNTER, "rounds",
-        "repro.unlearning.recovery",
+        "repro.unlearning.forest",
         "Replay rounds skipped by resuming from cached prefixes.",
     ),
     _spec(
-        "recovery_cache_entries", GAUGE, "entries", "repro.unlearning.recovery",
+        "recovery_cache_entries", GAUGE, "entries", "repro.unlearning.forest",
         "Roots (anchor trajectories) currently held by the replay forest.",
     ),
     _spec(
-        "recovery_forest_nodes", GAUGE, "entries", "repro.unlearning.recovery",
+        "recovery_forest_nodes", GAUGE, "entries", "repro.unlearning.forest",
         "Snapshot nodes currently held across all replay-forest roots.",
     ),
     _spec(
-        "recovery_forest_bytes", GAUGE, "bytes", "repro.unlearning.recovery",
+        "recovery_forest_bytes", GAUGE, "bytes", "repro.unlearning.forest",
         "Bytes of the distinct arrays the replay forest holds (a shared array counts once); bounded by max_bytes.",
     ),
     _spec(
         "recovery_forest_hit_depth", HISTOGRAM, "rounds",
-        "repro.unlearning.recovery",
+        "repro.unlearning.forest",
         "Prefix depth (rounds past the backtrack round) of each forest hit.",
     ),
     _spec(
         "recovery_forest_node_evictions_total", COUNTER, "entries",
-        "repro.unlearning.recovery",
+        "repro.unlearning.forest",
         "Forest snapshot nodes evicted by the byte-budget LRU.",
     ),
     _spec(
         "recovery_forest_nodes_retired_total", COUNTER, "entries",
-        "repro.unlearning.recovery",
+        "repro.unlearning.forest",
         "Forest snapshot nodes dropped at a commit because no later "
         "request, which forgets at least the erased set, can resume from "
         "them.",
     ),
-    # ----------------------------------------------------------- unlearning.forest
+    # --------------------------------------------------------- unlearning.engine
     _spec(
         "recovery_forest_forks_total", COUNTER, "events",
-        "repro.unlearning.forest",
+        "repro.unlearning.engine",
         "Sibling branches created when fused replays diverged "
         "(fork-at-divergence events).",
     ),
     _spec(
         "recovery_forest_fork_depth", HISTOGRAM, "rounds",
-        "repro.unlearning.forest",
+        "repro.unlearning.engine",
         "Depth (rounds past the backtrack round) at which fused branches "
         "forked.",
     ),
     _spec(
         "recovery_forest_fused_branches", HISTOGRAM, "branches",
-        "repro.unlearning.forest",
+        "repro.unlearning.engine",
         "Requests fused into one shared-tree replay call (1 for a "
         "single erasure).",
     ),
     _spec(
         "recovery_forest_shared_rounds_total", COUNTER, "rounds",
-        "repro.unlearning.forest",
+        "repro.unlearning.engine",
         "Replay round-executions avoided because sibling requests shared "
         "a tree node (Σ members−1 per executed node-round).",
     ),

@@ -35,12 +35,10 @@ from repro.unlearning.estimator import (
     clip_elementwise,
     estimate_gradient,
 )
-from repro.unlearning.forest import BranchOutcome, FusedReplayStats, fused_unlearn
+from repro.unlearning.engine import BranchOutcome, FusedReplayStats, fused_unlearn
+from repro.unlearning.forest import ReplayForest
 from repro.unlearning.lbfgs import LbfgsBuffer, lbfgs_hessian_dense
-from repro.unlearning.recovery import (
-    ReplayForest,
-    SignRecoveryUnlearner,
-)
+from repro.unlearning.recovery import SignRecoveryUnlearner
 from repro.unlearning.service import (
     MERGE_MODES,
     DependentAbortError,

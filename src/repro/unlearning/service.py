@@ -19,18 +19,18 @@ The service can be checkpointed to disk and resumed
 requests arrive long after training.
 
 Amortized serving: every service owns a
-:class:`~repro.unlearning.recovery.ReplayForest`, so successive
+:class:`~repro.unlearning.forest.ReplayForest`, so successive
 requests reuse the replay prefix their forget sets share — each
 request's forget set is a superset of the previous one's (erased
 clients stay excluded), which is exactly the cache's reuse condition,
 and what lets every commit retire the snapshots no later request can
-resume from (:meth:`~repro.unlearning.recovery.ReplayForest.retire`).
+resume from (:meth:`~repro.unlearning.forest.ReplayForest.retire`).
 
 Every entry point — single, departed vehicle, attacker scan, serial
 batch, fused batch; stop-the-world or bound to a live training session
 — runs the same pipeline (:meth:`UnlearningService._erase_group`):
 **plan** (validate, build the cumulative forget sets, pin a view),
-**replay** (one :func:`~repro.unlearning.forest.fused_unlearn` call —
+**replay** (one :func:`~repro.unlearning.engine.fused_unlearn` call —
 lock-free when live, so training keeps running, a live batch
 included), **commit** (conflict check, fold in the rounds trained past
 the pinned watermark, purge, bookkeeping, install).  Outcomes report
@@ -57,12 +57,13 @@ from repro.nn.model import Sequential
 from repro.storage.prefetch import RoundDecodeCache
 from repro.telemetry.core import current_telemetry
 from repro.unlearning.base import UnlearnResult
-from repro.unlearning.forest import fused_unlearn
+from repro.unlearning.engine import fused_unlearn
+from repro.unlearning.forest import ReplayForest
 from repro.unlearning.merge import (
     conflict_projected_merge,
     negated_pseudo_gradient_tail,
 )
-from repro.unlearning.recovery import ReplayForest, SignRecoveryUnlearner
+from repro.unlearning.recovery import SignRecoveryUnlearner
 from repro.utils.logging import get_logger
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an fl<->unlearning cycle)
@@ -163,7 +164,7 @@ class FusedBatchReport:
     ``outcomes[k]`` and ``errors[k]`` align with the submitted
     ``client_ids``; exactly one of the two is set per slot.  ``stats``
     is the fused executor's work accounting
-    (:class:`~repro.unlearning.forest.FusedReplayStats`).
+    (:class:`~repro.unlearning.engine.FusedReplayStats`).
     """
 
     outcomes: List[Optional[ErasureOutcome]]
@@ -335,7 +336,7 @@ class UnlearningService:
         checks: Sequence[Optional[Callable[[], None]]],
     ):
         """The service's one replay call: every forget set through one
-        :func:`~repro.unlearning.forest.fused_unlearn` execution over
+        :func:`~repro.unlearning.engine.fused_unlearn` execution over
         ``view``.  Counted in flight, so :meth:`drain_prefetch` never
         tears the decode pool down under a replay — live replays hold
         no service lock."""
@@ -763,7 +764,7 @@ class UnlearningService:
         Like :meth:`handle_erasure_batch`, request ``k``'s forget set is
         cumulative and every result is byte-identical to serving that
         request alone — but all requests replay through one shared
-        execution tree (:func:`repro.unlearning.forest.fused_unlearn`):
+        execution tree (:func:`repro.unlearning.engine.fused_unlearn`):
         common prefix segments execute once and branches fork only at
         divergence.  Live, the tree replays lock-free and the commit
         folds in the rounds trained meanwhile.

@@ -1,9 +1,10 @@
 """Serialization of experiment artifacts.
 
-Experiments write three kinds of artifacts:
+Three kinds of artifacts:
 
-- model checkpoints (flat float arrays) — ``.npz``
 - experiment result records (nested dict of scalars/lists) — ``.json``
+- crash-safe state (named arrays + a JSON metadata blob, written
+  atomically) — ``.npz``
 - packed sign-gradient archives — handled by :mod:`repro.storage`
 
 Everything here is plain-stdlib + NumPy; no pickle, so artifacts are
@@ -21,8 +22,6 @@ import numpy as np
 __all__ = [
     "save_json",
     "load_json",
-    "save_arrays",
-    "load_arrays",
     "save_state_atomic",
     "load_state",
     "fsync_dir",
@@ -78,19 +77,6 @@ def load_json(path: str) -> Dict[str, Any]:
     """Load a JSON record written by :func:`save_json`."""
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
-
-
-def save_arrays(path: str, arrays: Mapping[str, np.ndarray]) -> None:
-    """Save named arrays as a compressed ``.npz`` archive."""
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
-    np.savez_compressed(path, **{k: np.asarray(v) for k, v in arrays.items()})
-
-
-def load_arrays(path: str) -> Dict[str, np.ndarray]:
-    """Load an ``.npz`` archive into a plain dict of arrays."""
-    with np.load(path) as data:
-        return {name: data[name].copy() for name in data.files}
 
 
 def save_state_atomic(

@@ -38,7 +38,8 @@ from repro.unlearning.estimator import (
     GradientEstimator,
     estimate_cohort,
 )
-from repro.unlearning.forest import fused_unlearn
+import repro.unlearning.engine as engine
+from repro.unlearning.engine import fused_unlearn
 from tests.test_service_cache import CLIP, build_record
 from tests.conftest import CorePins, pin_note
 
@@ -97,7 +98,8 @@ class TestPinnedDigests:
     def test_seeding_mixes_pair_counts(self):
         record, _ = cold_record()
         unlearner = SignRecoveryUnlearner(clip_threshold=CLIP, refresh_period=3)
-        seeded = unlearner._seed_estimators(record, remaining_ids(record, [5]), 3)
+        remaining = remaining_ids(record, [5])
+        seeded = engine._seed_estimators(record, remaining, 3, unlearner)
         assert {len(e.buffer) for e in seeded.values()} == {0, 1, 2}
 
     @pytest.mark.parametrize("prefetch_depth", [0, 2])
@@ -569,8 +571,6 @@ def assert_fresh(state, plan):
 def form_spy(monkeypatch):
     """Check every replay round's node form against a fresh build; the
     list holds each checked round's ``refresh`` flag."""
-    import repro.unlearning.forest as engine
-
     real, rounds = engine.estimate_cohort, []
 
     def checked(state, plan, stored, displacement, refresh=False):
@@ -582,21 +582,21 @@ def form_spy(monkeypatch):
     return rounds
 
 
-def seed_with_pairs(unlearner):
+def seed_with_pairs(monkeypatch, unlearner):
     """Give every client seeded without pre-F pairs one synthetic pair,
     so that seeding at a fork or a refit changes the node's form (real
     late joiners seed empty, and an empty buffer is in no group)."""
-    seed = unlearner._seed_estimators
+    seed = engine._seed_estimators
 
-    def seeded(record, remaining, forget_round):
-        ests = seed(record, remaining, forget_round)
+    def seeded(record, remaining, forget_round, unlearner):
+        ests = seed(record, remaining, forget_round, unlearner)
         for cid, est in ests.items():
             if not len(est.buffer):
                 w = np.full(record.final_params().size, 1.0 + cid)
                 est.seed_pair(w, 2.0 * w)
         return ests
 
-    unlearner._seed_estimators = seeded
+    monkeypatch.setattr(engine, "_seed_estimators", seeded)
     return unlearner
 
 
@@ -615,18 +615,21 @@ class TestNodeFormStaysCurrent:
         assert sha(result.params) == PINS["cold"], pin_note()
         assert form_spy.count(True) == 3 and len(form_spy) == 9
 
-    def test_after_fork(self, form_spy):
+    def test_after_fork(self, form_spy, monkeypatch):
         unlearner = seed_with_pairs(
+            monkeypatch,
             SignRecoveryUnlearner(clip_threshold=CLIP, refresh_period=5)
         )
         outcomes, stats = fused_unlearn(unlearner, ladder_record(), LADDER_SETS)
         assert all(o.error is None for o in outcomes)
         assert stats.forks > 0 and form_spy
 
-    def test_after_refit_union(self, form_spy):
+    def test_after_refit_union(self, form_spy, monkeypatch):
         # {8} and {8, 9} share a node until 9 joins at round 8; the
         # second aborts at round 4, so the node re-seeds vehicle 9.
-        unlearner = seed_with_pairs(SignRecoveryUnlearner(clip_threshold=CLIP))
+        unlearner = seed_with_pairs(
+            monkeypatch, SignRecoveryUnlearner(clip_threshold=CLIP)
+        )
         polls = iter(range(100))
 
         def abort_after_three():
@@ -678,7 +681,7 @@ def test_fused_burst_builds_no_per_client_state(monkeypatch):
         clip_threshold=CLIP, refresh_period=WIDE_REFRESH, prefix_cache=forest
     )
     seeding, strays, copies, stored = [False], [], [], []
-    seed = unlearner._seed_estimators
+    seed = engine._seed_estimators
 
     def seeding_only(call):
         """``call`` as seeding: estimators built and read out per client."""
@@ -721,7 +724,7 @@ def test_fused_burst_builds_no_per_client_state(monkeypatch):
         stored.append((forget_round, dict(snapshots)))
         return real_store(record, base_key, forget, forget_round, snapshots)
 
-    unlearner._seed_estimators = seeding_only(seed)
+    monkeypatch.setattr(engine, "_seed_estimators", seeding_only(seed))
     forest.store = store_watched
     monkeypatch.setattr(GradientEstimator, "__init__", init_watched)
     monkeypatch.setattr(GradientEstimator, "state", state_watched)

@@ -45,7 +45,13 @@ from hypothesis.stateful import (
 from repro.unlearning import ReplayForest, SignRecoveryUnlearner
 from repro.unlearning.estimator import CohortState, GradientEstimator
 from repro.unlearning.lbfgs import LbfgsBuffer
-from repro.unlearning.recovery import _ReplaySnapshot
+from repro.unlearning.engine import (
+    ReplayProgress,
+    _cache_base_key,
+    _make_snapshot,
+    _seed_estimators,
+)
+from repro.unlearning.forest import _ReplaySnapshot
 
 from tests.test_service_cache import CLIP, NUM_ROUNDS, build_record, cold_reference
 
@@ -143,7 +149,7 @@ class TestFrozenSharing:
             for array in node.snapshot.arrays():
                 assert_frozen(array)
         resume, restored = forest.lookup(
-            record, unlearner._cache_base_key(record), frozenset({5, 7}), 3
+            record, _cache_base_key(record, unlearner), frozenset({5, 7}), 3
         )
         for array in restored.arrays():
             assert_frozen(array)
@@ -176,7 +182,7 @@ class TestFrozenSharing:
         record, _ = build_record(3)
         unlearner = SignRecoveryUnlearner(clip_threshold=CLIP)
         cohort = [0, 1, 2, 3, 4]  # all present at F=3: one anchor
-        seeded = unlearner._seed_estimators(record, cohort, 3)
+        seeded = _seed_estimators(record, cohort, 3, unlearner)
         # The reference: every client its own copy of every pair.  (At
         # this seed client 0 rejects both of its pairs, the rest keep 2.)
         w_anchor = record.params_at(3)
@@ -203,8 +209,8 @@ class TestFrozenSharing:
         # ... which a forest holding them counts once.
         forest = ReplayForest()
         params = record.params_at(3)
-        snapshot = unlearner._make_snapshot(
-            params, CohortState.from_estimators(seeded), 0, 0, 0, 0, []
+        snapshot = _make_snapshot(
+            params, CohortState.from_estimators(seeded), ReplayProgress(0, 0, 0, 0, [])
         )
         forest.store(FakeRecord([[0]] * 4), BASE_KEY, frozenset({99}), 0, {4: snapshot})
         assert forest.nbytes == (1 + 2 + len(held)) * params.nbytes
@@ -218,7 +224,7 @@ class TestFrozenSharing:
             n: (n.snapshot.estimators.cids.tolist(), snapshot_digest(n.snapshot))
             for n in forest_nodes(forest)
         }
-        base_key = unlearner._cache_base_key(record)
+        base_key = _cache_base_key(record, unlearner)
         _, first = forest.lookup(record, base_key, frozenset({5, 7}), 3)
         _, second = forest.lookup(record, base_key, frozenset({5, 7}), 3)
         # Do to the first restore everything a replay does to its state.
@@ -634,7 +640,9 @@ def test_snapshots_restores_and_forks_allocate_no_pair_bytes():
         state = CohortState.from_estimators(estimators)
         for t in range(1, snapshots + 1):
             norms.append(float(t))
-            taken[t] = unlearner._make_snapshot(recovered, state, t, 0, 0, 0, norms)
+            taken[t] = _make_snapshot(
+                recovered, state, ReplayProgress(t, 0, 0, 0, norms)
+            )
         forest.store(record, BASE_KEY, frozenset({99}), 0, taken)
         live = []
         for _ in range(restores):

@@ -1,7 +1,7 @@
 """One replay engine: the single-trajectory features, pinned.
 
 :meth:`SignRecoveryUnlearner.unlearn` is the fused tree executor
-(:func:`repro.unlearning.forest.fused_unlearn`) run with one request.
+(:func:`repro.unlearning.engine.fused_unlearn`) run with one request.
 The features a single trajectory carries ride on that one loop:
 
 - crash checkpoints (``checkpoint_dir``) and the resume from them,

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.utils.logging import configure, get_logger
-from repro.utils.serialization import load_arrays, load_json, save_arrays, save_json
+from repro.utils.serialization import load_json, save_json
 from repro.utils.timer import Timer
 
 
@@ -73,14 +73,6 @@ class TestSerialization:
         save_json(path, {"k": 1})
         with open(path) as fh:
             assert json.load(fh) == {"k": 1}
-
-    def test_arrays_round_trip(self, tmp_path, rng):
-        path = str(tmp_path / "a.npz")
-        arrays = {"w": rng.normal(size=(4, 5)), "g": rng.normal(size=7)}
-        save_arrays(path, arrays)
-        loaded = load_arrays(path)
-        np.testing.assert_array_equal(loaded["w"], arrays["w"])
-        np.testing.assert_array_equal(loaded["g"], arrays["g"])
 
 
 class TestLogging:
