@@ -46,7 +46,7 @@ catalog lists under this module (``docs/METRICS.md``).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -137,7 +137,15 @@ class ReplayProgress:
             self.length = len(self.norms)
 
     def copy(self) -> "ReplayProgress":
-        return replace(self, owner=False)
+        return ReplayProgress(
+            self.rounds_replayed,
+            self.skipped_rounds,
+            self.missing_entries,
+            self.missing_checkpoints,
+            self.norms,
+            self.length,
+            owner=False,
+        )
 
     def add_norm(self, norm: float) -> None:
         if not self.owner:
