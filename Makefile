@@ -28,14 +28,16 @@ test:
 # equals the per-image renderer it replaced
 # (tests/test_datasets_synthetic.py:
 # test_chunked_batches_match_lone_renders,
-# test_lone_renders_match_per_image_references) — and three more at
-# 400 examples (tests/test_storage_round_major.py): the round-major
-# container against a per-row model (ContainerMachine; kinds sign,
-# full and tiered, the last with spill, flush, compact and reopen
-# steps), a reader that never sees a torn round while a
+# test_lone_renders_match_per_image_references) — and four more at
+# 400 examples: three in tests/test_storage_round_major.py — the
+# round-major container against a per-row model (ContainerMachine;
+# kinds sign, full and tiered, the last with spill, flush, compact and
+# reopen steps), a reader that never sees a torn round while a
 # writer appends and drops (test_reader_never_sees_a_torn_round), and
 # the ledger's participants memo against a brute-force scan
-# (LedgerMachine).
+# (LedgerMachine) — and the replay's decode cache against its byte
+# budget and the store under get, discard and clear
+# (tests/test_storage_prefetch.py: DecodeCacheMachine).
 chaos:
 	CHAOS_SEEDS=7,21,99 pytest tests/ -m chaos
 

@@ -43,6 +43,7 @@ from repro.serving import ErasureDaemon
 from repro.storage import (
     MmapSignGradientStore,
     ModelCheckpointStore,
+    RoundDecodeCache,
     SignGradientStore,
     TieredSignGradientStore,
 )
@@ -197,7 +198,7 @@ def test_prefetch_pipeline(benchmark, scale, save_result, tmp_path):
     # The cache only pays if the working set fits its byte budget — an
     # LRU scanned end-to-end while over budget evicts every entry just
     # before the next replay needs it.  Cap the daemon record at 12
-    # rounds and size the budget to hold all of them decoded.
+    # rounds, so the cache's 64 MiB default holds all of them decoded.
     daemon_updates = updates[: min(rounds, 12)]
     daemon_store = demote_all(
         make_record(
@@ -212,12 +213,9 @@ def test_prefetch_pipeline(benchmark, scale, save_result, tmp_path):
         checkpoints, daemon_store, ledger, dict(record.client_sizes),
         len(daemon_updates), LEARNING_RATE,
     )
-    # Decoded sign rows are int8: one byte per element.
-    cache_budget = 2 * len(daemon_updates) * cohort * dim
-    service = UnlearningService(
-        daemon_record, None, prefetch_depth=DEPTH,
-        decode_cache_bytes=cache_budget,
-    )
+    # Decoded sign rows are int8: one byte per element; keep 2x headroom.
+    assert 2 * len(daemon_updates) * cohort * dim <= RoundDecodeCache().max_bytes
+    service = UnlearningService(daemon_record, None, prefetch_depth=DEPTH)
     daemon = ErasureDaemon(service, capacity=16, workers=4).start()
     try:
         futures = [daemon.submit(c) for c in range(1, 5)]
@@ -240,7 +238,7 @@ def test_prefetch_pipeline(benchmark, scale, save_result, tmp_path):
     assert all(s == "ok" for s in statuses)
     hits = cache_stats.get("hits", 0)
     assert hits > 0, "shared decode cache saw no hits at concurrency 4"
-    assert service.drain_prefetch()
+    service.drain_prefetch()
     assert service.decode_cache is None
 
     save_result(

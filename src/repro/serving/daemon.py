@@ -75,11 +75,7 @@ from repro.serving.requests import (
     ServiceResponse,
 )
 from repro.telemetry.core import current_telemetry
-from repro.unlearning.service import (
-    DependentAbortError,
-    ServiceBusyError,
-    UnlearningService,
-)
+from repro.unlearning.service import DependentAbortError, UnlearningService
 from repro.utils.logging import get_logger
 
 __all__ = ["ErasureDaemon", "DEGRADED_MODES"]
@@ -93,6 +89,9 @@ DEGRADED_MODES = ("serve_stale", "queue_only")
 #: (double erasure, unknown vehicle) — they fail the request but do not
 #: feed the breaker, which only watches substrate health.
 _CLIENT_ERRORS = (ValueError,)
+
+#: How many request keys the idempotency table remembers (LRU).
+_IDEMPOTENCY_CAPACITY = 4096
 
 
 class _Ticket:
@@ -138,8 +137,6 @@ class ErasureDaemon:
         file live for long-running processes.
     clock:
         Monotonic time source (injectable for deterministic tests).
-    idempotency_capacity:
-        How many request keys the dedupe table remembers (LRU).
     fusion_width:
         When ``> 1``, a worker that dequeues a *single-vehicle* request
         also takes up to ``fusion_width - 1`` consecutive single-vehicle
@@ -166,7 +163,6 @@ class ErasureDaemon:
         retry_policy: Optional[RetryPolicy] = None,
         flusher=None,
         clock: Callable[[], float] = time.monotonic,
-        idempotency_capacity: int = 4096,
         fusion_width: int = 1,
     ):
         if capacity < 0:
@@ -179,8 +175,6 @@ class ErasureDaemon:
             raise ValueError(
                 f"degraded_mode must be one of {DEGRADED_MODES}, got {degraded_mode!r}"
             )
-        if idempotency_capacity < 1:
-            raise ValueError("idempotency_capacity must be >= 1")
         self.service = service
         self.capacity = capacity
         self.workers = workers
@@ -194,7 +188,6 @@ class ErasureDaemon:
         self._cond = threading.Condition()
         self._queue: Deque[_Ticket] = deque()
         self._keys: "OrderedDict[str, Future]" = OrderedDict()
-        self._key_capacity = idempotency_capacity
         self._threads: list = []
         self._accepting = True
         self._stopping = False
@@ -233,9 +226,9 @@ class ErasureDaemon:
         holds deterministically either way); ``mode="abort"`` fails
         every queued request with ``RejectedError("shutdown")``.
         In-flight requests always run to completion.  Once the workers
-        exit, the service's prefetch resources (decode thread pool and
-        shared round cache) are drained, so a stopped daemon leaves no
-        background decode threads behind.
+        exit, the service's shared round decode cache is dropped, so a
+        stopped daemon holds no decoded rounds (each replay's decode
+        threads already ended with that replay).
         """
         if mode not in ("drain", "abort"):
             raise ValueError(f"mode must be 'drain' or 'abort', got {mode!r}")
@@ -268,13 +261,9 @@ class ErasureDaemon:
         for thread in self._threads:
             thread.join(timeout=1.0)
         self._threads = []
-        # After a clean join no replay is mid-flight, so this leaves no
-        # decode threads behind; after a timed-out stop a straggler may
-        # still be replaying — skip rather than hang.
-        try:
-            self.service.drain_prefetch(blocking=False)
-        except ServiceBusyError as exc:
-            _log.warning("prefetch drain skipped at shutdown: %s", exc)
+        # Never waits: a straggler still replaying after a timed-out
+        # stop keeps the rounds it holds and only stops sharing them.
+        self.service.drain_prefetch()
         if self.flusher is not None:
             self.flusher.stop()
 
@@ -347,7 +336,7 @@ class ErasureDaemon:
             self._queue.append(ticket)
             if key is not None:
                 self._keys[key] = future
-                while len(self._keys) > self._key_capacity:
+                while len(self._keys) > _IDEMPOTENCY_CAPACITY:
                     self._keys.popitem(last=False)
             self._set_queue_gauge()
             self._cond.notify()

@@ -255,7 +255,7 @@ _ALL_SPECS = [
     _spec(
         "storage_prefetch_cache_evictions_total", COUNTER, "rounds",
         "repro.storage.prefetch",
-        "Unpinned cached rounds evicted past the byte budget (LRU).",
+        "Cached rounds evicted past the byte budget (LRU).",
     ),
     _spec(
         "storage_prefetch_cache_bytes", GAUGE, "bytes",

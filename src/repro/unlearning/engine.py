@@ -677,7 +677,6 @@ class _GroupReplay:
                     depth=depth,
                     cache=self.unlearner.decode_cache,
                     cancel_check=self.checks[self.idxs[0]] if self.single else None,
-                    executor=self.unlearner.prefetch_executor,
                 )
         try:
             for t in range(start, record.num_rounds):
@@ -692,8 +691,8 @@ class _GroupReplay:
             raise
         finally:
             if self.prefetcher is not None:
-                # Releases every cache pin and cancels in-flight decodes
-                # even on abort paths.
+                # Cancels queued decodes and joins the prefetcher's
+                # threads, even on abort paths.
                 self.prefetcher.close()
         self.finish()
 

@@ -31,7 +31,6 @@ request — a one-member tree node *is* a serial replay.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
@@ -91,16 +90,14 @@ class SignRecoveryUnlearner(UnlearningMethod):
     prefetch_depth:
         Look-ahead window of the replay data-path pipeline
         (:mod:`repro.storage.prefetch`): while round ``t`` computes,
-        rounds ``t+1 .. t+depth`` bulk-decode on a background thread.
+        rounds ``t+1 .. t+depth`` bulk-decode on the prefetcher's own
+        threads, which end with the replay.
         ``0`` (the default) is the synchronous path (no pipeline).
         Recovered parameters are bitwise identical at every depth.
     decode_cache:
         Optional shared :class:`~repro.storage.prefetch.RoundDecodeCache`
         so concurrent/successive requests over the same record resolve
         each round's decode once (the service wires its own in).
-    prefetch_executor:
-        Optional externally-owned thread pool for the background
-        decodes; a private one is built per replay when omitted.
     """
 
     name = "ours"
@@ -117,7 +114,6 @@ class SignRecoveryUnlearner(UnlearningMethod):
         cancel_check: Optional[Callable[[], None]] = None,
         prefetch_depth: int = 0,
         decode_cache: Optional[RoundDecodeCache] = None,
-        prefetch_executor: Optional[ThreadPoolExecutor] = None,
     ):
         if refresh_period < 1:
             raise ValueError("refresh_period must be >= 1")
@@ -135,7 +131,6 @@ class SignRecoveryUnlearner(UnlearningMethod):
         self.cancel_check = cancel_check
         self.prefetch_depth = prefetch_depth
         self.decode_cache = decode_cache
-        self.prefetch_executor = prefetch_executor
         #: Replay rounds the last :meth:`unlearn` call skipped thanks to
         #: a prefix-cache hit (0 on a cold run).
         self.last_cached_prefix_rounds = 0

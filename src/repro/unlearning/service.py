@@ -43,7 +43,6 @@ serving each request cold.
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
@@ -82,6 +81,10 @@ __all__ = [
 MERGE_MODES = ("replay", "project", "npg")
 
 _log = get_logger("unlearning.service")
+
+#: Commit races a live erasure tolerates (each retry is forest-hot)
+#: before giving up.
+_MAX_COMMIT_RETRIES = 8
 
 
 @dataclass
@@ -133,10 +136,11 @@ class ErasureOutcome:
 
 
 class ServiceBusyError(RuntimeError):
-    """A non-blocking service operation found the service busy.
+    """A service operation found the service busy: raised by
+    :meth:`UnlearningService.persist` when pinned snapshot readers do
+    not drain in time.
 
-    Raised instead of silently returning ``False`` so callers can
-    distinguish "busy, retry later" from a completed no-op.
+    Callers can tell "busy, retry later" from a failure;
     ``retry_after`` is the suggested back-off in seconds.
     """
 
@@ -184,18 +188,15 @@ class UnlearningService:
         Scratch model of the trained architecture.
     clip_threshold, buffer_size, refresh_period:
         Recovery hyperparameters (Eq. 7 ``L``, ``s``, refresh).
-    cache_max_entries:
-        LRU capacity of the service's replay prefix cache.
     prefetch_depth:
         Replay data-path look-ahead (:mod:`repro.storage.prefetch`)
         applied to every replay this service runs; ``0`` (the default)
         is the synchronous path.  Recovered parameters are
-        byte-identical at every depth.
-    decode_cache_bytes:
-        Byte budget of the service's shared per-round decode cache, so
+        byte-identical at every depth.  Prefetching replays share one
+        :class:`~repro.storage.prefetch.RoundDecodeCache`, so
         successive/concurrent requests over the same record resolve
-        each round's decode once.  Only allocated once a prefetching
-        replay actually runs.
+        each round's decode once; it is only allocated once a
+        prefetching replay actually runs.
     merge_mode:
         How a *live* erasure folds its counterfactual into rounds
         trained past its snapshot watermark: ``"replay"`` (exact
@@ -203,9 +204,6 @@ class UnlearningService:
         conflict-projected merge) or ``"npg"`` (negated pseudo-gradient
         correction) — see :mod:`repro.unlearning.merge`.  Ignored on
         the stop-the-world path.
-    max_commit_retries:
-        Commit races a live erasure tolerates (each retry is
-        forest-hot) before giving up.
     live_session:
         Optional :class:`~repro.fl.live.LiveTrainingSession` switching
         the service to the snapshot-isolated live path — use
@@ -217,20 +215,14 @@ class UnlearningService:
     clip_threshold: float = 1.0
     buffer_size: int = 2
     refresh_period: int = 21
-    cache_max_entries: int = 8
     prefetch_depth: int = 0
-    decode_cache_bytes: int = 64 * 1024 * 1024
     merge_mode: str = "replay"
-    max_commit_retries: int = 8
     live_session: Optional["LiveTrainingSession"] = field(
         default=None, repr=False, compare=False
     )
     _erased: List[int] = field(default_factory=list)
     _prefix_cache: Optional[ReplayForest] = field(default=None, repr=False)
     _decode_cache: Optional[RoundDecodeCache] = field(
-        default=None, repr=False, compare=False
-    )
-    _prefetch_executor: Optional[ThreadPoolExecutor] = field(
         default=None, repr=False, compare=False
     )
     _lock: threading.RLock = field(
@@ -241,19 +233,12 @@ class UnlearningService:
         if self.prefetch_depth < 0:
             raise ValueError("prefetch_depth must be >= 0")
         if self._prefix_cache is None:
-            self._prefix_cache = ReplayForest(
-                max_entries=self.cache_max_entries
-            )
+            self._prefix_cache = ReplayForest()
         if self.merge_mode not in MERGE_MODES:
             raise ValueError(
                 f"unknown merge_mode {self.merge_mode!r}; choose from "
                 f"{MERGE_MODES}"
             )
-        # Guards the lazy prefetch-resource build (live replays run
-        # outside the service lock, so two can race into first use) and
-        # counts the replays in flight for drain_prefetch.
-        self._replay_cond = threading.Condition(threading.Lock())
-        self._replays = 0
 
     def bind_live(self, session: "LiveTrainingSession") -> "UnlearningService":
         """Attach a :class:`~repro.fl.live.LiveTrainingSession`.
@@ -296,38 +281,19 @@ class UnlearningService:
         replay has run — it is allocated lazily)."""
         return self._decode_cache
 
-    def drain_prefetch(self, blocking: bool = True) -> bool:
-        """Tear down the shared prefetch resources (decode thread pool
-        and round cache).  Safe to call with no replay in flight — the
-        daemon calls this from :meth:`~repro.serving.daemon.ErasureDaemon.stop`
-        after its workers have drained.  The next replay lazily rebuilds
-        both, so the service stays usable afterwards.
+    def drain_prefetch(self) -> None:
+        """Drop the shared round decode cache, freeing its decoded
+        rounds; the next prefetching replay lazily builds a fresh one.
 
-        A replay in flight — under the service lock or, live, lock-free —
-        holds the prefetch resources: ``blocking=True`` waits for it,
-        ``blocking=False`` raises :class:`ServiceBusyError` (carrying a
-        suggested ``retry_after``) — a timed-out daemon ``stop`` must
-        not hang behind an in-flight request, but the caller deserves to
-        know the drain did not happen."""
-        busy = ServiceBusyError(
-            "a replay is in flight; prefetch drain skipped", retry_after=0.05
-        )
-        if not self._lock.acquire(blocking=blocking):
-            raise busy
-        try:
-            with self._replay_cond:
-                if self._replays and not blocking:
-                    raise busy
-                self._replay_cond.wait_for(lambda: not self._replays)
-                if self._prefetch_executor is not None:
-                    self._prefetch_executor.shutdown()
-                    self._prefetch_executor = None
-                if self._decode_cache is not None:
-                    self._decode_cache.clear()
-                    self._decode_cache = None
-            return True
-        finally:
-            self._lock.release()
+        Returns at once, whatever is in flight: each replay's decode
+        threads belong to its own prefetcher and end with it, and a
+        replay still running keeps the rounds it holds — decoded rounds
+        are immutable values — so dropping the cache only stops it
+        sharing them.  The daemon calls this from
+        :meth:`~repro.serving.daemon.ErasureDaemon.stop`."""
+        cache, self._decode_cache = self._decode_cache, None
+        if cache is not None:
+            cache.clear()
 
     def _replay(
         self,
@@ -337,38 +303,26 @@ class UnlearningService:
     ):
         """The service's one replay call: every forget set through one
         :func:`~repro.unlearning.engine.fused_unlearn` execution over
-        ``view``.  Counted in flight, so :meth:`drain_prefetch` never
-        tears the decode pool down under a replay — live replays hold
-        no service lock."""
-        depth = self.prefetch_depth
-        with self._replay_cond:
-            self._replays += 1
-            if depth > 0:
-                # Built lazily on first use and shared by every replay.
-                if self._decode_cache is None:
-                    self._decode_cache = RoundDecodeCache(
-                        max_bytes=self.decode_cache_bytes
-                    )
-                if self._prefetch_executor is None:
-                    # Readahead-queue sizing: several in-flight rounds
-                    # may block on storage concurrently (cold blocks,
-                    # remote tiers).
-                    self._prefetch_executor = ThreadPoolExecutor(min(depth, 4))
-        try:
-            unlearner = SignRecoveryUnlearner(
-                clip_threshold=self.clip_threshold,
-                buffer_size=self.buffer_size,
-                refresh_period=self.refresh_period,
-                prefix_cache=self._prefix_cache,
-                prefetch_depth=depth,
-                decode_cache=self._decode_cache if depth > 0 else None,
-                prefetch_executor=self._prefetch_executor if depth > 0 else None,
-            )
-            return fused_unlearn(unlearner, view, forget_sets, checks)
-        finally:
-            with self._replay_cond:
-                self._replays -= 1
-                self._replay_cond.notify_all()
+        ``view``, reading through the shared decode cache when it
+        prefetches."""
+        cache = None
+        if self.prefetch_depth > 0:
+            # Built lazily on first use and shared by every later replay.
+            # Two live replays (which hold no service lock) racing into
+            # first use may each build one; the loser's serves only its
+            # own replay.
+            cache = self._decode_cache
+            if cache is None:
+                cache = self._decode_cache = RoundDecodeCache()
+        unlearner = SignRecoveryUnlearner(
+            clip_threshold=self.clip_threshold,
+            buffer_size=self.buffer_size,
+            refresh_period=self.refresh_period,
+            prefix_cache=self._prefix_cache,
+            prefetch_depth=self.prefetch_depth,
+            decode_cache=cache,
+        )
+        return fused_unlearn(unlearner, view, forget_sets, checks)
 
     def _pin(self) -> TrainingRecord:
         """The view a replay reads: a pinned snapshot of the live
@@ -496,7 +450,7 @@ class UnlearningService:
            service lock, which is held across all three stages.
         3. **Commit** (service lock + train gate): if the erased set
            changed since the plan, start over (up to
-           ``max_commit_retries``, forest-hot).  When rounds were trained
+           ``_MAX_COMMIT_RETRIES``, forest-hot).  When rounds were trained
            past ``W``, fold them in per ``merge_mode``: ``"replay"``
            re-runs the members over a fresh pin at the commit round
            ``T'`` — the forest serves ``[F, W)``, only ``[W, T')``
@@ -540,7 +494,7 @@ class UnlearningService:
                         conflicts += 1
                         if telemetry.enabled:
                             telemetry.inc("service_snapshot_conflicts_total")
-                        if conflicts > self.max_commit_retries:
+                        if conflicts > _MAX_COMMIT_RETRIES:
                             raise RuntimeError(
                                 f"erasure of {members} lost {conflicts} commit "
                                 "races; giving up"

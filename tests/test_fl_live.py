@@ -484,9 +484,10 @@ class TestLiveErasure:
 
     @pytest.mark.parametrize("live", [True, False], ids=["live", "stop_the_world"])
     def test_prefetch_drain_racing_a_replay_is_busy(self, live):
-        # A non-blocking drain at the replay's second round must answer
-        # busy, not tear the decode pool down under the replay — a live
-        # replay holds no service lock, so the lock alone cannot tell.
+        # A drain at the replay's second round returns at once — it
+        # neither waits for the replay nor disturbs it: the replay's
+        # decode threads are its own, and the rounds it holds stay
+        # alive after the shared cache is dropped.
         model, sim = build_sim(29)
         if live:
             session = LiveTrainingSession(sim, NUM_ROUNDS, paced=True)
@@ -504,10 +505,8 @@ class TestLiveErasure:
         ticks, drains = [0], []
 
         def drain():
-            try:
-                drains.append(service.drain_prefetch(blocking=False))
-            except ServiceBusyError as exc:
-                drains.append(exc)
+            service.drain_prefetch()
+            drains.append(service.decode_cache)
 
         def tick():
             # Decode threads poll the same hook; only the replay's own
@@ -519,6 +518,7 @@ class TestLiveErasure:
                 racer = threading.Thread(target=drain)
                 racer.start()
                 racer.join(10)
+                assert not racer.is_alive()
 
         try:
             outcome = service.handle_erasure_request(1, cancel_check=tick)
@@ -526,12 +526,11 @@ class TestLiveErasure:
             if live:
                 session.release_pacing()
                 session.result(timeout=120)
-        assert len(drains) == 1 and isinstance(drains[0], ServiceBusyError)
+        assert drains == [None]
         reference = reference_erase(29, [1], 4)
         assert outcome.params.tobytes() == reference.params.tobytes()
-        assert service.drain_prefetch(blocking=False) is True
 
-    def test_drain_prefetch_nonblocking_raises_typed_busy_error(self):
+    def test_drain_prefetch_does_not_wait_for_the_service_lock(self):
         _, session, service = make_live_service(27)
         session.start()
         session.release_pacing()
@@ -548,13 +547,11 @@ class TestLiveErasure:
         thread.start()
         try:
             assert held.wait(10)
-            with pytest.raises(ServiceBusyError) as err:
-                service.drain_prefetch(blocking=False)
-            assert err.value.retry_after > 0
+            service.drain_prefetch()
+            assert service.decode_cache is None
         finally:
             release.set()
             thread.join(10)
-        assert service.drain_prefetch(blocking=False) is True
 
     def test_persist_raises_busy_under_pinned_reader(self, tmp_path):
         _, session, service = make_live_service(28)

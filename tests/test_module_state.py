@@ -13,7 +13,9 @@ cache (``unlearning/forest.py``) imports neither the loop
 (``unlearning/engine.py``) nor the adapter (``unlearning/recovery.py``),
 the loop keeps its state in objects rather than closures and reads no
 private attribute of the unlearner, and the adapter imports at module
-level only.
+level only.  The replay's decode threads belong to its prefetcher
+(``storage/prefetch.py``): neither the service nor the adapter builds a
+thread pool of its own.
 """
 
 import ast
@@ -112,3 +114,17 @@ def test_replay_adapter_imports_at_module_level_only():
         if isinstance(node, (ast.Import, ast.ImportFrom))
     ]
     assert not inner
+
+
+def test_service_and_adapter_build_no_thread_pool():
+    built = [
+        f"{name}:{node.lineno}"
+        for name in ("unlearning/service.py", "unlearning/recovery.py")
+        for node in ast.walk(_module(name))
+        if isinstance(node, ast.Call)
+        and (
+            getattr(node.func, "id", None) == "ThreadPoolExecutor"
+            or getattr(node.func, "attr", None) == "ThreadPoolExecutor"
+        )
+    ]
+    assert not built

@@ -270,15 +270,13 @@ class TestRoundBlock:
         cache = RoundDecodeCache(max_bytes=1 << 20)
         for t in reference.rounds():
             cids = reference.clients_at(t)
-            cached, _ = cache.acquire(store, t)
+            cached, _ = cache.get(store, t)
             _assert_block_rows(store, cached, t, cids)
             cache.discard_client(store, cids[0])
-            left, hit = cache.acquire(store, t)
+            left, hit = cache.get(store, t)
             assert hit
             _assert_block_rows(store, left, t, cids[1:])
             _assert_block_rows(store, cached, t, cids)  # held rounds keep theirs
-            cache.release(store, t)
-            cache.release(store, t)
 
 
 class TestNbytes:

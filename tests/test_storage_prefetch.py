@@ -7,17 +7,23 @@ semantics (a broken round yields ``None`` and the caller's per-client
 fallback takes over) — the pipeline only moves *when* the decode
 happens.  The suite covers the degenerate depth-0 path, bitwise
 identity across every sign backend, damaged-store fallback, abort
-hygiene (no leaked futures, no pinned cache entries), persistence
-during an active prefetch, and the shared decode cache's bookkeeping
-(LRU bounds, pins, copy-on-discard coherence after ``drop_client``).
+hygiene (no leaked futures, no decode thread outliving its replay),
+persistence during an active prefetch, and the shared decode cache's
+bookkeeping (a strict LRU byte budget, copy-on-discard coherence after
+``drop_client``) — the last also as a property machine, which tier-1
+runs at a small example budget and ``make chaos`` (which sets
+``CHAOS_SEEDS``) at length.
 """
 
 import hashlib
+import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from repro.datasets import make_synthetic_mnist, partition_iid
 from repro.fl import FederatedSimulation, ParticipationSchedule, VehicleClient
@@ -146,7 +152,6 @@ class TestIdentity:
                 expected = any_store.get_round(t)
                 for cid in expected:
                     assert got[cid].tobytes() == expected[cid].tobytes()
-        assert cache.pinned_entries == 0
 
     def test_out_of_sequence_fetch_decodes_inline(self, any_store):
         rounds = any_store.rounds()
@@ -242,13 +247,20 @@ PINS = CorePins(__name__, {
 # ----------------------------------------------------------------------
 # abort hygiene
 # ----------------------------------------------------------------------
+def _started_threads(before):
+    """Threads alive now that were not alive at ``before``."""
+    return [t for t in threading.enumerate() if t not in before]
+
+
 class TestAbort:
     def test_close_mid_stream_releases_everything(self, any_store):
+        before = threading.enumerate()
         cache = RoundDecodeCache(max_bytes=1 << 20)
         pf = RoundPrefetcher(any_store, any_store.rounds(), depth=4, cache=cache)
         pf.fetch(any_store.rounds()[0])
         pf.close()
-        assert cache.pinned_entries == 0
+        assert not _started_threads(before)
+        assert cache.nbytes <= cache.max_bytes
         # idempotent
         pf.close()
 
@@ -259,6 +271,7 @@ class TestAbort:
             if fired.is_set():
                 raise TimeoutError("deadline")
 
+        before = threading.enumerate()
         cache = RoundDecodeCache(max_bytes=1 << 20)
         pf = RoundPrefetcher(
             any_store,
@@ -280,7 +293,7 @@ class TestAbort:
                 assert got[cid].tobytes() == expected[cid].tobytes()
         finally:
             pf.close()
-        assert cache.pinned_entries == 0
+        assert not _started_threads(before)
 
     def test_deadline_abort_in_recovery_leaves_no_pins(self, small_fl, tmp_path):
         from repro.fl.history import with_sign_store
@@ -303,22 +316,13 @@ class TestAbort:
         unlearner = SignRecoveryUnlearner(
             prefetch_depth=4, decode_cache=cache, cancel_check=cancel
         )
+        before = threading.enumerate()
         with pytest.raises(TimeoutError):
             unlearner.unlearn(record, [small_fl["forget_id"]], model)
-        assert cache.pinned_entries == 0
-
-    def test_external_executor_survives_close(self, any_store):
-        executor = ThreadPoolExecutor(1)
-        try:
-            with RoundPrefetcher(
-                any_store, any_store.rounds(), depth=2, executor=executor
-            ) as pf:
-                pf.fetch(any_store.rounds()[0])
-            # still usable: the prefetcher must not close a borrowed pool
-            future = executor.submit(lambda: 7)
-            assert future.result(timeout=10) == 7
-        finally:
-            executor.shutdown()
+        # Nothing stays held on the aborted replay's behalf: its decode
+        # threads are joined and the cache is inside its budget.
+        assert not _started_threads(before)
+        assert cache.nbytes <= cache.max_bytes
 
 
 # ----------------------------------------------------------------------
@@ -392,38 +396,53 @@ def _distinct_buffer_bytes(arrays):
     return sum(owners.values())
 
 
+
+
+def _round_bytes(store, t):
+    return _distinct_buffer_bytes(store.get_round(t).arrays())
+
+
 class TestDecodeCache:
     def test_hit_miss_accounting(self, rng, tmp_path):
         store = _dict_store(rng, tmp_path)
         cache = RoundDecodeCache(max_bytes=1 << 20)
-        value, hit = cache.acquire(store, 0)
+        value, hit = cache.get(store, 0)
         assert not hit and value is not None
-        again, hit = cache.acquire(store, 0)
+        again, hit = cache.get(store, 0)
         assert hit
         for arr_a, arr_b in zip(value.values(), again.values()):
             assert arr_a.tobytes() == arr_b.tobytes()
-        cache.release(store, 0)
-        cache.release(store, 0)
-        assert cache.pinned_entries == 0
         assert cache.hits == 1 and cache.misses == 1
         assert cache.hit_rate() == pytest.approx(0.5)
 
     def test_lru_eviction_respects_byte_budget_and_pins(self, rng, tmp_path):
+        # A consumer's reference is the only pin a decoded round needs:
+        # evicting its entry never touches the value already handed out.
         store = _dict_store(rng, tmp_path)
-        round_bytes = _distinct_buffer_bytes(store.get_round(0).values())
+        round_bytes = _round_bytes(store, 0)
         cache = RoundDecodeCache(max_bytes=round_bytes * 2 + 1)
-        cache.acquire(store, 0)  # pinned — never evicted
+        held, _ = cache.get(store, 0)
+        before = {cid: row.tobytes() for cid, row in held.items()}
         for t in (1, 2, 3):
-            cache.acquire(store, t)
-            cache.release(store, t)
+            cache.get(store, t)
+            assert cache.nbytes <= round_bytes * 2 + 1
         assert cache.evictions > 0
-        assert cache.nbytes <= round_bytes * 2 + 1
-        # the pinned round survived every eviction
-        _, hit = cache.acquire(store, 0)
-        assert hit
-        cache.release(store, 0)
-        cache.release(store, 0)
-        assert cache.pinned_entries == 0
+        # round 0 was least recently used: evicted, so decoded again...
+        _, hit = cache.get(store, 0)
+        assert not hit
+        # ...while the value its consumer holds is intact
+        assert {cid: row.tobytes() for cid, row in held.items()} == before
+
+    def test_round_larger_than_budget_is_returned_not_kept(self, rng, tmp_path):
+        store = _dict_store(rng, tmp_path)
+        cache = RoundDecodeCache(max_bytes=_round_bytes(store, 0) - 1)
+        value, hit = cache.get(store, 0)
+        assert value is not None and not hit
+        assert cache.entries == 0 and cache.nbytes == 0
+        expected = store.get_round(0)
+        assert sorted(value) == sorted(expected)
+        for cid in expected:
+            assert value[cid].tobytes() == expected[cid].tobytes()
 
     def test_byte_budget_counts_shared_blocks_after_discard(self, rng):
         """Rows of one decoded round share one block: discarding most
@@ -431,55 +450,37 @@ class TestDecodeCache:
         store = SignGradientStore(delta=DELTA)
         store.put_round(0, {c: rng.normal(size=1000) for c in range(8)})
         cache = RoundDecodeCache(max_bytes=1 << 20)
-        value, _ = cache.acquire(store, 0)
+        value, _ = cache.get(store, 0)
         assert cache.nbytes == _distinct_buffer_bytes(value.values())
         for cid in range(6):
             cache.discard_client(store, cid)
-        held, hit = cache.acquire(store, 0)
+        held, hit = cache.get(store, 0)
         assert hit and sorted(held) == [6, 7]
         assert cache.nbytes == _distinct_buffer_bytes(held.values())
         assert cache.nbytes >= 8 * 1000
-        cache.release(store, 0)
-        cache.release(store, 0)
 
     def test_failed_decode_is_not_cached(self, rng, tmp_path):
         flaky = _FlakyStore(_dict_store(rng, tmp_path), broken_rounds={1})
         cache = RoundDecodeCache(max_bytes=1 << 20)
-        value, hit = cache.acquire(flaky, 1)
+        value, hit = cache.get(flaky, 1)
         assert value is None and not hit
         flaky._broken.clear()
-        value, hit = cache.acquire(flaky, 1)
+        value, hit = cache.get(flaky, 1)
         assert value is not None and not hit  # retried, not a stale hit
-        cache.release(flaky, 1)
 
     def test_discard_client_preserves_handed_out_views(self, rng, tmp_path):
         store = _dict_store(rng, tmp_path)
         cache = RoundDecodeCache(max_bytes=1 << 20)
-        held, _ = cache.acquire(store, 1)
+        held, _ = cache.get(store, 1)
         held_cid = sorted(held)[0]
         before = held[held_cid].tobytes()
         dropped = cache.discard_client(store, held_cid)
         assert dropped >= 1
         # the dict already handed out still has the client (copy-on-discard)
         assert held[held_cid].tobytes() == before
-        # but a fresh acquire of the same round no longer includes it
-        fresh, hit = cache.acquire(store, 1)
+        # but a fresh get of the same round no longer includes it
+        fresh, hit = cache.get(store, 1)
         assert hit and held_cid not in fresh
-        cache.release(store, 1)
-        cache.release(store, 1)
-
-    def test_invalidate_clears_one_store_only(self, rng, tmp_path):
-        store_a = _dict_store(rng, tmp_path)
-        store_b = _dict_store(np.random.default_rng(5), tmp_path)
-        cache = RoundDecodeCache(max_bytes=1 << 20)
-        cache.acquire(store_a, 0)
-        cache.release(store_a, 0)
-        cache.acquire(store_b, 0)
-        cache.release(store_b, 0)
-        assert cache.invalidate(store_a) == 1
-        _, hit_b = cache.acquire(store_b, 0)
-        assert hit_b
-        cache.release(store_b, 0)
 
     def test_service_erasure_discards_purged_client(self, small_fl, tmp_path):
         from repro.fl.history import with_sign_store
@@ -499,10 +500,151 @@ class TestDecodeCache:
         assert cache is not None
         store = record.gradients
         for t in store.rounds():
-            value, hit = cache.acquire(store, t)
+            value, hit = cache.get(store, t)
             if value is None:
                 continue
             assert small_fl["forget_id"] not in value
-            cache.release(store, t)
-        assert service.drain_prefetch()
+        service.drain_prefetch()
         assert service.decode_cache is None
+
+
+# ----------------------------------------------------------------------
+# a decode cache smaller than the window; the replay's threads
+# ----------------------------------------------------------------------
+def _tiered_record(small_fl, tmp_path):
+    from repro.fl.history import with_sign_store
+
+    return with_sign_store(
+        small_fl["record"],
+        delta=0.05,
+        backend="tiered",
+        directory=str(tmp_path / "rec"),
+    )
+
+
+class TestReadPipeline:
+    def test_cache_smaller_than_window_matches_sync_replay(self, small_fl, tmp_path):
+        # Depth 2 keeps up to three rounds in use (the one computing and
+        # two decoding ahead); a budget of three of the smallest rounds
+        # cannot also hold the round the next decode brings in.
+        record = _tiered_record(small_fl, tmp_path)
+        store = record.gradients
+        round_bytes = min(_round_bytes(store, t) for t in store.rounds())
+        model = small_fl["model"]
+        forget = [small_fl["forget_id"]]
+        baseline = SignRecoveryUnlearner(prefetch_depth=0).unlearn(
+            record, forget, model
+        )
+        cache = RoundDecodeCache(max_bytes=3 * round_bytes)
+        got = SignRecoveryUnlearner(prefetch_depth=2, decode_cache=cache).unlearn(
+            record, forget, model
+        )
+        assert got.params.tobytes() == baseline.params.tobytes()
+        assert got.stats == baseline.stats
+        assert cache.nbytes <= cache.max_bytes
+
+    def test_prefetching_erasure_leaves_no_thread_behind(self, small_fl, tmp_path):
+        record = _tiered_record(small_fl, tmp_path)
+        service = UnlearningService(
+            record=record, model=small_fl["model"], prefetch_depth=2
+        )
+        before = threading.enumerate()
+        service.handle_erasure_request(small_fl["forget_id"])
+        assert service.decode_cache is not None  # the replay prefetched
+        assert not _started_threads(before)
+
+
+# ----------------------------------------------------------------------
+# the decode cache as a property machine
+# ----------------------------------------------------------------------
+#: ``make chaos`` (which sets CHAOS_SEEDS) runs the machine at length.
+CACHE_EXAMPLES = 400 if "CHAOS_SEEDS" in os.environ else 25
+CACHE_ROUNDS = 4
+CACHE_CLIENTS = 5
+
+
+class DecodeCacheMachine(RuleBasedStateMachine):
+    """``get``, ``discard_client`` and ``clear`` over two small stores,
+    under a byte budget from below one round to several rounds.  A
+    discard mirrors the service's purge: the store drops the client,
+    then the cache discards it."""
+
+    @initialize(
+        rounds_budget=st.floats(0.5, 4.0),
+        seeds=st.tuples(st.integers(0, 2**16), st.integers(0, 2**16)),
+    )
+    def build(self, rounds_budget, seeds):
+        self.stores = [
+            _fill(
+                SignGradientStore(delta=DELTA),
+                np.random.default_rng(seed),
+                rounds=CACHE_ROUNDS,
+                clients=CACHE_CLIENTS,
+            )
+            for seed in seeds
+        ]
+        # Each store's rounds as first written, before any drop.
+        self.written = [
+            {
+                t: {cid: row.tobytes() for cid, row in store.get_round(t).items()}
+                for t in store.rounds()
+            }
+            for store in self.stores
+        ]
+        self.dropped = [set(), set()]
+        round_bytes = max(_round_bytes(self.stores[0], t) for t in range(2))
+        self.cache = RoundDecodeCache(max_bytes=max(1, int(rounds_budget * round_bytes)))
+
+    def expected(self, s, t):
+        return {
+            cid: row
+            for cid, row in self.written[s][t].items()
+            if cid not in self.dropped[s]
+        }
+
+    def assert_is_round(self, value, s, t):
+        assert {cid: row.tobytes() for cid, row in value.items()} == self.expected(s, t)
+
+    @rule(s=st.integers(0, 1), t=st.integers(0, CACHE_ROUNDS - 1))
+    def get(self, s, t):
+        store = self.stores[s]
+        hits, misses = self.cache.hits, self.cache.misses
+        value, hit = self.cache.get(store, t)
+        assert (self.cache.hits - hits, self.cache.misses - misses) == (
+            (1, 0) if hit else (0, 1)
+        )
+        self.assert_is_round(value, s, t)
+        self.assert_is_round(store.get_round(t), s, t)
+        # The round just read is kept exactly when it fits the budget.
+        fits = _distinct_buffer_bytes(value.arrays()) <= self.cache.max_bytes
+        assert ((id(store), t) in self.cache._entries) == fits
+
+    @rule(s=st.integers(0, 1), cid=st.integers(0, CACHE_CLIENTS - 1))
+    def discard_client(self, s, cid):
+        store = self.stores[s]
+        store.drop_client(cid)
+        self.cache.discard_client(store, cid)
+        self.dropped[s].add(cid)
+
+    @rule()
+    def clear(self):
+        self.cache.clear()
+        assert self.cache.entries == 0
+
+    @invariant()
+    def within_budget_and_coherent(self):
+        cache = self.cache
+        held = [value for value, _ in cache._entries.values()]
+        assert cache.nbytes <= cache.max_bytes
+        assert cache.nbytes == _distinct_buffer_bytes(
+            [array for value in held for array in value.arrays()]
+        )
+        index = {id(store): s for s, store in enumerate(self.stores)}
+        for (store_id, t), (value, _) in cache._entries.items():
+            self.assert_is_round(value, index[store_id], t)
+
+
+DecodeCacheMachine.TestCase.settings = settings(
+    max_examples=CACHE_EXAMPLES, stateful_step_count=30, deadline=None
+)
+TestDecodeCacheMachine = pytest.mark.chaos(DecodeCacheMachine.TestCase)
