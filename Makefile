@@ -1,6 +1,6 @@
 # Convenience targets for the FUIoV reproduction.
 
-.PHONY: install test chaos bench bench-smoke bench-core bench-service bench-forest bench-slo bench-storage-scale bench-prefetch bench-live bench-report examples experiments telemetry-demo docs-lint clean
+.PHONY: install test chaos bench bench-smoke bench-core bench-service bench-forest bench-slo bench-storage-scale bench-prefetch bench-live bench-report examples reach experiments telemetry-demo docs-lint clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -112,6 +112,12 @@ examples:
 	python examples/telemetry_demo.py
 	python examples/parallel_speedup.py
 	python examples/erasure_throughput.py
+
+# Reachability census: runs the eval CLI, the examples and the four
+# ledger workloads under a profiler and fails when a src/repro function
+# none of them calls is missing from tools/reach_allow.txt (~1 min).
+reach:
+	python3 tools/reach.py
 
 # Instrumented train -> forget -> recover run; writes telemetry-demo/
 # (events.jsonl, metrics.prom, metrics.csv, summary.txt).

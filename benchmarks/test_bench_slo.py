@@ -183,9 +183,9 @@ def test_deadline_abort_leaves_cache_byte_identical(benchmark):
             # between replay rounds — either way the abort lands on
             # committed state only, and the retry serves cleanly.
             try:
-                return daemon.request(target, deadline=0.001)
+                return daemon.submit(target, deadline=0.001).result()
             except DeadlineExceededError:
-                return daemon.request(target)
+                return daemon.submit(target).result()
 
         response = benchmark.pedantic(abort_then_serve, rounds=1)
     finally:

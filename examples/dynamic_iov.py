@@ -8,8 +8,8 @@ drop out on transient gaps, and *leave* FL after long absences.
 
 One vehicle that joined mid-way later requests erasure.  By then other
 vehicles have left coverage for good — the situation in which
-FedRecover/FedEraser-style methods fail (they need those vehicles
-online).  The paper's scheme recovers anyway: the server uses only its
+retraining-style methods such as FedRecover fail (they need those
+vehicles online).  The paper's scheme recovers anyway: the server uses only its
 stored sign directions and checkpoints.
 
 Run:  python examples/dynamic_iov.py

@@ -7,11 +7,7 @@ client partitioners that split a dataset across federated vehicles.
 """
 
 from repro.datasets.base import ArrayDataset, train_test_split
-from repro.datasets.partition import (
-    partition_by_class,
-    partition_dirichlet,
-    partition_iid,
-)
+from repro.datasets.partition import partition_dirichlet, partition_iid
 from repro.datasets.synthetic_gtsrb import (
     SIGN_CLASSES,
     make_synthetic_gtsrb,
@@ -29,7 +25,6 @@ __all__ = [
     "SIGN_CLASSES",
     "make_synthetic_gtsrb",
     "make_synthetic_mnist",
-    "partition_by_class",
     "partition_dirichlet",
     "partition_iid",
     "render_digit",

@@ -3,14 +3,14 @@
 A dataset in this reproduction is an in-memory pair of arrays:
 ``x`` with shape ``(N, C, H, W)`` (or ``(N, F)`` for tabular data) and
 integer labels ``y`` with shape ``(N,)``.  :class:`ArrayDataset` wraps
-the pair with the operations the FL substrate needs — deterministic
-shuffled minibatching, subsetting, and class bookkeeping.
+the pair with the operations the FL substrate needs — seeded minibatch
+sampling and subsetting.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -71,33 +71,6 @@ class ArrayDataset:
             name=name or self.name,
         )
 
-    def class_counts(self) -> np.ndarray:
-        """Per-class sample counts, length ``num_classes``."""
-        return np.bincount(self.y, minlength=self.num_classes)
-
-    def batches(
-        self,
-        batch_size: int,
-        rng: Optional[np.random.Generator] = None,
-        drop_last: bool = False,
-    ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-        """Yield ``(xb, yb)`` minibatches.
-
-        With an ``rng`` the sample order is a fresh uniform shuffle;
-        without one the order is the stored order (useful in tests).
-        """
-        if batch_size <= 0:
-            raise ValueError("batch_size must be positive")
-        n = len(self)
-        order = np.arange(n)
-        if rng is not None:
-            rng.shuffle(order)
-        for start in range(0, n, batch_size):
-            idx = order[start : start + batch_size]
-            if drop_last and idx.size < batch_size:
-                return
-            yield self.x[idx], self.y[idx]
-
     def sample_batch(
         self, batch_size: int, rng: np.random.Generator
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -107,19 +80,6 @@ class ArrayDataset:
             raise ValueError("cannot sample from an empty dataset")
         idx = rng.integers(0, len(self), size=min(batch_size, len(self)))
         return self.x[idx], self.y[idx]
-
-    def merged_with(self, other: "ArrayDataset", name: Optional[str] = None) -> "ArrayDataset":
-        """Concatenate two datasets over the sample axis."""
-        if self.num_classes != other.num_classes:
-            raise ValueError("cannot merge datasets with different num_classes")
-        if self.x.shape[1:] != other.x.shape[1:]:
-            raise ValueError("cannot merge datasets with different feature shapes")
-        return ArrayDataset(
-            x=np.concatenate([self.x, other.x], axis=0),
-            y=np.concatenate([self.y, other.y], axis=0),
-            num_classes=self.num_classes,
-            name=name or f"{self.name}+{other.name}",
-        )
 
 
 def train_test_split(

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.datasets.base import ArrayDataset
 
-__all__ = ["partition_iid", "partition_dirichlet", "partition_by_class"]
+__all__ = ["partition_iid", "partition_dirichlet"]
 
 
 def _validate(dataset: ArrayDataset, num_clients: int) -> None:
@@ -87,26 +87,3 @@ def partition_dirichlet(
         "could not satisfy min_samples after 100 Dirichlet draws; "
         "reduce num_clients or min_samples, or increase alpha"
     )
-
-
-def partition_by_class(
-    dataset: ArrayDataset, num_clients: int, rng: np.random.Generator, classes_per_client: int = 2
-) -> List[ArrayDataset]:
-    """Pathological non-IID split: each client sees only a few classes.
-
-    The classic McMahan et al. shard construction, used by stress
-    tests of the recovery scheme under extreme heterogeneity.
-    """
-    _validate(dataset, num_clients)
-    if classes_per_client <= 0:
-        raise ValueError("classes_per_client must be positive")
-    num_shards = num_clients * classes_per_client
-    order = np.argsort(dataset.y, kind="stable")
-    shards = np.array_split(order, num_shards)
-    shard_ids = rng.permutation(num_shards)
-    out: List[ArrayDataset] = []
-    for client in range(num_clients):
-        take = shard_ids[client * classes_per_client : (client + 1) * classes_per_client]
-        idx = np.concatenate([shards[s] for s in take])
-        out.append(dataset.subset(idx, name=f"{dataset.name}-client{client}"))
-    return out

@@ -3,10 +3,9 @@
 The paper's poisoning-recovery scenario starts from "once the attacker
 is detected" (§I) — detection itself is delegated to prior work
 (FLDetector, Zhang et al., KDD'22).  This package closes that loop with
-a history-based detector in FLDetector's style, built on the same
-L-BFGS machinery as the recovery scheme: a benign client's update is
-predictable from its own history via the quasi-Newton model
-``ĝ_t = g_{t−1} + H̃ (w_t − w_{t−1})``; attackers' updates are not.
+a history-based detector: a data poisoner's stored directions disagree
+with each round's element-wise majority more often than a benign
+client's do.
 
 Because the detector consumes the *stored* record, it runs offline on
 exactly the data the unlearning server already keeps — including the
@@ -15,14 +14,12 @@ exactly the data the unlearning server already keeps — including the
 
 from repro.defenses.detection import (
     DetectionReport,
-    client_prediction_inconsistency,
     client_suspicion_scores,
     detect_malicious_clients,
 )
 
 __all__ = [
     "DetectionReport",
-    "client_prediction_inconsistency",
     "client_suspicion_scores",
     "detect_malicious_clients",
 ]

@@ -5,25 +5,17 @@ is detected" (§I); this module supplies that detector, operating
 *offline* on exactly what the unlearning server already stores —
 including the 2-bit sign directions.
 
-Two complementary scores:
+The score is **majority-sign disagreement** (Auror/sign-statistics
+style).  Per round, the element-wise majority direction of all received
+updates approximates the honest descent direction; a data poisoner
+(label flip, backdoor) must consistently push a subset of coordinates
+*against* that majority to implant its objective.  A client's score is
+its mean fraction of elements disagreeing with the round majority.
+Works directly on ternary directions, i.e. under the paper's storage
+scheme.
 
-**Majority-sign disagreement** (primary; Auror/sign-statistics style).
-Per round, the element-wise majority direction of all received updates
-approximates the honest descent direction; a data poisoner (label flip,
-backdoor) must consistently push a subset of coordinates *against* that
-majority to implant its objective.  A client's score is its mean
-fraction of elements disagreeing with the round majority.  Works
-directly on ternary directions, i.e. under the paper's storage scheme.
-
-**Prediction inconsistency** (secondary; FLDetector style).  A benign
-client's update is predictable from its own history via the same
-L-BFGS model the recovery uses, ``ĝ_t = g_{t−1} + H̃ (w_t − w_{t−1})``;
-*model*-poisoning attackers that adapt their updates round-to-round
-break this predictability.  Exposed via
-:func:`client_prediction_inconsistency` for such threat models.
-
-Flagging uses 1-D 2-means over the scores with a minimum-margin guard,
-so a clean federation flags nobody.
+Flagging compares each score with the benign median plus a
+minimum-margin guard, so a clean federation flags nobody.
 """
 
 from __future__ import annotations
@@ -36,12 +28,10 @@ import numpy as np
 from repro.fl.history import TrainingRecord
 from repro.storage.store import SignGradientStore
 from repro.storage.sign_codec import ternarize
-from repro.unlearning.lbfgs import LbfgsBuffer
 
 __all__ = [
     "DetectionReport",
     "client_suspicion_scores",
-    "client_prediction_inconsistency",
     "detect_malicious_clients",
 ]
 
@@ -55,9 +45,10 @@ class DetectionReport:
     scores:
         ``client_id -> suspicion score`` (higher = more suspicious).
     flagged:
-        Clients in the high-score cluster, sorted.
+        Clients whose score exceeds ``threshold``, sorted.
     threshold:
-        The 2-means boundary between the clusters.
+        The benign median plus the margin (``inf`` with fewer than
+        three clients).
     rounds_used:
         How many rounds contributed to the scores.
     """
@@ -78,25 +69,6 @@ class DetectionReport:
         precision = tp / len(flagged)
         recall = tp / len(truth) if truth else 1.0
         return precision, recall
-
-
-def _two_means_split(values: np.ndarray, iterations: int = 50) -> float:
-    """1-D 2-means; returns the midpoint boundary between the centroids."""
-    lo, hi = float(values.min()), float(values.max())
-    if hi - lo < 1e-12:
-        return hi + 1.0  # all identical: nothing flagged
-    c0, c1 = lo, hi
-    for _ in range(iterations):
-        boundary = (c0 + c1) / 2
-        low = values[values <= boundary]
-        high = values[values > boundary]
-        if low.size == 0 or high.size == 0:
-            break
-        new_c0, new_c1 = float(low.mean()), float(high.mean())
-        if new_c0 == c0 and new_c1 == c1:
-            break
-        c0, c1 = new_c0, new_c1
-    return (c0 + c1) / 2
 
 
 def _direction_of(record: TrainingRecord, t: int, cid: int) -> np.ndarray:
@@ -147,51 +119,6 @@ def client_suspicion_scores(
         for cid in record.ledger.known_clients()
     }
     return scores, rounds_used
-
-
-def client_prediction_inconsistency(
-    record: TrainingRecord, buffer_size: int = 2
-) -> Dict[int, float]:
-    """FLDetector-style predictability score (secondary signal).
-
-    Measures how far each client's reported update strays from the
-    quasi-Newton prediction based on its own history.  High values
-    indicate round-adaptive (model-poisoning) behaviour.
-    """
-    is_sign = isinstance(record.gradients, SignGradientStore)
-    buffers: Dict[int, LbfgsBuffer] = {}
-    last_grad: Dict[int, np.ndarray] = {}
-    last_round: Dict[int, int] = {}
-    totals: Dict[int, float] = {}
-    counts: Dict[int, int] = {}
-    for t in range(record.num_rounds):
-        w_t = record.params_at(t)
-        for cid in record.ledger.participants_at(t):
-            if not record.gradients.has(t, cid):
-                continue  # purged (already-erased client)
-            gradient = record.gradients.get(t, cid)
-            if cid in last_grad:
-                w_prev = record.params_at(last_round[cid])
-                buffer = buffers.setdefault(cid, LbfgsBuffer(buffer_size=buffer_size))
-                predicted = last_grad[cid] + buffer.hvp(w_t - w_prev)
-                if is_sign:
-                    inconsistency = float(np.mean(np.sign(predicted) != gradient))
-                else:
-                    norm = float(np.linalg.norm(gradient))
-                    inconsistency = (
-                        float(np.linalg.norm(gradient - predicted)) / norm
-                        if norm > 1e-12
-                        else 0.0
-                    )
-                totals[cid] = totals.get(cid, 0.0) + inconsistency
-                counts[cid] = counts.get(cid, 0) + 1
-                buffer.add_pair(w_t - w_prev, gradient - last_grad[cid])
-            last_grad[cid] = gradient
-            last_round[cid] = t
-    return {
-        cid: (totals[cid] / counts[cid] if cid in counts else 0.0)
-        for cid in record.ledger.known_clients()
-    }
 
 
 def detect_malicious_clients(

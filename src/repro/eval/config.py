@@ -24,7 +24,7 @@ repro.eval`` sets them from ``--workers``, ``--store`` and
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.storage.store import SIGN_BACKENDS
@@ -127,10 +127,6 @@ class ExperimentConfig:
             )
         if self.prefetch_depth < 0:
             raise ValueError(f"prefetch_depth must be >= 0, got {self.prefetch_depth}")
-
-    def with_overrides(self, **kwargs) -> "ExperimentConfig":
-        """Functional update (used by sweeps and ablations)."""
-        return replace(self, **kwargs)
 
 
 # ----------------------------------------------------------------------

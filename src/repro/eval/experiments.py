@@ -31,7 +31,6 @@ from repro.iov import IovScenario, generate_iov_schedule
 from repro.nn import accuracy
 from repro.storage import packed_size_bytes, storage_savings_ratio
 from repro.unlearning import (
-    FedEraserUnlearner,
     FedRecoverUnlearner,
     FedRecoveryUnlearner,
     NegatedPseudoGradientUnlearner,
@@ -131,7 +130,6 @@ def run_table1(
     scale: Optional[str] = None,
     seed: int = 2024,
     datasets: Sequence[str] = ("mnist", "gtsrb"),
-    include_federaser: bool = False,
     **overrides,
 ) -> Dict[str, Any]:
     """Reproduce Table I: post-unlearning global accuracy per method.
@@ -186,14 +184,6 @@ def run_table1(
             r = _ours(config).unlearn(sign_record, workload.forget_ids, workload.model)
         results["ours"] = _accuracy(workload, r.params)
         results["ours_client_calls"] = float(r.client_gradient_calls)
-
-        if include_federaser:
-            with timer.section(f"federaser-{dataset}"):
-                r = FedEraserUnlearner().unlearn(
-                    record, workload.forget_ids, workload.model,
-                    clients=clients, model_factory=workload.model_factory,
-                )
-            results["federaser"] = _accuracy(workload, r.params)
         rows[dataset] = results
     return {
         "experiment": "table1",

@@ -162,10 +162,6 @@ class UpdateValidator:
                 telemetry.inc("faults_validation_total", rejected, verdict="rejected")
         return results
 
-    def check(self, update: np.ndarray, expected_dim: int) -> ValidationResult:
-        """Validate a single update (convenience over :meth:`check_round`)."""
-        return self.check_round({0: update}, expected_dim)[0]
-
     # ------------------------------------------------------------------
     # journal support — the norm history is simulation state
     # ------------------------------------------------------------------

@@ -10,7 +10,6 @@ from repro.fl.journal import JournalSnapshot, RoundJournal
 from repro.fl.live import LiveTrainingSession, RecordSnapshot
 from repro.fl.membership import ClientRecord, MembershipLedger
 from repro.fl.persistence import RecordCorruptionError, load_record, save_record
-from repro.fl.rsa import RsaConfig, RsaResult, RsaTrainer
 from repro.fl.server import RsuServer
 from repro.fl.simulation import FederatedSimulation
 
@@ -25,9 +24,6 @@ __all__ = [
     "ParticipationSchedule",
     "RecordCorruptionError",
     "RoundJournal",
-    "RsaConfig",
-    "RsaResult",
-    "RsaTrainer",
     "RsuServer",
     "TrainingRecord",
     "VehicleClient",

@@ -157,16 +157,6 @@ class VehicleClient:
             return total / n * min(self.batch_size, n)
         return total / n
 
-    def evaluate_accuracy(self, model: Sequential, params: np.ndarray) -> float:
-        """Local-test convenience used by diagnostics and examples."""
-        model.set_flat_params(params)
-        predictions = model.predict(self.dataset.x)
-        return float(np.mean(predictions == self.dataset.y))
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        tag = " malicious" if self.malicious else ""
-        return f"VehicleClient(id={self.client_id}, n={self.num_samples}{tag})"
-
 
 def _pass_key(client: VehicleClient):
     """Clients with equal keys can share a pass; a multi-step client

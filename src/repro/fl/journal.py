@@ -80,14 +80,6 @@ class RoundJournal:
         """Whether a committed round is present."""
         return os.path.exists(self.path)
 
-    def clear(self) -> None:
-        """Delete the marker and the logs (a finished run needs neither)."""
-        if os.path.isdir(self.directory):
-            for name in os.listdir(self.directory):
-                if name.startswith((MARKER, "rounds-")):
-                    os.remove(os.path.join(self.directory, name))
-        self._log = None
-
     def commit(self, snapshot: JournalSnapshot) -> None:
         """Append the rounds since the last commit and swap the marker.
 

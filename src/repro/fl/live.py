@@ -139,8 +139,9 @@ class LiveTrainingSession:
         self.simulation = simulation
         self.num_rounds = int(num_rounds)
         self.registry = SnapshotRegistry()
-        self._gate = threading.RLock()
-        self._cond = threading.Condition(self._gate)
+        #: The train gate (see the class docstring for lock ordering).
+        self.gate = threading.RLock()
+        self._cond = threading.Condition(self.gate)
         self._watermark = 0
         # Stable identity for the replay forest: refreshed in place each
         # round (journal resume may swap the server's store objects).
@@ -217,7 +218,7 @@ class LiveTrainingSession:
                 # generator's StopIteration, which needs none.
                 if self._watermark < self.num_rounds and not self._await_permit():
                     break
-                with self._gate:
+                with self.gate:
                     try:
                         t, _ = next(gen)
                     except StopIteration as stop:
@@ -228,7 +229,7 @@ class LiveTrainingSession:
             self._error = exc
         finally:
             gen.close()
-            with self._gate:
+            with self.gate:
                 if self._result is None and self._error is None:
                     # Stopped early: the committed prefix is the record.
                     self._result = sim.record_view(num_rounds=self._watermark)
@@ -270,19 +271,14 @@ class LiveTrainingSession:
     # concurrency surface
     # ------------------------------------------------------------------
     @property
-    def gate(self) -> threading.RLock:
-        """The train gate (see class docstring for lock ordering)."""
-        return self._gate
-
-    @property
     def watermark(self) -> int:
         """Rounds committed and published so far."""
-        with self._gate:
+        with self.gate:
             return self._watermark
 
     @property
     def done(self) -> bool:
-        with self._gate:
+        with self.gate:
             return self._finished
 
     @property
@@ -297,7 +293,7 @@ class LiveTrainingSession:
 
     def wait_for_round(self, n: int, timeout: Optional[float] = None) -> bool:
         """Block until the watermark reaches ``n`` (or training ends)."""
-        with self._gate:
+        with self.gate:
             return self._cond.wait_for(
                 lambda: self._watermark >= n
                 or self._finished
@@ -309,7 +305,7 @@ class LiveTrainingSession:
         """Pin the current committed history as a
         :class:`RecordSnapshot`.  The caller must :meth:`~RecordSnapshot.release`
         it when the lock-free read section ends."""
-        with self._gate:
+        with self.gate:
             if self._error is not None:
                 raise RuntimeError("trainer thread failed") from self._error
             server = self.simulation.server
@@ -340,13 +336,13 @@ class LiveTrainingSession:
         """Hold the train gate for a merge commit; yields the current
         watermark (the commit round ``T'``).  Training is paused only
         for the duration of the ``with`` body."""
-        with self._gate:
+        with self.gate:
             yield self._watermark
 
     def exclude(self, client_ids: Sequence[int]) -> None:
         """Drop erased clients from all future rounds (gate held
         internally; reentrant from :meth:`commit_gate`)."""
-        with self._gate:
+        with self.gate:
             self.simulation.exclude_clients(client_ids, self._watermark)
 
     def install_params(self, params: np.ndarray) -> int:
@@ -354,7 +350,7 @@ class LiveTrainingSession:
         parameters; overwrites the checkpoint at the commit watermark so
         later replays see the counterfactual history.  Returns the
         commit round."""
-        with self._gate:
+        with self.gate:
             merged = np.asarray(params, dtype=np.float64).copy()
             server = self.simulation.server
             server.params = merged

@@ -147,10 +147,6 @@ class MembershipLedger:
         """Joined and not left at ``round_index``."""
         return self._require(client_id).is_member(round_index)
 
-    def participated(self, client_id: int, round_index: int) -> bool:
-        """Contributed a gradient at ``round_index``."""
-        return self._require(client_id).participated(round_index)
-
     def participants_at(self, round_index: int) -> List[int]:
         """Sorted ids of clients that contributed at ``round_index``."""
         return self.participant_ids(round_index).tolist()
@@ -175,11 +171,4 @@ class MembershipLedger:
         """Sorted ids of clients that were members (even if dropped out)."""
         return sorted(
             cid for cid, rec in self._records.items() if rec.is_member(round_index)
-        )
-
-    def rounds_participated(self, client_id: int, through_round: int) -> int:
-        """How many rounds in ``[join, through_round]`` the client contributed."""
-        record = self._require(client_id)
-        return sum(
-            1 for t in range(record.join_round, through_round + 1) if record.participated(t)
         )

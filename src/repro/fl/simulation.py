@@ -66,7 +66,6 @@ from repro.fl.events import ParticipationSchedule
 from repro.fl.history import TrainingRecord
 from repro.fl.journal import JournalSnapshot, RoundJournal
 from repro.fl.server import RsuServer
-from repro.nn.layers import Dropout
 from repro.nn.metrics import accuracy
 from repro.nn.model import Sequential
 from repro.storage.store import GradientStore, RoundRows
@@ -114,9 +113,7 @@ class FederatedSimulation:
     workers:
         Threads splitting each round's cohort pass (default 1: one
         pass, no pool).  Every count produces a bitwise-identical
-        record.  Above 1 the model must have no active
-        :class:`~repro.nn.layers.Dropout`: each thread's clone would
-        draw the same masks.
+        record.
     """
 
     def __init__(
@@ -163,14 +160,6 @@ class FederatedSimulation:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
-        if workers > 1:
-            for index, layer in enumerate(model.layers):
-                if isinstance(layer, Dropout) and layer.rate > 0:
-                    raise ValueError(
-                        f"workers={workers} needs a model "
-                        f"without active dropout: layer {index} ({layer!r}) "
-                        "would repeat its masks on every thread's clone"
-                    )
         self.fault_stats: Dict[str, int] = {k: 0 for k in FAULT_STAT_KEYS}
         self._registered: set = set()
         self._left: set = set()

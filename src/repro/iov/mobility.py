@@ -5,8 +5,8 @@ while driving; joins, leaves and dropouts are produced by physical
 movement through the RSU's coverage area.  This module provides the
 physical layer of that story:
 
-- a :class:`RoadNetwork` — a grid road graph (via networkx) with
-  intersection coordinates;
+- a :class:`RoadNetwork` — a grid of intersections with coordinates
+  and breadth-first shortest paths;
 - :class:`Vehicle` — a random-waypoint walker that picks a destination
   intersection, drives the shortest path at its own speed, then picks a
   new destination;
@@ -20,8 +20,9 @@ RSU placement into per-round participation, and
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
@@ -47,11 +48,6 @@ class RoadNetwork:
         self.rows = rows
         self.cols = cols
         self.block_length = block_length
-        import networkx as nx  # a large import: only road networks load it
-
-        self.graph = nx.grid_2d_graph(rows, cols)
-        for u, v in self.graph.edges:
-            self.graph.edges[u, v]["length"] = block_length
 
     def position_of(self, node: Tuple[int, int]) -> np.ndarray:
         """Euclidean coordinates of an intersection."""
@@ -63,13 +59,62 @@ class RoadNetwork:
         """Uniformly sampled intersection."""
         return (int(rng.integers(0, self.rows)), int(rng.integers(0, self.cols)))
 
+    def neighbours(self, node: Tuple[int, int]) -> Iterator[Tuple[int, int]]:
+        """Adjacent intersections: up, down, left, right, as the grid
+        allows."""
+        r, c = node
+        for nr, nc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
+            if 0 <= nr < self.rows and 0 <= nc < self.cols:
+                yield (nr, nc)
+
     def shortest_path(
         self, src: Tuple[int, int], dst: Tuple[int, int]
     ) -> List[Tuple[int, int]]:
-        """Shortest sequence of intersections from src to dst."""
-        import networkx as nx
+        """Shortest sequence of intersections from src to dst.
 
-        return nx.shortest_path(self.graph, src, dst, weight="length")
+        Every road is one block long, so the search is breadth-first:
+        one frontier grows from each end, a node at a time and from
+        ``src`` first, visiting neighbours in :meth:`neighbours` order;
+        each intersection keeps the first predecessor that reaches it,
+        and the path runs through the first meeting point of least
+        total length.  Of several equally short paths this is the one a
+        bidirectional Dijkstra search over the same grid returns.
+        """
+        for node in (src, dst):
+            if not (0 <= node[0] < self.rows and 0 <= node[1] < self.cols):
+                raise ValueError(f"{node} is not an intersection of the grid")
+        if src == dst:
+            return [src]
+        preds = ({src: None}, {dst: None})
+        # Distances are summed block lengths, as Dijkstra sums them, so
+        # a tie between meeting points breaks the same way.
+        seen = ({src: 0.0}, {dst: 0.0})
+        done = (set(), set())
+        queues = (deque([src]), deque([dst]))
+        best, meet, side = None, None, 1
+        while True:
+            side = 1 - side
+            node = queues[side].popleft()
+            if node in done[1 - side]:
+                break
+            done[side].add(node)
+            for nxt in self.neighbours(node):
+                if nxt in seen[side]:
+                    continue
+                seen[side][nxt] = seen[side][node] + self.block_length
+                queues[side].append(nxt)
+                preds[side][nxt] = node
+                if nxt in seen[1 - side]:
+                    total = seen[0][nxt] + seen[1][nxt]
+                    if best is None or total < best:
+                        best, meet = total, nxt
+        path = [meet]
+        while preds[0][path[-1]] is not None:
+            path.append(preds[0][path[-1]])
+        path.reverse()
+        while preds[1][path[-1]] is not None:
+            path.append(preds[1][path[-1]])
+        return path
 
     @property
     def extent(self) -> Tuple[float, float]:

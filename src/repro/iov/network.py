@@ -38,12 +38,6 @@ class Rsu:
         if len(self.position) != 2:
             raise ValueError("position must be (x, y)")
 
-    def covers(self, point: np.ndarray) -> bool:
-        """Whether a single (x, y) point is inside coverage."""
-        return float(np.linalg.norm(np.asarray(point) - np.asarray(self.position))) <= (
-            self.coverage_radius
-        )
-
     def covers_many(self, points: np.ndarray) -> np.ndarray:
         """Boolean mask over an (N, 2) array of points."""
         points = np.asarray(points, dtype=np.float64)

@@ -10,7 +10,7 @@ softmax cross-entropy loss, and SGD.
 Public surface
 --------------
 - layers: :class:`Dense`, :class:`Conv2d`, :class:`MaxPool2d`,
-  :class:`ReLU`, :class:`Tanh`, :class:`Flatten`, :class:`Dropout`
+  :class:`ReLU`, :class:`Flatten`
 - container: :class:`Sequential`
 - memory: :class:`ParameterArena`, :class:`Workspace`
 - loss: :class:`SoftmaxCrossEntropy`
@@ -22,15 +22,13 @@ from repro.nn.arena import ParameterArena, Workspace
 from repro.nn.layers import (
     Conv2d,
     Dense,
-    Dropout,
     Flatten,
     Layer,
     MaxPool2d,
     ReLU,
-    Tanh,
 )
 from repro.nn.loss import SoftmaxCrossEntropy, softmax
-from repro.nn.metrics import accuracy, per_class_accuracy
+from repro.nn.metrics import accuracy
 from repro.nn.model import Sequential
 from repro.nn.optim import SGD
 from repro.nn.zoo import gtsrb_cnn, mlp, mnist_cnn, tiny_cnn
@@ -38,7 +36,6 @@ from repro.nn.zoo import gtsrb_cnn, mlp, mnist_cnn, tiny_cnn
 __all__ = [
     "Conv2d",
     "Dense",
-    "Dropout",
     "Flatten",
     "Layer",
     "MaxPool2d",
@@ -47,13 +44,11 @@ __all__ = [
     "SGD",
     "Sequential",
     "SoftmaxCrossEntropy",
-    "Tanh",
     "Workspace",
     "accuracy",
     "gtsrb_cnn",
     "mlp",
     "mnist_cnn",
-    "per_class_accuracy",
     "softmax",
     "tiny_cnn",
 ]

@@ -77,11 +77,6 @@ class ParameterArena:
         self.param_views = unflatten_views(self.w, self.shapes)
         self.grad_views = unflatten_views(self.g, self.shapes)
 
-    @property
-    def nbytes(self) -> int:
-        """Bytes held by the two flat buffers."""
-        return int(self.w.nbytes + self.g.nbytes)
-
     def readonly_params(self) -> np.ndarray:
         """A read-only view of the flat parameter buffer (zero-copy)."""
         view = self.w.view()
@@ -93,9 +88,6 @@ class ParameterArena:
         view = self.g.view()
         view.flags.writeable = False
         return view
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ParameterArena(d={self.size}, dtype={self.dtype.name})"
 
 
 class BranchArena:
@@ -129,11 +121,6 @@ class BranchArena:
         self.wm = np.zeros((self.capacity, self.size), dtype=self.dtype)
         # Stack of free rows, popped lowest-first for determinism.
         self._free: List[int] = list(range(self.capacity - 1, -1, -1))
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes held by the stacked buffer."""
-        return int(self.wm.nbytes)
 
     @property
     def active(self) -> int:
@@ -188,12 +175,6 @@ class BranchArena:
         gathered = self.wm[idx]
         np.subtract(gathered, scaled, out=gathered)
         self.wm[idx] = gathered
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"BranchArena(capacity={self.capacity}, d={self.size}, "
-            f"active={self.active})"
-        )
 
 
 class Workspace:

@@ -34,7 +34,7 @@ Design notes
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,9 +47,7 @@ __all__ = [
     "Conv2d",
     "MaxPool2d",
     "ReLU",
-    "Tanh",
     "Flatten",
-    "Dropout",
     "im2col",
     "col2im",
 ]
@@ -282,9 +280,6 @@ class Dense(Layer):
     def footprint(self, shape):
         return (self.out_features,), self.in_features + self.out_features
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Dense({self.in_features}, {self.out_features})"
-
 
 class Conv2d(Layer):
     """2-D convolution over NCHW batches via im2col.
@@ -410,12 +405,6 @@ class Conv2d(Layer):
         per_pixel = 3 * c * k * k + 2 * self.out_channels
         return (self.out_channels, oh, ow), per_pixel * oh * ow
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"Conv2d({self.in_channels}, {self.out_channels}, "
-            f"k={self.kernel_size}, s={self.stride}, p={self.padding})"
-        )
-
 
 class MaxPool2d(Layer):
     """Non-overlapping max pooling (``stride == pool_size``).
@@ -479,9 +468,6 @@ class MaxPool2d(Layer):
         # Window copy, mask and routed gradient at input size.
         return (c, h // p, w // p), 3 * c * h * w
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"MaxPool2d({self.pool_size})"
-
 
 class ReLU(Layer):
     """Element-wise rectifier."""
@@ -502,33 +488,6 @@ class ReLU(Layer):
             raise RuntimeError("backward called before forward(training=True)")
         mask, self._mask = self._mask, None
         return dout * mask if input_grad else None
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "ReLU()"
-
-
-class Tanh(Layer):
-    """Element-wise hyperbolic tangent."""
-
-    def __init__(self) -> None:
-        self._out: Optional[np.ndarray] = None
-
-    def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
-        """Element-wise ``tanh``; caches the output when training."""
-        out = np.tanh(x)
-        if training:
-            self._out = out
-        return out
-
-    def backward(self, dout, grads=None, input_grad=True):
-        """Chain rule through tanh: ``dout * (1 - tanh(x)^2)``."""
-        if self._out is None:
-            raise RuntimeError("backward called before forward(training=True)")
-        out, self._out = self._out, None
-        return dout * (1.0 - out**2) if input_grad else None
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "Tanh()"
 
 
 class Flatten(Layer):
@@ -560,55 +519,3 @@ class Flatten(Layer):
 
     def footprint(self, shape):
         return (int(np.prod(shape)),), 0
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "Flatten()"
-
-
-#: Sentinel mask for a zero-rate Dropout in training mode: the layer is
-#: the identity, so neither a ones mask nor an input copy is needed.
-_IDENTITY_MASK = object()
-
-
-class Dropout(Layer):
-    """Inverted dropout.
-
-    Active only when ``training=True``; at inference it is the
-    identity.  Requires an explicit generator so training remains
-    reproducible.  With ``rate == 0.0`` the training path is also the
-    identity and allocates nothing (no ones mask, no input copy).  On
-    stacked batches the mask is one draw over the block, so batch ``k``
-    gets the numbers it would get drawn on its own, after batches
-    ``0..k-1``.
-    """
-
-    def __init__(self, rate: float, rng: np.random.Generator):
-        if not 0.0 <= rate < 1.0:
-            raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-        self.rate = rate
-        self._rng = rng
-        self._mask: Optional[Any] = None
-
-    def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
-        """Apply inverted dropout when training; identity at inference."""
-        if not training:
-            self._mask = None
-            return x
-        if self.rate == 0.0:
-            self._mask = _IDENTITY_MASK
-            return x
-        keep = 1.0 - self.rate
-        self._mask = (self._rng.random(x.shape) < keep) / keep
-        return x * self._mask
-
-    def backward(self, dout, grads=None, input_grad=True):
-        """Apply the same keep mask used in the forward pass."""
-        if self._mask is None:
-            raise RuntimeError("backward called before forward(training=True)")
-        mask, self._mask = self._mask, None
-        if not input_grad:
-            return None
-        return dout if mask is _IDENTITY_MASK else dout * mask
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Dropout({self.rate})"

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Dict
-
 import numpy as np
 
-__all__ = ["accuracy", "per_class_accuracy", "confusion_matrix"]
+__all__ = ["accuracy"]
 
 
 def accuracy(predictions: np.ndarray, labels: np.ndarray) -> float:
@@ -20,37 +18,3 @@ def accuracy(predictions: np.ndarray, labels: np.ndarray) -> float:
     if predictions.size == 0:
         raise ValueError("cannot compute accuracy of empty arrays")
     return float(np.mean(predictions == labels))
-
-
-def per_class_accuracy(
-    predictions: np.ndarray, labels: np.ndarray, num_classes: int
-) -> Dict[int, float]:
-    """Accuracy restricted to each true class.
-
-    Classes absent from ``labels`` map to ``nan`` so callers can
-    distinguish "never seen" from "always wrong".
-    """
-    predictions = np.asarray(predictions)
-    labels = np.asarray(labels)
-    out: Dict[int, float] = {}
-    for cls in range(num_classes):
-        mask = labels == cls
-        if not mask.any():
-            out[cls] = float("nan")
-        else:
-            out[cls] = float(np.mean(predictions[mask] == cls))
-    return out
-
-
-def confusion_matrix(
-    predictions: np.ndarray, labels: np.ndarray, num_classes: int
-) -> np.ndarray:
-    """Row = true class, column = predicted class, integer counts."""
-    predictions = np.asarray(predictions)
-    labels = np.asarray(labels)
-    if predictions.shape != labels.shape:
-        raise ValueError("predictions and labels must have matching shapes")
-    matrix = np.zeros((num_classes, num_classes), dtype=np.int64)
-    for true, pred in zip(labels, predictions):
-        matrix[int(true), int(pred)] += 1
-    return matrix

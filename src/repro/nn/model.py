@@ -44,12 +44,12 @@ cast on the way in, params/grads are cast on the way out).
 from __future__ import annotations
 
 import copy
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.nn.arena import ParameterArena
-from repro.nn.layers import Dropout, Flatten, Layer
+from repro.nn.layers import Flatten, Layer
 from repro.nn.loss import SoftmaxCrossEntropy, softmax
 from repro.utils.flat import shapes_of
 
@@ -237,11 +237,7 @@ class Sequential:
     def pass_rows(self, batch_shape: Tuple[int, ...]) -> int:
         """How many minibatches of ``batch_shape`` one :meth:`cohort_pass`
         takes: as many as keep the layers' footprints plus a gradient row
-        (8 bytes an element) under :data:`PASS_BYTES`, at least one.  With
-        two active :class:`Dropout` layers, one, so masks keep their
-        draw order."""
-        if sum(isinstance(l, Dropout) and l.rate > 0 for l in self.layers) > 1:
-            return 1
+        (8 bytes an element) under :data:`PASS_BYTES`, at least one."""
         shape, per_sample = tuple(batch_shape[1:]), 0
         for layer in self.layers:
             shape, elements = layer.footprint(shape)
@@ -356,16 +352,3 @@ class Sequential:
             ws = getattr(layer, "_ws", None)
             if ws is not None:
                 ws.clear()
-
-    def layer_summary(self) -> str:
-        """Multi-line human-readable architecture summary."""
-        lines = [f"Sequential with {self.num_params} parameters:"]
-        for i, layer in enumerate(self.layers):
-            lines.append(f"  [{i}] {layer!r} ({layer.num_params} params)")
-        return "\n".join(lines)
-
-    def __iter__(self) -> Iterable[Layer]:
-        return iter(self.layers)
-
-    def __len__(self) -> int:
-        return len(self.layers)

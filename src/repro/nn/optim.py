@@ -97,7 +97,3 @@ class SGD:
         np.multiply(update, self.lr, out=buf)
         np.subtract(params, buf, out=params)
         return params
-
-    def reset(self) -> None:
-        """Clear momentum state (used when a client re-joins training)."""
-        self._velocity = None

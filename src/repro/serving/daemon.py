@@ -342,18 +342,6 @@ class ErasureDaemon:
             self._cond.notify()
         return future
 
-    def request(
-        self,
-        client_ids: Union[int, Sequence[int]],
-        key: Optional[str] = None,
-        deadline: Union[None, float, Deadline] = None,
-        timeout: Optional[float] = None,
-    ) -> ServiceResponse:
-        """Blocking convenience: :meth:`submit` then wait for the response."""
-        return self.submit(client_ids, key=key, deadline=deadline).result(
-            timeout=timeout
-        )
-
     # ------------------------------------------------------------------
     # external fault signals (repro.faults wiring)
     # ------------------------------------------------------------------

@@ -179,8 +179,3 @@ class ServiceResponse:
     queue_seconds: float = 0.0
     service_seconds: float = 0.0
     retry_after: float = 0.0
-
-    @property
-    def stale(self) -> bool:
-        """True when this is a degraded serve-stale answer."""
-        return self.status == "stale"

@@ -230,12 +230,11 @@ class GradientStore:
         """Record one whole round of ``client_id -> gradient`` updates.
 
         Equivalent to calling :meth:`put` per client in the dict's
-        iteration order; backends may override it with a batched encode
-        (the in-memory stores keep the encoded block as the round).  The
-        server's round commit goes through here.
+        iteration order, with a batched encode (the in-memory stores
+        keep the encoded block as the round).  The server's round commit
+        goes through here.
         """
-        for client_id, gradient in updates.items():
-            self.put(round_index, client_id, gradient)
+        raise NotImplementedError
 
     def get(self, round_index: int, client_id: int) -> np.ndarray:
         """Retrieve the stored representation as a float64 vector.
@@ -300,7 +299,7 @@ class GradientStore:
     def _stored_round(self, round_index: int) -> Optional[_Block]:
         """The round as stored rows for :meth:`get_round`; None when the
         backend keeps none to give (or the round is empty)."""
-        return None
+        raise NotImplementedError
 
     def _decode(self, rows: np.ndarray, length: int) -> np.ndarray:
         """A stored sign row (1-D) or block (2-D) as int8 directions."""
@@ -557,7 +556,7 @@ class _RoundMajorStore(GradientStore):
 
 
 class FullGradientStore(_RoundMajorStore):
-    """Float32 full-gradient store — the FedRecover/FedEraser baseline;
+    """Float32 full-gradient store — the FedRecover baseline;
     a round is one float32 ``(n, d)`` block."""
 
     telemetry_backend = "full"
@@ -648,13 +647,6 @@ class ModelCheckpointStore:
         ``put`` always stores a new array, so the round log tells a
         changed checkpoint by identity; treat them as read-only."""
         return sorted(self._checkpoints.items())
-
-    def latest(self) -> Tuple[int, np.ndarray]:
-        """``(round, params)`` of the newest checkpoint."""
-        if not self._checkpoints:
-            raise KeyError("checkpoint store is empty")
-        r = max(self._checkpoints)
-        return r, self._checkpoints[r].astype(np.float64)
 
     def nbytes(self) -> int:
         """Total checkpoint payload bytes (maintained incrementally)."""

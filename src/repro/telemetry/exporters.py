@@ -59,10 +59,6 @@ class JsonlSink:
         """Append one event."""
         self._fh.write(json.dumps(event, separators=(",", ":")) + "\n")
 
-    def flush(self) -> None:
-        """Flush buffered lines to disk."""
-        self._fh.flush()
-
     def close(self) -> None:
         """Flush and close the file (idempotent)."""
         if not self._fh.closed:

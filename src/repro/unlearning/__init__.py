@@ -20,7 +20,6 @@ from repro.unlearning.base import (
 )
 from repro.unlearning.baselines import (
     DeltaGradUnlearner,
-    FedEraserUnlearner,
     FedRecoverUnlearner,
     FedRecoveryUnlearner,
     NegatedPseudoGradientUnlearner,
@@ -53,7 +52,6 @@ __all__ = [
     "ClientsRequiredError",
     "DeltaGradUnlearner",
     "DependentAbortError",
-    "FedEraserUnlearner",
     "FedRecoverUnlearner",
     "FedRecoveryUnlearner",
     "FusedBatchReport",

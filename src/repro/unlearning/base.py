@@ -12,7 +12,6 @@ Ours             sign (2-bit)        never            no (backtrack)
 Retraining       none                all remaining    yes
 FedRecover       full float32        periodically     yes
 FedRecovery      full float32        never            no
-FedEraser        full float32        periodically     yes
 ===============  ==================  ===============  ==============
 
 The ``clients`` argument is therefore Optional; methods that need it
@@ -102,7 +101,7 @@ class UnlearningMethod:
             Remaining online clients, for methods that need them.
         model_factory:
             Fresh-initialization constructor, for methods that
-            re-initialize (retraining, FedRecover, FedEraser).
+            re-initialize (retraining, FedRecover).
         """
         raise NotImplementedError
 

@@ -1,8 +1,7 @@
 """Unlearning baselines the paper compares against (§V-A.3), plus the
-FedEraser extension comparator."""
+DeltaGrad and negated-pseudo-gradient comparators."""
 
 from repro.unlearning.baselines.deltagrad import DeltaGradUnlearner
-from repro.unlearning.baselines.federaser import FedEraserUnlearner
 from repro.unlearning.baselines.fedrecover import FedRecoverUnlearner
 from repro.unlearning.baselines.fedrecovery import FedRecoveryUnlearner
 from repro.unlearning.baselines.npg import NegatedPseudoGradientUnlearner
@@ -10,7 +9,6 @@ from repro.unlearning.baselines.retrain import RetrainUnlearner
 
 __all__ = [
     "DeltaGradUnlearner",
-    "FedEraserUnlearner",
     "FedRecoverUnlearner",
     "FedRecoveryUnlearner",
     "NegatedPseudoGradientUnlearner",

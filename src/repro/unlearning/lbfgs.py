@@ -18,8 +18,9 @@ where ``A = ΔWᵀΔG``, ``L = tril(A, −1)``, ``D = diag(A)`` and
 The paper's Algorithm 2 returns the matrix ``H̃``; for real models
 (d ~ 10⁴–10⁶) materializing a d×d matrix is impossible, so
 :class:`LbfgsBuffer` exposes the Hessian-*vector* product
-:meth:`LbfgsBuffer.hvp` (what Eq. 6 actually consumes) and offers
-:meth:`LbfgsBuffer.dense` only for small-d verification in tests.
+:meth:`LbfgsBuffer.hvp` (what Eq. 6 actually consumes);
+:func:`lbfgs_hessian_dense` is the matrix form, kept as the small-d
+reference the tests compare it against.
 
 Robustness: with estimated (sign-direction) vector pairs the curvature
 condition ``Δwᵀ Δg > 0`` may fail and ``M`` may be singular.  Pairs
@@ -133,11 +134,6 @@ class LbfgsBuffer:
         self._pairs = pairs
         self._form = None
 
-    def clear(self) -> None:
-        """Drop all pairs (used by the vector-pair refresh policy)."""
-        self._pairs = ()
-        self._form = None
-
     def pairs(self) -> Pairs:
         """The held pairs — shared by reference, not copied, in a tuple
         that never changes.
@@ -206,13 +202,6 @@ class LbfgsBuffer:
                 f"vector has {vector.size} elements, pairs have {dw.shape[0]}"
             )
         return compact_hvp(dw, dg, sigma, vector, middle=middle, wing=wing)
-
-    def dense(self, dim: int) -> np.ndarray:
-        """Materialize ``H̃`` as a (dim, dim) matrix — tests/small d only."""
-        if dim > 4096:
-            raise ValueError("refusing to materialize a Hessian larger than 4096²")
-        eye = np.eye(dim)
-        return np.stack([self.hvp(eye[:, j]) for j in range(dim)], axis=1)
 
 
 def append_pair(

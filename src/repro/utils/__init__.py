@@ -13,14 +13,8 @@ subsystem relies on:
 - :mod:`repro.utils.serialization` — save/load of experiment artifacts.
 """
 
-from repro.utils.flat import (
-    flatten_arrays,
-    unflatten_vector,
-    unflatten_views,
-    vector_l2,
-    vector_cosine,
-)
-from repro.utils.rng import SeedSequenceTree, new_rng, spawn_rngs
+from repro.utils.flat import flatten_arrays, unflatten_vector, unflatten_views
+from repro.utils.rng import SeedSequenceTree
 from repro.utils.timer import Timer
 from repro.utils.logging import get_logger
 
@@ -29,10 +23,6 @@ __all__ = [
     "Timer",
     "flatten_arrays",
     "get_logger",
-    "new_rng",
-    "spawn_rngs",
     "unflatten_vector",
     "unflatten_views",
-    "vector_cosine",
-    "vector_l2",
 ]

@@ -3,8 +3,7 @@
 The unlearning algebra of the paper (backtracking, Cauchy mean-value
 estimation, L-BFGS, clipping) all operates on flat vectors
 ``w ∈ R^d``.  The neural-network substrate exposes its parameters as a
-list of arrays; these helpers convert between the two representations
-and provide the vector metrics used across tests and benchmarks.
+list of arrays; these helpers convert between the two representations.
 """
 
 from __future__ import annotations
@@ -17,8 +16,6 @@ __all__ = [
     "flatten_arrays",
     "unflatten_vector",
     "unflatten_views",
-    "vector_l2",
-    "vector_cosine",
     "shapes_of",
     "total_size",
 ]
@@ -101,25 +98,3 @@ def unflatten_views(
         out.append(vector[offset : offset + size].reshape(shape))
         offset += size
     return out
-
-
-def vector_l2(vector: np.ndarray) -> float:
-    """Euclidean norm of a flat vector."""
-    return float(np.linalg.norm(np.asarray(vector, dtype=np.float64)))
-
-
-def vector_cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity between two flat vectors.
-
-    Returns 0.0 when either vector is (numerically) zero, which is the
-    convention the recovery-error diagnostics expect.
-    """
-    a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na < 1e-300 or nb < 1e-300:
-        return 0.0
-    return float(np.dot(a, b) / (na * nb))

@@ -15,37 +15,11 @@ that must see *identical* training randomness.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List
+from typing import Dict
 
 import numpy as np
 
-__all__ = ["SeedSequenceTree", "new_rng", "spawn_rngs"]
-
-
-def new_rng(seed: int | None = None) -> np.random.Generator:
-    """Create a fresh :class:`numpy.random.Generator` from ``seed``.
-
-    Parameters
-    ----------
-    seed:
-        Any value acceptable to :class:`numpy.random.default_rng`.
-        ``None`` draws entropy from the OS (only useful interactively;
-        experiments always pass an explicit seed).
-    """
-    return np.random.default_rng(seed)
-
-
-def spawn_rngs(seed: int, count: int) -> List[np.random.Generator]:
-    """Spawn ``count`` independent generators from a single ``seed``.
-
-    Uses :class:`numpy.random.SeedSequence` spawning, which guarantees
-    the child streams are statistically independent regardless of
-    ``count``.
-    """
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    root = np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in root.spawn(count)]
+__all__ = ["SeedSequenceTree"]
 
 
 class SeedSequenceTree:
@@ -86,34 +60,3 @@ class SeedSequenceTree:
     def rng(self, name: str) -> np.random.Generator:
         """Return a generator for the named sub-stream."""
         return np.random.default_rng(self._sequence(name))
-
-    def child(self, name: str) -> "SeedSequenceTree":
-        """Return a subtree rooted at ``(root_seed, name)``.
-
-        Useful for handing a whole component (for example one FL
-        client) its own namespace of streams.
-        """
-        seq = self._sequence(name)
-        derived = int(np.random.default_rng(seq).integers(0, 2**62))
-        return SeedSequenceTree(derived)
-
-    def integers(self, name: str, low: int, high: int, size: int) -> np.ndarray:
-        """Convenience: draw ``size`` integers in ``[low, high)`` from a stream."""
-        return self.rng(name).integers(low, high, size=size)
-
-    def spawn(self, name: str, count: int) -> List[np.random.Generator]:
-        """Spawn ``count`` independent generators under ``name``."""
-        seq = self._sequence(name)
-        return [np.random.default_rng(child) for child in seq.spawn(count)]
-
-
-def stable_hash(items: Iterable[str]) -> int:
-    """Order-sensitive stable hash of a sequence of strings.
-
-    Used to derive deterministic seeds from experiment identifiers.
-    """
-    key = 17
-    for item in items:
-        for ch in str(item):
-            key = (key * 1000003 + ord(ch)) % (2**61 - 1)
-    return key

@@ -21,7 +21,6 @@ import numpy as np
 
 __all__ = [
     "save_json",
-    "load_json",
     "save_state_atomic",
     "load_state",
     "fsync_dir",
@@ -72,11 +71,6 @@ def save_json(path: str, record: Mapping[str, Any]) -> None:
         json.dump(_jsonify(dict(record)), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-
-def load_json(path: str) -> Dict[str, Any]:
-    """Load a JSON record written by :func:`save_json`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 def save_state_atomic(

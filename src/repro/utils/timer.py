@@ -25,7 +25,6 @@ class Timer:
 
     def __init__(self) -> None:
         self._totals: Dict[str, float] = {}
-        self._counts: Dict[str, int] = {}
         self._starts: Dict[str, float] = {}
 
     def start(self, name: str) -> None:
@@ -40,7 +39,6 @@ class Timer:
             raise RuntimeError(f"timer section {name!r} was not started")
         elapsed = time.perf_counter() - self._starts.pop(name)
         self._totals[name] = self._totals.get(name, 0.0) + elapsed
-        self._counts[name] = self._counts.get(name, 0) + 1
         return elapsed
 
     def section(self, name: str) -> "_Section":
@@ -51,22 +49,9 @@ class Timer:
         """Total accumulated seconds for ``name`` (0.0 if never timed)."""
         return self._totals.get(name, 0.0)
 
-    def count(self, name: str) -> int:
-        """Number of completed spans recorded for ``name``."""
-        return self._counts.get(name, 0)
-
     def names(self) -> List[str]:
         """Names with at least one completed span, sorted."""
         return sorted(self._totals)
-
-    def summary(self) -> str:
-        """Human-readable one-line-per-section summary."""
-        lines = []
-        for name in self.names():
-            lines.append(
-                f"{name}: {self._totals[name]:.3f}s over {self._counts[name]} span(s)"
-            )
-        return "\n".join(lines)
 
 
 class _Section:

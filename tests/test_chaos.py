@@ -250,7 +250,7 @@ def test_twenty_percent_corrupt_clients_are_quarantined(seed):
         # Quarantined means dropped out: a member that round, no stored
         # gradient, not a participant.
         assert record.ledger.is_member(event.client_id, event.round_index)
-        assert not record.ledger.participated(event.client_id, event.round_index)
+        assert event.client_id not in record.ledger.participants_at(event.round_index)
         assert not record.gradients.has(event.round_index, event.client_id)
     drift = float(
         np.linalg.norm(record.final_params() - clean.final_params())

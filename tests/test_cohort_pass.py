@@ -1,9 +1,9 @@
 """The training round's cohort pass: one stacked forward/backward.
 
 - **Identity.**  Row ``k`` of a stacked pass equals the pass on vehicle
-  ``k`` alone (``K = 1``) bit for bit — over MLPs, a CNN, ``Tanh``,
-  ``Dropout`` (masks drawn in vehicle order), float64 and float32
-  models, ragged batches and chunk boundaries inside the cohort.
+  ``k`` alone (``K = 1``) bit for bit — over MLPs, a CNN, float64 and
+  float32 models, ragged batches and chunk boundaries inside the
+  cohort.
   ``make chaos`` (which sets ``CHAOS_SEEDS``) runs the property at a
   large example budget.
 - **Pins.**  Five simulations keep the record digests they had when
@@ -33,7 +33,6 @@ from repro.faults.validation import UpdateValidator
 from repro.fl import FederatedSimulation, ParticipationSchedule, VehicleClient
 from repro.fl.client import cohort_updates
 from repro.nn import Sequential, mlp, tiny_cnn
-from repro.nn.layers import Dense, Dropout, Flatten, Tanh
 from repro.storage import SignGradientStore
 from repro.utils.rng import SeedSequenceTree
 from tests.conftest import CorePins, pin_note
@@ -57,21 +56,11 @@ def make_model(kind, rng, dtype):
         return mlp(rng, 20, 5, hidden=7, depth=1, dtype=dtype), (20,)
     if kind == "mlp2":
         return mlp(rng, 16, 4, hidden=6, depth=2, dtype=dtype), (1, 4, 4)
-    if kind == "tiny_cnn":
-        return tiny_cnn(rng, image_size=6, channels=2, num_classes=3, dtype=dtype), (
-            2,
-            6,
-            6,
-        )
-    rate = 0.5 if kind == "dropout" else 0.0
-    layers = [
-        Flatten(),
-        Dense(12, 9, rng),
-        Tanh(),
-        Dropout(rate, np.random.default_rng(int(rng.integers(2**31)))),
-        Dense(9, 4, rng),
-    ]
-    return Sequential(layers, dtype=dtype), (3, 4)
+    return tiny_cnn(rng, image_size=6, channels=2, num_classes=3, dtype=dtype), (
+        2,
+        6,
+        6,
+    )
 
 
 def make_clients(rng, k, sample, classes, ragged):
@@ -97,7 +86,7 @@ def make_clients(rng, k, sample, classes, ragged):
 @settings(max_examples=300 if CHAOS else 30, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    kind=st.sampled_from(["mlp1", "mlp2", "tiny_cnn", "tanh", "dropout"]),
+    kind=st.sampled_from(["mlp1", "mlp2", "tiny_cnn"]),
     dtype=st.sampled_from(["float64", "float32"]),
     k=st.sampled_from([1, 2, 7]),
     ragged=st.booleans(),
@@ -109,7 +98,7 @@ def test_cohort_rows_match_lone_passes(seed, kind, dtype, k, ragged, chunk):
     classes = 3 if kind == "tiny_cnn" else 4
     clients = make_clients(rng, k, sample, classes, ragged)
     params = rng.normal(scale=0.3, size=model.num_params)
-    lone_model = model.clone()  # same Dropout generator state
+    lone_model = model.clone()
     lone_clients = copy.deepcopy(clients)  # same sampling generator states
     bound = model_module.PASS_BYTES
     if chunk is not None:
@@ -130,7 +119,7 @@ def test_cohort_rows_match_lone_passes(seed, kind, dtype, k, ragged, chunk):
 @settings(max_examples=20, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    kind=st.sampled_from(["mlp2", "tiny_cnn", "dropout"]),
+    kind=st.sampled_from(["mlp2", "tiny_cnn"]),
     dtype=st.sampled_from(["float64", "float32"]),
     k=st.sampled_from([1, 2, 7]),
 )
@@ -155,17 +144,6 @@ def test_cohort_pass_rejects_a_block_of_another_shape_or_dtype():
         model.cohort_pass(xs, ys, np.empty((1, model.num_params)))
     with pytest.raises(ValueError, match="grads must be"):
         model.cohort_pass(xs, ys, np.empty((2, model.num_params), np.float32))
-
-
-def test_stacks_with_two_active_dropouts_take_one_batch_per_pass():
-    rng = np.random.default_rng(0)
-    shared = np.random.default_rng(1)
-    model = Sequential(
-        [Dense(4, 4, rng), Dropout(0.5, shared), Dense(4, 4, rng), Dropout(0.5, shared),
-         Dense(4, 2, rng)]
-    )
-    assert model.pass_rows((8, 4)) == 1
-    assert mlp(rng, 4, 2).pass_rows((8, 4)) > 1
 
 
 # ----------------------------------------------------------------------

@@ -48,33 +48,6 @@ class TestSubset:
         assert dataset.x[0].any()
 
 
-class TestClassCounts:
-    def test_sums_to_len(self, dataset):
-        assert dataset.class_counts().sum() == len(dataset)
-
-    def test_length(self, dataset):
-        assert dataset.class_counts().shape == (3,)
-
-
-class TestBatches:
-    def test_covers_all_samples(self, dataset):
-        seen = sum(xb.shape[0] for xb, _ in dataset.batches(7))
-        assert seen == len(dataset)
-
-    def test_drop_last(self, dataset):
-        batches = list(dataset.batches(7, drop_last=True))
-        assert all(xb.shape[0] == 7 for xb, _ in batches)
-
-    def test_shuffle_changes_order(self, dataset, rng):
-        first = next(iter(dataset.batches(30, rng=rng)))[1]
-        assert not np.array_equal(first, dataset.y)
-        np.testing.assert_array_equal(np.sort(first), np.sort(dataset.y))
-
-    def test_invalid_batch_size(self, dataset):
-        with pytest.raises(ValueError):
-            list(dataset.batches(0))
-
-
 class TestSampleBatch:
     def test_shape(self, dataset, rng):
         xb, yb = dataset.sample_batch(8, rng)
@@ -88,22 +61,6 @@ class TestSampleBatch:
         empty = ArrayDataset(np.zeros((0, 2)), np.zeros(0, dtype=int), num_classes=2)
         with pytest.raises(ValueError):
             empty.sample_batch(4, rng)
-
-
-class TestMerge:
-    def test_concatenates(self, dataset):
-        merged = dataset.merged_with(dataset)
-        assert len(merged) == 60
-
-    def test_class_mismatch_raises(self, dataset, rng):
-        other = ArrayDataset(rng.normal(size=(4, 2, 4, 4)), np.zeros(4, dtype=int), num_classes=5)
-        with pytest.raises(ValueError):
-            dataset.merged_with(other)
-
-    def test_shape_mismatch_raises(self, dataset, rng):
-        other = ArrayDataset(rng.normal(size=(4, 7)), np.zeros(4, dtype=int), num_classes=3)
-        with pytest.raises(ValueError):
-            dataset.merged_with(other)
 
 
 class TestTrainTestSplit:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.datasets import (
     ArrayDataset,
-    partition_by_class,
     partition_dirichlet,
     partition_iid,
 )
@@ -81,7 +80,7 @@ class TestDirichlet:
         def skew(alpha, seed):
             shards = partition_dirichlet(ds, 10, np.random.default_rng(seed), alpha=alpha)
             props = np.stack(
-                [s.class_counts() / max(1, len(s)) for s in shards]
+                [np.bincount(s.y, minlength=s.num_classes) / max(1, len(s)) for s in shards]
             )
             return float(props.std())
 
@@ -90,24 +89,3 @@ class TestDirichlet:
     def test_invalid_alpha(self, dataset, rng):
         with pytest.raises(ValueError):
             partition_dirichlet(dataset, 4, rng, alpha=0.0)
-
-
-class TestByClass:
-    def test_complete(self, dataset, rng):
-        shards = partition_by_class(dataset, 6, rng, classes_per_client=2)
-        assert total_samples(shards) == len(dataset)
-
-    def test_label_concentration(self, rng):
-        ds = ArrayDataset(
-            x=rng.normal(size=(400, 2)),
-            y=np.repeat(np.arange(4), 100),
-            num_classes=4,
-        )
-        shards = partition_by_class(ds, 4, rng, classes_per_client=1)
-        for shard in shards:
-            present = np.unique(shard.y)
-            assert len(present) <= 2  # shard boundaries may straddle a class
-
-    def test_invalid_classes_per_client(self, dataset, rng):
-        with pytest.raises(ValueError):
-            partition_by_class(dataset, 4, rng, classes_per_client=0)

@@ -1,17 +1,14 @@
 """Tests for history-based malicious-client detection."""
 
-import numpy as np
 import pytest
 
 from repro.attacks import LabelFlipAttack
 from repro.datasets import make_synthetic_mnist, partition_iid, train_test_split
 from repro.defenses import (
     DetectionReport,
-    client_prediction_inconsistency,
     client_suspicion_scores,
     detect_malicious_clients,
 )
-from repro.defenses.detection import _two_means_split
 from repro.fl import FederatedSimulation, ParticipationSchedule, VehicleClient, with_sign_store
 from repro.nn import mlp
 from repro.storage import FullGradientStore
@@ -53,17 +50,6 @@ def poisoned_fl():
 @pytest.fixture(scope="module")
 def clean_fl():
     return _make_fl(33, [])
-
-
-class TestTwoMeans:
-    def test_clear_split(self):
-        values = np.array([0.1, 0.11, 0.12, 0.9, 0.95])
-        boundary = _two_means_split(values)
-        assert 0.12 < boundary < 0.9
-
-    def test_identical_values_flag_nothing(self):
-        values = np.full(5, 0.3)
-        assert _two_means_split(values) > 0.3
 
 
 class TestSuspicionScores:
@@ -115,11 +101,3 @@ class TestDetect:
         report = DetectionReport(scores={}, flagged=[], threshold=1.0, rounds_used=0)
         assert report.precision_recall([1]) == (0.0, 0.0)
         assert report.precision_recall([]) == (1.0, 1.0)
-
-
-class TestPredictionInconsistency:
-    def test_returns_all_clients(self, poisoned_fl):
-        record, _ = poisoned_fl
-        scores = client_prediction_inconsistency(record)
-        assert set(scores) == set(record.ledger.known_clients())
-        assert all(np.isfinite(v) for v in scores.values())

@@ -52,12 +52,6 @@ class TestConfig:
         cfg = config_for("mnist", "smoke", num_rounds=7)
         assert cfg.num_rounds == 7
 
-    def test_with_overrides(self):
-        cfg = config_for("mnist", "smoke")
-        new = cfg.with_overrides(delta=1e-3)
-        assert new.delta == 1e-3
-        assert cfg.delta == 1e-6
-
     def test_invalid_dataset(self):
         with pytest.raises(ValueError):
             config_for("cifar", "smoke")

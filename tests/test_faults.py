@@ -124,14 +124,14 @@ class TestUpdateValidator:
         v = UpdateValidator()
         dim = 10
         good = np.ones(dim)
-        assert v.check(good, dim).ok
-        assert not v.check(np.ones(dim + 1), dim).ok
-        assert not v.check(np.ones((2, 5)), dim).ok
+        assert v.check_round({0: good}, dim)[0].ok
+        assert not v.check_round({0: np.ones(dim + 1)}, dim)[0].ok
+        assert not v.check_round({0: np.ones((2, 5))}, dim)[0].ok
         bad = good.copy()
         bad[3] = np.nan
-        assert not v.check(bad, dim).ok
+        assert not v.check_round({0: bad}, dim)[0].ok
         bad[3] = np.inf
-        assert not v.check(bad, dim).ok
+        assert not v.check_round({0: bad}, dim)[0].ok
 
     def test_cohort_catches_outlier_at_round_zero(self):
         """No history yet — the round cohort alone must convict."""
@@ -151,7 +151,7 @@ class TestUpdateValidator:
 
     def test_absolute_cap(self):
         v = UpdateValidator(max_norm=1.0)
-        assert not v.check(np.full(8, 10.0), 8).ok
+        assert not v.check_round({0: np.full(8, 10.0)}, 8)[0].ok
 
     def test_history_round_trips_through_journal_api(self):
         v = UpdateValidator()

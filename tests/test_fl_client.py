@@ -105,10 +105,3 @@ class TestFullGradient:
         client_mean = VehicleClient(0, dataset, rng, batch_size=16, reduction="mean")
         g_mean = client_mean.full_gradient(w, model)
         np.testing.assert_allclose(g_sum, g_mean * 16, rtol=1e-10)
-
-
-class TestEvaluateAccuracy:
-    def test_range(self, dataset, model, rng):
-        client = VehicleClient(0, dataset, rng)
-        acc = client.evaluate_accuracy(model, model.get_flat_params())
-        assert 0.0 <= acc <= 1.0

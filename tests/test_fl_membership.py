@@ -65,14 +65,9 @@ class TestDropout:
     def test_dropout_blocks_participation(self, ledger):
         ledger.record_dropout(0, 3)
         assert ledger.is_member(0, 3)  # still a member...
-        assert not ledger.participated(0, 3)  # ...but no gradient
+        assert 0 not in ledger.participants_at(3)  # ...but no gradient
 
     def test_participants_at(self, ledger):
         ledger.record_dropout(1, 2)
         assert ledger.participants_at(2) == [0]
         assert ledger.participants_at(3) == [0, 1]
-
-    def test_rounds_participated(self, ledger):
-        ledger.record_dropout(0, 1)
-        ledger.record_dropout(0, 2)
-        assert ledger.rounds_participated(0, 4) == 3  # rounds 0, 3, 4

@@ -1,5 +1,6 @@
 """Tests for the IoV mobility/connectivity/scenario stack."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -23,10 +24,20 @@ from repro.iov import (
 
 
 def test_import_repro_loads_neither_networkx_nor_scipy():
-    """networkx is imported by a :class:`RoadNetwork` when one is built,
-    not by ``import repro``; nothing in the package uses scipy."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=src)
+    """No module in the package imports networkx or scipy, and
+    ``import repro`` loads neither."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] not in ("networkx", "scipy"), (path, name)
+    env = dict(os.environ, PYTHONPATH=str(src))
     probe = "import sys, repro; print(sorted({'networkx', 'scipy'} & set(sys.modules)))"
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
@@ -38,7 +49,10 @@ def test_import_repro_loads_neither_networkx_nor_scipy():
 class TestRoadNetwork:
     def test_grid_size(self):
         net = RoadNetwork(rows=4, cols=5)
-        assert net.graph.number_of_nodes() == 20
+        nodes = {(r, c) for r in range(4) for c in range(5)}
+        assert {n for node in nodes for n in net.neighbours(node)} == nodes
+        # 16 roads across and 15 down, each seen from both ends.
+        assert sum(len(list(net.neighbours(node))) for node in nodes) == 2 * 31
 
     def test_positions_scale_with_block(self):
         net = RoadNetwork(rows=3, cols=3, block_length=100.0)
@@ -53,6 +67,28 @@ class TestRoadNetwork:
         path = net.shortest_path((0, 0), (3, 3))
         assert path[0] == (0, 0) and path[-1] == (3, 3)
         assert len(path) == 7  # manhattan distance + 1
+
+    @pytest.mark.parametrize("rows", range(2, 7))
+    @pytest.mark.parametrize("cols", range(2, 8))
+    def test_shortest_paths_match_networkx(self, rows, cols):
+        """Every path equals the one networkx's weighted Dijkstra picks
+        on the same grid, ties included."""
+        nx = pytest.importorskip("networkx")
+        graph = nx.grid_2d_graph(rows, cols)
+        for u, v in graph.edges:
+            graph.edges[u, v]["length"] = 200.0
+        net = RoadNetwork(rows=rows, cols=cols)
+        for src in graph.nodes:
+            for dst in graph.nodes:
+                expected = nx.shortest_path(graph, src, dst, weight="length")
+                assert net.shortest_path(src, dst) == expected, (src, dst)
+
+    def test_shortest_path_rejects_off_grid_nodes(self):
+        net = RoadNetwork(rows=3, cols=3)
+        with pytest.raises(ValueError):
+            net.shortest_path((0, 0), (3, 0))
+        with pytest.raises(ValueError):
+            net.shortest_path((-1, 0), (2, 2))
 
     def test_too_small_raises(self):
         with pytest.raises(ValueError):
@@ -102,11 +138,6 @@ class TestSimulatePositions:
 
 
 class TestRsu:
-    def test_covers(self):
-        rsu = Rsu(position=(0.0, 0.0), coverage_radius=10.0)
-        assert rsu.covers(np.array([5.0, 5.0]))
-        assert not rsu.covers(np.array([20.0, 0.0]))
-
     def test_covers_many(self):
         rsu = Rsu(position=(0.0, 0.0), coverage_radius=10.0)
         points = np.array([[0, 0], [9, 0], [11, 0]], dtype=float)

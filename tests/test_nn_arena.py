@@ -26,7 +26,7 @@ import pytest
 
 from repro.datasets import make_synthetic_mnist, partition_iid, train_test_split
 from repro.fl import FederatedSimulation, ParticipationSchedule, VehicleClient
-from repro.nn import SGD, Dropout, ParameterArena, Sequential, Workspace, mlp, tiny_cnn
+from repro.nn import SGD, ParameterArena, Sequential, Workspace, mlp, tiny_cnn
 from repro.storage import SignGradientStore
 from repro.unlearning import SignRecoveryUnlearner
 from repro.unlearning.lbfgs import LbfgsBuffer, compact_form_matrices, compact_hvp
@@ -198,24 +198,6 @@ class TestSequentialArena:
 # satellite behaviours
 # ----------------------------------------------------------------------
 class TestSatellites:
-    def test_dropout_rate_zero_is_identity_without_copies(self):
-        drop = Dropout(0.0, np.random.default_rng(0))
-        x = np.ones((4, 4))
-        out = drop.forward(x, training=True)
-        assert out is x  # no ones-mask, no x.copy()
-        dout = np.full((4, 4), 2.0)
-        assert drop.backward(dout) is dout
-        with pytest.raises(RuntimeError):
-            drop.backward(dout)
-
-    def test_dropout_nonzero_rate_still_masks(self):
-        drop = Dropout(0.5, np.random.default_rng(0))
-        x = np.ones((64, 64))
-        out = drop.forward(x, training=True)
-        assert out is not x
-        kept = out[out != 0]
-        assert np.allclose(kept, 2.0)  # inverted scaling by 1/keep
-
     def test_predict_proba_preallocated_matches_unbatched(self):
         model = mlp(np.random.default_rng(7), 6, 3, hidden=4)
         x = np.random.default_rng(8).normal(size=(25, 6))
@@ -281,7 +263,7 @@ class TestSatellites:
         assert buf._form is None  # invalidated
         after = buf.hvp(v)
         assert not np.array_equal(after, first)
-        buf.clear()
+        buf.adopt_pairs(())
         assert buf._form is None
         assert np.array_equal(buf.hvp(v), np.zeros_like(v))
 

@@ -6,11 +6,9 @@ import pytest
 from repro.nn.layers import (
     Conv2d,
     Dense,
-    Dropout,
     Flatten,
     MaxPool2d,
     ReLU,
-    Tanh,
     col2im,
     im2col,
 )
@@ -236,19 +234,9 @@ class TestActivations:
         dx = layer.backward(dout)
         np.testing.assert_array_equal(dx, dout * (x > 0))
 
-    def test_tanh_backward_matches_numeric(self, rng):
-        layer = Tanh()
-        x = rng.normal(size=(3, 4))
-        dout = rng.normal(size=(3, 4))
-        layer.forward(x, training=True)
-        dx = layer.backward(dout)
-        np.testing.assert_allclose(dx, numerical_input_grad(layer, x, dout), atol=1e-6)
-
     def test_backward_without_forward_raises(self):
         with pytest.raises(RuntimeError):
             ReLU().backward(np.zeros(3))
-        with pytest.raises(RuntimeError):
-            Tanh().backward(np.zeros(3))
 
 
 class TestFlatten:
@@ -259,36 +247,3 @@ class TestFlatten:
         assert out.shape == (2, 60)
         dx = layer.backward(out)
         np.testing.assert_array_equal(dx, x)
-
-
-class TestDropout:
-    def test_inference_is_identity(self, rng):
-        layer = Dropout(0.5, rng)
-        x = rng.normal(size=(4, 6))
-        np.testing.assert_array_equal(layer.forward(x, training=False), x)
-
-    def test_training_zeroes_some(self, rng):
-        layer = Dropout(0.5, rng)
-        x = np.ones((10, 100))
-        out = layer.forward(x, training=True)
-        zero_fraction = float((out == 0).mean())
-        assert 0.3 < zero_fraction < 0.7
-
-    def test_expectation_preserved(self, rng):
-        layer = Dropout(0.3, rng)
-        x = np.ones((50, 200))
-        out = layer.forward(x, training=True)
-        assert out.mean() == pytest.approx(1.0, abs=0.05)
-
-    def test_invalid_rate(self, rng):
-        with pytest.raises(ValueError):
-            Dropout(1.0, rng)
-        with pytest.raises(ValueError):
-            Dropout(-0.1, rng)
-
-    def test_backward_uses_same_mask(self, rng):
-        layer = Dropout(0.5, rng)
-        x = np.ones((5, 8))
-        out = layer.forward(x, training=True)
-        dx = layer.backward(np.ones_like(x))
-        np.testing.assert_array_equal(dx, out)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.metrics import accuracy, confusion_matrix, per_class_accuracy
+from repro.nn.metrics import accuracy
 
 
 class TestAccuracy:
@@ -23,39 +23,3 @@ class TestAccuracy:
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
             accuracy(np.array([0, 1]), np.array([0]))
-
-
-class TestPerClassAccuracy:
-    def test_basic(self):
-        preds = np.array([0, 0, 1, 1])
-        labels = np.array([0, 1, 1, 1])
-        result = per_class_accuracy(preds, labels, num_classes=3)
-        assert result[0] == 1.0
-        assert result[1] == pytest.approx(2 / 3)
-        assert np.isnan(result[2])
-
-    def test_all_classes_present(self):
-        preds = labels = np.arange(5)
-        result = per_class_accuracy(preds, labels, num_classes=5)
-        assert all(v == 1.0 for v in result.values())
-
-
-class TestConfusionMatrix:
-    def test_diagonal_when_perfect(self):
-        labels = np.array([0, 1, 2, 2])
-        matrix = confusion_matrix(labels, labels, num_classes=3)
-        np.testing.assert_array_equal(matrix, np.diag([1, 1, 2]))
-
-    def test_off_diagonal(self):
-        matrix = confusion_matrix(np.array([1]), np.array([0]), num_classes=2)
-        assert matrix[0, 1] == 1
-        assert matrix.sum() == 1
-
-    def test_total_equals_samples(self, rng):
-        preds = rng.integers(0, 4, size=50)
-        labels = rng.integers(0, 4, size=50)
-        assert confusion_matrix(preds, labels, 4).sum() == 50
-
-    def test_shape_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            confusion_matrix(np.array([0]), np.array([0, 1]), 2)

@@ -126,14 +126,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Sequential([])
 
-    def test_layer_summary_mentions_params(self, small_model):
-        summary = small_model.layer_summary()
-        assert str(small_model.num_params) in summary
-
-    def test_len_and_iter(self, small_model):
-        assert len(small_model) == 3
-        assert len(list(small_model)) == 3
-
     def test_mlp_factory_shapes(self, rng):
         model = mlp(rng, in_features=20, num_classes=4, hidden=10, depth=2)
         assert model.forward(rng.normal(size=(2, 4, 5)), training=False).shape == (2, 4)

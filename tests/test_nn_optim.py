@@ -34,13 +34,6 @@ class TestSGD:
         assert p1[0] == pytest.approx(-1.0)
         assert p2[0] == pytest.approx(-2.9)
 
-    def test_reset_clears_momentum(self):
-        opt = SGD(lr=1.0, momentum=0.9)
-        opt.step(np.array([0.0]), np.array([1.0]))
-        opt.reset()
-        out = opt.step(np.array([0.0]), np.array([1.0]))
-        assert out[0] == pytest.approx(-1.0)
-
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
             SGD(lr=0.1).step(np.zeros(2), np.zeros(3))

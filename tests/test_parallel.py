@@ -14,8 +14,6 @@ that contract:
   with and without an active ``FaultPlan`` (including dropped
   stragglers and flaky retries), with more workers than participants
   (empty chunks) and with rounds nobody participates in;
-- the rejection of an active ``Dropout`` above one worker (each
-  thread's clone would repeat the masks);
 - telemetry counter parity and the ``fl_parallel_*`` gauges;
 - the batched sign codec (`pack_signs_batch` / `encode_round` /
   ``put_round``) against the per-vector reference, and the cached
@@ -31,7 +29,7 @@ import repro.fl.simulation as simulation
 from repro.datasets import make_synthetic_mnist, partition_iid, train_test_split
 from repro.faults import FaultPlan, RetryPolicy
 from repro.fl import FederatedSimulation, ParticipationSchedule, VehicleClient
-from repro.nn import Dense, Dropout, Flatten, ReLU, Sequential, mlp
+from repro.nn import Sequential, mlp
 from repro.storage import (
     FullGradientStore,
     SignGradientStore,
@@ -68,19 +66,6 @@ def build_sim(seed, rounds=None, schedule=None, model=None, **kwargs):
     kwargs.setdefault("eval_every", 5)
     return model, FederatedSimulation(
         model, clients, 2e-3, schedule=schedule, **kwargs
-    )
-
-
-def dropout_mlp(rate):
-    rng = np.random.default_rng(4)
-    return Sequential(
-        [
-            Flatten(),
-            Dense(FEATURES, 6, rng=rng),
-            ReLU(),
-            Dropout(rate, np.random.default_rng(5)),
-            Dense(6, 10, rng=rng),
-        ]
     )
 
 
@@ -123,15 +108,6 @@ class TestExecutionPolicy:
         for workers in (0, -1):
             with pytest.raises(ValueError):
                 build_sim(3, workers=workers)
-
-    def test_active_dropout_rejected_above_one_worker(self):
-        """Each thread's clone copies the layer's generator, so chunks
-        would draw the same masks and drift from the one-pass run."""
-        with pytest.raises(ValueError, match=r"layer 3 \(Dropout\(0\.5\)\)"):
-            build_sim(3, model=dropout_mlp(0.5), workers=2)
-        build_sim(3, model=dropout_mlp(0.5), workers=1)
-        build_sim(3, model=dropout_mlp(0.0), workers=2)
-
 
 class TestCliPolicyPlumbing:
     def test_eval_main_installs_and_restores_policy(self, capsys, monkeypatch):

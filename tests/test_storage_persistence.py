@@ -71,6 +71,31 @@ class TestSignStoreRoundTrip:
         )
         np.testing.assert_allclose(fresh.params, original.params, atol=1e-5)
 
+    def test_rows_of_an_excluded_client_never_reach_the_log(self, small_fl, tmp_path):
+        """A commit whose state excludes a vehicle drops its rows from
+        every round the store still holds them for (a live erasure's
+        purge may still be pending); the other rows stay bit for bit."""
+        sign_record = with_sign_store(small_fl["record"], delta=1e-6)
+        state = persistence.record_state(
+            sign_record.ledger, sign_record.client_sizes, sign_record.accuracy_history
+        )
+        state["excluded"] = [5]
+        directory = str(tmp_path / "log")
+        persistence.RoundLog(directory).commit(
+            sign_record.num_rounds,
+            sign_record.checkpoints,
+            sign_record.gradients,
+            state,
+            sign_record.final_params(),
+            {"learning_rate": 0.1, "aggregator": "fedavg", "metadata": {}},
+        )
+        gradients = persistence.fold(directory)[4]
+        kept = [(key, v) for key, v in sign_record.gradients.items() if key[1] != 5]
+        assert len(kept) < len(sign_record.gradients.items())
+        assert [key for key, _ in gradients.items()] == [key for key, _ in kept]
+        for (_, (packed, length)), (_, (want, want_length)) in zip(gradients.items(), kept):
+            assert length == want_length and packed.tobytes() == want.tobytes()
+
 
 class TestErrors:
     def test_unknown_format_version(self, small_fl, tmp_path):

@@ -269,19 +269,6 @@ class TestModelCheckpointStore:
         with pytest.raises(KeyError):
             ModelCheckpointStore().get(3)
 
-    def test_latest(self, rng):
-        store = ModelCheckpointStore()
-        store.put(1, rng.normal(size=4))
-        w9 = rng.normal(size=4)
-        store.put(9, w9)
-        round_index, params = store.latest()
-        assert round_index == 9
-        np.testing.assert_allclose(params, w9, atol=1e-6)
-
-    def test_latest_empty_raises(self):
-        with pytest.raises(KeyError):
-            ModelCheckpointStore().latest()
-
     def test_rounds_sorted(self, rng):
         store = ModelCheckpointStore()
         for r in (5, 1, 3):

@@ -46,13 +46,6 @@ class TestBufferBasics:
             buf.add_pair(s, s)
         assert len(buf) == 2
 
-    def test_clear(self, rng):
-        buf = LbfgsBuffer()
-        s = rng.normal(size=3)
-        buf.add_pair(s, s)
-        buf.clear()
-        assert buf.is_empty
-
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
             LbfgsBuffer(buffer_size=0)
@@ -137,10 +130,6 @@ class TestDenseAlgorithm2:
     def test_shape_validation(self, rng):
         with pytest.raises(ValueError):
             lbfgs_hessian_dense(rng.normal(size=(4, 2)), rng.normal(size=(4, 3)))
-
-    def test_dense_size_guard(self):
-        with pytest.raises(ValueError):
-            LbfgsBuffer().dense(5000)
 
 
 class TestRobustness:

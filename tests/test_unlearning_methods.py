@@ -13,7 +13,6 @@ from repro.nn import accuracy
 from repro.storage import SignGradientStore
 from repro.unlearning import (
     ClientsRequiredError,
-    FedEraserUnlearner,
     FedRecoverUnlearner,
     FedRecoveryUnlearner,
     RetrainUnlearner,
@@ -282,46 +281,6 @@ class TestFedRecovery:
         )
         # Client 5 joined at round 2 and participated every round after.
         assert result.stats["residual_rounds"] == small_fl["record"].num_rounds - 2
-
-
-class TestFedEraser:
-    def test_recovers(self, small_fl):
-        result = FedEraserUnlearner(round_interval=2).unlearn(
-            small_fl["record"], [5], small_fl["model"],
-            clients=small_fl["clients"], model_factory=small_fl["factory"],
-        )
-        backtracked = acc(small_fl, backtrack(small_fl["record"], [5])[0])
-        assert acc(small_fl, result.params) > backtracked
-
-    def test_subsampling_reduces_calls(self, small_fl):
-        sparse = FedEraserUnlearner(round_interval=5).unlearn(
-            small_fl["record"], [5], small_fl["model"],
-            clients=small_fl["clients"], model_factory=small_fl["factory"],
-        )
-        dense = FedEraserUnlearner(round_interval=1).unlearn(
-            small_fl["record"], [5], small_fl["model"],
-            clients=small_fl["clients"], model_factory=small_fl["factory"],
-        )
-        assert sparse.client_gradient_calls < dense.client_gradient_calls
-
-    def test_requires_clients(self, small_fl):
-        with pytest.raises(ClientsRequiredError):
-            FedEraserUnlearner().unlearn(
-                small_fl["record"], [5], small_fl["model"],
-                model_factory=small_fl["factory"],
-            )
-
-    def test_rejects_sign_store(self, small_fl):
-        sign_record = with_sign_store(small_fl["record"])
-        with pytest.raises(TypeError):
-            FedEraserUnlearner().unlearn(
-                sign_record, [5], small_fl["model"],
-                clients=small_fl["clients"], model_factory=small_fl["factory"],
-            )
-
-    def test_invalid_interval(self):
-        with pytest.raises(ValueError):
-            FedEraserUnlearner(round_interval=0)
 
 
 class TestStorageRequirements:

@@ -10,8 +10,6 @@ from repro.utils.flat import (
     shapes_of,
     total_size,
     unflatten_vector,
-    vector_cosine,
-    vector_l2,
 )
 
 
@@ -65,33 +63,3 @@ class TestTotalSize:
 
     def test_empty(self):
         assert total_size([]) == 0
-
-
-class TestVectorMetrics:
-    def test_l2(self):
-        assert vector_l2(np.array([3.0, 4.0])) == pytest.approx(5.0)
-
-    def test_cosine_identical(self, rng):
-        v = rng.normal(size=10)
-        assert vector_cosine(v, v) == pytest.approx(1.0)
-
-    def test_cosine_opposite(self, rng):
-        v = rng.normal(size=10)
-        assert vector_cosine(v, -v) == pytest.approx(-1.0)
-
-    def test_cosine_orthogonal(self):
-        assert vector_cosine(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == pytest.approx(0.0)
-
-    def test_cosine_zero_vector(self):
-        assert vector_cosine(np.zeros(3), np.ones(3)) == 0.0
-
-    def test_cosine_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            vector_cosine(np.zeros(3), np.zeros(4))
-
-    @given(st.integers(2, 30))
-    @settings(max_examples=20, deadline=None)
-    def test_cosine_bounded(self, dim):
-        rng = np.random.default_rng(dim)
-        a, b = rng.normal(size=dim), rng.normal(size=dim)
-        assert -1.0 - 1e-9 <= vector_cosine(a, b) <= 1.0 + 1e-9

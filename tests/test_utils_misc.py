@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.utils.logging import configure, get_logger
-from repro.utils.serialization import load_json, save_json
+from repro.utils.serialization import save_json
 from repro.utils.timer import Timer
 
 
@@ -20,7 +20,6 @@ class TestTimer:
         with timer.section("work"):
             time.sleep(0.01)
         assert timer.total("work") >= 0.02
-        assert timer.count("work") == 2
 
     def test_start_stop(self):
         timer = Timer()
@@ -48,24 +47,20 @@ class TestTimer:
                 pass
         assert timer.names() == ["a", "b"]
 
-    def test_summary_mentions_sections(self):
-        timer = Timer()
-        with timer.section("phase1"):
-            pass
-        assert "phase1" in timer.summary()
-
 
 class TestSerialization:
     def test_json_round_trip(self, tmp_path):
         record = {"a": 1, "b": [1.5, 2.5], "nested": {"x": "y"}}
         path = str(tmp_path / "out" / "r.json")
         save_json(path, record)
-        assert load_json(path) == record
+        with open(path, encoding="utf-8") as fh:
+            assert json.load(fh) == record
 
     def test_json_converts_numpy(self, tmp_path):
         path = str(tmp_path / "r.json")
         save_json(path, {"arr": np.array([1.0, 2.0]), "scalar": np.float64(3.5)})
-        loaded = load_json(path)
+        with open(path, encoding="utf-8") as fh:
+            loaded = json.load(fh)
         assert loaded == {"arr": [1.0, 2.0], "scalar": 3.5}
 
     def test_json_is_valid_json(self, tmp_path):
